@@ -251,6 +251,13 @@ _ADAPTIVE_TEMPLATE = "riscv-mem"
 _ADAPTIVE_SEED = 7
 _ADAPTIVE_ROUNDS = 12
 _ADAPTIVE_BATCH = 60
+#: Contract-stable patience of the pinned loop.  Under the solver's
+#: exact (false positives, atom count) order the loop holds one 9-atom
+#: contract from 240 to 360 cases (a tie-agnostic solver returned 10
+#: atoms at 240), so the default patience of 2 stops at 360 cases,
+#: before the contract settles on the fixed-budget 8-atom one at 420.
+#: Patience 3 converges to it at 600 of 720 cases.
+_ADAPTIVE_PATIENCE = 3
 
 
 def test_bench_adaptive_convergence(benchmark):
@@ -261,7 +268,7 @@ def test_bench_adaptive_convergence(benchmark):
     time additionally carries the per-round solver overhead, so the
     paired "speedup" may sit below 1.0 at this tiny scale where
     simulation is cheap."""
-    from repro.adaptive import AdaptiveLoop
+    from repro.adaptive import AdaptiveLoop, ContractStableRule
 
     def run_loop():
         return AdaptiveLoop(
@@ -270,6 +277,7 @@ def test_bench_adaptive_convergence(benchmark):
             rounds=_ADAPTIVE_ROUNDS,
             batch=_ADAPTIVE_BATCH,
             seed=_ADAPTIVE_SEED,
+            stop=ContractStableRule(patience=_ADAPTIVE_PATIENCE),
             **_ADAPTIVE_SCENARIO,
         ).run()
 
@@ -300,7 +308,7 @@ def test_bench_adaptive_convergence_reference(benchmark):
 def test_bench_adaptive_matches_fixed_with_fewer_cases():
     """Not a benchmark: pins the pairing of the two benchmarks above —
     same contract, measurably fewer evaluated cases."""
-    from repro.adaptive import AdaptiveLoop
+    from repro.adaptive import AdaptiveLoop, ContractStableRule
     from repro.pipeline import SynthesisPipeline
 
     adaptive = AdaptiveLoop(
@@ -309,6 +317,7 @@ def test_bench_adaptive_matches_fixed_with_fewer_cases():
         rounds=_ADAPTIVE_ROUNDS,
         batch=_ADAPTIVE_BATCH,
         seed=_ADAPTIVE_SEED,
+        stop=ContractStableRule(patience=_ADAPTIVE_PATIENCE),
         **_ADAPTIVE_SCENARIO,
     ).run()
     fixed = (

@@ -6,14 +6,17 @@ Variables
     selected atom distinguishes ``t`` — a false positive).
 
 Objective
-    ``min Σ_t c_t``.
+    ``min Σ_t c_t`` (solvers break ties toward fewer atoms).
 
 Constraints
     ``Σ_{A ∈ distinguishing(t)} s_A ≥ 1`` per attacker-distinguishable
     test case ``t``; ``s_A ≤ c_t`` per indistinguishable ``t`` and
     ``A ∈ distinguishing(t)``.
 
-Before solving we apply three loss-free reductions:
+Every reduction below keeps the set of optimal contracts under the
+``(false positives, atom count)`` order, so the optimum does not
+depend on which of them ran.  :func:`build_ilp_instance` always applies
+the first three:
 
 1. Atoms that distinguish no attacker-distinguishable test case are
    never selected by an optimal solution (they cover nothing and can
@@ -23,6 +26,24 @@ Before solving we apply three loss-free reductions:
    distinguishing sets yield identical constraints and are deduplicated.
 3. Indistinguishable test cases with identical candidate intersections
    are merged into one ``c_t`` with an integer weight.
+
+Under ``reduce_dominated`` (the default), :func:`eliminate_dominated_atoms`
+continues:
+
+4. Dominated atoms are dropped: when atom ``a`` covers every constraint
+   ``b`` covers and triggers a subset of ``b``'s false-positive sets,
+   swapping ``b`` for ``a`` never adds a false positive or an atom.
+5. The remaining rows are intersected with the kept atoms, which makes
+   some of them equal again; equal cover sets and equal FP sets merge
+   (test ids concatenate, FP weights add), as in 2 and 3.
+6. A cover set that is a proper superset of another is implied by it
+   (whatever hits the subset hits the superset) and is dropped; its
+   test ids move to that subset.
+7. Atoms left in no cover row cover nothing and are dropped like the
+   atoms of 1; FP sets are intersected with the atoms that remain.
+
+Solver backends shrink the formulation further without changing the
+instance (see :class:`repro.synthesis.solvers.ScipyMilpSolver`).
 
 Test cases whose restricted distinguishing set is *empty* cannot be
 covered by any contract from the (restricted) template; they are
@@ -34,7 +55,8 @@ restricted templates of Fig. 2/3 lose sensitivity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.evaluation.results import EvaluationDataset
 
@@ -56,6 +78,10 @@ class IlpInstance:
     cover_test_ids: Tuple[Tuple[int, ...], ...] = field(default=())
     #: Test ids behind each fp set (diagnostics / FP reporting).
     fp_test_ids: Tuple[Tuple[int, ...], ...] = field(default=())
+    #: Rows of the plain formulation (one per cover set, one per atom
+    #: of each fp set) removed by each reduction after dominance
+    #: elimination: ``"merged"`` and ``"subsumed"`` (diagnostics).
+    reduced_rows: Dict[str, int] = field(default_factory=dict)
 
     @property
     def atom_count(self) -> int:
@@ -105,8 +131,8 @@ def build_ilp_instance(
     ``allowed_atom_ids`` restricts the template (e.g. to the IL+RL+ML
     base families for the Fig. 2 comparison); ``None`` allows every
     atom mentioned by the dataset.  ``reduce_dominated`` additionally
-    removes atoms that are dominated by another candidate (see
-    :func:`eliminate_dominated_atoms`) — loss-free for the objective.
+    removes dominated atoms, subsumed cover rows and the atoms they
+    orphan (see :func:`eliminate_dominated_atoms`), keeping the optimum.
     """
     allowed = None if allowed_atom_ids is None else frozenset(allowed_atom_ids)
 
@@ -156,6 +182,10 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
     the candidate set by an order of magnitude because sibling atoms
     (e.g. ``RAW_RS1_1`` .. ``RAW_RS1_4``) often have identical
     signatures on a finite test set.
+
+    The rows are then intersected with the kept atoms, merged where
+    equal, cleared of subsumed cover sets and of the atoms those left
+    uncovered (reductions 5-7 of the module docstring).
     """
     atom_ids = instance.candidate_atom_ids
     cover_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
@@ -189,19 +219,93 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
                 break
     kept = frozenset(atom_id for atom_id in survivors if atom_id not in dominated)
 
-    new_cover = tuple(atoms & kept for atoms in instance.cover_sets)
-    if any(not atoms for atoms in new_cover):  # pragma: no cover - invariant
-        raise AssertionError("dominance reduction emptied a coverage constraint")
-    fp_pairs = [
-        (atoms & kept, weight, test_ids)
-        for (atoms, weight), test_ids in zip(instance.fp_sets, instance.fp_test_ids)
-    ]
-    fp_pairs = [(atoms, weight, ids) for atoms, weight, ids in fp_pairs if atoms]
-    return IlpInstance(
-        candidate_atom_ids=tuple(sorted(kept)),
-        cover_sets=new_cover,
-        fp_sets=tuple((atoms, weight) for atoms, weight, _ids in fp_pairs),
-        uncoverable_test_ids=instance.uncoverable_test_ids,
-        cover_test_ids=instance.cover_test_ids,
-        fp_test_ids=tuple(ids for _atoms, _weight, ids in fp_pairs),
+    cover_items = _merge_rows(
+        (atoms & kept, 1, ids)
+        for atoms, ids in zip_longest(instance.cover_sets, instance.cover_test_ids, fillvalue=())
     )
+    if any(not atoms for atoms, _count, _ids in cover_items):  # pragma: no cover - invariant
+        raise AssertionError("dominance reduction emptied a coverage constraint")
+    merged_rows = len(instance.cover_sets) - len(cover_items)
+    subsumed_rows = len(cover_items)
+    cover_items = drop_subsumed_cover_sets(cover_items)
+    subsumed_rows -= len(cover_items)
+    atoms_left = frozenset().union(*(atoms for atoms, _count, _ids in cover_items))
+
+    fp_rows = []
+    for (atoms, weight), ids in zip_longest(instance.fp_sets, instance.fp_test_ids, fillvalue=()):
+        left = atoms & atoms_left
+        # The rows of atoms that only a subsumed cover row needed.
+        subsumed_rows += len(atoms & kept) - len(left)
+        if left:
+            fp_rows.append((left, weight, ids))
+    fp_items = _merge_rows(fp_rows)
+    merged_rows += sum(len(atoms) for atoms, _w, _ids in fp_rows) - sum(
+        len(atoms) for atoms, _w, _ids in fp_items
+    )
+    return IlpInstance(
+        candidate_atom_ids=tuple(sorted(atoms_left)),
+        cover_sets=tuple(atoms for atoms, _count, _ids in cover_items),
+        fp_sets=tuple((atoms, weight) for atoms, weight, _ids in fp_items),
+        uncoverable_test_ids=instance.uncoverable_test_ids,
+        cover_test_ids=tuple(ids for _atoms, _count, ids in cover_items),
+        fp_test_ids=tuple(ids for _atoms, _weight, ids in fp_items),
+        reduced_rows={"merged": merged_rows, "subsumed": subsumed_rows},
+    )
+
+
+_Row = Tuple[FrozenSet[int], int, Tuple[int, ...]]
+
+
+def _merge_rows(rows: Iterable[Tuple[FrozenSet[int], int, Sequence[int]]]) -> List[_Row]:
+    """Merge ``(atoms, weight, test_ids)`` rows with equal atom sets
+    (weights add, test ids concatenate), in canonical atom order."""
+    merged: Dict[FrozenSet[int], Tuple[int, List[int]]] = {}
+    for atoms, weight, ids in rows:
+        total, merged_ids = merged.get(atoms, (0, []))
+        merged_ids.extend(ids)
+        merged[atoms] = (total + weight, merged_ids)
+    return [
+        (atoms, weight, tuple(sorted(ids)))
+        for atoms, (weight, ids) in sorted(merged.items(), key=lambda item: sorted(item[0]))
+    ]
+
+
+def subset_index(sets: Iterable[FrozenSet[int]]) -> Dict[int, List[FrozenSet[int]]]:
+    """Index non-empty ``sets`` by their smallest atom, for
+    :func:`find_subset`."""
+    index: Dict[int, List[FrozenSet[int]]] = {}
+    for atoms in sets:
+        index.setdefault(min(atoms), []).append(atoms)
+    return index
+
+
+def find_subset(
+    index: Dict[int, List[FrozenSet[int]]], atoms: FrozenSet[int]
+) -> Optional[FrozenSet[int]]:
+    """The first indexed set contained in ``atoms``, if any.  A subset's
+    smallest atom lies in ``atoms``, so only those buckets are probed."""
+    for atom_id in atoms:
+        for candidate in index.get(atom_id, ()):
+            if candidate <= atoms:
+                return candidate
+    return None
+
+
+def drop_subsumed_cover_sets(cover_items: List[_Row]) -> List[_Row]:
+    """Drop the (distinct) cover sets that are proper supersets of
+    another; each dropped set's test ids join the kept subset found.
+
+    Smaller sets are decided first, so a set only has to be checked
+    against kept ones: a subset that was itself dropped has a kept
+    subset of its own.
+    """
+    index: Dict[int, List[FrozenSet[int]]] = {}
+    kept: Dict[FrozenSet[int], Tuple[int, List[int]]] = {}
+    for atoms, count, ids in sorted(cover_items, key=lambda item: len(item[0])):
+        subset = find_subset(index, atoms)
+        if subset is None:
+            index.setdefault(min(atoms), []).append(atoms)
+            kept[atoms] = (count, list(ids))
+        else:
+            kept[subset][1].extend(ids)
+    return _merge_rows((atoms, count, ids) for atoms, (count, ids) in kept.items())

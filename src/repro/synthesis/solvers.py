@@ -11,8 +11,13 @@ Three interchangeable backends:
 - :class:`GreedySolver` — a classic weighted set-cover heuristic used
   as an ablation baseline (how much precision does optimality buy?).
 
-All backends minimize false positives first and break ties toward
-fewer atoms, so synthesized contracts are canonical.
+The two exact backends return a contract that is optimal in the
+lexicographic ``(false positives, atom count)`` order: no covering
+contract has fewer false positives, and none with as few has fewer
+atoms.  That optimum is the same whichever loss-free reductions (see
+:mod:`repro.synthesis.ilp`) ran.  Ties among equal-size contracts with
+equal false positives remain, and the backends may break them
+differently.  The greedy backend only approximates the order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.synthesis.ilp import IlpInstance
+from repro.synthesis.ilp import IlpInstance, find_subset, subset_index
 
 
 @dataclass
@@ -81,8 +86,60 @@ def eliminate_redundant_atoms(
     return kept
 
 
+#: FP sets per block of the subset matmul in
+#: :func:`largest_proper_subsets` (bounds its working memory).
+SUBSET_BLOCK = 128
+
+
+def largest_proper_subsets(incidence):
+    """For each row of a boolean set-incidence matrix (distinct sets),
+    the index of its largest proper subset among the rows, or -1.  Ties
+    go to the lowest index.
+
+    Rows are visited by size in blocks of :data:`SUBSET_BLOCK`, so each
+    block is multiplied only against the smaller sets and the full
+    intersection matrix never exists at once; the stable sort keeps the
+    tie-break.
+    """
+    import numpy as np
+
+    sizes = incidence.sum(axis=1, dtype=np.float32)
+    order = np.argsort(sizes, kind="stable")
+    by_size = incidence[order].astype(np.float32)
+    sorted_sizes = sizes[order]
+    parents = np.full(len(sizes), -1)
+    for begin in range(0, len(sizes), SUBSET_BLOCK):
+        block = slice(begin, begin + SUBSET_BLOCK)
+        end = np.searchsorted(sorted_sizes, sorted_sizes[block][-1])
+        if not end:
+            continue
+        shared = by_size[block] @ by_size[:end].T
+        is_subset = (shared == sorted_sizes[:end]) & (
+            sorted_sizes[:end] < sorted_sizes[block, None]
+        )
+        scores = np.where(is_subset, sorted_sizes[:end], 0.0)
+        best = order[scores.argmax(axis=1)]
+        parents[order[block]] = np.where(scores.max(axis=1) > 0, best, -1)
+    return parents
+
+
 class ScipyMilpSolver(IlpSolver):
     """Exact backend on ``scipy.optimize.milp`` (HiGHS).
+
+    The objective is ``FP·(n+1) + |S|`` over ``n`` atom variables: one
+    false positive outweighs any number of atoms, so with a zero MIP
+    gap HiGHS returns a contract that is optimal in the
+    ``(false positives, atom count)`` order.  The instance is handed
+    over in a smaller but equivalent form:
+
+    - *Forced* FP sets (those containing a cover set) are hit by every
+      feasible selection; their weight is a constant, with no row and
+      no ``c_t``.
+    - *Singleton* FP sets ``{A}`` fold their weight into ``s_A``'s
+      objective coefficient.
+    - *Nested* FP sets are chained: a set ``F`` whose largest proper
+      subset among the remaining FP sets is ``P`` gets the row
+      ``c_P ≤ c_F`` plus ``s_A ≤ c_F`` only for ``A ∈ F \\ P``.
 
     ``time_limit`` (seconds) bounds the branch-and-cut search; when it
     is hit, the best incumbent is returned with ``optimal=False`` (and
@@ -102,59 +159,89 @@ class ScipyMilpSolver(IlpSolver):
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        atom_ids = instance.candidate_atom_ids
-        atom_index = {atom_id: index for index, atom_id in enumerate(atom_ids)}
-        atom_count = len(atom_ids)
-        fp_count = len(instance.fp_sets)
-        variable_count = atom_count + fp_count
-
         if not instance.cover_sets:
             return SolverResult(frozenset(), 0, self.name, optimal=True)
 
-        # Objective: FP weights on the c_t variables only.  Selected
-        # atoms carry no cost (an epsilon tie-break toward smaller
-        # contracts makes the MILP hugely degenerate and slow); the
-        # contract is minimized afterwards by loss-free redundancy
-        # elimination.
-        objective = np.zeros(variable_count)
-        for index, (_atoms, weight) in enumerate(instance.fp_sets):
-            objective[atom_count + index] = float(weight)
+        atom_ids = instance.candidate_atom_ids
+        atom_index = {atom_id: index for index, atom_id in enumerate(atom_ids)}
+        atom_count = len(atom_ids)
+        fp_scale = float(atom_count + 1)
+        stats = {"rows.%s" % name: count for name, count in instance.reduced_rows.items()}
+        stats.update({"rows.forced": 0, "rows.folded": 0, "rows.chained": 0})
 
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        lower: List[float] = []
-        upper: List[float] = []
-        row = 0
-        for atoms in instance.cover_sets:
-            for atom_id in atoms:
-                rows.append(row)
-                cols.append(atom_index[atom_id])
-                data.append(1.0)
-            lower.append(1.0)
-            upper.append(float(len(atoms)))
-            row += 1
-        for fp_position, (atoms, _weight) in enumerate(instance.fp_sets):
-            for atom_id in atoms:
-                # s_A - c_t <= 0
-                rows.append(row)
-                cols.append(atom_index[atom_id])
-                data.append(1.0)
-                rows.append(row)
-                cols.append(atom_count + fp_position)
-                data.append(-1.0)
-                lower.append(-1.0)
-                upper.append(0.0)
-                row += 1
+        # Objective FP·(n+1) + |S|: 1 per atom, fp_scale per false positive.
+        atom_objective = np.ones(atom_count)
+        covers = subset_index(instance.cover_sets)
+        modelled_sets: List[FrozenSet[int]] = []
+        modelled_weights: List[float] = []
+        for atoms, weight in instance.fp_sets:
+            if find_subset(covers, atoms) is not None:
+                stats["rows.forced"] += len(atoms)
+            elif len(atoms) == 1:
+                (atom_id,) = atoms
+                atom_objective[atom_index[atom_id]] += fp_scale * weight
+                stats["rows.folded"] += 1
+            else:
+                modelled_sets.append(atoms)
+                modelled_weights.append(fp_scale * weight)
 
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(row, variable_count)
+        fp_count = len(modelled_sets)
+        incidence = np.zeros((fp_count, atom_count), dtype=bool)
+        for position, atoms in enumerate(modelled_sets):
+            incidence[position, [atom_index[atom_id] for atom_id in atoms]] = True
+        parents = largest_proper_subsets(incidence)
+        chained = parents >= 0
+        own = incidence.copy()
+        own[chained] &= ~incidence[parents[chained]]
+        stats["rows.chained"] = int(incidence.sum()) - int(own.sum()) - int(chained.sum())
+
+        # Rows: cover sets (sum s_A >= 1), then s_A - c_F <= 0, then
+        # c_P - c_F <= 0.  Columns: atoms, then one c_F per modelled set.
+        cover_rows, cover_cols = zip(
+            *(
+                (row, atom_index[atom_id])
+                for row, atoms in enumerate(instance.cover_sets)
+                for atom_id in atoms
+            )
         )
-        options = {}
+        cover_count = len(instance.cover_sets)
+        own_sets, own_atoms = np.nonzero(own)
+        link_rows = cover_count + np.arange(len(own_sets))
+        chain_sets = np.flatnonzero(chained)
+        chain_rows = cover_count + len(own_sets) + np.arange(len(chain_sets))
+        row_count = cover_count + len(own_sets) + len(chain_sets)
+        variable_count = atom_count + fp_count
+        rows = np.concatenate(
+            [cover_rows, link_rows, link_rows, chain_rows, chain_rows]
+        )
+        cols = np.concatenate(
+            [
+                cover_cols,
+                own_atoms,
+                atom_count + own_sets,
+                atom_count + parents[chain_sets],
+                atom_count + chain_sets,
+            ]
+        )
+        data = np.concatenate(
+            [
+                np.ones(len(cover_rows)),
+                np.ones(len(own_sets)),
+                -np.ones(len(own_sets)),
+                np.ones(len(chain_sets)),
+                -np.ones(len(chain_sets)),
+            ]
+        )
+        matrix = sparse.csr_matrix((data, (rows, cols)), shape=(row_count, variable_count))
+        lower = np.concatenate([np.ones(cover_count), np.full(row_count - cover_count, -1.0)])
+        upper = np.concatenate([np.full(cover_count, np.inf), np.zeros(row_count - cover_count)])
+        # HiGHS's default relative gap could stop short of the atom-count
+        # tie-break, which is worth less than 1e-4 of the objective.
+        options = {"mip_rel_gap": 0.0}
         if self.time_limit is not None:
             options["time_limit"] = float(self.time_limit)
         result = milp(
-            c=objective,
+            c=np.concatenate([atom_objective, modelled_weights]),
             constraints=LinearConstraint(matrix, lower, upper),
             integrality=np.ones(variable_count),
             bounds=Bounds(0.0, 1.0),
@@ -174,12 +261,13 @@ class ScipyMilpSolver(IlpSolver):
             raise RuntimeError("MILP solve failed: %s" % result.message)
         selected = frozenset(eliminate_redundant_atoms(instance, raw_selection))
         self._verify(instance, selected)
+        stats.update({"variables": variable_count, "constraints": row_count})
         return SolverResult(
             selected_atom_ids=selected,
             false_positives=instance.false_positive_weight(selected),
             solver_name=self.name,
             optimal=optimal,
-            stats={"variables": variable_count, "constraints": row},
+            stats=stats,
         )
 
 

@@ -103,10 +103,11 @@ class ContractSynthesizer:
             metrics.counter("solver.cold_solves").inc()
         else:
             metrics.counter("solver.warm_starts").inc()
-        for stat in ("constraints", "variables"):
-            value = solver_result.stats.get(stat)
-            if value is not None:
-                metrics.histogram("solver.%s" % stat).observe(value)
+        if metrics.enabled:
+            # Formulation size and the rows each ILP reduction removed.
+            for stat, value in solver_result.stats.items():
+                if stat in ("constraints", "variables") or stat.startswith("rows."):
+                    metrics.histogram("solver." + stat).observe(value)
         contract = Contract(self.template, solver_result.selected_atom_ids)
         elapsed = time.perf_counter() - start
         return SynthesisResult(

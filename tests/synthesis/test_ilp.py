@@ -195,3 +195,60 @@ class TestDominanceReduction:
         dataset = make_dataset([(0, True, {1, 2}), (1, False, {2})])
         instance = _build_ilp_instance(dataset)
         assert instance.candidate_atom_ids == (1,)
+
+    def test_rows_equal_after_dominance_merge(self):
+        # Atom 2 is dominated by atom 1 (same cover row, more FPs), so
+        # the FP sets {2, 3} and {3} become equal once it is dropped.
+        dataset = make_dataset(
+            [
+                (0, True, {1, 2}),
+                (1, True, {3, 4}),
+                (2, False, {2, 3}),
+                (3, False, {3}),
+                (4, False, {4}),
+            ]
+        )
+        instance = _build_ilp_instance(dataset)
+        assert instance.candidate_atom_ids == (1, 3, 4)
+        assert instance.fp_sets == ((frozenset({3}), 2), (frozenset({4}), 1))
+        assert instance.fp_test_ids == ((2, 3), (4,))
+        assert instance.false_positive_test_ids({3}) == [2, 3]
+        assert instance.reduced_rows["merged"] == 1
+
+
+class TestCoverSubsumption:
+    def test_superset_row_dropped_and_orphan_pruned(self):
+        # {1, 2} is implied by {1}; atom 2 then covers nothing.  Neither
+        # atom dominates the other (each has its own false positive).
+        dataset = make_dataset(
+            [
+                (0, True, {1}),
+                (1, True, {1, 2}),
+                (2, False, {1}),
+                (3, False, {2}),
+            ]
+        )
+        raw = build_ilp_instance(dataset)
+        assert eliminate_dominated_atoms(raw).candidate_atom_ids == (1,)
+        instance = _build_ilp_instance(dataset)
+        assert instance.cover_sets == (frozenset({1}),)
+        assert instance.cover_test_ids == ((0, 1),)
+        assert instance.candidate_atom_ids == (1,)
+        assert instance.fp_sets == ((frozenset({1}), 1),)
+        # One cover row, plus the FP row of the pruned atom.
+        assert instance.reduced_rows == {"merged": 0, "subsumed": 2}
+
+    def test_only_proper_supersets_dropped(self):
+        dataset = make_dataset(
+            [
+                (0, True, {1, 2}),
+                (1, True, {2, 3}),
+                (2, True, {1, 2, 3}),
+                (3, False, {1}),
+                (4, False, {2}),
+                (5, False, {3}),
+            ]
+        )
+        instance = _build_ilp_instance(dataset)
+        assert instance.cover_sets == (frozenset({1, 2}), frozenset({2, 3}))
+        assert instance.candidate_atom_ids == (1, 2, 3)

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.synthesis.ilp import build_ilp_instance
@@ -18,14 +19,16 @@ ALL_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver(), GreedySolver()]
 EXACT_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver()]
 
 
-def make_instance(entries, allowed=None):
+def make_instance(entries, allowed=None, reduce_dominated=True):
+    """``reduce_dominated=False`` keeps the rows exactly as written, so a
+    test controls which FP rows the solver sees."""
     dataset = EvaluationDataset(
         [
             TestCaseResult(test_id, dist, frozenset(atoms))
             for test_id, (dist, atoms) in enumerate(entries)
         ]
     )
-    return build_ilp_instance(dataset, allowed)
+    return build_ilp_instance(dataset, allowed, reduce_dominated)
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.name)
@@ -169,14 +172,9 @@ def test_exact_solvers_match_brute_force(seed):
     assert expected is not None
     for solver in EXACT_SOLVERS:
         result = solver.solve(instance)
-        # Both backends are exact in the objective (false positives);
-        # only branch & bound also guarantees the minimum atom count
-        # (scipy minimizes it heuristically via redundancy elimination).
+        # Both backends are exact in (false positives, atom count).
         assert result.false_positives == expected[0], solver.name
-        if isinstance(solver, BranchAndBoundSolver):
-            assert len(result.selected_atom_ids) == expected[1], solver.name
-        else:
-            assert len(result.selected_atom_ids) >= expected[1], solver.name
+        assert len(result.selected_atom_ids) == expected[1], solver.name
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -211,3 +209,163 @@ def test_scipy_stats():
     )
     result = ScipyMilpSolver().solve(instance)
     assert result.stats["variables"] >= 3
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Record the keyword arguments of every ``scipy.optimize.milp`` call."""
+    import scipy.optimize
+
+    calls = []
+    milp = scipy.optimize.milp
+
+    def recording_milp(**kwargs):
+        calls.append(kwargs)
+        return milp(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
+    return calls
+
+
+class TestScipyFormulation:
+    def test_forced_fp_set_is_constant(self):
+        # {1, 3} contains the cover set {1}: every contract pays case 2.
+        instance = make_instance(
+            [(True, {1}), (True, {2, 3}), (False, {1, 3})], reduce_dominated=False
+        )
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["rows.forced"] == 2
+        assert result.stats["constraints"] == 2  # the cover rows only
+        assert result.stats["variables"] == 3  # no c_t for the forced set
+        assert result.false_positives == 1
+        assert len(result.selected_atom_ids) == 2
+        assert instance.false_positive_test_ids(result.selected_atom_ids) == [2]
+
+    def test_singleton_fp_set_folds_into_objective(self, milp_calls):
+        instance = make_instance(
+            [(True, {1, 2}), (False, {1}), (False, {1})], reduce_dominated=False
+        )
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["rows.folded"] == 1
+        assert result.stats["constraints"] == 1
+        assert result.stats["variables"] == 2
+        # s_1 costs one atom plus two false positives at weight n + 1 = 3.
+        assert list(milp_calls[0]["c"]) == [7.0, 1.0]
+        assert result.selected_atom_ids == {2}
+        assert result.false_positives == 0
+
+    def test_nested_fp_sets_are_chained(self):
+        # {1, 2, 3} ⊂ {1, 2, 3, 5}: the larger set gets c_P ≤ c_F and
+        # one row for atom 5 instead of four rows.
+        instance = make_instance(
+            [
+                (True, {1, 2, 3, 4, 5, 6}),
+                (False, {1, 2, 3}),
+                (False, {1, 2, 3, 5}),
+            ],
+            reduce_dominated=False,
+        )
+        plain_rows = len(instance.cover_sets) + sum(
+            len(atoms) for atoms, _weight in instance.fp_sets
+        )
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["rows.chained"] == 2
+        assert result.stats["constraints"] == plain_rows - 2 == 6
+        assert result.false_positives == 0
+        assert len(result.selected_atom_ids) == 1
+
+    def test_chained_formulation_keeps_the_optimum(self):
+        # {1, 5} ⊂ {1, 5, 7} is chained.  Atoms 1 and 5 each pay both
+        # sets, atom 7 only the outer one, so {5, 7} is the optimum.
+        instance = make_instance(
+            [
+                (True, {1, 7, 9}),
+                (True, {5, 8}),
+                (False, {1, 5}),
+                (False, {1, 5, 7}),
+                (False, {1, 5, 7}),
+                (False, {1}),
+                (False, {8}),
+                (False, {8}),
+                (False, {8}),
+                (False, {9}),
+                (False, {9}),
+                (False, {9}),
+            ],
+            reduce_dominated=False,
+        )
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["rows.chained"] == 1
+        expected = BranchAndBoundSolver().solve(instance)
+        assert result.false_positives == expected.false_positives == 3
+        assert result.selected_atom_ids == expected.selected_atom_ids == {5, 7}
+
+    def test_time_limit_without_incumbent_falls_back_to_greedy(self):
+        rng = random.Random(3)
+        entries = [
+            (rng.random() < 0.3, set(rng.sample(range(40), rng.randint(2, 8))))
+            for _ in range(400)
+        ]
+        instance = make_instance(entries)
+        result = ScipyMilpSolver(time_limit=0.0).solve(instance)
+        assert not result.optimal
+        assert instance.covers_all(result.selected_atom_ids)
+        assert result.false_positives == instance.false_positive_weight(
+            result.selected_atom_ids
+        )
+
+
+_small_datasets = st.lists(
+    st.tuples(st.booleans(), st.frozensets(st.integers(0, 11), max_size=6)),
+    max_size=30,
+).map(
+    lambda entries: EvaluationDataset(
+        [
+            TestCaseResult(test_id, dist, atoms)
+            for test_id, (dist, atoms) in enumerate(entries)
+        ]
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_datasets)
+def test_reductions_keep_the_optimum(dataset):
+    """Every reduction (instance-level and in the scipy formulation)
+    keeps the exact (false positives, atom count) optimum."""
+    reduced = build_ilp_instance(dataset)
+    plain = build_ilp_instance(dataset, reduce_dominated=False)
+    result = ScipyMilpSolver().solve(reduced)
+    expected = BranchAndBoundSolver().solve(plain)
+    assert result.optimal
+    assert result.false_positives == expected.false_positives
+    assert len(result.selected_atom_ids) == len(expected.selected_atom_ids)
+    assert plain.covers_all(result.selected_atom_ids)
+    assert plain.false_positive_weight(result.selected_atom_ids) == result.false_positives
+    fp_ids = reduced.false_positive_test_ids(result.selected_atom_ids)
+    assert len(fp_ids) == result.false_positives
+
+
+@pytest.mark.parametrize("block", [1, 2, 512])
+def test_largest_proper_subsets_across_blocks(monkeypatch, block):
+    import numpy as np
+
+    from repro.synthesis import solvers
+
+    monkeypatch.setattr(solvers, "SUBSET_BLOCK", block)
+    rng = random.Random(block)
+    sets = list(
+        {frozenset(rng.sample(range(8), rng.randint(1, 6))) for _ in range(40)}
+    )
+    incidence = np.zeros((len(sets), 8), dtype=bool)
+    for position, atoms in enumerate(sets):
+        incidence[position, sorted(atoms)] = True
+    expected = []
+    for atoms in sets:
+        subsets = [
+            (-len(other), position)
+            for position, other in enumerate(sets)
+            if other < atoms
+        ]
+        expected.append(min(subsets)[1] if subsets else -1)
+    assert list(solvers.largest_proper_subsets(incidence)) == expected

@@ -5,6 +5,7 @@ import pytest
 from repro.contracts.riscv_template import build_riscv_template
 from repro.contracts.template import Contract
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
+from repro.metrics.registry import Metrics, install_metrics
 from repro.synthesis.metrics import (
     ClassificationCounts,
     evaluate_contract,
@@ -13,6 +14,7 @@ from repro.synthesis.metrics import (
 from repro.synthesis.ranking import format_ranking, rank_atoms_by_false_positives
 from repro.synthesis.solvers import BranchAndBoundSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, synthesize
+from repro.trace import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,23 @@ class TestSynthesizer:
         result = synthesizer.synthesize(dataset)
         assert result.solver_result.solver_name == "branch-and-bound"
         assert result.contract.atom_ids == {3}
+
+    def test_row_reductions_observed(self, template, tmp_path):
+        dataset = make_dataset(
+            [(True, {1}), (True, {1, 2}), (False, {1, 3}), (False, {2})]
+        )
+        metrics = Metrics(Tracer(str(tmp_path / "trace.jsonl")))
+        previous = install_metrics(metrics)
+        try:
+            result = ContractSynthesizer(template).synthesize(dataset)
+        finally:
+            install_metrics(previous)
+        stats = result.solver_result.stats
+        for name in ("subsumed", "merged", "forced", "folded", "chained"):
+            histogram = metrics.histogram("solver.rows." + name)
+            assert histogram.snapshot()["total"] == stats["rows." + name]
+        assert metrics.histogram("solver.rows.subsumed").snapshot()["total"] == 2
+        assert metrics.histogram("solver.constraints").snapshot()["count"] == 1
 
 
 class TestMetrics:
