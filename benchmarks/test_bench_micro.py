@@ -146,13 +146,13 @@ def e2e_corpus(template):
 
 
 def test_bench_end_to_end_test_case(benchmark, template, e2e_corpus):
-    """Full evaluation of the pinned corpus through the batched
-    columnar engine (``use_fastpath="batch"``) — paired with
-    ``test_bench_end_to_end_test_case_reference`` to measure the
+    """Full evaluation of the pinned corpus through the default
+    evaluator, which takes the columnar engine at this width — paired
+    with ``test_bench_end_to_end_test_case_reference`` to measure the
     end-to-end speedup over the interpreter oracle."""
     from repro.evaluation.evaluator import TestCaseEvaluator
 
-    evaluator = TestCaseEvaluator(IbexCore(), template, use_fastpath="batch")
+    evaluator = TestCaseEvaluator(IbexCore(), template)
     results = benchmark(evaluator.evaluate_batch, e2e_corpus)
     assert len(results) == _E2E_COUNT
 
@@ -177,7 +177,7 @@ def test_bench_end_to_end_batch_matches_reference(template, e2e_corpus):
     from repro.evaluation.evaluator import TestCaseEvaluator
     from repro.evaluation.results import EvaluationDataset
 
-    batch = TestCaseEvaluator(IbexCore(), template, use_fastpath="batch")
+    batch = TestCaseEvaluator(IbexCore(), template)
     reference = TestCaseEvaluator(IbexCore(), template, use_fastpath=False)
     batched = EvaluationDataset(batch.evaluate_batch(e2e_corpus))
     scalar = EvaluationDataset([reference.evaluate(c) for c in e2e_corpus])

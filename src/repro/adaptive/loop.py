@@ -216,7 +216,7 @@ class AdaptiveLoop:
         seed: int = 0,
         allowed_atom_ids=None,
         restriction: Optional[str] = None,
-        use_fastpath: "bool | str" = True,
+        use_fastpath: bool = True,
         executor: Optional[str] = None,
         processes: Optional[int] = None,
         shard_size: int = 250,
@@ -312,7 +312,6 @@ class AdaptiveLoop:
             "seed": self.seed,
             "generator": self.generator_name,
             "batch": self.batch,
-            # Fast modes are byte-identical; key on reference-vs-fast.
             "fastpath": bool(self.use_fastpath),
             "solver": self.solver_name,
             "restriction": self.restriction,

@@ -1,4 +1,4 @@
-"""Batched columnar simulation (the ``"batch"`` fast-path mode).
+"""Batched columnar simulation (the fast evaluator's columnar engine).
 
 This package vectorizes the evaluation hot path across whole batches
 of test cases: programs decode once into structure-of-arrays columns

@@ -85,9 +85,8 @@ class CampaignCell:
     #: Stopping rule of an adaptive cell (``STOPPING_REGISTRY`` name;
     #: ``None`` → the pipeline default, ``contract-stable``).
     stop: Optional[str] = None
-    #: Fast-path mode: ``False`` (reference), ``True`` (compiled), or
-    #: ``"batch"`` — see :mod:`repro.evaluation.fastpath`.
-    fastpath: "bool | str" = True
+    #: ``True`` runs the fast evaluator, ``False`` the reference oracle.
+    fastpath: bool = True
     #: Pipeline verification budget: ``None`` checks the synthesized
     #: contract against its own dataset, ``0`` skips, ``n`` runs
     #: directed satisfaction testing.
@@ -121,8 +120,6 @@ class CampaignCell:
             "adaptive_rounds": self.adaptive_rounds,
             "batch": self.batch,
             "stop": self.stop,
-            # Compiled and batch fast paths are byte-identical, so the
-            # identity only splits on reference-vs-fast.
             "fastpath": bool(self.fastpath),
             "verify": self.verify,
         }
@@ -289,7 +286,7 @@ class CampaignSpec:
     adaptive_rounds: Optional[int] = None
     batch: Optional[int] = None
     stop: Optional[str] = None
-    fastpath: "bool | str" = True
+    fastpath: bool = True
     verify: Optional[int] = None
     #: Fault tolerance, applied to every cell (overridable per axis
     #: value): ``retries`` grants each cell (and each of its evaluation

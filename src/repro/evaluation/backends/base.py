@@ -60,9 +60,8 @@ class EvaluationTask:
     core_name: str
     seed: int
     max_distance: int = 4
-    #: Fast-path mode: ``False`` (reference), ``True`` (compiled), or
-    #: ``"batch"`` — see :mod:`repro.evaluation.fastpath`.
-    use_fastpath: "bool | str" = True
+    #: ``True`` runs the fast evaluator, ``False`` the reference oracle.
+    use_fastpath: bool = True
     template_name: Optional[str] = None
     attacker_name: Optional[str] = None
     generator_name: str = "random"
@@ -89,8 +88,6 @@ class EvaluationTask:
             "attacker": self.attacker_name or "retirement-timing",
             "seed": self.seed,
             "max_distance": self.max_distance,
-            # Compiled and batch produce byte-identical rows, so the
-            # key only splits on reference-vs-fast (bool projection).
             "fastpath": bool(self.use_fastpath),
         }
         if self.generator_name != "random":

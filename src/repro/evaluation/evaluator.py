@@ -7,12 +7,18 @@ sequences), and the distinguishing atoms are computed from the
 architectural traces extracted from the RVFI records — piggybacking on
 the same simulation, as the paper does.
 
-**Batch-first API.**  :meth:`TestCaseEvaluator.evaluate_batch` is the
-primary surface: under the ``"batch"`` fast-path mode a whole batch of
-test cases is decoded into columnar arrays and simulated lock-step
-(:mod:`repro.batchsim`), amortizing interpreter dispatch across lanes.
-:meth:`evaluate` and :meth:`evaluate_many` remain as thin delegating
-wrappers for per-case callers.
+**One fast evaluator.**  :meth:`TestCaseEvaluator.evaluate_batch` is
+the primary surface.  It picks its engine from what it is given: a
+batch of at least :data:`MIN_COLUMNAR_BATCH` test cases, on a core with
+a batched timing model (:func:`repro.batchsim.supports_core`) and
+under an attacker in :data:`repro.batchsim.BATCH_SAFE_ATTACKERS`, is
+decoded into columnar arrays and simulated lock-step
+(:mod:`repro.batchsim`); everything else runs the scalar path (two
+simulations and compiled extraction per case).  Both engines produce
+byte-identical results.  ``use_fastpath=False`` selects the scalar
+reference oracle (closure-based extraction) the fast paths are tested
+against.  :meth:`evaluate` and :meth:`evaluate_many` remain as thin
+delegating wrappers for per-case callers.
 
 The evaluator keeps wall-clock accumulators for the simulation and
 extraction phases; Table III is reproduced from these.
@@ -29,7 +35,6 @@ from repro.attacker.retirement import RetirementTimingAttacker
 from repro.contracts.compiled import compile_template
 from repro.contracts.observations import distinguishing_atoms_reference
 from repro.contracts.template import ContractTemplate
-from repro.evaluation.fastpath import FastpathMode, normalize_fastpath
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.testgen.testcase import TestCase
 from repro.uarch.core import Core
@@ -37,6 +42,14 @@ from repro.uarch.core import Core
 #: Batch chunk used by :meth:`evaluate_many` when no progress cadence
 #: dictates one.
 DEFAULT_BATCH_SIZE = 256
+
+#: Smallest batch the columnar engine takes.  Smaller batches run the
+#: scalar path: the columnar engine's fixed per-call cost loses to it
+#: below this width.  Measured on 256 cases split into chunks of 1, 8,
+#: 32 and 64 (scalar vs columnar seconds): ibex 0.036 vs 0.391, 0.030
+#: vs 0.091, 0.035 vs 0.040, 0.036 vs 0.026; cva6 0.057 vs 0.615,
+#: 0.043 vs 0.099, 0.055 vs 0.034, 0.041 vs 0.032.
+MIN_COLUMNAR_BATCH = 64
 
 
 class TestCaseEvaluator:
@@ -49,19 +62,17 @@ class TestCaseEvaluator:
         core: Core,
         template: ContractTemplate,
         attacker: Optional[Attacker] = None,
-        use_fastpath: FastpathMode = True,
+        use_fastpath: bool = True,
     ):
         self.core = core
         self.template = template
         self.attacker = attacker if attacker is not None else RetirementTimingAttacker()
-        mode = normalize_fastpath(use_fastpath)
-        self.fastpath_mode = mode
-        self._compiled = compile_template(template) if mode else None
-        #: Whether batched simulation actually applies here: the mode
-        #: asks for it, the core has a batched timing model, and the
-        #: attacker observes what the zero-copy views carry.
+        self._compiled = compile_template(template) if use_fastpath else None
+        #: Whether the columnar engine can run here: the fast evaluator
+        #: is on, the core has a batched timing model, and the attacker
+        #: observes what the zero-copy views carry.
         self._batch_engine = (
-            mode == "batch"
+            self._compiled is not None
             and batchsim.supports_core(core)
             and self.attacker.name in batchsim.BATCH_SAFE_ATTACKERS
         )
@@ -88,9 +99,9 @@ class TestCaseEvaluator:
         """Evaluate a batch of test cases (the primary entry point).
 
         Results are returned in input order and are byte-identical per
-        test id whichever fast-path mode is active.
+        test id whichever engine runs.
         """
-        if self._batch_engine and test_cases:
+        if self._batch_engine and len(test_cases) >= MIN_COLUMNAR_BATCH:
             return self._evaluate_columnar(test_cases)
         return [self._evaluate_single(test_case) for test_case in test_cases]
 

@@ -51,7 +51,7 @@ def evaluate_parallel(
     processes: Optional[int] = None,
     shard_size: int = 250,
     max_distance: int = 4,
-    use_fastpath: "bool | str" = True,
+    use_fastpath: bool = True,
     template_name: Optional[str] = None,
     attacker_name: Optional[str] = None,
     executor: Union[str, EvaluationExecutor] = "multiprocess",

@@ -175,12 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluation executor backend (serial, multiprocess, "
         "futures, threaded; default: in-process evaluation)",
     )
-    pipeline_group.add_argument(
-        "--fastpath",
-        default=None,
-        choices=["reference", "compiled", "batch"],
-        help="evaluation fast-path mode (default: compiled)",
-    )
     run_group = parser.add_argument_group("ad-hoc pipeline ('run' only)")
     run_group.add_argument(
         "--count", type=int, default=1000, help="test-case budget (default: 1000)"
@@ -466,8 +460,6 @@ def _run_pipeline(arguments) -> int:
         pipeline.restrict(arguments.restrict)
     if arguments.generator:
         pipeline.generator(arguments.generator)
-    if arguments.fastpath:
-        pipeline.fastpath(arguments.fastpath)
     adaptive_rounds = _effective_adaptive_rounds(arguments)
     if adaptive_rounds is not None:
         pipeline.adaptive(

@@ -33,7 +33,7 @@ Builder surface
 ``.budget(count, seed)``        test-case budget and generator seed
 ``.generator(name_or_inst)``    generation strategy (GENERATOR_REGISTRY)
 ``.adaptive(...)``              coverage-guided rounds (repro.adaptive)
-``.fastpath(mode)``             "reference" / "compiled" / "batch" evaluation
+``.fastpath(enabled)``          fast evaluator (default) or ``False`` oracle
 ``.cache_dir(path)``            dataset cache directory (default: off)
 ``.progress(every)``            evaluation progress printing
 ``.verify(count, seed)``        verification budget (default: dataset check)

@@ -31,7 +31,6 @@ from repro.contracts.riscv_template import (
 from repro.contracts.template import Contract, ContractTemplate, template_digest
 from repro.evaluation.backends import EvaluationExecutor, ShardProgress
 from repro.evaluation.evaluator import TestCaseEvaluator
-from repro.evaluation.fastpath import FastpathMode, normalize_fastpath
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset
 from repro.resilience.quarantine import FailureRecord
@@ -313,7 +312,7 @@ class SynthesisPipeline:
         self._adaptive: Optional[dict] = None
         self._count: int = 1000
         self._seed: int = 0
-        self._use_fastpath: FastpathMode = True
+        self._use_fastpath: bool = True
         self._cache_dir: Optional[str] = None
         self._progress_every: Optional[int] = None
         #: ``None`` → evaluate in-process; a registry name or executor
@@ -431,16 +430,20 @@ class SynthesisPipeline:
             self._adaptive["rounds"], self._adaptive["batch"], self._count
         )
 
-    def fastpath(self, mode) -> "SynthesisPipeline":
-        """Select the evaluation fast-path mode.
-
-        ``"reference"``/``False`` runs the scalar oracle paths,
-        ``"compiled"``/``True`` (default) the columnar extraction
-        engine, and ``"batch"`` the batched columnar simulation engine
-        (:mod:`repro.batchsim`).  All three produce byte-identical
-        datasets; see :mod:`repro.evaluation.fastpath`.
+    def fastpath(self, enabled: bool) -> "SynthesisPipeline":
+        """Run the fast evaluator (``True``, default) or the scalar
+        reference oracle (``False``; the string ``"reference"`` is
+        accepted as ``False``).  Both produce byte-identical datasets;
+        the fast evaluator picks its engine itself (see
+        :mod:`repro.evaluation.evaluator`).
         """
-        self._use_fastpath = normalize_fastpath(mode)
+        if enabled == "reference":
+            enabled = False
+        if not isinstance(enabled, bool):
+            raise ValueError(
+                "fastpath takes True, False or 'reference', not %r" % (enabled,)
+            )
+        self._use_fastpath = enabled
         return self
 
     def cache_dir(self, directory: Optional[str]) -> "SynthesisPipeline":

@@ -17,7 +17,6 @@ from repro.adaptive.stopping import STOPPING_REGISTRY
 from repro.attacker import ATTACKER_REGISTRY
 from repro.contracts.riscv_template import RESTRICTION_REGISTRY, TEMPLATE_REGISTRY
 from repro.evaluation.backends import EXECUTOR_REGISTRY
-from repro.evaluation.fastpath import FASTPATH_REGISTRY
 from repro.registry import Registry
 from repro.resilience.faults import FAULT_REGISTRY
 from repro.synthesis import SOLVER_REGISTRY
@@ -35,7 +34,6 @@ REGISTRIES: Dict[str, Registry] = {
     "generators": GENERATOR_REGISTRY,
     "stopping-rules": STOPPING_REGISTRY,
     "faults": FAULT_REGISTRY,
-    "fastpath-modes": FASTPATH_REGISTRY,
 }
 
 

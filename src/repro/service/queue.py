@@ -70,7 +70,7 @@ def task_to_payload(task: EvaluationTask) -> dict:
         "core": task.core_name,
         "seed": task.seed,
         "max_distance": task.max_distance,
-        "fastpath": task.use_fastpath,
+        "fastpath": bool(task.use_fastpath),
         "template": task.template_name,
         "attacker": task.attacker_name,
         "generator": task.generator_name,
@@ -84,7 +84,7 @@ def task_from_payload(payload: dict) -> EvaluationTask:
         core_name=payload["core"],
         seed=payload["seed"],
         max_distance=payload.get("max_distance", 4),
-        use_fastpath=payload.get("fastpath", True),
+        use_fastpath=bool(payload.get("fastpath", True)),
         template_name=payload.get("template"),
         attacker_name=payload.get("attacker"),
         generator_name=payload.get("generator", "random"),
@@ -97,15 +97,9 @@ def job_id_for(task: EvaluationTask, shard: Shard) -> str:
 
     Budget-free by construction — the payload has no total budget, so
     the same ``(task, shard)`` enqueued by any broker at any time maps
-    to the same id and finished results are reused.  The fastpath
-    field is projected to its bool identity key before hashing — the
-    compiled and batch modes produce byte-identical rows, so their jobs
-    must alias (the shipped payload keeps the real mode, so workers
-    still run the requested engine).
+    to the same id and finished results are reused.
     """
-    payload = task_to_payload(task)
-    payload["fastpath"] = bool(payload["fastpath"])
-    body = {"task": payload, "shard": list(shard)}
+    body = {"task": task_to_payload(task), "shard": list(shard)}
     digest = hashlib.md5(json.dumps(body, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
 

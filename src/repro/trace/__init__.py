@@ -1,11 +1,10 @@
 """Unified observability: structured JSONL trace spans for every layer.
 
 ``repro.trace`` is the one tracing surface of the toolchain.  The
-:class:`Tracer` (promoted from the old ``repro.service.trace``, which
-remains as a deprecated re-export shim) appends events and
-``start_ts``-carrying spans to a single shared JSONL file; pipeline
-phases, executor shards, campaign cells, adaptive rounds, and service
-job/request transitions all emit into it.  :mod:`repro.trace.metrics`
+:class:`Tracer` appends events and ``start_ts``-carrying spans to a
+single shared JSONL file; pipeline phases, executor shards, campaign
+cells, adaptive rounds, and service job/request transitions all emit
+into it.  :mod:`repro.trace.metrics`
 folds a trace file into summary tables, and :mod:`repro.trace.watch`
 tails it as a live progress view (``repro-synthesize watch``).
 """

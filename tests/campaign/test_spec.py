@@ -186,6 +186,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown restriction"):
             CampaignSpec(name="s", restrictions=("everything",)).expand()
 
+    def test_fastpath_mode_names_are_rejected(self):
+        """Only a bool (or "reference") selects the evaluator; the old
+        "compiled"/"batch" mode names fail when the cell's pipeline is
+        built instead of silently running the fast evaluator."""
+        (cell,) = CampaignSpec(name="s", fastpath="compiled", budgets=(5,)).expand()
+        with pytest.raises(ValueError, match="fastpath"):
+            cell.pipeline()
+
     def test_none_restriction_is_the_unrestricted_template(self):
         cells = CampaignSpec(name="s", restrictions=(None, "base")).expand()
         assert [cell.restriction for cell in cells] == [None, "base"]

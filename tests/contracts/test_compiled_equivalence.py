@@ -26,8 +26,10 @@ from repro.contracts.riscv_template import (
     build_riscv_template,
 )
 from repro.contracts.template import Contract
-from repro.evaluation.evaluator import TestCaseEvaluator
+from repro.evaluation import evaluator as evaluator_module
+from repro.evaluation.evaluator import MIN_COLUMNAR_BATCH, TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
+from repro.evaluation.results import EvaluationDataset
 from repro.isa.assembler import assemble
 from repro.isa.executor import execute_program
 from repro.testgen.generator import TestCaseGenerator
@@ -184,16 +186,32 @@ def test_contract_trace_rejects_foreign_template(template, refined_template):
         compile_template(template).contract_observation_trace(contract, [])
 
 
+@pytest.fixture(scope="module")
+def reference_corpora(template):
+    """256 generated cases per core with their reference results."""
+    cases = TestCaseGenerator(template, seed=23).generate(256)
+    corpora = {}
+    for core_name, core_factory in CORES.items():
+        reference = TestCaseEvaluator(core_factory(), template, use_fastpath=False)
+        corpora[core_name] = (cases, [reference.evaluate(case) for case in cases])
+    return corpora
+
+
+@pytest.mark.parametrize(
+    "batch_size", [1, MIN_COLUMNAR_BATCH - 1, MIN_COLUMNAR_BATCH, 256]
+)
 @pytest.mark.parametrize("core_name", sorted(CORES))
-def test_fastpath_dataset_byte_identical(template, core_name):
-    """Fast-path evaluator output is byte-identical to the reference."""
-    core_factory = CORES[core_name]
-    generator = TestCaseGenerator(template, seed=23)
-    fast = TestCaseEvaluator(core_factory(), template, use_fastpath=True)
-    reference = TestCaseEvaluator(core_factory(), template, use_fastpath=False)
-    dataset_fast = fast.evaluate_many(generator.generate(50))
-    dataset_reference = reference.evaluate_many(generator.generate(50))
-    assert dataset_fast.to_json() == dataset_reference.to_json()
+def test_fastpath_dataset_byte_identical(
+    template, reference_corpora, core_name, batch_size
+):
+    """The fast evaluator is byte-identical to the reference on both
+    sides of the columnar-engine threshold."""
+    cases, want = reference_corpora[core_name]
+    fast = TestCaseEvaluator(CORES[core_name](), template)
+    got = []
+    for start in range(0, len(cases), batch_size):
+        got.extend(fast.evaluate_batch(cases[start : start + batch_size]))
+    assert EvaluationDataset(got).to_json() == EvaluationDataset(want).to_json()
 
 
 def test_parallel_fastpath_byte_identical_to_sequential_reference():
@@ -229,7 +247,14 @@ def test_randomized_feature_rows_cover_every_source(template):
 
 
 # ----------------------------------------------------------------------
-# Batched engine (fastpath mode "batch") vs. reference
+# Columnar engine vs. reference.  The engine only takes batches of
+# MIN_COLUMNAR_BATCH or more cases; these tests lower the threshold so
+# small and odd batches run through it too.
+
+
+@pytest.fixture
+def columnar_any_size(monkeypatch):
+    monkeypatch.setattr(evaluator_module, "MIN_COLUMNAR_BATCH", 1)
 
 
 @pytest.mark.parametrize("core_name", ["cva6", "ibex", "ibex-dcache"])
@@ -239,9 +264,11 @@ def test_randomized_feature_rows_cover_every_source(template):
 @pytest.mark.parametrize(
     "template_name", ["riscv-rv32im", "riscv-rv32im-zref", "riscv-mem"]
 )
-def test_batch_matrix_byte_identical(core_name, attacker_name, template_name):
+def test_batch_matrix_byte_identical(
+    columnar_any_size, core_name, attacker_name, template_name
+):
     """Batch-vs-reference matrix: every registered core x attacker x
-    template produces byte-identical datasets under the batched engine."""
+    template produces byte-identical datasets under the columnar engine."""
     from repro.attacker import ATTACKER_REGISTRY
     from repro.contracts.riscv_template import TEMPLATE_REGISTRY
     from repro.uarch import CORE_REGISTRY
@@ -253,7 +280,6 @@ def test_batch_matrix_byte_identical(core_name, attacker_name, template_name):
         CORE_REGISTRY.create(core_name),
         matrix_template,
         attacker=ATTACKER_REGISTRY.create(attacker_name),
-        use_fastpath="batch",
     )
     reference = TestCaseEvaluator(
         CORE_REGISTRY.create(core_name),
@@ -266,9 +292,30 @@ def test_batch_matrix_byte_identical(core_name, attacker_name, template_name):
     assert dataset_batch.to_json() == dataset_reference.to_json()
 
 
-def test_batch_empty_and_odd_sized_batches(template):
+def test_columnar_engine_runs_from_the_threshold_up(monkeypatch, template):
+    """The fast evaluator hands a batch to the columnar engine exactly
+    when it holds at least MIN_COLUMNAR_BATCH cases."""
+    from repro import batchsim
+
+    calls = []
+    run_batch = batchsim.run_batch
+
+    def counting_run_batch(core, programs, states):
+        calls.append(len(programs))
+        return run_batch(core, programs, states)
+
+    monkeypatch.setattr(batchsim, "run_batch", counting_run_batch)
+    evaluator = TestCaseEvaluator(IbexCore(), template)
+    cases = TestCaseGenerator(template, seed=3).generate(MIN_COLUMNAR_BATCH)
+    evaluator.evaluate_batch(cases[:-1])
+    assert calls == []
+    evaluator.evaluate_batch(cases)
+    assert calls == [2 * MIN_COLUMNAR_BATCH]
+
+
+def test_batch_empty_and_odd_sized_batches(columnar_any_size, template):
     """Edge sizes: empty, single-case, and odd batch sizes all agree."""
-    evaluator = TestCaseEvaluator(IbexCore(), template, use_fastpath="batch")
+    evaluator = TestCaseEvaluator(IbexCore(), template)
     reference = TestCaseEvaluator(IbexCore(), template, use_fastpath=False)
     assert evaluator.evaluate_batch([]) == []
     generator = TestCaseGenerator(template, seed=19)
@@ -279,17 +326,10 @@ def test_batch_empty_and_odd_sized_batches(template):
         assert got == want
 
 
-def test_batch_boundary_straddling_shards(template):
+def test_batch_boundary_straddling_shards(columnar_any_size, template):
     """A batched parallel run whose shard size straddles the count is
     byte-identical to the sequential reference."""
-    parallel = evaluate_parallel(
-        "ibex",
-        53,
-        seed=47,
-        executor="serial",
-        shard_size=17,
-        use_fastpath="batch",
-    )
+    parallel = evaluate_parallel("ibex", 53, seed=47, executor="serial", shard_size=17)
     generator = TestCaseGenerator(template, seed=47)
     reference = TestCaseEvaluator(IbexCore(), template, use_fastpath=False)
     sequential = reference.evaluate_many(generator.iter_generate(53))
@@ -298,15 +338,16 @@ def test_batch_boundary_straddling_shards(template):
 
 def test_batch_mode_falls_back_for_unknown_core(template):
     """Subclassed cores (possibly overridden timing) take the scalar
-    path even under the "batch" mode, staying byte-identical."""
+    path even for batches the columnar engine would take, staying
+    byte-identical."""
 
     class TweakedIbex(IbexCore):
         name = "tweaked-ibex"
 
-    evaluator = TestCaseEvaluator(TweakedIbex(), template, use_fastpath="batch")
+    evaluator = TestCaseEvaluator(TweakedIbex(), template)
     assert not evaluator._batch_engine
     generator = TestCaseGenerator(template, seed=5)
-    cases = list(generator.iter_generate(5))
+    cases = list(generator.iter_generate(MIN_COLUMNAR_BATCH))
     reference = TestCaseEvaluator(TweakedIbex(), template, use_fastpath=False)
     assert evaluator.evaluate_batch(cases) == [
         reference.evaluate(case) for case in cases

@@ -81,6 +81,14 @@ def test_main_list_prints_registries(capsys):
     )
     for name in names:
         assert name in output
+    assert "fastpath-modes" not in output
+
+
+def test_main_run_rejects_the_removed_fastpath_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--fastpath", "batch"])
+    assert exit_info.value.code != 0
+    assert "--fastpath" in capsys.readouterr().err
 
 
 @pytest.mark.pipeline

@@ -239,6 +239,13 @@ class TestDatasetCache:
         assert fast_path != reference_path
         assert reference_path.endswith("-ref.json")
 
+    def test_fastpath_takes_a_bool(self, tmp_path):
+        pipeline = SynthesisPipeline().budget(10, seed=1).cache_dir(str(tmp_path))
+        assert pipeline.fastpath("reference").cache_path().endswith("-ref.json")
+        for mode in ("batch", "compiled", 1):
+            with pytest.raises(ValueError, match="fastpath"):
+                SynthesisPipeline().fastpath(mode)
+
     def test_instance_configured_core_is_never_cached(self, tmp_path):
         """A core instance may carry config its name does not express
         (IbexCore(IbexConfig(dcache=True)).name is still 'ibex'), so
