@@ -4,9 +4,9 @@ One round per backend over the same shard plan (the corpus scales with
 ``REPRO_SCALE`` like the experiment suites), asserting the determinism
 contract on the way: every backend's dataset is byte-identical.
 
-On multi-core hardware the process backends should approach linear
-speedup over ``serial``; on a single-core CI runner they mostly
-measure their own dispatch overhead — either way the relative numbers
+On multi-core hardware the ``multiprocess`` pool should approach
+linear speedup over ``serial``; on a single-core CI runner it mostly
+measures its own dispatch overhead — either way the relative numbers
 land in the benchmark table, so executor regressions are visible.
 """
 

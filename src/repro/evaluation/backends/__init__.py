@@ -1,7 +1,10 @@
 """``repro.evaluation.backends`` — pluggable work-distribution layers.
 
 The paper fans test-case evaluation out to up to 128 threads; this
-package is the seam that fan-out plugs into.  An
+package is the seam that fan-out plugs into.  Three backends ship:
+``serial`` (the in-process reference), ``multiprocess`` (a forked
+process pool, the one in-process pool) and ``workqueue`` (external
+workers draining a filesystem queue).  An
 :class:`EvaluationExecutor` consumes shard descriptors ``(start_id,
 count)`` and streams back result batches; :data:`EXECUTOR_REGISTRY`
 maps names to backends exactly like the core/attacker/solver
@@ -32,12 +35,7 @@ from repro.evaluation.backends.base import (
     plan_shards,
     rows_to_results,
 )
-from repro.evaluation.backends.executors import (
-    FuturesExecutor,
-    MultiprocessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-)
+from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
 from repro.evaluation.backends.manifest import ManifestKeyError, ShardManifest
 from repro.registry import Registry
 
@@ -53,17 +51,7 @@ EXECUTOR_REGISTRY.register(
 EXECUTOR_REGISTRY.register(
     "multiprocess",
     MultiprocessExecutor,
-    description="forked worker pool with streamed, chunked shards",
-)
-EXECUTOR_REGISTRY.register(
-    "futures",
-    FuturesExecutor,
-    description="process-pool futures, one per shard (finest checkpoints)",
-)
-EXECUTOR_REGISTRY.register(
-    "threaded",
-    ThreadedExecutor,
-    description="thread pool with thread-local evaluation stacks",
+    description="forked process pool, one future per shard",
 )
 
 
@@ -93,7 +81,6 @@ __all__ = [
     "EXECUTOR_REGISTRY",
     "EvaluationExecutor",
     "EvaluationTask",
-    "FuturesExecutor",
     "ManifestKeyError",
     "MultiprocessExecutor",
     "Row",
@@ -102,7 +89,6 @@ __all__ = [
     "ShardEvaluator",
     "ShardManifest",
     "ShardProgress",
-    "ThreadedExecutor",
     "plan_shards",
     "rows_to_results",
 ]

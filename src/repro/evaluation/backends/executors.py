@@ -1,38 +1,31 @@
-"""The built-in evaluation executors.
+"""The built-in in-process evaluation executors.
 
-Four backends behind one interface:
+Two backends behind one interface:
 
 ``serial``
     One :class:`ShardEvaluator` in the calling process, shards in plan
     order.  The reference backend — everything else must match it —
-    and the degenerate target the pool backends fall back to for one
-    worker or one shard, so there is exactly one shard loop to get
-    right.
+    and the degenerate target the pool falls back to for one worker or
+    one shard, so there is exactly one shard loop to get right.
 
 ``multiprocess``
-    The classic forked ``multiprocessing.Pool`` with ``imap_unordered``
-    (the paper's up-to-128-thread fan-out).  Workers are initialized
-    once; chunking keeps per-shard IPC overhead amortized.
+    A forked ``concurrent.futures.ProcessPoolExecutor`` submitting one
+    future per shard (the paper's up-to-128-thread fan-out).  Workers
+    are initialized once; each shard checkpoints the moment it
+    completes.  The sweep optionally enforces a per-shard soft
+    deadline, which is how :class:`~repro.resilience.ResilientExecutor`
+    abandons a hung worker.
 
-``futures``
-    ``concurrent.futures.ProcessPoolExecutor`` submitting one future
-    per shard.  Finer-grained streaming than the chunked pool (each
-    shard checkpoints the moment it completes) at slightly higher IPC
-    cost — the backend to prefer when resumability matters more than
-    raw throughput.
-
-``threaded``
-    ``ThreadPoolExecutor`` with one thread-local evaluation stack per
-    thread.  The cores are pure Python (GIL-bound), so this backend is
-    about overlap with non-Python work and about exercising the
-    executor seam without fork support (e.g. constrained sandboxes).
+The cores are pure Python (GIL-bound), so a thread pool is slower than
+``serial`` and no backend offers one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.evaluation.backends.base import (
@@ -43,12 +36,16 @@ from repro.evaluation.backends.base import (
     ShardEvaluator,
 )
 from repro.metrics.registry import current_metrics
-from repro.resilience.errors import FatalInjectedFault, ShardExecutionError
+from repro.resilience.errors import (
+    FatalInjectedFault,
+    ShardExecutionError,
+    ShardTimeoutError,
+)
 from repro.resilience.injection import maybe_inject
 from repro.trace.tracer import current_tracer
 
-#: Per-process worker state for the process-pool backends; populated by
-#: the pool initializer in each forked child.
+#: Per-process worker state for the process pool; populated by the
+#: pool initializer in each forked child.
 _worker_state: dict = {}
 
 
@@ -116,84 +113,69 @@ class SerialExecutor(EvaluationExecutor):
 
 
 class MultiprocessExecutor(EvaluationExecutor):
-    """Forked worker pool streaming shards with ``imap_unordered``."""
+    """Forked process pool, one future per shard, yielded as completed."""
 
     name = "multiprocess"
 
     def run(
-        self, task: EvaluationTask, shards: Sequence[Shard]
+        self,
+        task: EvaluationTask,
+        shards: Sequence[Shard],
+        shard_timeout: Optional[float] = None,
     ) -> Iterator[Tuple[Shard, List[Row]]]:
-        processes = _default_processes(self.processes)
-        if processes == 1 or len(shards) <= 1:
+        """Evaluate ``shards`` in the pool.
+
+        With ``shard_timeout`` set, a shard that runs past the soft
+        deadline raises :class:`ShardTimeoutError` for it.  A hung
+        worker cannot be interrupted, so the pool is abandoned without
+        waiting and the caller re-sweeps the survivors in a fresh one.
+        """
+        workers = _default_processes(self.processes)
+        if shard_timeout is None and (workers == 1 or len(shards) <= 1):
             # One worker (or one shard) degenerates to the serial
             # backend — the *same* shard loop, not a parallel
-            # reimplementation that could drift.
+            # reimplementation that could drift.  A deadline still
+            # needs a pool: only a pool can abandon a hung shard.
             yield from SerialExecutor().run(task, shards)
             return
-        chunksize = max(1, len(shards) // (processes * 4))
-        context = multiprocessing.get_context("fork")
-        with context.Pool(
-            processes,
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_initialize_process,
             initargs=(task,),
-        ) as pool:
-            for shard, rows in pool.imap_unordered(
-                _evaluate_in_process, shards, chunksize=chunksize
-            ):
-                yield shard, rows
-
-
-class FuturesExecutor(EvaluationExecutor):
-    """Process-pool futures, one per shard, yielded as completed."""
-
-    name = "futures"
-
-    def run(
-        self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
-        processes = _default_processes(self.processes)
-        if processes == 1 or len(shards) <= 1:
-            yield from SerialExecutor().run(task, shards)
-            return
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=context,
-            initializer=_initialize_process,
-            initargs=(task,),
-        ) as executor:
-            futures = []
-            for shard in shards:
-                futures.append(executor.submit(_evaluate_in_process, shard))
-            for future in as_completed(futures):
-                yield future.result()
-
-
-class ThreadedExecutor(EvaluationExecutor):
-    """Thread pool with one thread-local evaluation stack per thread.
-
-    Cores and evaluators are stateful (simulation mutates them), so
-    threads must never share one — each thread lazily builds its own.
-    """
-
-    name = "threaded"
-
-    def run(
-        self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
-        state = threading.local()
-
-        def evaluate(shard: Shard) -> Tuple[Shard, List[Row]]:
-            worker = getattr(state, "worker", None)
-            if worker is None:
-                worker = state.worker = ShardEvaluator(task)
-            return _evaluate_shard(worker, shard)
-
-        workers = _default_processes(self.processes)
-        if workers == 1 or len(shards) <= 1:
-            yield from SerialExecutor().run(task, shards)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [executor.submit(evaluate, shard) for shard in shards]
-            for future in as_completed(futures):
-                yield future.result()
+        )
+        waiting = {pool.submit(_evaluate_in_process, shard): shard for shard in shards}
+        started: dict = {}
+        try:
+            while waiting:
+                # Workers take shards in submission order, so only the
+                # oldest ``workers`` unfinished futures can be running:
+                # they are the only ones to wait on and to clock.  (A
+                # future's own ``running()`` flag turns true as soon as
+                # it enters the pool's call queue, before any worker
+                # picks it up.)
+                window = list(islice(waiting, workers))
+                timeout = None
+                if shard_timeout is not None:
+                    now = time.monotonic()
+                    for future in window:
+                        started.setdefault(future, now)
+                    oldest = min(window, key=started.__getitem__)
+                    timeout = max(0.0, started[oldest] + shard_timeout - now)
+                done, _ = wait(window, timeout=timeout, return_when=FIRST_COMPLETED)
+                if not done:
+                    # Only a timed-out wait comes back empty-handed:
+                    # the oldest running shard is past its deadline.
+                    current_metrics().counter("resilience.timeouts").inc()
+                    raise ShardTimeoutError(waiting[oldest], shard_timeout)
+                for future in done:
+                    del waiting[future]
+                    started.pop(future, None)
+                    yield future.result()
+        except BaseException:
+            # A failed or hung shard may still occupy a worker that
+            # cannot be joined; leave the pool to drain in the
+            # background and move on.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()

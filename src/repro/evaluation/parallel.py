@@ -71,7 +71,7 @@ def evaluate_parallel(
     for the same ``seed`` (results ordered by test id).
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
-    ``"multiprocess"``, ``"futures"``, ``"threaded"``) or a ready-made
+    ``"multiprocess"``, ``"workqueue"``) or a ready-made
     :class:`EvaluationExecutor`; ``processes`` sizes the backend's
     worker pool.
 
@@ -96,11 +96,12 @@ def evaluate_parallel(
 
     ``retry`` and/or ``shard_timeout`` wrap the backend in a
     :class:`~repro.resilience.ResilientExecutor`: failing shards are
-    retried per the policy, hung shards past the soft deadline are
-    rescheduled in a fresh pool, and shards that exhaust their
-    attempts are quarantined — appended to the ``failure_log_path``
-    :class:`~repro.resilience.FailureLog` and reported through
-    ``on_failure`` — while the run continues without their rows.
+    retried per the policy, hung shards past the soft deadline of a
+    ``multiprocess`` sweep are rescheduled in a fresh pool, and shards
+    that exhaust their attempts are quarantined — appended to the
+    ``failure_log_path`` :class:`~repro.resilience.FailureLog` and
+    reported through ``on_failure`` — while the run continues without
+    their rows.
     Retry settings never enter the task identity, so fault-tolerant
     and plain runs share manifests and produce byte-identical
     datasets.

@@ -172,8 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline_group.add_argument(
         "--executor",
         default=None,
-        help="evaluation executor backend (serial, multiprocess, "
-        "futures, threaded; default: in-process evaluation)",
+        choices=REGISTRIES["executors"].names(),
+        help="evaluation executor backend (%(choices)s; default: "
+        "in-process evaluation)",
     )
     run_group = parser.add_argument_group("ad-hoc pipeline ('run' only)")
     run_group.add_argument(
@@ -253,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="soft per-shard deadline: shards hung past it are "
-        "cancelled and rescheduled in a fresh worker pool",
+        help="soft per-shard deadline of the multiprocess pool: shards "
+        "hung past it are cancelled and rescheduled in a fresh pool",
     )
     campaign_group = parser.add_argument_group("campaign grid ('campaign' only)")
     campaign_group.add_argument(

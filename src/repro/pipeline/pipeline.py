@@ -465,7 +465,7 @@ class SynthesisPipeline:
         """Run the evaluation phase through a sharded executor backend.
 
         ``executor`` is an ``EXECUTOR_REGISTRY`` name (``"serial"``,
-        ``"multiprocess"``, ``"futures"``, ``"threaded"``) or an
+        ``"multiprocess"``, ``"workqueue"``) or an
         :class:`EvaluationExecutor` instance; ``None`` restores the
         in-process evaluator.  ``processes`` sizes the worker pool and
         ``shard_size`` the per-shard test-case count (default 250).
@@ -517,13 +517,15 @@ class SynthesisPipeline:
         return self
 
     def timeout(self, shard_seconds: Optional[float]) -> "SynthesisPipeline":
-        """Per-shard soft deadline for pool executors (seconds).
+        """Per-shard soft deadline for the ``multiprocess`` pool (seconds).
 
-        A shard observed running past the deadline is abandoned with
-        its pool and rescheduled in a fresh one, consuming one retry
-        attempt (see :meth:`retry`; the default policy applies when
-        only a timeout is configured).  ``None`` disables; the serial
-        backend ignores deadlines (there is no pool to abandon).
+        A shard running past the deadline is abandoned with its pool
+        and rescheduled in a fresh one, consuming one retry attempt
+        (see :meth:`retry`; the default policy applies when only a
+        timeout is configured).  ``None`` disables.  Only the process
+        pool enforces deadlines, even with one worker: the serial
+        backend has no pool to abandon, and the ``workqueue`` backend
+        bounds hung workers with its job lease instead.
         """
         if shard_seconds is not None and shard_seconds <= 0:
             raise ValueError("shard timeout must be positive")

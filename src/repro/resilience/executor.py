@@ -7,11 +7,10 @@ adds the fault semantics the inner backends deliberately do not have:
   :class:`~repro.resilience.errors.ShardExecutionError` costs exactly
   one attempt for the shard it names; the survivors are re-swept and
   already-yielded shards are never re-evaluated;
-- **soft deadlines** — with ``shard_timeout`` set, pool sweeps run
-  under a watchdog that abandons the pool when a shard stays running
-  past its deadline (a hung worker cannot be interrupted, so the pool
-  is discarded with ``cancel_futures`` and a fresh one serves the next
-  attempt);
+- **soft deadlines** — with ``shard_timeout`` set, the ``multiprocess``
+  sweep abandons its pool when a shard runs past its deadline (a hung
+  worker cannot be interrupted, so the pool is discarded and a fresh
+  one serves the next attempt);
 - **quarantine** — a shard that exhausts its attempts becomes a
   :class:`~repro.resilience.quarantine.FailureRecord` (kind
   ``"shard"``) in the failure log and the run continues without its
@@ -29,12 +28,6 @@ run — the property the fault-matrix suite pins.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.evaluation.backends.base import (
@@ -43,14 +36,16 @@ from repro.evaluation.backends.base import (
     Row,
     Shard,
 )
+from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
 from repro.metrics.registry import current_metrics
 from repro.resilience import injection
-from repro.resilience.errors import ShardExecutionError, ShardTimeoutError
+from repro.resilience.errors import ShardExecutionError
 from repro.resilience.quarantine import FailureLog, FailureRecord
 from repro.resilience.retry import RetryPolicy, is_retryable
 
-#: Watchdog poll interval while futures are in flight.
-_TICK_SECONDS = 0.05
+#: Pool-level failures (no shard attribution) before the run downgrades
+#: to the serial backend.
+_POOL_FAILURE_THRESHOLD = 2
 
 #: Observer for failure events (retries, quarantines, downgrades).
 #: :func:`repro.evaluation.parallel.evaluate_parallel` bridges these
@@ -79,7 +74,6 @@ class ResilientExecutor(EvaluationExecutor):
         shard_timeout: Optional[float] = None,
         failure_log: Optional[FailureLog] = None,
         on_event: Optional[FailureCallback] = None,
-        pool_failure_threshold: int = 2,
     ):
         super().__init__(inner.processes)
         self.inner = inner
@@ -87,7 +81,6 @@ class ResilientExecutor(EvaluationExecutor):
         self.shard_timeout = shard_timeout
         self.failure_log = failure_log
         self.on_event = on_event
-        self.pool_failure_threshold = pool_failure_threshold
 
     # -- event plumbing ------------------------------------------------
 
@@ -172,12 +165,7 @@ class ResilientExecutor(EvaluationExecutor):
                     ),
                     durable=False,
                 )
-                if (
-                    inner.name != "serial"
-                    and pool_failures >= self.pool_failure_threshold
-                ):
-                    from repro.evaluation.backends.executors import SerialExecutor
-
+                if inner.name != "serial" and pool_failures >= _POOL_FAILURE_THRESHOLD:
                     self._emit(
                         FailureRecord(
                             kind="downgrade",
@@ -188,8 +176,8 @@ class ResilientExecutor(EvaluationExecutor):
                         durable=True,
                     )
                     inner = SerialExecutor()
-                elif pool_failures >= (
-                    self.pool_failure_threshold + self.policy.max_attempts
+                elif (
+                    pool_failures >= _POOL_FAILURE_THRESHOLD + self.policy.max_attempts
                 ):
                     raise
                 self._sleep(self.policy.delay(pool_failures))
@@ -199,85 +187,16 @@ class ResilientExecutor(EvaluationExecutor):
     def _sweep(
         self, inner: EvaluationExecutor, task: EvaluationTask, shards: Sequence[Shard]
     ) -> Iterator[Tuple[Shard, List[Row]]]:
-        """One pass of ``inner`` over ``shards`` (watchdogged if asked)."""
+        """One pass of ``inner`` over ``shards``.
+
+        Deadlines apply to the process pool only: it is the one backend
+        that can abandon a hung shard.  Every other backend runs its own
+        ``run`` — the serial one has no pool to abandon, and the work
+        queue bounds hung workers with its lease.
+        """
         if inner.name != "serial":
             injection.maybe_inject("pool", executor=inner.name)
-        if self.shard_timeout is not None and inner.name != "serial":
-            yield from self._sweep_with_watchdog(inner, task, shards)
+        if self.shard_timeout is not None and isinstance(inner, MultiprocessExecutor):
+            yield from inner.run(task, shards, shard_timeout=self.shard_timeout)
         else:
             yield from inner.run(task, shards)
-
-    def _sweep_with_watchdog(
-        self, inner: EvaluationExecutor, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
-        """Pool sweep under per-shard soft deadlines.
-
-        One future per shard; a future observed ``running`` for longer
-        than ``shard_timeout`` raises :class:`ShardTimeoutError` for its
-        shard.  The pool is abandoned without waiting (the hung worker
-        cannot be joined) and the outer attempt loop re-sweeps the
-        survivors in a fresh pool.
-        """
-        from repro.evaluation.backends import executors as backends
-
-        workers = backends._default_processes(inner.processes)
-        if inner.name == "threaded":
-            import threading
-
-            state = threading.local()
-
-            def evaluate(shard: Shard) -> Tuple[Shard, List[Row]]:
-                worker = getattr(state, "worker", None)
-                if worker is None:
-                    worker = state.worker = backends.ShardEvaluator(task)
-                return backends._evaluate_shard(worker, shard)
-
-            pool = ThreadPoolExecutor(max_workers=workers)
-            submit = lambda shard: pool.submit(evaluate, shard)  # noqa: E731
-        else:
-            import multiprocessing
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=backends._initialize_process,
-                initargs=(task,),
-            )
-            submit = lambda shard: pool.submit(  # noqa: E731
-                backends._evaluate_in_process, shard
-            )
-
-        waiting = {submit(shard): shard for shard in shards}
-        running_since: dict = {}
-        abandoned = False
-        try:
-            while waiting:
-                done, _ = wait(
-                    set(waiting), timeout=_TICK_SECONDS, return_when=FIRST_COMPLETED
-                )
-                now = time.monotonic()
-                for future in done:
-                    shard = waiting.pop(future)
-                    running_since.pop(future, None)
-                    yield future.result()
-                for future in waiting:
-                    if future.running() and future not in running_since:
-                        running_since[future] = now
-                expired = [
-                    future
-                    for future, since in running_since.items()
-                    if now - since >= self.shard_timeout
-                ]
-                if expired:
-                    abandoned = True
-                    current_metrics().counter("resilience.timeouts").inc()
-                    raise ShardTimeoutError(waiting[expired[0]], self.shard_timeout)
-        except BaseException:
-            abandoned = True
-            raise
-        finally:
-            for future in waiting:
-                future.cancel()
-            # On abandonment the hung worker cannot be joined; leave
-            # the pool to drain in the background and move on.
-            pool.shutdown(wait=not abandoned)

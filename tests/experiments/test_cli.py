@@ -51,11 +51,11 @@ def test_parser_accepts_executor_flags():
     parser = _build_parser()
     arguments = parser.parse_args(
         [
-            "run", "--executor", "futures", "--processes", "4",
+            "run", "--executor", "multiprocess", "--processes", "4",
             "--shard-size", "100", "--resume", "/tmp/run.shards.jsonl",
         ]
     )
-    assert arguments.executor == "futures"
+    assert arguments.executor == "multiprocess"
     assert arguments.processes == 4
     assert arguments.shard_size == 100
     assert arguments.resume == "/tmp/run.shards.jsonl"
@@ -77,11 +77,22 @@ def test_main_list_prints_registries(capsys):
         assert section in output
     names = (
         "ibex", "cva6", "retirement-timing", "cache-state", "scipy-milp",
-        "serial", "multiprocess", "futures", "threaded",
+        "serial", "multiprocess", "workqueue",
     )
     for name in names:
         assert name in output
     assert "fastpath-modes" not in output
+    assert "futures" not in output and "threaded" not in output
+
+
+def test_main_run_rejects_a_removed_executor(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--executor", "threaded"])
+    assert exit_info.value.code != 0
+    error = capsys.readouterr().err
+    assert "threaded" in error
+    for name in ("serial", "multiprocess", "workqueue"):
+        assert name in error
 
 
 def test_main_run_rejects_the_removed_fastpath_flag(capsys):

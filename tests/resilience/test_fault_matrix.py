@@ -10,10 +10,12 @@ incomplete dataset never reaches the dataset cache.
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
+from repro.evaluation.backends import ShardEvaluator
 from repro.pipeline import SynthesisPipeline
 from repro.resilience import (
     ALWAYS,
@@ -29,6 +31,13 @@ pytestmark = pytest.mark.faults
 BUDGET = 40
 SEED = 11
 SHARD = 10
+#: The hang and its soft deadline.  The deadline stays well above one
+#: 10-case shard plus the pool's fork-and-initialize cost, so only the
+#: injected hang can trip it.
+HANG = 2.0
+DEADLINE = 1.0
+#: Seconds each shard sleeps in the uniformly-slow scenario.
+SLOW_SHARD = 0.8
 
 
 def _pipeline(executor="serial", **executor_settings):
@@ -62,6 +71,20 @@ def adaptive_reference():
     return _fingerprint(_adaptive_pipeline().run())
 
 
+def _assert_hang_is_rescheduled(reference, processes):
+    with inject_fault("shard-hang", start_id=10, delay_seconds=HANG, hang_attempts=1):
+        result = (
+            _pipeline(executor="multiprocess", processes=processes)
+            .retry(3)
+            .timeout(DEADLINE)
+            .run()
+        )
+    assert _fingerprint(result) == reference
+    assert [record.kind for record in result.failures] == ["retry"]
+    assert result.failures[0].unit == {"start_id": 10, "count": SHARD}
+    assert "deadline" in result.failures[0].error
+
+
 class TestFaultMatrix:
     def test_matrix_covers_every_registered_plan(self):
         """Adding a fault plan without a matrix entry must fail here."""
@@ -92,30 +115,46 @@ class TestFaultMatrix:
         assert "(start_id=20, count=10)" in retry.error
 
     def test_shard_hang_is_rescheduled_by_the_watchdog(self, reference):
-        """A hung worker cannot be interrupted; the watchdog abandons
-        the pool at the soft deadline and re-sweeps in a fresh one."""
-        with inject_fault(
-            "shard-hang", start_id=10, delay_seconds=2.0, hang_attempts=1
-        ):
-            result = (
-                _pipeline(executor="threaded", processes=4)
-                .retry(3)
-                .timeout(0.3)
-                .run()
-            )
+        """A hung worker cannot be interrupted; the sweep abandons the
+        pool at the soft deadline and re-sweeps in a fresh one."""
+        _assert_hang_is_rescheduled(reference, processes=2)
+
+    def test_one_worker_pool_still_abandons_a_hang(self, reference):
+        """A deadline keeps the pool even for one worker: the serial
+        loop could not abandon a hung shard."""
+        _assert_hang_is_rescheduled(reference, processes=1)
+
+    def test_uniformly_slow_shards_meet_their_deadline(self, reference, monkeypatch):
+        """Shards queued behind busy workers are not running yet, so
+        their wait must not count against the deadline: slow shards
+        that each finish well inside it never trigger a retry.  The
+        deadline, 1.5 shard costs, is below the time a shard spends
+        queued plus running."""
+        evaluate = ShardEvaluator.evaluate
+
+        def slow_evaluate(worker, shard):
+            time.sleep(SLOW_SHARD)
+            return evaluate(worker, shard)
+
+        monkeypatch.setattr(ShardEvaluator, "evaluate", slow_evaluate)
+        result = (
+            _pipeline(executor="multiprocess", processes=2)
+            .retry(3)
+            .timeout(1.5 * SLOW_SHARD)
+            .run()
+        )
         assert _fingerprint(result) == reference
-        assert [record.kind for record in result.failures] == ["retry"]
-        assert "deadline" in result.failures[0].error
+        assert result.failures == []
 
     def test_pool_breakage_downgrades_to_serial(self, reference):
         """Two pool-level failures hit the breakage threshold: the run
         finishes on the serial fallback and says so, durably."""
         with inject_fault("pool-broken", fail_attempts=ALWAYS):
-            result = _pipeline(executor="threaded", processes=4).retry(3).run()
+            result = _pipeline(executor="multiprocess", processes=2).retry(3).run()
         assert _fingerprint(result) == reference
         kinds = [record.kind for record in result.failures]
         assert kinds == ["pool", "pool", "downgrade"]
-        assert result.failures[-1].unit == {"from": "threaded", "to": "serial"}
+        assert result.failures[-1].unit == {"from": "multiprocess", "to": "serial"}
         assert result.timings.executor_downgraded == "serial"
 
     def test_torn_checkpoint_resumes_to_identity(self, tmp_path, reference):

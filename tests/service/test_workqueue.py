@@ -101,6 +101,23 @@ class TestByteIdentity:
         assert second.last_enqueued == 0
         assert dataset.to_json() == serial_json
 
+    @pytest.mark.faults
+    def test_shard_timeout_still_runs_through_the_queue(self, tmp_path, serial_json):
+        """Deadlines belong to the process pool; the work queue bounds
+        hung workers with its lease, so a deadline must not divert the
+        run into a local pool."""
+        executor = _executor(tmp_path, embedded_workers=1)
+        dataset = evaluate_parallel(
+            "ibex",
+            COUNT,
+            seed=SEED,
+            shard_size=11,
+            executor=executor,
+            shard_timeout=5.0,
+        )
+        assert executor.last_enqueued == 5
+        assert dataset.to_json() == serial_json
+
 
 class TestFailureHandling:
     def test_transient_crash_is_requeued_then_succeeds(

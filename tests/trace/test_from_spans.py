@@ -63,14 +63,14 @@ class TestProjection:
             [
                 _end("phase", 2.0, phase="evaluate", executor="multiprocess",
                      shards_total=8, shards_resumed=3, shards_quarantined=1,
-                     executor_downgraded="threaded"),
+                     executor_downgraded="serial"),
             ]
         )
         assert sharded.executor_name == "multiprocess"
         assert sharded.shards_total == 8
         assert sharded.shards_resumed == 3
         assert sharded.shards_quarantined == 1
-        assert sharded.executor_downgraded == "threaded"
+        assert sharded.executor_downgraded == "serial"
         assert "executor multiprocess, 8 shards, 3 resumed" in sharded.render()
 
 
