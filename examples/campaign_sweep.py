@@ -13,8 +13,11 @@ to a JSONL manifest.  The equivalent from the command line::
         --core ibex,ibex-dcache --attacker retirement-timing,cache-state \\
         --budgets 200,400 --solver greedy --verify 0 \\
         --campaign-name sweep --max-parallel-cells 2
-    repro-synthesize campaign status --campaign-name sweep ... --resume
-    repro-synthesize campaign report --campaign-name sweep ... --resume
+    repro-synthesize campaign status --resume \\
+        --core ibex,ibex-dcache --attacker retirement-timing,cache-state \\
+        --budgets 200,400 --solver greedy --verify 0 --campaign-name sweep
+
+and ``campaign report`` with the same flags.
 
 Run with::
 

@@ -1,49 +1,53 @@
 """Command-line entry point: ``repro-synthesize``.
 
-Runs the paper's experiments end-to-end, lists the plugin registries,
-runs an ad-hoc synthesis pipeline, or drives a whole configuration
-grid as a resumable campaign::
+One subcommand per job, each accepting only the flags it reads
+(``--help`` after a command lists them).
+
+The paper's experiments take ``--scale``, ``--results-dir``,
+``--no-cache``, ``--attacker``, ``--solver``, ``--executor`` and
+``--queue-dir``; ``fig2``, ``fig3``, ``table3`` and ``all`` also take
+``--core``.  ``list [REGISTRY]`` prints the plugin registries::
 
     repro-synthesize fig2
     repro-synthesize table1 --scale 2
     repro-synthesize all --results-dir results
-    repro-synthesize list
     repro-synthesize list templates
+
+``run`` is one ad-hoc pipeline and ``campaign {run,status,report}`` a
+resumable grid of them.  Both take the plugin flags (``--core``,
+``--attacker``, ``--solver``, ``--template``, ``--restrict``,
+``--generator``), the budget (``--count``, ``--seed``, ``--verify``),
+the adaptive, resume, retry and executor flags, and ``--trace``.
+``campaign`` adds ``--campaign-name``, ``--budgets``, ``--seeds``,
+``--max-parallel-cells`` and ``--filter``, and takes comma-separated
+lists on every plugin flag::
+
     repro-synthesize run --core cva6 --attacker cache-state --count 500
     repro-synthesize run --executor multiprocess --resume --count 100000
     repro-synthesize run --generator coverage --adaptive-rounds 8 --batch 250
     repro-synthesize campaign run --core ibex,cva6 --budgets 500,2000
-    repro-synthesize campaign run --generator random,coverage --adaptive-rounds 8
     repro-synthesize campaign run --resume --max-parallel-cells 4
     repro-synthesize campaign status --core ibex,cva6 --budgets 500,2000
-    repro-synthesize campaign report --core ibex,cva6 --budgets 500,2000
 
-The contract service turns the same machinery into a long-running
-request front-end (see README "Running the contract service")::
+The contract service (see README "Running the contract service"):
+``serve`` runs the broker loop, ``service worker`` drains its work
+queue, ``submit`` spools one request (plugin and budget flags,
+``--wait``) and ``status [REQUEST-ID]`` renders the spool or a ticket::
 
     repro-synthesize serve --service-root service --executor workqueue
     repro-synthesize service worker --queue-dir service/queue
-    repro-synthesize submit --core ibex --budget 500 --wait 60
+    repro-synthesize submit --core ibex --count 500 --wait 60
     repro-synthesize status
 
-Every run/campaign/serve/worker invocation accepts ``--trace PATH``
-to append :mod:`repro.trace` spans to one shared JSONL file, and
-``repro-synthesize watch`` tails that file as a live progress view::
+A ``--trace`` file feeds ``watch`` (a live progress view), ``report``
+(a self-contained run report) and ``trace export`` (Chrome-trace JSON
+for Perfetto); ``runs {list,diff}`` reads the run-history index under
+``--results-dir`` (see README "Run reports & metrics")::
 
     repro-synthesize run --count 5000 --trace trace.jsonl
-    repro-synthesize campaign run --budgets 500,2000 --trace trace.jsonl
     repro-synthesize watch --trace trace.jsonl
-    repro-synthesize watch --service-root service
-
-After a run, the same trace file feeds the reporting rung — a
-self-contained run report, a Chrome-trace export for Perfetto /
-``chrome://tracing``, and the run-history index (see README "Run
-reports & metrics")::
-
-    repro-synthesize report --trace trace.jsonl
     repro-synthesize report --trace trace.jsonl --format html --output run.html
     repro-synthesize trace export --trace trace.jsonl
-    repro-synthesize runs list
     repro-synthesize runs diff -2 -1
 """
 
@@ -61,385 +65,305 @@ from repro.experiments.fig3 import run_fig3
 from repro.experiments.table3 import run_table3
 from repro.pipeline import REGISTRIES, SynthesisPipeline, describe_registries
 
-_EXPERIMENTS = ("fig2", "fig3", "table1", "table2", "table3")
-_COMMANDS = _EXPERIMENTS + (
-    "all",
-    "list",
-    "run",
-    "campaign",
-    "service",
-    "serve",
-    "submit",
-    "status",
-    "watch",
-    "report",
-    "runs",
-    "trace",
-)
-_CAMPAIGN_ACTIONS = ("run", "status", "report")
-_SERVICE_ACTIONS = ("worker",)
-_TRACE_ACTIONS = ("export",)
-_RUNS_ACTIONS = ("list", "diff")
+_EXPERIMENTS = {
+    "fig2": "Figure 2: contract precision vs. synthesis-set size",
+    "fig3": "Figure 3: contract sensitivity vs. synthesis-set size",
+    "table1": "Table I: the synthesized Ibex contract",
+    "table2": "Table II: the synthesized CVA6 contract",
+    "table3": "Table III: runtime breakdown of the toolchain",
+}
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A ``parents=`` parser for flags that several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-synthesize",
-        description="Synthesize hardware-software leakage contracts for the "
-        "bundled RISC-V core models and reproduce the paper's experiments.",
+    # Shared flags, each declared once.  Nested parents never overlap
+    # within one command, so argparse adds no flag twice.
+    results = _flags()
+    results.add_argument(
+        "--results-dir", default="results", help="outputs, dataset cache, run history"
     )
-    parser.add_argument(
-        "experiment",
-        choices=_COMMANDS,
-        help="which figure/table to regenerate, 'all' for every "
-        "experiment, 'list' to print the plugin registries, 'run' "
-        "for an ad-hoc pipeline, 'campaign' for a resumable grid "
-        "sweep, serve/submit/status/'service worker' for the "
-        "contract service, 'watch' to tail a trace file live, "
-        "'report' for a run report from a trace, 'trace export' for "
-        "a Chrome-trace file, or 'runs' for the run-history index",
+    cached = _flags(results)
+    cached.add_argument(
+        "--no-cache", action="store_true", help="do not cache or reuse datasets"
     )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default=None,
-        help="for 'campaign': run (default), status, or report; "
-        "for 'list': a registry name to print just that registry; "
-        "for 'service': worker; for 'status': a request id to render "
-        "that ticket; for 'trace': export; for 'runs': list "
-        "(default) or diff",
-    )
-    parser.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="for 'runs diff': the two runs to compare, each an id, "
-        "an unambiguous id prefix, or a 1-based index (-1 = latest)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="test-case budget multiplier (default: REPRO_SCALE env or 1.0)",
-    )
-    parser.add_argument(
-        "--results-dir",
-        default="results",
-        help="directory for CSV/text outputs and the dataset cache",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not cache or reuse evaluated datasets",
-    )
-    pipeline_group = parser.add_argument_group(
-        "pipeline plugins",
-        "registry names (see 'repro-synthesize list'); 'campaign' accepts "
-        "comma-separated lists on every plugin flag",
-    )
-    pipeline_group.add_argument(
-        "--core",
-        default=None,
-        help="core model for fig2/fig3/table3/run/campaign (default: ibex)",
-    )
-    pipeline_group.add_argument(
-        "--attacker",
-        default=None,
-        help="attacker model (default: retirement-timing)",
-    )
-    pipeline_group.add_argument(
-        "--solver",
-        default=None,
-        help="ILP solver backend (default: scipy-milp)",
-    )
-    pipeline_group.add_argument(
-        "--template",
-        default=None,
-        help="contract template for run/campaign (default: riscv-rv32im)",
-    )
-    pipeline_group.add_argument(
-        "--restrict",
-        default=None,
-        help="template restriction for run/campaign, e.g. 'base' or "
-        "'IL+RL+ML+AL'",
-    )
-    pipeline_group.add_argument(
-        "--generator",
-        default=None,
-        help="test-case generation strategy for run/campaign "
-        "(random, mutate, coverage; default: random)",
-    )
-    pipeline_group.add_argument(
+    core = _flags()
+    core.add_argument("--core", help="core model (default: ibex)")
+    models = _flags()
+    models.add_argument("--attacker", help="attacker (default: retirement-timing)")
+    models.add_argument("--solver", help="ILP solver backend (default: scipy-milp)")
+    executor = _flags()
+    executor.add_argument(
         "--executor",
-        default=None,
         choices=REGISTRIES["executors"].names(),
-        help="evaluation executor backend (%(choices)s; default: "
-        "in-process evaluation)",
+        help="evaluation executor backend (default: in-process evaluation)",
     )
-    run_group = parser.add_argument_group("ad-hoc pipeline ('run' only)")
-    run_group.add_argument(
+    queue = _flags()
+    queue.add_argument(
+        "--queue-dir",
+        metavar="DIR",
+        help="work-queue root shared by broker and workers (default: "
+        "REPRO_QUEUE_DIR env; serve owns <service-root>/queue)",
+    )
+    trace = _flags()
+    trace.add_argument(
+        "--trace",
+        metavar="PATH",
+        help="JSONL file that runs append repro.trace records to and that "
+        "watch, report and 'trace export' read",
+    )
+    output = _flags()
+    output.add_argument("--output", metavar="PATH", help="write here, not the default")
+    service_root = _flags()
+    service_root.add_argument(
+        "--service-root",
+        default="service",
+        metavar="DIR",
+        help="request spool, contract store and trace (default: service)",
+    )
+
+    # What to synthesize: a `run`, each campaign cell, a `submit`.
+    pipeline = _flags(core, models)
+    pipeline.add_argument("--template", help="template (default: riscv-rv32im)")
+    pipeline.add_argument("--restrict", help="template restriction, e.g. IL+RL+ML+AL")
+    pipeline.add_argument(
+        "--generator", help="test-case generator (random, mutate, coverage)"
+    )
+    pipeline.add_argument(
         "--count", type=int, default=1000, help="test-case budget (default: 1000)"
     )
-    run_group.add_argument(
-        "--seed", type=int, default=0, help="generator seed (default: 0)"
-    )
-    run_group.add_argument(
+    pipeline.add_argument("--seed", type=int, default=0, help="default: 0")
+    pipeline.add_argument(
         "--verify",
         type=int,
-        default=None,
         metavar="N",
         help="verify with N fresh directed test cases (default: check "
-        "the synthesized contract against the evaluated dataset)",
+        "the contract against the evaluated dataset)",
     )
-    run_group.add_argument(
-        "--adaptive-rounds",
+    lists = _flags()
+    lists.add_argument("--budgets", metavar="N,N,...", help="default: --count")
+    lists.add_argument("--seeds", metavar="N,N,...", help="default: --seed")
+
+    # How to evaluate it: the executor and its workqueue broker.
+    lease = _flags()
+    lease.add_argument(
+        "--lease",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="reclaim and requeue a shard claimed longer than this",
+    )
+    broker = _flags(queue, lease)
+    broker.add_argument(
+        "--embedded-workers",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help="run the evaluation phase as an adaptive loop of up to N "
-        "rounds (see also --batch and --stop)",
+        help="run N workqueue workers in-process, next to the broker",
     )
-    run_group.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="test cases per adaptive round (default: --count split "
-        "evenly across the rounds)",
-    )
-    run_group.add_argument(
-        "--stop",
-        default=None,
-        metavar="RULE",
-        help="adaptive stopping rule (contract-stable, full-coverage, "
-        "budget; default: contract-stable)",
-    )
-    run_group.add_argument(
-        "--resume",
-        nargs="?",
-        const=True,
-        default=None,
-        metavar="PATH",
-        help="run: checkpoint completed evaluation shards to PATH and "
-        "resume from them (implies --executor multiprocess); campaign: "
-        "reuse completed cells from the campaign manifest at PATH "
-        "(default with no PATH: derive the path from the campaign name)",
-    )
-    run_group.add_argument(
+    backend = _flags(executor, broker)
+    backend.add_argument(
         "--processes",
-        type=int,
-        default=None,
+        type=_positive_int,
         metavar="N",
-        help="run: executor worker count; campaign: total process "
-        "budget shared by all concurrently running cells",
+        help="worker processes, shared by concurrently running cells",
     )
-    run_group.add_argument(
+    backend.add_argument(
         "--shard-size",
-        type=int,
-        default=None,
+        type=_positive_int,
         metavar="N",
         help="test cases per evaluation shard (default: 250)",
     )
-    run_group.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry failing evaluation shards (and campaign cells) up "
-        "to N times with deterministic backoff, then quarantine them "
-        "and continue (default: fail fast)",
-    )
-    run_group.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="soft per-shard deadline of the multiprocess pool: shards "
-        "hung past it are cancelled and rescheduled in a fresh pool",
-    )
-    campaign_group = parser.add_argument_group("campaign grid ('campaign' only)")
-    campaign_group.add_argument(
-        "--campaign-name",
-        default="cli",
-        help="campaign name, keying the cell manifest (default: cli)",
-    )
-    campaign_group.add_argument(
-        "--budgets",
-        default=None,
-        metavar="N,N,...",
-        help="comma-separated test-case budgets (default: --count)",
-    )
-    campaign_group.add_argument(
-        "--seeds",
-        default=None,
-        metavar="N,N,...",
-        help="comma-separated generator seeds (default: --seed)",
-    )
-    campaign_group.add_argument(
+    cells = _flags()
+    cells.add_argument(
         "--max-parallel-cells",
         type=int,
         default=1,
         metavar="N",
         help="cells executed concurrently (default: 1)",
     )
-    campaign_group.add_argument(
+    polling = _flags()
+    polling.add_argument(
+        "--poll",
+        type=float,
+        metavar="SECONDS",
+        help="queue/spool poll interval (default: 0.05 worker, 0.2 serve)",
+    )
+    polling.add_argument(
+        "--idle-timeout",
+        type=float,
+        metavar="SECONDS",
+        help="exit after this long with nothing to do",
+    )
+
+    experiment = _flags(cached, models, executor, queue)
+    experiment.add_argument(
+        "--scale", type=float, help="budget multiplier (default: REPRO_SCALE or 1.0)"
+    )
+    grid = _flags(cached, pipeline, backend, trace)
+    grid.add_argument(
+        "--adaptive-rounds",
+        type=int,
+        metavar="N",
+        help="evaluate in an adaptive loop of up to N rounds",
+    )
+    grid.add_argument(
+        "--batch",
+        type=int,
+        metavar="N",
+        help="test cases per adaptive round (default: --count split evenly)",
+    )
+    grid.add_argument(
+        "--stop",
+        metavar="RULE",
+        help="adaptive stopping rule (contract-stable, full-coverage, budget)",
+    )
+    grid.add_argument(
+        "--resume",
+        nargs="?",
+        const=True,
+        metavar="PATH",
+        help="checkpoint completed shards or cells to the manifest at "
+        "PATH and resume from it (default path: derived)",
+    )
+    grid.add_argument(
+        "--retries",
+        type=int,
+        metavar="N",
+        help="retry failing shards and cells up to N times with "
+        "deterministic backoff, then quarantine them (default: fail fast)",
+    )
+    grid.add_argument(
+        "--shard-timeout",
+        type=float,
+        metavar="SECONDS",
+        help="soft per-shard deadline: hung shards are rescheduled",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro-synthesize",
+        description="Synthesize hardware-software leakage contracts for the "
+        "bundled RISC-V core models and reproduce the paper's experiments.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, handler, parents, summary):
+        subparser = commands.add_parser(name, parents=parents, help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    for name, summary in _EXPERIMENTS.items():
+        parents = [experiment] if name in ("table1", "table2") else [experiment, core]
+        command(name, _run_experiments, parents, summary)
+    command("all", _run_experiments, [experiment, core], "every experiment in turn")
+    listing = command("list", _list_registries, [], "print the plugin registries")
+    listing.add_argument("registry", nargs="?", choices=list(REGISTRIES))
+
+    command("run", _run_pipeline, [grid], "run one ad-hoc synthesis pipeline")
+    campaign = command(
+        "campaign",
+        _run_campaign,
+        [grid, lists, cells],
+        "run or inspect a resumable configuration grid",
+    )
+    campaign.add_argument("action", nargs="?", choices=("run", "status", "report"))
+    campaign.add_argument(
+        "--campaign-name", default="cli", help="names the cell manifest (default: cli)"
+    )
+    campaign.add_argument(
         "--filter",
         action="append",
         default=[],
         metavar="AXIS=VALUE",
         dest="filters",
-        help="only cells matching AXIS=VALUE (repeatable), e.g. "
-        "--filter core=ibex --filter budget=500",
+        help="only cells matching AXIS=VALUE (repeatable), e.g. core=ibex",
     )
-    service_group = parser.add_argument_group(
-        "contract service ('service worker', 'serve', 'submit', 'status')"
+
+    service = command(
+        "service",
+        _run_service,
+        [queue, lease, polling, trace],
+        "'service worker': drain the work queue",
     )
-    service_group.add_argument(
-        "--service-root",
-        default="service",
-        metavar="DIR",
-        help="service state root: request spool, contract store, trace "
-        "(default: service)",
+    service.add_argument("action", nargs="?", choices=("worker",))
+    service.add_argument(
+        "--worker-id", help="identity in leases/heartbeats (default: worker-<pid>)"
     )
-    service_group.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="work-queue root shared by broker and workers (default: "
-        "REPRO_QUEUE_DIR env; serve defaults to <service-root>/queue)",
-    )
-    service_group.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable worker identity for leases/heartbeats "
-        "(default: worker-<pid>)",
-    )
-    service_group.add_argument(
-        "--lease",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="job lease: a shard claimed longer than this without "
-        "completing is reclaimed and requeued (default: 30)",
-    )
-    service_group.add_argument(
-        "--poll",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="queue/spool poll interval (default: 0.05 worker, 0.2 serve)",
-    )
-    service_group.add_argument(
+    service.add_argument(
         "--heartbeat-interval",
         type=float,
-        default=None,
         metavar="SECONDS",
-        help="worker: lease-refresh/telemetry heartbeat interval "
-        "(default: 2.0)",
+        help="lease-refresh/telemetry interval (default: 2.0)",
     )
-    service_group.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker: exit after completing N jobs",
+    service.add_argument("--max-jobs", type=int, metavar="N", help="exit after N jobs")
+    service.add_argument(
+        "--failure-log", metavar="PATH", help="quarantine records for failed shards"
     )
-    service_group.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="worker/serve: exit after this long with nothing to do "
-        "(default: run until shutdown)",
+    service.add_argument("--fault", metavar="NAME", help="arm a fault plan (testing)")
+    service.add_argument("--fault-state", metavar="JSON", help="the plan's kwargs")
+    serve = command(
+        "serve",
+        _run_serve,
+        [service_root, backend, cells, polling, trace],
+        "run the contract-service broker loop",
     )
-    service_group.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve: exit after serving N requests",
+    serve.add_argument(
+        "--max-requests", type=int, metavar="N", help="exit after serving N requests"
     )
-    service_group.add_argument(
-        "--embedded-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve/run/campaign with --executor workqueue: run N "
-        "in-process worker threads alongside the broker",
+    submit = command(
+        "submit",
+        _run_submit,
+        [service_root, pipeline, lists, trace],
+        "spool one contract request",
     )
-    service_group.add_argument(
-        "--failure-log",
-        default=None,
-        metavar="PATH",
-        help="worker: append quarantine records for failed shards here",
+    submit.add_argument(
+        "--wait", type=float, metavar="SECONDS", help="block until the ticket lands"
     )
-    service_group.add_argument(
-        "--fault",
-        default=None,
-        metavar="NAME",
-        help="worker: arm a fault plan from the fault registry "
-        "(testing only; see also --fault-state)",
+    status = command("status", _run_status, [service_root], "the spool or a ticket")
+    status.add_argument("request_id", nargs="?", metavar="REQUEST-ID")
+
+    watch = command("watch", _run_watch, [service_root, trace], "tail a trace live")
+    watch.add_argument("--once", action="store_true", help="render one frame")
+    watch.add_argument(
+        "--interval", type=float, default=1.0, metavar="SECONDS", help="default: 1.0"
     )
-    service_group.add_argument(
-        "--fault-state",
-        default=None,
-        metavar="JSON",
-        help="worker: JSON kwargs for the --fault plan",
-    )
-    service_group.add_argument(
-        "--wait",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="submit: block until the ticket lands (or fail after "
-        "SECONDS) instead of returning immediately",
-    )
-    trace_group = parser.add_argument_group(
-        "observability (run/campaign/serve/'service worker'/submit/"
-        "watch/report/'trace export'/runs)"
-    )
-    trace_group.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="append repro.trace span/event records to this JSONL file "
-        "(serve and workers default to <service-root>/trace.jsonl; "
-        "watch tails it; report and 'trace export' read it)",
-    )
-    trace_group.add_argument(
-        "--once",
-        action="store_true",
-        help="watch: render one frame and exit instead of tailing",
-    )
-    trace_group.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="watch: refresh interval (default: 1.0)",
-    )
-    trace_group.add_argument(
+    report = command("report", _run_report, [trace, output], "render a run report")
+    report.add_argument(
         "--format",
-        default=None,
+        default="markdown",
         dest="output_format",
         metavar="FMT",
-        help="report: markdown (default) or html; trace export: "
-        "chrome (default)",
+        help="markdown (default) or html",
     )
-    trace_group.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="report/'trace export': write here instead of stdout "
-        "(export default: <trace>.chrome.json)",
+    export = command(
+        "trace", _run_trace, [trace, output], "'trace export': Chrome-trace JSON"
     )
-    trace_group.add_argument(
+    export.add_argument("action", nargs="?", choices=("export",))
+    export.add_argument(
+        "--format", default="chrome", choices=("chrome",), dest="output_format"
+    )
+    runs = command("runs", _run_runs, [results], "list or diff the run history")
+    runs.add_argument("action", nargs="?", choices=("list", "diff"))
+    runs.add_argument(
+        "run_ids",
+        nargs="*",
+        metavar="RUN",
+        help="diff: two run ids, id prefixes or 1-based indices (-1 = latest)",
+    )
+    runs.add_argument(
         "--threshold",
         type=float,
-        default=None,
         metavar="FRACTION",
-        help="runs diff: relative change flagged as a regression "
-        "(default: 0.10)",
+        help="relative change flagged as a regression (default: 0.10)",
     )
     return parser
 
@@ -476,7 +400,8 @@ def _run_pipeline(arguments) -> int:
         pipeline.retry(arguments.retries + 1)
     if arguments.shard_timeout is not None:
         pipeline.timeout(arguments.shard_timeout)
-    if arguments.executor or arguments.processes or arguments.shard_size:
+    pool = (arguments.executor, arguments.processes, arguments.shard_size)
+    if any(value is not None for value in pool):
         pipeline.executor(
             _effective_cli_executor(arguments) or "multiprocess",
             processes=arguments.processes,
@@ -553,30 +478,24 @@ def _campaign_runner(arguments):
     """Build the spec and runner shared by campaign run/status/report."""
     from repro.campaign import CampaignRunner, CampaignSpec
 
-    budgets = _split(arguments.budgets)
-    seeds = _split(arguments.seeds)
-    restrictions = _split(arguments.restrict)
+    budgets = _split(arguments.budgets) or [arguments.count]
+    seeds = _split(arguments.seeds) or [arguments.seed]
     spec = CampaignSpec(
         name=arguments.campaign_name,
         cores=tuple(_split(arguments.core) or ("ibex",)),
         attackers=tuple(_split(arguments.attacker) or ("retirement-timing",)),
         templates=tuple(_split(arguments.template) or ("riscv-rv32im",)),
-        restrictions=tuple(restrictions) if restrictions else (None,),
+        restrictions=tuple(_split(arguments.restrict) or (None,)),
         solvers=tuple(_split(arguments.solver) or ("scipy-milp",)),
         generators=tuple(_split(arguments.generator) or ("random",)),
-        budgets=tuple(int(budget) for budget in budgets)
-        if budgets
-        else (arguments.count,),
-        seeds=tuple(int(seed) for seed in seeds) if seeds else (arguments.seed,),
+        budgets=tuple(int(budget) for budget in budgets),
+        seeds=tuple(int(seed) for seed in seeds),
         adaptive_rounds=_campaign_adaptive_rounds(arguments),
         batch=arguments.batch,
         stop=arguments.stop,
         verify=arguments.verify,
         retries=arguments.retries,
         shard_timeout=arguments.shard_timeout,
-    )
-    manifest = (
-        arguments.resume if isinstance(arguments.resume, str) else True
     )
     return CampaignRunner(
         spec,
@@ -586,7 +505,7 @@ def _campaign_runner(arguments):
         process_budget=arguments.processes,
         shard_size=arguments.shard_size,
         max_parallel_cells=arguments.max_parallel_cells,
-        manifest=manifest,
+        manifest=arguments.resume if isinstance(arguments.resume, str) else True,
         resume=arguments.resume is not None,
         filters=_parse_filters(arguments.filters),
         trace=arguments.trace,
@@ -605,27 +524,20 @@ def _campaign_runner(arguments):
 
 
 def _run_campaign(arguments) -> int:
-    """The ``campaign`` subcommand: run, status, or report."""
-    action = arguments.action or "run"
-    if action not in _CAMPAIGN_ACTIONS:
-        raise SystemExit(
-            "unknown campaign action %r (choose from %s)"
-            % (action, ", ".join(_CAMPAIGN_ACTIONS))
-        )
+    """The ``campaign`` subcommand: run (default), status, or report."""
     runner = _campaign_runner(arguments)
-    if action == "status":
+    if arguments.action == "status":
         print(runner.status().render())
         return 0
-    if action == "report":
+    if arguments.action == "report":
         print(runner.report().render())
         return 0
     result = runner.run()
     print()
     print(result.render())
-    directory = os.path.join(arguments.results_dir)
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(arguments.results_dir, exist_ok=True)
     summary_path = os.path.join(
-        directory, "campaign_%s.txt" % runner.spec.name
+        arguments.results_dir, "campaign_%s.txt" % runner.spec.name
     )
     with open(summary_path, "w") as stream:
         stream.write(result.render() + "\n")
@@ -662,19 +574,13 @@ def _effective_cli_executor(arguments, tracer=None):
 
 
 def _run_service(arguments) -> int:
-    """The ``service`` subcommand: currently just the worker loop."""
+    """The ``service worker`` subcommand: the worker loop."""
     import json
 
     from repro.service.queue import JobQueue, QueueUnavailableError, resolve_queue_root
     from repro.service.worker import DEFAULT_HEARTBEAT_INTERVAL, JobWorker
     from repro.trace import Tracer
 
-    action = arguments.action or "worker"
-    if action not in _SERVICE_ACTIONS:
-        raise SystemExit(
-            "unknown service action %r (choose from %s)"
-            % (action, ", ".join(_SERVICE_ACTIONS))
-        )
     if arguments.fault:
         # Arm a fault plan inside this worker process — the fault
         # matrix's bridge across the machine boundary (tests SIGKILL /
@@ -689,6 +595,9 @@ def _run_service(arguments) -> int:
         raise SystemExit("service worker: %s" % error)
     queue = JobQueue(root)
     queue.ensure()
+    heartbeat = arguments.heartbeat_interval
+    if heartbeat is None:
+        heartbeat = DEFAULT_HEARTBEAT_INTERVAL
     worker = JobWorker(
         queue,
         worker_id=arguments.worker_id,
@@ -697,9 +606,7 @@ def _run_service(arguments) -> int:
         max_jobs=arguments.max_jobs,
         idle_timeout=arguments.idle_timeout,
         failure_log_path=arguments.failure_log,
-        heartbeat_interval=arguments.heartbeat_interval
-        if arguments.heartbeat_interval is not None
-        else DEFAULT_HEARTBEAT_INTERVAL,
+        heartbeat_interval=heartbeat,
         tracer=Tracer(arguments.trace or os.path.join(root, "trace.jsonl")),
     )
     completed = worker.run()
@@ -718,8 +625,7 @@ def _run_serve(arguments) -> int:
         arguments.trace or os.path.join(root, "trace.jsonl"), source="serve"
     )
     store = ContractStore(os.path.join(root, "store"))
-    executor = arguments.executor or "serial"
-    if executor == "workqueue" and arguments.queue_dir is None:
+    if arguments.executor == "workqueue" and arguments.queue_dir is None:
         # The serve loop owns its queue by default — workers join with
         # `service worker --queue-dir <service-root>/queue`.
         arguments.queue_dir = os.path.join(root, "queue")
@@ -739,14 +645,8 @@ def _run_serve(arguments) -> int:
         idle_timeout=arguments.idle_timeout,
         max_requests=arguments.max_requests,
     )
-    print(
-        "serving %s (executor %s%s)"
-        % (
-            root,
-            arguments.executor or "serial",
-            ", queue %s" % arguments.queue_dir if arguments.queue_dir else "",
-        )
-    )
+    queue = ", queue %s" % arguments.queue_dir if arguments.queue_dir else ""
+    print("serving %s (executor %s%s)" % (root, arguments.executor or "serial", queue))
     served = server.serve()
     print("served %d request(s)" % served)
     return 0
@@ -782,9 +682,7 @@ def _run_submit(arguments) -> int:
     if arguments.trace:
         from repro.trace import Tracer
 
-        Tracer(arguments.trace, source="submit").event(
-            "submit", request=request_id
-        )
+        Tracer(arguments.trace, source="submit").event("submit", request=request_id)
     print("submitted %s to %s" % (request_id, root))
     if arguments.wait is None:
         return 0
@@ -802,8 +700,7 @@ def _run_submit(arguments) -> int:
         if time.time() > deadline:
             raise SystemExit(
                 "request %s not served within %.0fs — is `repro-synthesize "
-                "serve --service-root %s` running?"
-                % (request_id, arguments.wait, root)
+                "serve --service-root %s` running?" % (request_id, arguments.wait, root)
             )
         time.sleep(0.2)
 
@@ -813,11 +710,11 @@ def _run_status(arguments) -> int:
     from repro.service.service import load_ticket, render_status
 
     root = arguments.service_root
-    if arguments.action:
-        ticket = load_ticket(root, arguments.action)
+    if arguments.request_id:
+        ticket = load_ticket(root, arguments.request_id)
         if ticket is None:
             raise SystemExit(
-                "no finished ticket %r under %s" % (arguments.action, root)
+                "no finished ticket %r under %s" % (arguments.request_id, root)
             )
         print(ticket.render())
         return 0
@@ -829,9 +726,7 @@ def _run_watch(arguments) -> int:
     """The ``watch`` subcommand: tail a trace file as a live view."""
     from repro.trace import watch
 
-    path = arguments.trace or os.path.join(
-        arguments.service_root, "trace.jsonl"
-    )
+    path = arguments.trace or os.path.join(arguments.service_root, "trace.jsonl")
     if not os.path.exists(path):
         raise SystemExit(
             "watch: no trace file at %r — pass --trace PATH (the same "
@@ -849,9 +744,8 @@ def _run_report(arguments) -> int:
         raise SystemExit("report: pass --trace PATH (the run's trace file)")
     if not os.path.exists(arguments.trace):
         raise SystemExit("report: no trace file at %r" % arguments.trace)
-    fmt = arguments.output_format or "markdown"
     try:
-        document = render_report(arguments.trace, fmt=fmt)
+        document = render_report(arguments.trace, fmt=arguments.output_format)
     except ValueError as error:
         raise SystemExit("report: %s" % error)
     if arguments.output:
@@ -866,51 +760,30 @@ def _run_report(arguments) -> int:
 
 
 def _run_trace(arguments) -> int:
-    """The ``trace`` subcommand: currently just the chrome export."""
+    """The ``trace export`` subcommand: a Chrome-trace file."""
     from repro.trace.export import export_chrome
 
-    action = arguments.action or "export"
-    if action not in _TRACE_ACTIONS:
-        raise SystemExit(
-            "unknown trace action %r (choose from %s)"
-            % (action, ", ".join(_TRACE_ACTIONS))
-        )
     if not arguments.trace:
-        raise SystemExit(
-            "trace export: pass --trace PATH (the run's trace file)"
-        )
+        raise SystemExit("trace export: pass --trace PATH (the run's trace file)")
     if not os.path.exists(arguments.trace):
         raise SystemExit("trace export: no trace file at %r" % arguments.trace)
-    fmt = arguments.output_format or "chrome"
-    if fmt != "chrome":
-        raise SystemExit(
-            "trace export: unknown format %r (only 'chrome')" % fmt
-        )
     output = arguments.output or arguments.trace + ".chrome.json"
     document = export_chrome(arguments.trace, output)
-    print(
-        "exported %d trace event(s) to %s"
-        % (len(document["traceEvents"]), output)
-    )
+    print("exported %d trace event(s) to %s" % (len(document["traceEvents"]), output))
     return 0
 
 
 def _run_runs(arguments) -> int:
-    """The ``runs`` subcommand: list the history index, or diff two."""
+    """The ``runs`` subcommand: list the history index (default), or
+    diff two of its runs."""
     from repro.metrics import diff_runs, load_runs, render_runs, resolve_run
     from repro.metrics.runs import DEFAULT_THRESHOLD, runs_path
 
-    action = arguments.action or "list"
-    if action not in _RUNS_ACTIONS:
-        raise SystemExit(
-            "unknown runs action %r (choose from %s)"
-            % (action, ", ".join(_RUNS_ACTIONS))
-        )
     runs = load_runs(arguments.results_dir)
-    if action == "list":
+    if arguments.action != "diff":
         print(render_runs(runs))
         return 0
-    if len(arguments.extra) != 2:
+    if len(arguments.run_ids) != 2:
         raise SystemExit(
             "runs diff: pass exactly two runs (id, id prefix, or "
             "1-based index; -1 = latest), e.g. `repro-synthesize runs "
@@ -918,57 +791,26 @@ def _run_runs(arguments) -> int:
         )
     if not runs:
         raise SystemExit(
-            "runs diff: no recorded runs in %s"
-            % runs_path(arguments.results_dir)
+            "runs diff: no recorded runs in %s" % runs_path(arguments.results_dir)
         )
-    before = resolve_run(runs, arguments.extra[0])
-    after = resolve_run(runs, arguments.extra[1])
+    before = resolve_run(runs, arguments.run_ids[0])
+    after = resolve_run(runs, arguments.run_ids[1])
     threshold = (
-        arguments.threshold
-        if arguments.threshold is not None
-        else DEFAULT_THRESHOLD
+        arguments.threshold if arguments.threshold is not None else DEFAULT_THRESHOLD
     )
     diff = diff_runs(before, after, threshold=threshold)
     print(diff.render())
     return 1 if diff.regressions else 0
 
 
-def _list_registries(action: Optional[str]) -> int:
+def _list_registries(arguments) -> int:
     """The ``list`` subcommand, optionally filtered to one registry."""
-    if action is not None and action not in REGISTRIES:
-        raise SystemExit(
-            "unknown registry %r (choose from %s)"
-            % (action, ", ".join(REGISTRIES))
-        )
-    print(describe_registries(only=action))
+    print(describe_registries(only=arguments.registry))
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    arguments = _build_parser().parse_args(argv)
-    if arguments.experiment == "list":
-        return _list_registries(arguments.action)
-    if arguments.experiment == "run":
-        return _run_pipeline(arguments)
-    if arguments.experiment == "campaign":
-        return _run_campaign(arguments)
-    if arguments.experiment == "service":
-        return _run_service(arguments)
-    if arguments.experiment == "serve":
-        return _run_serve(arguments)
-    if arguments.experiment == "submit":
-        return _run_submit(arguments)
-    if arguments.experiment == "status":
-        return _run_status(arguments)
-    if arguments.experiment == "watch":
-        return _run_watch(arguments)
-    if arguments.experiment == "report":
-        return _run_report(arguments)
-    if arguments.experiment == "trace":
-        return _run_trace(arguments)
-    if arguments.experiment == "runs":
-        return _run_runs(arguments)
-
+def _run_experiments(arguments) -> int:
+    """The experiment subcommands: one figure or table, or ``all``."""
     if arguments.executor == "workqueue":
         # The experiment drivers take the executor by registry name;
         # bind the queue root through the environment (and fail here,
@@ -990,13 +832,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.executor is not None:
         kwargs["executor"] = arguments.executor
     config = ExperimentConfig(**kwargs)
+    core = getattr(arguments, "core", None)  # table1/table2 take no --core
     core_kwargs = {}
-    if arguments.core is not None:
-        core_kwargs["core_name"] = arguments.core
+    if core is not None:
+        core_kwargs["core_name"] = core
 
-    names = (
-        list(_EXPERIMENTS) if arguments.experiment == "all" else [arguments.experiment]
-    )
+    names = list(_EXPERIMENTS) if arguments.command == "all" else [arguments.command]
     for name in names:
         print("== %s ==" % name)
         if name == "fig2":
@@ -1008,15 +849,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif name == "table2":
             print(run_table2(config).render())
         elif name == "table3":
-            print(
-                run_table3(
-                    config,
-                    core_names=[arguments.core] if arguments.core else None,
-                ).render()
-            )
+            print(run_table3(config, core_names=[core] if core else None).render())
         print()
     print("results written to %s/" % config.results_dir)
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    arguments = _build_parser().parse_args(argv)
+    return arguments.handler(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover

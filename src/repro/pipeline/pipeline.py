@@ -905,14 +905,14 @@ class SynthesisPipeline:
 
     def evaluate_with_stats(
         self,
-        timings: Optional[PhaseTimings] = None,
     ) -> Tuple[EvaluationDataset, Optional[TestCaseEvaluator]]:
         """Generate and evaluate the configured corpus.
 
         Returns ``(dataset, evaluator)``; the evaluator carries the
         phase timers and is ``None`` when the dataset was loaded from
         the cache or evaluated through an executor backend (whose
-        workers keep their own timers).
+        workers keep their own timers, and whose shard accounting
+        :meth:`run` reports through the evaluate phase span).
         """
         cache_path = self.cache_path()
         if cache_path is not None:
@@ -926,15 +926,7 @@ class SynthesisPipeline:
         if executor is not None:
             # The sharded path owns the cache write (quarantined
             # datasets must not be cached).
-            stats: dict = {}
-            dataset = self._evaluate_sharded(executor, stats)
-            if timings is not None:
-                timings.executor_name = stats["executor"]
-                timings.shards_total = stats["shards_total"]
-                timings.shards_resumed = stats["shards_resumed"]
-                timings.shards_quarantined = stats["shards_quarantined"]
-                timings.executor_downgraded = stats["executor_downgraded"]
-            return dataset, None
+            return self._evaluate_sharded(executor), None
         template = self.resolve_template()
         generator = self.resolve_generator(template)
         evaluator = TestCaseEvaluator(
