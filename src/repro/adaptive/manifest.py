@@ -7,7 +7,7 @@ line is one completed round — its evaluated rows, the strategy's
 post-round feedback state, the synthesized contract, and the stop
 reason (if any)::
 
-    {"manifest": "adaptive-rounds", "version": 1, "key": {...}}
+    {"manifest": "adaptive-rounds", "version": 2, "key": {...}}
     {"round": 0, "start_id": 0, "rows": [...], "state": {...},
      "contract": [3, 17], "stop": null}
 
@@ -17,6 +17,11 @@ batch, extraction engine, solver, restriction) but deliberately not the
 round budget: extending ``rounds`` resumes a finished-but-unconverged
 loop instead of restarting it, exactly as the shard manifest serves an
 extended test-case budget.
+
+Version 2 came with the LP-first scipy solver: it can break ties among
+equally precise contracts differently, so the contracts and stop
+reasons a version-1 file stores need not be what a fresh solve gives,
+and a version-1 file is refused rather than replayed.
 
 Rounds are reused as the longest contiguous prefix ``0..k`` present in
 the file — a round is only meaningful on top of the state left by its
@@ -39,6 +44,8 @@ class AdaptiveManifest(JsonlCheckpoint):
     """An append-only JSONL checkpoint of completed adaptive rounds."""
 
     kind = "adaptive-rounds"
+    #: 2: stored contracts follow the LP-first solver's tie-break.
+    version = 2
     description = "adaptive-round manifest"
     subject = "adaptive loop"
     hint = "pass a different --resume path"

@@ -64,7 +64,13 @@ class StoppingRule:
 
 
 class ContractStableRule(StoppingRule):
-    """Stop when the contract is unchanged for ``patience`` rounds."""
+    """Stop when the contract is unchanged for ``patience`` rounds.
+
+    The rule compares atom sets, so it reads the solver's tie-break:
+    two rounds with equally precise optima stop the loop only if the
+    solver picks the same one both times.  A solver that breaks ties
+    differently can move the stop (and the cases evaluated).
+    """
 
     name = "contract-stable"
 

@@ -4,7 +4,11 @@ Three interchangeable backends:
 
 - :class:`ScipyMilpSolver` — exact, via ``scipy.optimize.milp``
   (HiGHS).  The default; the paper uses Google OR-Tools, any exact
-  0-1 ILP solver yields the same optimum.
+  0-1 ILP solver yields the same optimum.  It solves the LP
+  relaxation first and stops there when the rounded LP solution
+  matches the relaxation's bound (an *LP certificate*); only
+  otherwise does HiGHS branch and cut, with MIP presolve off.  One
+  ``time_limit`` covers both solves.
 - :class:`BranchAndBoundSolver` — exact, pure Python.  Self-contained
   reference implementation used to cross-check the scipy backend and
   in environments without SciPy.
@@ -17,11 +21,15 @@ contract has fewer false positives, and none with as few has fewer
 atoms.  That optimum is the same whichever loss-free reductions (see
 :mod:`repro.synthesis.ilp`) ran.  Ties among equal-size contracts with
 equal false positives remain, and the backends may break them
-differently.  The greedy backend only approximates the order.
+differently; the scipy backend breaks them by whichever of its two
+solves proved the optimum.  The greedy backend only approximates the
+order.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -123,14 +131,21 @@ def largest_proper_subsets(incidence):
     return parents
 
 
+#: Relative tolerance on the LP bound in the certificate of
+#: :class:`ScipyMilpSolver`.  It equals HiGHS's default optimality
+#: (dual feasibility) tolerance, so the certificate trusts the bound no
+#: more than HiGHS trusts its own optimum.
+LP_BOUND_TOLERANCE = 1e-7
+
+
 class ScipyMilpSolver(IlpSolver):
     """Exact backend on ``scipy.optimize.milp`` (HiGHS).
 
     The objective is ``FP·(n+1) + |S|`` over ``n`` atom variables: one
-    false positive outweighs any number of atoms, so with a zero MIP
-    gap HiGHS returns a contract that is optimal in the
-    ``(false positives, atom count)`` order.  The instance is handed
-    over in a smaller but equivalent form:
+    false positive outweighs any number of atoms, so an optimum of the
+    integer program is optimal in the ``(false positives, atom count)``
+    order.  The instance is handed over in a smaller but equivalent
+    form:
 
     - *Forced* FP sets (those containing a cover set) are hit by every
       feasible selection; their weight is a constant, with no row and
@@ -141,12 +156,29 @@ class ScipyMilpSolver(IlpSolver):
       subset among the remaining FP sets is ``P`` gets the row
       ``c_P ≤ c_F`` plus ``s_A ≤ c_F`` only for ``A ∈ F \\ P``.
 
-    ``time_limit`` (seconds) bounds the branch-and-cut search; when it
-    is hit, the best incumbent is returned with ``optimal=False`` (and
-    the greedy solution is used if HiGHS has no incumbent yet).  Dense
-    instances — deep-pipeline cores whose mispredictions make whole
-    suffixes distinguishable — can otherwise take hours to *prove*
-    optimality long after finding the optimum.
+    The LP relaxation of that formulation is solved first.  Its atom
+    variables are rounded at 0.5.  When the rounded selection covers
+    every row, its redundant atoms are dropped and its exact objective
+    (forced constant included) is compared with the LP bound.  Every
+    objective coefficient is an integer, so no integer solution lies
+    below ``⌈bound − tol⌉``, where ``tol`` is the bound times
+    :data:`LP_BOUND_TOLERANCE`.  A selection at or under that value is
+    a proven optimum and is returned without branch and cut
+    (``stats["lp_certificate"]`` is 1.0).  At 12k cases the relaxation
+    is usually integral, so this is the common path.
+
+    Otherwise HiGHS solves the integer program with a zero MIP gap,
+    because its default relative gap could stop short of the
+    atom-count tie-break.  MIP presolve is off there: on these
+    instances it costs more than it saves.
+
+    ``time_limit`` (seconds) covers both solves: the LP gets all of it
+    and the integer program what is left.  When it runs out, the best
+    incumbent is returned with ``optimal=False``, or the greedy
+    solution if HiGHS has none (as after an LP cut off by the limit).
+    Dense instances — deep-pipeline cores whose mispredictions make
+    whole suffixes distinguishable — can otherwise take hours to
+    *prove* optimality long after finding the optimum.
     """
 
     name = "scipy-milp"
@@ -166,17 +198,21 @@ class ScipyMilpSolver(IlpSolver):
         atom_index = {atom_id: index for index, atom_id in enumerate(atom_ids)}
         atom_count = len(atom_ids)
         fp_scale = float(atom_count + 1)
-        stats = {"rows.%s" % name: count for name, count in instance.reduced_rows.items()}
+        stats = {
+            "rows.%s" % name: count for name, count in instance.reduced_rows.items()
+        }
         stats.update({"rows.forced": 0, "rows.folded": 0, "rows.chained": 0})
 
         # Objective FP·(n+1) + |S|: 1 per atom, fp_scale per false positive.
         atom_objective = np.ones(atom_count)
+        forced_weight = 0
         covers = subset_index(instance.cover_sets)
         modelled_sets: List[FrozenSet[int]] = []
         modelled_weights: List[float] = []
         for atoms, weight in instance.fp_sets:
             if find_subset(covers, atoms) is not None:
                 stats["rows.forced"] += len(atoms)
+                forced_weight += weight
             elif len(atoms) == 1:
                 (atom_id,) = atoms
                 atom_objective[atom_index[atom_id]] += fp_scale * weight
@@ -193,7 +229,9 @@ class ScipyMilpSolver(IlpSolver):
         chained = parents >= 0
         own = incidence.copy()
         own[chained] &= ~incidence[parents[chained]]
-        stats["rows.chained"] = int(incidence.sum()) - int(own.sum()) - int(chained.sum())
+        stats["rows.chained"] = (
+            int(incidence.sum()) - int(own.sum()) - int(chained.sum())
+        )
 
         # Rows: cover sets (sum s_A >= 1), then s_A - c_F <= 0, then
         # c_P - c_F <= 0.  Columns: atoms, then one c_F per modelled set.
@@ -232,36 +270,66 @@ class ScipyMilpSolver(IlpSolver):
                 -np.ones(len(chain_sets)),
             ]
         )
-        matrix = sparse.csr_matrix((data, (rows, cols)), shape=(row_count, variable_count))
-        lower = np.concatenate([np.ones(cover_count), np.full(row_count - cover_count, -1.0)])
-        upper = np.concatenate([np.full(cover_count, np.inf), np.zeros(row_count - cover_count)])
-        # HiGHS's default relative gap could stop short of the atom-count
-        # tie-break, which is worth less than 1e-4 of the objective.
-        options = {"mip_rel_gap": 0.0}
-        if self.time_limit is not None:
-            options["time_limit"] = float(self.time_limit)
-        result = milp(
+        matrix = sparse.csr_matrix(
+            (data, (rows, cols)), shape=(row_count, variable_count)
+        )
+        lower = np.concatenate(
+            [np.ones(cover_count), np.full(row_count - cover_count, -1.0)]
+        )
+        upper = np.concatenate(
+            [np.full(cover_count, np.inf), np.zeros(row_count - cover_count)]
+        )
+        stats.update({"variables": variable_count, "constraints": row_count})
+        problem = dict(
             c=np.concatenate([atom_objective, modelled_weights]),
             constraints=LinearConstraint(matrix, lower, upper),
-            integrality=np.ones(variable_count),
             bounds=Bounds(0.0, 1.0),
-            options=options,
         )
-        optimal = bool(result.success)
-        if result.x is not None:
-            raw_selection = [
-                atom_ids[index]
-                for index in range(atom_count)
-                if result.x[index] > 0.5
-            ]
-        elif result.status == 1:  # time/iteration limit, no incumbent
-            raw_selection = sorted(GreedySolver().solve(instance).selected_atom_ids)
-            optimal = False
-        else:  # pragma: no cover - defensive
-            raise RuntimeError("MILP solve failed: %s" % result.message)
-        selected = frozenset(eliminate_redundant_atoms(instance, raw_selection))
+
+        start = time.perf_counter()
+
+        def solve_in_budget(integrality, **options):
+            """One HiGHS solve in what is left of ``time_limit``, or
+            ``None`` when nothing is left."""
+            if self.time_limit is not None:
+                left = self.time_limit - (time.perf_counter() - start)
+                if left <= 0.0:
+                    return None
+                options["time_limit"] = left
+            return milp(integrality=integrality, options=options, **problem)
+
+        def atoms_above_half(x) -> List[int]:
+            return [atom_ids[index] for index in np.flatnonzero(x[:atom_count] > 0.5)]
+
+        # The LP relaxation first: a rounded vertex that reaches its
+        # bound is a proven optimum (see the class docstring).
+        selected = None
+        relaxation = solve_in_budget(np.zeros(variable_count))
+        if relaxation is not None and relaxation.status == 0:
+            rounded = atoms_above_half(relaxation.x)
+            if instance.covers_all(rounded):
+                rounded = frozenset(eliminate_redundant_atoms(instance, rounded))
+                fp_weight = instance.false_positive_weight(rounded)
+                objective = (atom_count + 1) * fp_weight + len(rounded)
+                bound = relaxation.fun + fp_scale * forced_weight
+                tolerance = LP_BOUND_TOLERANCE * max(1.0, abs(bound))
+                if objective <= math.ceil(bound - tolerance):
+                    selected = rounded
+        optimal = selected is not None
+        stats["lp_certificate"] = float(optimal)
+        if selected is None:
+            result = solve_in_budget(
+                np.ones(variable_count), mip_rel_gap=0.0, presolve=False
+            )
+            if result is not None and result.x is not None:
+                raw_selection = atoms_above_half(result.x)
+                optimal = bool(result.success)
+            elif result is None or result.status == 1:  # out of time, no incumbent
+                raw_selection = sorted(GreedySolver().solve(instance).selected_atom_ids)
+            else:  # pragma: no cover - defensive
+                raise RuntimeError("MILP solve failed: %s" % result.message)
+            selected = frozenset(eliminate_redundant_atoms(instance, raw_selection))
         self._verify(instance, selected)
-        stats.update({"variables": variable_count, "constraints": row_count})
         return SolverResult(
             selected_atom_ids=selected,
             false_positives=instance.false_positive_weight(selected),
@@ -278,11 +346,15 @@ class GreedySolver(IlpSolver):
 
     def solve(self, instance: IlpInstance) -> SolverResult:
         uncovered = set(range(len(instance.cover_sets)))
-        atom_covers: Dict[int, set] = {atom_id: set() for atom_id in instance.candidate_atom_ids}
+        atom_covers: Dict[int, set] = {
+            atom_id: set() for atom_id in instance.candidate_atom_ids
+        }
         for position, atoms in enumerate(instance.cover_sets):
             for atom_id in atoms:
                 atom_covers[atom_id].add(position)
-        atom_fp: Dict[int, int] = {atom_id: 0 for atom_id in instance.candidate_atom_ids}
+        atom_fp: Dict[int, int] = {
+            atom_id: 0 for atom_id in instance.candidate_atom_ids
+        }
         for atoms, weight in instance.fp_sets:
             for atom_id in atoms:
                 atom_fp[atom_id] += weight

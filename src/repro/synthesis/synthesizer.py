@@ -101,6 +101,8 @@ class ContractSynthesizer:
         if solver_result is None:
             solver_result = self.solver.solve(instance)
             metrics.counter("solver.cold_solves").inc()
+            if solver_result.stats.get("lp_certificate"):
+                metrics.counter("solver.lp_certificates").inc()
         else:
             metrics.counter("solver.warm_starts").inc()
         if metrics.enabled:

@@ -184,6 +184,21 @@ class TestKeyBinding:
         ):
             assert pipeline(**overrides).adaptive_manifest_path() != base_path
 
+    def test_version_1_manifest_is_not_resumed(self, tmp_path):
+        """Version-1 files store contracts of the solver's old tie-break;
+        replaying them could reproduce a stale contract or stop reason."""
+        path = tmp_path / "rounds.jsonl"
+        _loop(path, rounds=1).run()
+        with open(path) as stream:
+            lines = stream.readlines()
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        header["version"] = 1
+        with open(path, "w") as stream:
+            stream.writelines([json.dumps(header) + "\n"] + lines[1:])
+        with pytest.raises(ValueError, match="not a version-2 adaptive-round"):
+            _loop(path, rounds=1).run()
+
     def test_rounds_budget_is_not_part_of_the_key(self, tmp_path):
         path = tmp_path / "rounds.jsonl"
         loop_a = _loop(path, rounds=1)

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.synthesis.ilp import build_ilp_instance
@@ -19,16 +19,19 @@ ALL_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver(), GreedySolver()]
 EXACT_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver()]
 
 
-def make_instance(entries, allowed=None, reduce_dominated=True):
-    """``reduce_dominated=False`` keeps the rows exactly as written, so a
-    test controls which FP rows the solver sees."""
-    dataset = EvaluationDataset(
+def make_dataset(entries):
+    return EvaluationDataset(
         [
             TestCaseResult(test_id, dist, frozenset(atoms))
             for test_id, (dist, atoms) in enumerate(entries)
         ]
     )
-    return build_ilp_instance(dataset, allowed, reduce_dominated)
+
+
+def make_instance(entries, allowed=None, reduce_dominated=True):
+    """``reduce_dominated=False`` keeps the rows exactly as written, so a
+    test controls which FP rows the solver sees."""
+    return build_ilp_instance(make_dataset(entries), allowed, reduce_dominated)
 
 
 @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda s: s.name)
@@ -160,13 +163,9 @@ def test_exact_solvers_match_brute_force(seed):
     atom_pool = list(range(1, 9))
     entries = []
     for _ in range(rng.randint(2, 6)):
-        entries.append(
-            (True, set(rng.sample(atom_pool, rng.randint(1, 3))))
-        )
+        entries.append((True, set(rng.sample(atom_pool, rng.randint(1, 3)))))
     for _ in range(rng.randint(0, 8)):
-        entries.append(
-            (False, set(rng.sample(atom_pool, rng.randint(1, 3))))
-        )
+        entries.append((False, set(rng.sample(atom_pool, rng.randint(1, 3)))))
     instance = make_instance(entries)
     expected = brute_force_optimum(instance)
     assert expected is not None
@@ -204,9 +203,7 @@ def test_branch_and_bound_stats():
 
 def test_scipy_stats():
     # Incomparable atoms (1, 2 vs 5) survive the dominance reduction.
-    instance = make_instance(
-        [(True, {1, 5}), (True, {2, 5}), (False, {5})]
-    )
+    instance = make_instance([(True, {1, 5}), (True, {2, 5}), (False, {5})])
     result = ScipyMilpSolver().solve(instance)
     assert result.stats["variables"] >= 3
 
@@ -300,6 +297,15 @@ class TestScipyFormulation:
         assert result.false_positives == expected.false_positives == 3
         assert result.selected_atom_ids == expected.selected_atom_ids == {5, 7}
 
+    def test_time_limit_covers_the_lp(self):
+        # The LP relaxation is integral here (the certificate fires without
+        # a limit), but a spent budget must not report a proven optimum.
+        instance = make_instance([(True, {1, 2}), (False, {2}), (False, {2})])
+        assert ScipyMilpSolver(time_limit=None).solve(instance).optimal
+        result = ScipyMilpSolver(time_limit=0.0).solve(instance)
+        assert not result.optimal
+        assert instance.covers_all(result.selected_atom_ids)
+
     def test_time_limit_without_incumbent_falls_back_to_greedy(self):
         rng = random.Random(3)
         entries = [
@@ -315,33 +321,79 @@ class TestScipyFormulation:
         )
 
 
-_small_datasets = st.lists(
-    st.tuples(st.booleans(), st.frozensets(st.integers(0, 11), max_size=6)),
-    max_size=30,
-).map(
-    lambda entries: EvaluationDataset(
-        [
-            TestCaseResult(test_id, dist, atoms)
-            for test_id, (dist, atoms) in enumerate(entries)
-        ]
-    )
-)
+def odd_cycle_entries(length, weights=None):
+    """An odd cycle of cover rows ``{i, i+1}`` over ``length`` atoms, with
+    ``weights[i]`` false positives on atom ``i`` alone (one each by
+    default).  With equal weights the LP optimum is ½ on every atom."""
+    weights = weights or [1] * length
+    entries = [(True, {atom, (atom + 1) % length}) for atom in range(length)]
+    for atom in range(length):
+        entries += [(False, {atom})] * weights[atom]
+    return entries
+
+
+class TestLpCertificate:
+    def test_integral_relaxation_skips_the_milp(self, milp_calls):
+        instance = make_instance(
+            [(True, {1, 5}), (True, {2, 5}), (False, {5}), (False, {5})]
+        )
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["lp_certificate"] == 1.0
+        assert result.optimal
+        assert result.selected_atom_ids == {1, 2}
+        assert len(milp_calls) == 1
+        assert not milp_calls[0]["integrality"].any()
+
+    def test_odd_triangle_falls_back_to_the_milp(self, milp_calls):
+        instance = make_instance(odd_cycle_entries(3))
+        result = ScipyMilpSolver().solve(instance)
+        assert result.stats["lp_certificate"] == 0.0
+        assert result.optimal
+        assert len(result.selected_atom_ids) == 2
+        assert result.false_positives == 2
+        assert len(milp_calls) == 2
+        assert not milp_calls[0]["integrality"].any()
+        assert milp_calls[1]["integrality"].all()
+        assert milp_calls[1]["options"]["presolve"] is False
+        assert milp_calls[1]["options"]["mip_rel_gap"] == 0.0
+
+
+def _entries(atom_pool, max_atoms, max_size):
+    atoms = st.frozensets(st.integers(0, atom_pool - 1), max_size=max_atoms)
+    return st.lists(st.tuples(st.booleans(), atoms), max_size=max_size)
+
+
+_small_datasets = _entries(12, 6, 30).map(make_dataset)
+
+
+@st.composite
+def _odd_cycle_datasets(draw):
+    """An odd cycle (a fractional LP when its weights are equal) plus a
+    few random rows, so the MILP fallback runs inside the property too."""
+    length = draw(st.sampled_from([3, 5, 7]))
+    weights = draw(st.lists(st.integers(1, 3), min_size=length, max_size=length))
+    extra = draw(_entries(length + 2, 3, 6))
+    return make_dataset(odd_cycle_entries(length, weights) + extra)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_datasets)
+@given(st.one_of(_small_datasets, _odd_cycle_datasets()))
 def test_reductions_keep_the_optimum(dataset):
     """Every reduction (instance-level and in the scipy formulation)
-    keeps the exact (false positives, atom count) optimum."""
+    and either scipy path (LP certificate or MILP fallback) keeps the
+    exact (false positives, atom count) optimum."""
     reduced = build_ilp_instance(dataset)
     plain = build_ilp_instance(dataset, reduce_dominated=False)
     result = ScipyMilpSolver().solve(reduced)
     expected = BranchAndBoundSolver().solve(plain)
+    paths = {1.0: "lp certificate", 0.0: "milp fallback", None: "no cover rows"}
+    event(paths[result.stats.get("lp_certificate")])
     assert result.optimal
     assert result.false_positives == expected.false_positives
     assert len(result.selected_atom_ids) == len(expected.selected_atom_ids)
     assert plain.covers_all(result.selected_atom_ids)
-    assert plain.false_positive_weight(result.selected_atom_ids) == result.false_positives
+    fp_weight = plain.false_positive_weight(result.selected_atom_ids)
+    assert fp_weight == result.false_positives
     fp_ids = reduced.false_positive_test_ids(result.selected_atom_ids)
     assert len(fp_ids) == result.false_positives
 
@@ -354,9 +406,7 @@ def test_largest_proper_subsets_across_blocks(monkeypatch, block):
 
     monkeypatch.setattr(solvers, "SUBSET_BLOCK", block)
     rng = random.Random(block)
-    sets = list(
-        {frozenset(rng.sample(range(8), rng.randint(1, 6))) for _ in range(40)}
-    )
+    sets = list({frozenset(rng.sample(range(8), rng.randint(1, 6))) for _ in range(40)})
     incidence = np.zeros((len(sets), 8), dtype=bool)
     for position, atoms in enumerate(sets):
         incidence[position, sorted(atoms)] = True

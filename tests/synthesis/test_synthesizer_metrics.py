@@ -96,6 +96,26 @@ class TestSynthesizer:
         assert metrics.histogram("solver.rows.subsumed").snapshot()["total"] == 2
         assert metrics.histogram("solver.constraints").snapshot()["count"] == 1
 
+    def test_lp_certificates_counted(self, template, tmp_path):
+        # An integral relaxation (certified) and an odd triangle (MILP).
+        integral = make_dataset([(True, {1, 5}), (True, {2, 5}), (False, {5})])
+        triangle = make_dataset(
+            [(True, {1, 2}), (True, {2, 3}), (True, {1, 3})]
+            + [(False, {atom}) for atom in (1, 2, 3)]
+        )
+        metrics = Metrics(Tracer(str(tmp_path / "trace.jsonl")))
+        previous = install_metrics(metrics)
+        try:
+            synthesizer = ContractSynthesizer(template)
+            certified = synthesizer.synthesize(integral)
+            fallback = synthesizer.synthesize(triangle)
+        finally:
+            install_metrics(previous)
+        assert certified.solver_result.stats["lp_certificate"] == 1.0
+        assert fallback.solver_result.stats["lp_certificate"] == 0.0
+        assert metrics.counter("solver.cold_solves").value == 2
+        assert metrics.counter("solver.lp_certificates").value == 1
+
 
 class TestMetrics:
     def test_counts_properties(self):
