@@ -33,42 +33,20 @@ from repro.adaptive.stopping import AdaptiveState, StoppingRule, resolve_stoppin
 from repro.resilience.injection import maybe_inject
 from repro.resilience.quarantine import FailureLog, FailureRecord
 from repro.resilience.retry import RetryPolicy, is_retryable
-from repro.attacker import ATTACKER_REGISTRY
 from repro.attacker.base import Attacker
-from repro.contracts.template import ContractTemplate, template_digest
+from repro.contracts.template import ContractTemplate
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
-from repro.synthesis import SOLVER_REGISTRY
+from repro.pipeline.config import PipelineConfig
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult
-from repro.testgen.strategies import GENERATOR_REGISTRY, GenerationStrategy
+from repro.testgen.strategies import GenerationStrategy
 from repro.trace.tracer import Tracer
-from repro.uarch import CORE_REGISTRY
 from repro.uarch.core import Core
 
 #: Optional per-round progress callback.
 RoundCallback = Callable[["RoundRecord"], None]
-
-
-def derive_round_plan(
-    rounds: int, batch: Optional[int], budget: int
-) -> Tuple[int, int]:
-    """The ``(rounds, batch)`` actually run: an explicit ``batch`` is
-    taken as given (its ceiling is ``rounds * batch``); a derived batch
-    splits ``budget`` evenly across the rounds, clamping the round
-    count so the ceiling never exceeds the budget.  The single source
-    of this derivation for both ``SynthesisPipeline.adaptive`` and
-    campaign cells."""
-    if batch is not None:
-        return rounds, batch
-    if budget < 1:
-        raise ValueError(
-            "adaptive mode derives its per-round batch from the budget: "
-            "configure a positive budget or pass an explicit batch"
-        )
-    rounds = min(rounds, budget)
-    return rounds, max(1, budget // rounds)
 
 
 @dataclass(frozen=True)
@@ -102,6 +80,20 @@ class RoundRecord:
     @property
     def contract_size(self) -> int:
         return len(self.contract_atom_ids)
+
+    def render(self) -> str:
+        """One progress line."""
+        return (
+            "round %d: %d cases evaluated (%.1f%% atom coverage, "
+            "%d-atom contract)%s"
+            % (
+                self.round_index,
+                self.cumulative_cases,
+                100.0 * self.atom_coverage,
+                self.contract_size,
+                " [%s]" % self.stop_reason if self.stop_reason else "",
+            )
+        )
 
 
 @dataclass
@@ -232,43 +224,30 @@ class AdaptiveLoop:
             raise ValueError("rounds must be at least 1")
         if batch < 1:
             raise ValueError("batch must be at least 1")
-        from repro.contracts.riscv_template import TEMPLATE_REGISTRY
-
-        self.core_name = core if isinstance(core, str) else core.name
-        self.template_name = template if isinstance(template, str) else template.name
-        self.attacker_name = attacker if isinstance(attacker, str) else attacker.name
-        self.solver_name = solver if isinstance(solver, str) else solver.name
-        self.core = CORE_REGISTRY.create(core) if isinstance(core, str) else core
-        self.template = (
-            TEMPLATE_REGISTRY.create(template)
-            if isinstance(template, str)
-            else template
+        self.config = PipelineConfig(
+            core=core,
+            attacker=attacker,
+            template=template,
+            solver=solver,
+            generator=generator,
+            seed=seed,
+            fastpath=use_fastpath,
         )
-        self.attacker = (
-            ATTACKER_REGISTRY.create(attacker)
-            if isinstance(attacker, str)
-            else attacker
-        )
-        self.solver = (
-            SOLVER_REGISTRY.create(solver) if isinstance(solver, str) else solver
-        )
-        self.generator_name = (
-            generator if isinstance(generator, str) else generator.name
-        )
-        self.strategy = (
-            GENERATOR_REGISTRY.create(generator, self.template, seed=seed)
-            if isinstance(generator, str)
-            else generator
-        )
+        if executor is not None:
+            self.config.require_names("executor")
+        self.generator_name = self.config.name("generator")
+        self.core = self.config.resolve_core()
+        self.template = self.config.resolve_template()
+        self.attacker = self.config.resolve_attacker()
+        self.solver = self.config.resolve_solver()
+        self.strategy = self.config.resolve_generator(self.template)
         self.rounds = rounds
         self.batch = batch
         self.rules = resolve_stopping_rules(stop)
-        self.seed = seed
         self.allowed_atom_ids = (
             frozenset(allowed_atom_ids) if allowed_atom_ids is not None else None
         )
         self.restriction = restriction
-        self.use_fastpath = use_fastpath
         self.executor = executor
         self.processes = processes
         self.shard_size = shard_size
@@ -286,36 +265,13 @@ class AdaptiveLoop:
         self.tracer = tracer if tracer is not None else Tracer(None)
         #: In-process evaluator, built lazily on the first evaluated round.
         self._evaluator: Optional[TestCaseEvaluator] = None
-        if executor is not None and not (
-            isinstance(core, str)
-            and isinstance(template, str)
-            and isinstance(attacker, str)
-            and isinstance(generator, (str, type(None)))
-        ):
-            raise ValueError(
-                "executor backends rebuild plugins by registry name inside "
-                "each worker: configure core, template, attacker, and "
-                "generator by name when fanning rounds out"
-            )
 
     # -- identity ------------------------------------------------------
 
     def manifest_key(self) -> dict:
-        """The round-manifest key: everything that changes a round's
-        rows or steering.  The round budget is deliberately absent, so
-        extending ``rounds`` resumes instead of restarting."""
-        return {
-            "core": self.core_name,
-            "template": self.template_name,
-            "template_digest": template_digest(self.template),
-            "attacker": self.attacker_name,
-            "seed": self.seed,
-            "generator": self.generator_name,
-            "batch": self.batch,
-            "fastpath": bool(self.use_fastpath),
-            "solver": self.solver_name,
-            "restriction": self.restriction,
-        }
+        """The round-manifest key (see
+        :meth:`~repro.pipeline.config.PipelineConfig.round_manifest_key`)."""
+        return self.config.round_manifest_key(self.batch, self.restriction)
 
     @property
     def targetable_atom_ids(self) -> frozenset:
@@ -533,16 +489,10 @@ class AdaptiveLoop:
             from repro.evaluation.parallel import evaluate_parallel
 
             dataset = evaluate_parallel(
-                self.core_name,
-                self.batch,
-                seed=self.seed,
+                count=self.batch,
                 processes=self.processes,
                 shard_size=self.shard_size,
-                use_fastpath=self.use_fastpath,
-                template_name=self.template_name,
-                attacker_name=self.attacker_name,
                 executor=self.executor,
-                generator_name=self.generator_name,
                 generator_state=json.dumps(state, sort_keys=True) if state else None,
                 start_id=start_id,
                 retry=self.retry,
@@ -554,6 +504,7 @@ class AdaptiveLoop:
                 # manifest key instead.
                 on_failure=self.on_failure,
                 tracer=self.tracer,
+                **self.config.stream_key(),
             )
             return list(dataset)
         if self._evaluator is None:
@@ -561,7 +512,7 @@ class AdaptiveLoop:
                 self.core,
                 self.template,
                 attacker=self.attacker,
-                use_fastpath=self.use_fastpath,
+                use_fastpath=self.config.fastpath,
             )
         return [
             self._evaluator.evaluate(case)
@@ -571,9 +522,9 @@ class AdaptiveLoop:
     def _dataset(self, accumulator: _LoopAccumulator) -> EvaluationDataset:
         return EvaluationDataset(
             accumulator.results,
-            core_name=self.core_name,
-            template_name=self.template_name,
-            attacker_name=self.attacker_name,
+            core_name=self.config.name("core"),
+            template_name=self.config.name("template"),
+            attacker_name=self.config.name("attacker"),
         )
 
     def _check_stop(

@@ -23,8 +23,7 @@ from typing import Dict, Iterable, List, Sequence
 from repro.campaign.result import CellOutcome
 from repro.campaign.spec import CampaignCell
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
-from repro.contracts.riscv_template import TEMPLATE_REGISTRY
-from repro.contracts.template import template_digest
+from repro.pipeline.config import stored_outcomes
 
 
 class CampaignKeyError(CheckpointKeyError):
@@ -79,21 +78,7 @@ class CampaignManifest(JsonlCheckpoint):
         list; an outcome computed under a differently-defined template
         of the same name (or an old manifest without digests) is not
         reused."""
-        digests: Dict[str, str] = {}
-        reused = {}
-        for cell in cells:
-            key = cell.key()
-            outcome = self.completed.get(key)
-            if outcome is None:
-                continue
-            if cell.template not in digests:
-                digests[cell.template] = template_digest(
-                    TEMPLATE_REGISTRY.create(cell.template)
-                )
-            if outcome.template_digest != digests[cell.template]:
-                continue
-            reused[key] = outcome
-        return reused
+        return stored_outcomes(self.completed, cells)
 
     def __len__(self) -> int:
         return len(self.completed)

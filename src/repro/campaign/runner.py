@@ -30,7 +30,6 @@ grid-extended) campaign re-runs only the cells missing from it.
 from __future__ import annotations
 
 import os
-import re
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -45,6 +44,7 @@ from repro.evaluation.results import EvaluationDataset
 from repro.metrics.registry import Metrics, current_metrics, install_metrics
 from repro.metrics.runs import record_run
 from repro.pipeline import PipelineResult, SynthesisPipeline
+from repro.pipeline.config import QUARANTINE_SUFFIX, superset_cache_path
 from repro.reporting.tables import render_comparison_table
 from repro.resilience.injection import maybe_inject
 from repro.resilience.quarantine import FailureLog, FailureRecord
@@ -53,12 +53,6 @@ from repro.trace.tracer import Tracer
 
 #: Optional per-cell progress callback.
 CellCallback = Callable[["CellProgress"], None]
-
-#: Dataset cache file names, as produced by ``SynthesisPipeline.cache_path``:
-#: ``<stem>-n<count>[-ref].json`` where the stem carries core, template
-#: digest, attacker, and seed.
-_CACHE_NAME = re.compile(r"^(?P<stem>.+)-n(?P<count>\d+)(?P<ref>-ref)?\.json$")
-
 
 @dataclass(frozen=True)
 class CellProgress:
@@ -209,7 +203,7 @@ class CampaignRunner:
         """The campaign's quarantine :class:`FailureLog` file (created
         lazily, on the first quarantined cell)."""
         return os.path.join(
-            self.results_dir, "campaigns", "%s.quarantine.jsonl" % self.spec.name
+            self.results_dir, "campaigns", self.spec.name + QUARANTINE_SUFFIX
         )
 
     def cell_pipeline(
@@ -563,7 +557,7 @@ class CampaignRunner:
         with self._group_lock(cell):
             if os.path.exists(cache_path):
                 return True
-            superset = self._superset_cache_path(cache_path, cell.budget)
+            superset = superset_cache_path(cache_path, cell.budget)
             if superset is not None:
                 EvaluationDataset.load(superset).prefix(cell.budget).save(cache_path)
                 current_metrics().counter("dataset.prefix.derived").inc()
@@ -574,34 +568,12 @@ class CampaignRunner:
                 # under *its* cache key, and serve this cell a prefix.
                 self.cell_pipeline(replace(cell, budget=target)).evaluate()
                 EvaluationDataset.load(
-                    self._superset_cache_path(cache_path, cell.budget)
+                    superset_cache_path(cache_path, cell.budget)
                 ).prefix(cell.budget).save(cache_path)
                 current_metrics().counter("dataset.prefix.derived").inc()
                 return False
             pipeline.evaluate()  # populates the cache for run() and siblings
             return False
-
-    @staticmethod
-    def _superset_cache_path(cache_path: str, budget: int) -> Optional[str]:
-        """A cached dataset of the same stream with a larger budget, if
-        any (smallest such superset, to minimize load cost)."""
-        directory, name = os.path.split(cache_path)
-        match = _CACHE_NAME.match(name)
-        if match is None or not os.path.isdir(directory):
-            return None
-        best: Optional[Tuple[int, str]] = None
-        for candidate in os.listdir(directory):
-            other = _CACHE_NAME.match(candidate)
-            if (
-                other is None
-                or other.group("stem") != match.group("stem")
-                or other.group("ref") != match.group("ref")
-            ):
-                continue
-            count = int(other.group("count"))
-            if count > budget and (best is None or count < best[0]):
-                best = (count, os.path.join(directory, candidate))
-        return best[1] if best is not None else None
 
 
 def run_campaign(spec: CampaignSpec, **kwargs) -> CampaignResult:

@@ -33,12 +33,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
 from repro.evaluation.backends.base import EvaluationExecutor
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import PipelineConfig, cell_identity, derive_round_plan
 
 #: The sweep axes, in expansion (and display) order.
 AXES = (
@@ -101,33 +101,10 @@ class CampaignCell:
     shard_timeout: Optional[float] = None
 
     def identity(self) -> dict:
-        """The manifest key of this cell: every field that changes its
-        :class:`~repro.pipeline.PipelineResult`.
-
-        ``retries``/``shard_timeout`` enter the identity only when
-        set — identity-by-absence, so manifests written before these
-        fields existed still resume every cell that leaves them unset.
-        """
-        identity = {
-            "core": self.core,
-            "attacker": self.attacker,
-            "template": self.template,
-            "restriction": self.restriction,
-            "solver": self.solver,
-            "budget": self.budget,
-            "seed": self.seed,
-            "generator": self.generator,
-            "adaptive_rounds": self.adaptive_rounds,
-            "batch": self.batch,
-            "stop": self.stop,
-            "fastpath": bool(self.fastpath),
-            "verify": self.verify,
-        }
-        if self.retries is not None:
-            identity["retries"] = self.retries
-        if self.shard_timeout is not None:
-            identity["shard_timeout"] = self.shard_timeout
-        return identity
+        """The manifest and store key of this cell: every field that
+        changes its :class:`~repro.pipeline.PipelineResult` (see
+        :func:`~repro.pipeline.config.cell_identity`)."""
+        return cell_identity(self)
 
     def key(self) -> str:
         """A canonical string key (dict-order independent)."""
@@ -162,38 +139,21 @@ class CampaignCell:
             )
         return getattr(self, name)
 
-    def dataset_group(self) -> Tuple[str, str, str, int, bool, str, Optional[int]]:
+    def dataset_group(self) -> tuple:
         """The axes determining the evaluated dataset *stream* — the
-        dataset cache key minus the budget.  Cells in one group share
-        test cases (generation is per test id), so a cached dataset of
-        a larger budget serves any smaller budget by prefix.
-
-        The generator is part of the group: different strategies emit
-        different corpora from the same seed, so their caches must
-        never be conflated.  Adaptive cells additionally carry their
-        round budget — their corpora are feedback-shaped and bypass the
-        dataset cache, so each adaptive configuration is its own
-        (inert) group."""
-        return (
-            self.core,
-            self.template,
-            self.attacker,
-            self.seed,
-            bool(self.fastpath),
-            self.generator,
-            self.adaptive_rounds,
-        )
+        dataset cache key minus the budget (see
+        :meth:`~repro.pipeline.config.PipelineConfig.dataset_group`).
+        Cells in one group share test cases, so a cached dataset of a
+        larger budget serves any smaller budget by prefix."""
+        return PipelineConfig.from_cell(self).dataset_group()
 
     def effective_rounds(self) -> Optional[int]:
         """The round budget actually run: ``adaptive_rounds``, clamped
         so the derived-batch case ceiling (``rounds * batch``) never
         exceeds the cell budget (an explicit ``batch`` is the user's
-        own ceiling and is respected as-is) — the shared
-        :func:`~repro.adaptive.loop.derive_round_plan` derivation."""
+        own ceiling and is respected as-is)."""
         if self.adaptive_rounds is None:
             return None
-        from repro.adaptive.loop import derive_round_plan
-
         return derive_round_plan(self.adaptive_rounds, self.batch, self.budget)[0]
 
     def effective_batch(self) -> Optional[int]:
@@ -201,8 +161,6 @@ class CampaignCell:
         or the cell budget split evenly across the effective rounds."""
         if self.adaptive_rounds is None:
             return self.batch
-        from repro.adaptive.loop import derive_round_plan
-
         return derive_round_plan(self.adaptive_rounds, self.batch, self.budget)[1]
 
     def pipeline(
@@ -219,29 +177,9 @@ class CampaignCell:
         (its phase/round/shard spans interleave with the campaign's
         cell spans); like executor sizing it is runner-level plumbing,
         never part of the cell identity."""
-        pipeline = (
-            SynthesisPipeline()
-            .core(self.core)
-            .attacker(self.attacker)
-            .template(self.template)
-            .solver(self.solver)
-            .budget(self.budget, self.seed)
-            .generator(self.generator)
-            .fastpath(self.fastpath)
-            .cache_dir(cache_dir)
+        pipeline = SynthesisPipeline(PipelineConfig.from_cell(self)).cache_dir(
+            cache_dir
         )
-        if self.adaptive_rounds is not None:
-            adaptive_settings = dict(
-                rounds=self.effective_rounds(),
-                batch=self.effective_batch(),
-            )
-            if self.stop is not None:
-                adaptive_settings["stop"] = self.stop
-            pipeline.adaptive(**adaptive_settings)
-        if self.restriction is not None:
-            pipeline.restrict(self.restriction)
-        if self.verify is not None:
-            pipeline.verify(self.verify)
         if self.retries is not None:
             # N retries == N+1 attempts, the CLI/runner spelling.
             pipeline.retry(self.retries + 1)

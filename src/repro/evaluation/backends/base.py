@@ -70,35 +70,13 @@ class EvaluationTask:
     generator_state: Optional[str] = None
 
     def identity(self) -> dict:
-        """The manifest key: every field that changes a shard's rows.
+        """The shard-manifest key: every field that changes a shard's
+        rows (see :func:`repro.pipeline.config.task_identity`)."""
+        # Imported here: the key formats live with the pipeline
+        # configuration, which builds on this module.
+        from repro.pipeline.config import task_identity
 
-        The total budget is deliberately absent — shards are keyed by
-        ``(start_id, count)`` and generated per test id, so a manifest
-        written under a smaller budget stays valid when the budget is
-        extended.  A non-default generator *is* present (different
-        strategies produce different corpora from the same seed), with
-        its feedback state as a short digest so steered rounds never
-        alias the fresh stream; the default ``random`` strategy is
-        keyed by *absence*, so manifests written before strategies
-        existed (all of them random by construction) stay resumable.
-        """
-        key = {
-            "core": self.core_name,
-            "template": self.template_name or "riscv-rv32im",
-            "attacker": self.attacker_name or "retirement-timing",
-            "seed": self.seed,
-            "max_distance": self.max_distance,
-            "fastpath": bool(self.use_fastpath),
-        }
-        if self.generator_name != "random":
-            key["generator"] = self.generator_name
-        if self.generator_state is not None:
-            import hashlib
-
-            key["generator_state"] = hashlib.md5(
-                self.generator_state.encode()
-            ).hexdigest()[:8]
-        return key
+        return task_identity(self)
 
 
 @dataclass(frozen=True)
@@ -114,6 +92,16 @@ class ShardProgress:
     #: being evaluated in this run.
     resumed: bool
     elapsed_seconds: float
+
+    def render(self) -> str:
+        """One progress line."""
+        return "evaluated %d/%d test cases (shard %d/%d%s)" % (
+            self.completed_cases,
+            self.total_cases,
+            self.completed_shards,
+            self.total_shards,
+            ", resumed" if self.resumed else "",
+        )
 
 
 class ShardEvaluator:

@@ -66,16 +66,15 @@ after which ``SynthesisPipeline().core("my-core")``, every experiment
 driver, and ``repro-synthesize run --core my-core`` accept it.
 """
 
-from repro.pipeline.pipeline import (
-    PhaseTimings,
-    PipelineResult,
-    SynthesisPipeline,
-)
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.pipeline import SynthesisPipeline
+from repro.pipeline.result import PhaseTimings, PipelineResult
 from repro.pipeline.registries import REGISTRIES, describe_registries
 from repro.registry import Registry
 
 __all__ = [
     "PhaseTimings",
+    "PipelineConfig",
     "PipelineResult",
     "REGISTRIES",
     "Registry",

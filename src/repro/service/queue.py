@@ -38,7 +38,6 @@ through the ``done`` fold state plus the result file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -47,6 +46,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.checkpoint import append_jsonl_line
 from repro.evaluation.backends.base import EvaluationTask, Row, Shard
+from repro.pipeline.config import (  # noqa: F401 - task_from_payload re-exported
+    job_id_for,
+    task_from_payload,
+    task_to_payload,
+)
 
 QUEUE_VERSION = 1
 
@@ -62,46 +66,6 @@ class QueueUnavailableError(ValueError):
     classification treats it as fatal configuration, not a transient
     worth backing off on.
     """
-
-
-def task_to_payload(task: EvaluationTask) -> dict:
-    """The task as the plain-JSON payload shipped inside job records."""
-    return {
-        "core": task.core_name,
-        "seed": task.seed,
-        "max_distance": task.max_distance,
-        "fastpath": bool(task.use_fastpath),
-        "template": task.template_name,
-        "attacker": task.attacker_name,
-        "generator": task.generator_name,
-        "generator_state": task.generator_state,
-    }
-
-
-def task_from_payload(payload: dict) -> EvaluationTask:
-    """Rebuild the task a worker must execute from a job payload."""
-    return EvaluationTask(
-        core_name=payload["core"],
-        seed=payload["seed"],
-        max_distance=payload.get("max_distance", 4),
-        use_fastpath=bool(payload.get("fastpath", True)),
-        template_name=payload.get("template"),
-        attacker_name=payload.get("attacker"),
-        generator_name=payload.get("generator", "random"),
-        generator_state=payload.get("generator_state"),
-    )
-
-
-def job_id_for(task: EvaluationTask, shard: Shard) -> str:
-    """The stable job id: a digest of the payload and the shard.
-
-    Budget-free by construction — the payload has no total budget, so
-    the same ``(task, shard)`` enqueued by any broker at any time maps
-    to the same id and finished results are reused.
-    """
-    body = {"task": task_to_payload(task), "shard": list(shard)}
-    digest = hashlib.md5(json.dumps(body, sort_keys=True).encode("utf-8"))
-    return digest.hexdigest()
 
 
 @dataclass

@@ -30,8 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.campaign.result import CellOutcome
 from repro.campaign.spec import CampaignCell
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
-from repro.contracts.riscv_template import TEMPLATE_REGISTRY
-from repro.contracts.template import template_digest
+from repro.pipeline.config import stored_outcomes
 
 
 class ContractStoreKeyError(CheckpointKeyError):
@@ -91,20 +90,7 @@ class ContractStore:
     def get_all(self, cells: Sequence[CampaignCell]) -> Dict[str, CellOutcome]:
         """Stored outcomes for ``cells``, keyed by cell key
         (digest-stale entries excluded)."""
-        digests: Dict[str, str] = {}
-        found = {}
-        for cell in cells:
-            outcome = self._log.completed.get(cell.key())
-            if outcome is None:
-                continue
-            if cell.template not in digests:
-                digests[cell.template] = template_digest(
-                    TEMPLATE_REGISTRY.create(cell.template)
-                )
-            if outcome.template_digest != digests[cell.template]:
-                continue
-            found[cell.key()] = outcome
-        return found
+        return stored_outcomes(self._log.completed, cells)
 
     def outcomes(self) -> List[CellOutcome]:
         return list(self._log.completed.values())

@@ -31,7 +31,8 @@ from repro.evaluation.backends.executors import _evaluate_shard
 from repro.metrics.registry import Metrics
 from repro.resilience.errors import ShardExecutionError
 from repro.resilience.injection import set_attempts
-from repro.service.queue import JobQueue, JobRecord, task_from_payload
+from repro.pipeline.config import task_from_payload
+from repro.service.queue import JobQueue, JobRecord
 from repro.trace import Tracer
 
 #: Default trace-heartbeat throttle (seconds); ``service worker

@@ -175,14 +175,14 @@ class TestKeyBinding:
                 built.restrict(settings["restriction"])
             return built
 
-        base_path = pipeline().adaptive_manifest_path()
+        base_path = pipeline().manifest_path()
         for overrides in (
             {"solver": "greedy"},
             {"restriction": "base"},
             {"fastpath": False},
             {"generator": "mutate"},
         ):
-            assert pipeline(**overrides).adaptive_manifest_path() != base_path
+            assert pipeline(**overrides).manifest_path() != base_path
 
     def test_version_1_manifest_is_not_resumed(self, tmp_path):
         """Version-1 files store contracts of the solver's old tie-break;

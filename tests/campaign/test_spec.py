@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaign import CampaignCell, CampaignSpec, filter_cells
+from repro.pipeline.config import AdaptivePlan
 
 
 def _cell(**overrides):
@@ -128,13 +129,12 @@ class TestGeneratorAxis:
             budgets=(60,),
             adaptive_rounds=3,
         ).expand()
-        pipeline = cell.pipeline()
-        assert pipeline.generator_name() == "coverage"
-        assert pipeline._adaptive == {
-            "rounds": 3,
-            "batch": 20,
-            "stop": "contract-stable",
-        }
+        config = cell.pipeline().config
+        assert config.generator == "coverage"
+        assert config.adaptive == AdaptivePlan(
+            rounds=3, batch=None, stop="contract-stable"
+        )
+        assert config.round_plan() == (3, 20)
 
     def test_stop_reaches_the_cell_pipeline(self):
         (cell,) = CampaignSpec(
@@ -145,7 +145,7 @@ class TestGeneratorAxis:
             stop="full-coverage",
         ).expand()
         assert cell.stop == "full-coverage"
-        assert cell.pipeline()._adaptive["stop"] == "full-coverage"
+        assert cell.pipeline().config.adaptive.stop == "full-coverage"
 
     def test_unknown_stop_fails_fast(self):
         with pytest.raises(ValueError, match="unknown stopping rule"):
@@ -240,8 +240,8 @@ class TestCells:
     def test_pipeline_reflects_the_cell(self, tmp_path):
         cell = _cell(restriction="base", budget=25, seed=3)
         pipeline = cell.pipeline(cache_dir=str(tmp_path))
-        assert pipeline.core_name() == "ibex"
-        assert pipeline.solver_name() == "greedy"
+        assert pipeline.config.name("core") == "ibex"
+        assert pipeline.config.name("solver") == "greedy"
         assert "seed3-n25" in pipeline.cache_path()
 
     def test_dataset_group_includes_generator(self):

@@ -67,13 +67,13 @@ class TestRunner:
             config, "ibex", shared_template(), 10, 1
         )
         assert shipped._executor == "serial"
-        assert shipped._template == "riscv-rv32im"
+        assert shipped.config.template == "riscv-rv32im"
 
         bespoke = experiment_pipeline(
             config, "ibex", build_riscv_template(max_distance=8), 10, 1
         )
         assert bespoke._executor is None  # stays on the in-process path
-        assert not isinstance(bespoke._template, str)
+        assert not isinstance(bespoke.config.template, str)
 
     def test_cache_distinguishes_attackers(self, tmp_path):
         """Regression: the cache key must include the attacker, so a

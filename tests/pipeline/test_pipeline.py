@@ -219,16 +219,16 @@ class TestDatasetCache:
         """Without an explicit batch the configured budget stays the
         adaptive case ceiling: split across rounds, rounds clamped for
         tiny budgets, and a zero budget rejected."""
-        plan = SynthesisPipeline().budget(1000).adaptive(rounds=8)._adaptive_plan()
+        plan = SynthesisPipeline().budget(1000).adaptive(rounds=8).config.round_plan()
         assert plan == (8, 125)
-        tiny = SynthesisPipeline().budget(3).adaptive(rounds=8)._adaptive_plan()
+        tiny = SynthesisPipeline().budget(3).adaptive(rounds=8).config.round_plan()
         assert tiny == (3, 1)
         explicit = (
             SynthesisPipeline().budget(1000).adaptive(rounds=8, batch=40)
-        )._adaptive_plan()
+        ).config.round_plan()
         assert explicit == (8, 40)
         with pytest.raises(ValueError, match="positive"):
-            SynthesisPipeline().budget(0).adaptive(rounds=8)._adaptive_plan()
+            SynthesisPipeline().budget(0).adaptive(rounds=8).config.round_plan()
 
     def test_cache_key_includes_fastpath_flag(self, tmp_path):
         pipeline = (
