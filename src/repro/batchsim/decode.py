@@ -165,19 +165,15 @@ BRANCH_COND = _int_table(lambda opcode: _BRANCH_COND_OF.get(opcode, 0))
 def decode_program(program: Program) -> np.ndarray:
     """One program lowered to a read-only ``[5, n]`` int64 array.
 
-    Rows: opcode index, rd, rs1, rs2, raw immediate.  Cached per
-    program object — both executions of a test-case pair share program
-    objects across their common parts, and benchmark corpora re-run
-    the same programs many times.
+    Rows: opcode index, rd, rs1, rs2, raw immediate.  Cached by
+    program equality: a hit needs an equal program to run again, as in
+    benchmark corpora that replay the same programs.  The two programs
+    of a test case are distinct ``Program`` objects (they differ in
+    their middle section), so a fresh pair misses twice.
     """
     instructions = program.instructions
-    columns = np.empty((5, len(instructions)), dtype=np.int64)
-    for position, instruction in enumerate(instructions):
-        columns[0, position] = OP_INDEX[instruction.opcode]
-        columns[1, position] = instruction.rd
-        columns[2, position] = instruction.rs1
-        columns[3, position] = instruction.rs2
-        columns[4, position] = instruction.imm
+    rows = [(OP_INDEX[i.opcode], i.rd, i.rs1, i.rs2, i.imm) for i in instructions]
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 5).T
     columns.setflags(write=False)
     return columns
 

@@ -104,6 +104,12 @@ class Opcode(enum.Enum):
     ECALL = "ecall"
     EBREAK = "ebreak"
 
+    #: Identity hash in C instead of ``Enum.__hash__``'s Python-level
+    #: ``hash(self._name_)``: opcodes key every per-opcode table, and
+    #: members are singletons, so identity is equality.  (Neither hash
+    #: is stable across processes; no output may depend on it.)
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Opcode.%s" % self.name
 
@@ -290,3 +296,29 @@ class Instruction:
         from repro.isa.disassembler import disassemble
 
         return disassemble(self)
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def trusted_instruction(
+    opcode: Opcode, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0
+) -> Instruction:
+    """An :class:`Instruction` built without the ``__post_init__`` checks.
+
+    Only for fields that are valid by construction (e.g. drawn from
+    fixed-width ranges by the test-case generator); equal to, and
+    hashing like, ``Instruction(opcode, rd, rs1, rs2, imm)``.  Anything
+    parsing outside input (assembler, decoder, JSON state) must use the
+    validating constructor.  Fields are set one by one, as the dataclass
+    ``__init__`` does, so the instance keeps CPython's compact
+    attribute storage (touching ``__dict__`` would double its size).
+    """
+    instruction = _new_object(Instruction)
+    _set_field(instruction, "opcode", opcode)
+    _set_field(instruction, "rd", rd)
+    _set_field(instruction, "rs1", rs1)
+    _set_field(instruction, "rs2", rs2)
+    _set_field(instruction, "imm", imm)
+    return instruction

@@ -36,6 +36,17 @@ class ArchState:
             self.regs[0] = 0
         self.memory = memory if memory is not None else SparseMemory()
 
+    @classmethod
+    def from_masked(cls, pc: int, regs: List[int]) -> "ArchState":
+        """A state adopting ``regs`` as-is: the caller guarantees 32
+        values already in ``[0, 2**32)`` with ``regs[0] == 0`` (the
+        list is not copied or re-masked)."""
+        state = cls.__new__(cls)
+        state.pc = pc & _MASK32
+        state.regs = regs
+        state.memory = SparseMemory()
+        return state
+
     def copy(self) -> "ArchState":
         return ArchState(pc=self.pc, regs=list(self.regs), memory=self.memory.copy())
 

@@ -28,9 +28,9 @@ from repro.contracts.atoms import ContractAtom
 from repro.contracts.template import ContractTemplate
 from repro.isa.instructions import (
     Instruction,
-    InstructionCategory,
     Opcode,
     OPCODE_INFO,
+    trusted_instruction as _instruction,
 )
 from repro.isa.program import DEFAULT_BASE_ADDRESS, Program
 from repro.isa.state import ArchState
@@ -41,12 +41,86 @@ from repro.testgen.opcodes import (
     LOADS as _LOADS,
     SHIFTS_IMM as _SHIFTS_IMM,
     STORE_FOR_LOAD as _STORE_FOR_LOAD,
+    STORES as _STORES,
     UPPER as _UPPER,
     mutation_pool,
 )
 from repro.testgen.testcase import TestCase
 
 _MASK32 = 0xFFFFFFFF
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from ``[0, n)`` for ``n >= 1``.
+
+    Exactly ``random.Random._randbelow_with_getrandbits`` on a bound
+    ``getrandbits``: the same words consumed, the same value returned.
+    So ``randrange(n)`` is ``_below(rng.getrandbits, n)``,
+    ``randint(a, b)`` is ``a + _below(..., b - a + 1)`` and
+    ``choice(seq)`` is ``seq[_below(..., len(seq))]`` — without the
+    argument checks and call layers of the ``Random`` methods.  The hot
+    loops below inline it for fixed bounds as ``(bits, bound)`` pairs.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+#: Fixed-width draws, as ``_below`` makes them: ``BITS`` bits,
+#: rejected at or above the bound.
+_REG_BOUND = 31  # a register x1..x31: 1 + draw
+_REG_BITS = _REG_BOUND.bit_length()
+_SHIFT_BOUND = 32  # a shift amount 0..31
+_SHIFT_BITS = _SHIFT_BOUND.bit_length()
+_IMM12_BOUND = 4096  # a signed 12-bit immediate: -2048 + draw
+_IMM12_BITS = _IMM12_BOUND.bit_length()
+_ADDRESS_LOW = 0x100  # an address-like register value 0x100..0x7FFF
+_ADDRESS_BOUND = 0x8000 - _ADDRESS_LOW
+_ADDRESS_BITS = _ADDRESS_BOUND.bit_length()
+
+#: Immediate kinds of a random instance (see ``_random_instance``).
+_NO_IMM, _SHIFT_IMM, _IMM12, _UPPER_IMM, _OFFSET_IMM, _JALR_IMM = range(6)
+
+
+def _shape(opcode: Opcode) -> Tuple[bool, bool, bool, int]:
+    info = OPCODE_INFO[opcode]
+    if not info.has_imm:
+        kind = _NO_IMM
+    elif opcode in _SHIFTS_IMM:
+        kind = _SHIFT_IMM
+    elif opcode in _BRANCHES or opcode is Opcode.JAL:
+        kind = _OFFSET_IMM
+    elif opcode is Opcode.JALR:
+        kind = _JALR_IMM
+    elif opcode in _UPPER:
+        kind = _UPPER_IMM
+    else:
+        kind = _IMM12
+    return info.has_rd, info.has_rs1, info.has_rs2, kind
+
+
+#: Opcode -> ``(has_rd, has_rs1, has_rs2, immediate kind)``.
+_SHAPES = {opcode: _shape(opcode) for opcode in Opcode}
+#: Opcodes whose ``rd`` is architecturally written.
+_WRITES_RD = frozenset(opcode for opcode in Opcode if OPCODE_INFO[opcode].has_rd)
+
+#: ``(opcode,) + shape`` per filler opcode.
+_FILLER_SHAPES = tuple((opcode,) + _SHAPES[opcode] for opcode in FILLER_POOL)
+_FILLER_BOUND = len(FILLER_POOL)
+_FILLER_BITS = _FILLER_BOUND.bit_length()
+
+#: ``Random.shuffle`` of an ``n``-element list as fixed-width draws:
+#: ``_SHUFFLE_STEPS[n]`` lists ``(i, bits)`` for ``i = n-1 .. 1``, where
+#: the swap partner is drawn below ``i + 1``.
+_SHUFFLE_STEPS = [
+    tuple((i, (i + 1).bit_length()) for i in reversed(range(1, n)))
+    for n in range(32)
+]
+
+_MEMORY = _LOADS + _STORES
+_NOP = _instruction(Opcode.ADDI)
 
 
 def child_rng(seed: int, test_id: int) -> random.Random:
@@ -100,34 +174,41 @@ class TestCaseGenerator:
 
     def iter_generate(self, count: int, start_id: int = 0) -> Iterable[TestCase]:
         for offset in range(count):
-            test_id = start_id + offset
-            rng = child_rng(self.seed, test_id)
-            atom = self._atoms[rng.randrange(len(self._atoms))]
-            yield self.generate_for_atom(atom, test_id, rng)
+            yield self.generate_case(start_id + offset)
+
+    def generate_case(self, test_id: int) -> TestCase:
+        """The random case for ``test_id``: a uniformly drawn target
+        atom from the test id's ``child_rng`` stream."""
+        rng = child_rng(self.seed, test_id)
+        atom = self._atoms[_below(rng.getrandbits, len(self._atoms))]
+        return self.generate_for_atom(atom, test_id, rng)
 
     def generate_for_atom(
         self, atom: ContractAtom, test_id: int, rng: random.Random
     ) -> TestCase:
         """Build one test case aimed at ``atom``."""
+        config = self.config
+        getrandbits = rng.getrandbits
         state = self._random_initial_state(rng)
-        prelude_length = rng.randint(self.config.min_prelude, self.config.max_prelude)
-        suffix_length = rng.randint(self.config.min_suffix, self.config.max_suffix)
+        prelude_length = config.min_prelude + _below(
+            getrandbits, config.max_prelude - config.min_prelude + 1
+        )
+        suffix_length = config.min_suffix + _below(
+            getrandbits, config.max_suffix - config.min_suffix + 1
+        )
         target = self._random_instance(atom.opcode, rng, suffix_length)
         part2_a, part2_b = self._vary(atom, target, rng, state, suffix_length)
-        prelude = [self._random_filler(rng, ()) for _ in range(prelude_length)]
-        interesting = self._written_registers(part2_a) | self._written_registers(
-            part2_b
-        )
-        suffix = [
-            self._random_filler(rng, tuple(sorted(interesting)))
-            for _ in range(suffix_length)
-        ]
-        instructions_a = prelude + part2_a + suffix
-        instructions_b = prelude + part2_b + suffix
+        prelude = self._random_fillers(rng, prelude_length, ())
+        interesting = {
+            instruction.rd
+            for instruction in part2_a + part2_b
+            if instruction.rd and instruction.opcode in _WRITES_RD
+        }
+        suffix = self._random_fillers(rng, suffix_length, tuple(sorted(interesting)))
         return TestCase(
             test_id=test_id,
-            program_a=Program(instructions_a, self.config.base_address),
-            program_b=Program(instructions_b, self.config.base_address),
+            program_a=Program(prelude + part2_a + suffix, config.base_address),
+            program_b=Program(prelude + part2_b + suffix, config.base_address),
             initial_state=state,
             targeted_atom_id=atom.atom_id,
         )
@@ -136,13 +217,18 @@ class TestCaseGenerator:
     # Random raw material
 
     def _random_initial_state(self, rng: random.Random) -> ArchState:
+        random_, getrandbits = rng.random, rng.getrandbits
+        address_like = self.config.address_like_probability
         regs = [0] * 32
         for index in range(1, 32):
-            if rng.random() < self.config.address_like_probability:
-                regs[index] = rng.randrange(0x100, 0x8000)
+            if random_() < address_like:
+                value = getrandbits(_ADDRESS_BITS)
+                while value >= _ADDRESS_BOUND:
+                    value = getrandbits(_ADDRESS_BITS)
+                regs[index] = _ADDRESS_LOW + value
             else:
-                regs[index] = rng.getrandbits(32)
-        return ArchState(pc=self.config.base_address, regs=regs)
+                regs[index] = getrandbits(32)
+        return ArchState.from_masked(self.config.base_address, regs)
 
     def _random_instance(
         self, opcode: Opcode, rng: random.Random, suffix_length: int
@@ -151,64 +237,88 @@ class TestCaseGenerator:
 
         Control-flow targets stay inside the program (forward only).
         """
-        info = OPCODE_INFO[opcode]
-        rd = rng.randint(1, 31) if info.has_rd else 0
-        rs1 = rng.randint(1, 31) if info.has_rs1 else 0
-        rs2 = rng.randint(1, 31) if info.has_rs2 else 0
-        imm = 0
-        if info.has_imm:
-            if opcode in _SHIFTS_IMM:
-                imm = rng.randint(0, 31)
-            elif opcode in _BRANCHES or opcode is Opcode.JAL:
-                imm = 4 * rng.randint(1, max(1, suffix_length))
-            elif opcode is Opcode.JALR:
-                imm = 8  # paired with an AUIPC base; see _vary
-            elif opcode in _UPPER:
-                imm = rng.getrandbits(20)
-            else:
-                imm = rng.randint(-2048, 2047)
-        return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
-
-    _FILLER_POOL = FILLER_POOL
-
-    def _random_filler(
-        self, rng: random.Random, bias_registers: Sequence[int]
-    ) -> Instruction:
-        """A random non-control instruction; its sources are biased
-        toward ``bias_registers`` to surface leakage of earlier results."""
-        opcode = self._FILLER_POOL[rng.randrange(len(self._FILLER_POOL))]
-        info = OPCODE_INFO[opcode]
-
-        def source() -> int:
-            if bias_registers and rng.random() < 0.5:
-                return bias_registers[rng.randrange(len(bias_registers))]
-            return rng.randint(1, 31)
-
-        rd = rng.randint(1, 31) if info.has_rd else 0
-        rs1 = source() if info.has_rs1 else 0
-        rs2 = source() if info.has_rs2 else 0
-        if opcode in _SHIFTS_IMM:
-            imm = rng.randint(0, 31)
-        elif info.has_imm:
-            imm = rng.randint(-2048, 2047)
+        has_rd, has_rs1, has_rs2, kind = _SHAPES[opcode]
+        getrandbits = rng.getrandbits
+        rd = 1 + _below(getrandbits, _REG_BOUND) if has_rd else 0
+        rs1 = 1 + _below(getrandbits, _REG_BOUND) if has_rs1 else 0
+        rs2 = 1 + _below(getrandbits, _REG_BOUND) if has_rs2 else 0
+        if kind == _IMM12:
+            imm = _below(getrandbits, _IMM12_BOUND) - 2048
+        elif kind == _SHIFT_IMM:
+            imm = _below(getrandbits, _SHIFT_BOUND)
+        elif kind == _OFFSET_IMM:
+            imm = 4 * (1 + _below(getrandbits, max(1, suffix_length)))
+        elif kind == _JALR_IMM:
+            imm = 8  # paired with an AUIPC base; see _vary
+        elif kind == _UPPER_IMM:
+            imm = getrandbits(20)
         else:
             imm = 0
-        return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+        return _instruction(opcode, rd, rs1, rs2, imm)
+
+    def _random_fillers(
+        self, rng: random.Random, count: int, bias_registers: Sequence[int]
+    ) -> List[Instruction]:
+        """``count`` random non-control instructions; their sources are
+        biased toward ``bias_registers`` to surface leakage of earlier
+        results."""
+        random_, getrandbits = rng.random, rng.getrandbits
+        bias_count = len(bias_registers)
+        bias_bits = bias_count.bit_length()
+
+        def source() -> int:
+            if bias_count and random_() < 0.5:
+                index = getrandbits(bias_bits)
+                while index >= bias_count:
+                    index = getrandbits(bias_bits)
+                return bias_registers[index]
+            register = getrandbits(_REG_BITS)
+            while register >= _REG_BOUND:
+                register = getrandbits(_REG_BITS)
+            return 1 + register
+
+        fillers = []
+        for _ in range(count):
+            index = getrandbits(_FILLER_BITS)
+            while index >= _FILLER_BOUND:
+                index = getrandbits(_FILLER_BITS)
+            opcode, has_rd, has_rs1, has_rs2, kind = _FILLER_SHAPES[index]
+            rd = 0
+            if has_rd:
+                rd = getrandbits(_REG_BITS)
+                while rd >= _REG_BOUND:
+                    rd = getrandbits(_REG_BITS)
+                rd += 1
+            rs1 = source() if has_rs1 else 0
+            rs2 = source() if has_rs2 else 0
+            if kind == _SHIFT_IMM:
+                imm = getrandbits(_SHIFT_BITS)
+                while imm >= _SHIFT_BOUND:
+                    imm = getrandbits(_SHIFT_BITS)
+            elif kind == _IMM12:
+                imm = getrandbits(_IMM12_BITS)
+                while imm >= _IMM12_BOUND:
+                    imm = getrandbits(_IMM12_BITS)
+                imm -= 2048
+            else:
+                imm = 0
+            fillers.append(_instruction(opcode, rd, rs1, rs2, imm))
+        return fillers
 
     @staticmethod
-    def _written_registers(instructions: Sequence[Instruction]):
-        written = set()
-        for instruction in instructions:
-            register = instruction.written_register
-            if register is not None:
-                written.add(register)
-        return written
-
     def _scratch_registers(
-        self, rng: random.Random, avoid: Sequence[int], count: int
+        rng: random.Random, avoid: Sequence[int], count: int
     ) -> List[int]:
-        pool = [index for index in range(1, 32) if index not in set(avoid)]
-        rng.shuffle(pool)
+        """``count`` registers outside ``avoid``: the head of
+        ``rng.shuffle`` over the remaining x1..x31."""
+        avoid = set(avoid)
+        pool = [index for index in range(1, 32) if index not in avoid]
+        getrandbits = rng.getrandbits
+        for i, bits in _SHUFFLE_STEPS[len(pool)]:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            pool[i], pool[j] = pool[j], pool[i]
         return pool[:count]
 
     # ------------------------------------------------------------------
@@ -246,7 +356,7 @@ class TestCaseGenerator:
             return self._vary_address(target, rng, alignment_delta=0)
         if source == "IS_WORD_ALIGNED":
             return self._vary_address(
-                target, rng, alignment_delta=rng.choice((1, 2, 3))
+                target, rng, alignment_delta=(1, 2, 3)[_below(rng.getrandbits, 3)]
             )
         if source == "IS_HALF_ALIGNED":
             return self._vary_address(target, rng, alignment_delta=3)
@@ -264,10 +374,8 @@ class TestCaseGenerator:
         """Wrap targets that need setup (JALR needs an in-program base)."""
         if target.opcode is Opcode.JALR:
             base = self._scratch_registers(rng, (target.rd, 0), 1)[0]
-            setup = Instruction(Opcode.AUIPC, rd=base, imm=0)
-            target = Instruction(
-                Opcode.JALR, rd=target.rd, rs1=base, imm=target.imm
-            )
+            setup = _instruction(Opcode.AUIPC, rd=base, imm=0)
+            target = _instruction(Opcode.JALR, rd=target.rd, rs1=base, imm=target.imm)
             return [setup], target
         return [], target
 
@@ -278,25 +386,25 @@ class TestCaseGenerator:
         if not alternatives:
             # JAL/JALR have no same-format sibling: swap in an
             # upper-immediate instruction with a compatible rd.
-            mutated = Instruction(Opcode.AUIPC, rd=max(target.rd, 1), imm=1)
+            mutated = _instruction(Opcode.AUIPC, rd=max(target.rd, 1), imm=1)
             return setup + [target], setup + [mutated]
-        alternative = alternatives[rng.randrange(len(alternatives))]
+        alternative = alternatives[_below(rng.getrandbits, len(alternatives))]
         mutated = self._rebuild(target, alternative)
         return setup + [target], setup + [mutated]
 
     @staticmethod
     def _rebuild(target: Instruction, opcode: Opcode) -> Instruction:
         """Re-type ``target`` as ``opcode``, clamping the immediate."""
-        info = OPCODE_INFO[opcode]
+        has_rd, has_rs1, has_rs2, kind = _SHAPES[opcode]
         imm = target.imm
-        if opcode in _SHIFTS_IMM:
+        if kind == _SHIFT_IMM:
             imm &= 31
-        return Instruction(
+        return _instruction(
             opcode,
-            rd=target.rd if info.has_rd else 0,
-            rs1=target.rs1 if info.has_rs1 else 0,
-            rs2=target.rs2 if info.has_rs2 else 0,
-            imm=imm if info.has_imm else 0,
+            rd=target.rd if has_rd else 0,
+            rs1=target.rs1 if has_rs1 else 0,
+            rs2=target.rs2 if has_rs2 else 0,
+            imm=imm if kind != _NO_IMM else 0,
         )
 
     def _vary_register_index(self, target: Instruction, field_name: str, rng):
@@ -308,8 +416,8 @@ class TestCaseGenerator:
             field_name, current = "RD", target.rd
         replacement = current
         while replacement == current:
-            replacement = rng.randint(1, 31)
-        mutated = Instruction(
+            replacement = 1 + _below(rng.getrandbits, _REG_BOUND)
+        mutated = _instruction(
             target.opcode,
             rd=replacement if field_name == "RD" else target.rd,
             rs1=replacement if field_name == "RS1" else target.rs1,
@@ -321,25 +429,26 @@ class TestCaseGenerator:
     def _vary_immediate(self, target: Instruction, rng, suffix_length: int):
         setup, target = self._finalize_target(target, rng)
         opcode = target.opcode
-        if opcode in _SHIFTS_IMM:
+        kind = _SHAPES[opcode][3]
+        if kind == _SHIFT_IMM:
             other = target.imm
             while other == target.imm:
-                other = rng.randint(0, 31)
-        elif opcode in _BRANCHES or opcode is Opcode.JAL:
+                other = _below(rng.getrandbits, _SHIFT_BOUND)
+        elif kind == _OFFSET_IMM:
             choices = [4 * k for k in range(1, max(2, suffix_length + 1))]
             choices = [c for c in choices if c != target.imm]
-            other = choices[rng.randrange(len(choices))]
-        elif opcode is Opcode.JALR:
+            other = choices[_below(rng.getrandbits, len(choices))]
+        elif kind == _JALR_IMM:
             other = target.imm + 4 if target.imm <= 8 else target.imm - 4
-        elif opcode in _UPPER:
+        elif kind == _UPPER_IMM:
             other = target.imm
             while other == target.imm:
                 other = rng.getrandbits(20)
         else:
             other = target.imm
             while other == target.imm:
-                other = rng.randint(-2048, 2047)
-        mutated = Instruction(
+                other = _below(rng.getrandbits, _IMM12_BOUND) - 2048
+        mutated = _instruction(
             opcode, rd=target.rd, rs1=target.rs1, rs2=target.rs2, imm=other
         )
         return setup + [target], setup + [mutated]
@@ -348,16 +457,16 @@ class TestCaseGenerator:
         """Instructions setting ``register`` to ``value`` (or to a
         12-bit fragment of it when a single ADDI suffices)."""
         if -2048 <= value <= 2047:
-            return [Instruction(Opcode.ADDI, rd=register, rs1=0, imm=value)]
+            return [_instruction(Opcode.ADDI, rd=register, rs1=0, imm=value)]
         upper = (value >> 12) & 0xFFFFF
         lower = value & 0xFFF
         if lower >= 0x800:
             upper = (upper + 1) & 0xFFFFF
             lower -= 0x1000
-        sequence = [Instruction(Opcode.LUI, rd=register, imm=upper)]
+        sequence = [_instruction(Opcode.LUI, rd=register, imm=upper)]
         if lower:
             sequence.append(
-                Instruction(Opcode.ADDI, rd=register, rs1=register, imm=lower)
+                _instruction(Opcode.ADDI, rd=register, rs1=register, imm=lower)
             )
         return sequence
 
@@ -367,7 +476,7 @@ class TestCaseGenerator:
             # x0 cannot vary; fall back to an index mutation.
             return self._vary_register_index(target, "RD", rng)
         if (
-            target.info.is_memory
+            target.opcode in _MEMORY
             and register == target.rs1
             and rng.random() < 0.5
         ):
@@ -378,30 +487,35 @@ class TestCaseGenerator:
             compensated = self._vary_base_compensated(target, rng, setup)
             if compensated is not None:
                 return compensated
-        value_a = rng.getrandbits(32) if rng.random() < 0.5 else rng.randrange(0, 4096)
+        value_a = self._random_value(rng)
         value_b = value_a
         while value_b == value_a:
-            value_b = (
-                rng.getrandbits(32) if rng.random() < 0.5 else rng.randrange(0, 4096)
-            )
+            value_b = self._random_value(rng)
         part_a = self._loader(register, value_a, rng) + setup + [target]
         part_b = self._loader(register, value_b, rng) + setup + [target]
         return self._pad_to_equal_length(part_a, part_b)
 
+    @staticmethod
+    def _random_value(rng) -> int:
+        """A full-width or a small (12-bit) register value, evenly."""
+        if rng.random() < 0.5:
+            return rng.getrandbits(32)
+        return _below(rng.getrandbits, 4096)
+
     def _vary_base_compensated(self, target: Instruction, rng, setup):
         """Two programs accessing the *same* address through different
         base-register values (immediate compensates the delta)."""
-        delta = 4 * rng.randint(1, 64)
+        delta = 4 * (1 + _below(rng.getrandbits, 64))
         if target.imm - delta >= -2048:
             imm_b = target.imm - delta
         elif target.imm + delta <= 2047:
             imm_b, delta = target.imm + delta, -delta
         else:
             return None
-        address = 4 * rng.randrange(0x40, 0x400)
+        address = 4 * (0x40 + _below(rng.getrandbits, 0x3C0))
         value_a = (address - target.imm) & _MASK32
         value_b = (address - imm_b) & _MASK32
-        mutated = Instruction(
+        mutated = _instruction(
             target.opcode,
             rd=target.rd,
             rs1=target.rs1,
@@ -417,7 +531,7 @@ class TestCaseGenerator:
         setup, target = self._finalize_target(target, rng)
         if register == 0:
             return self._vary_register_index(target, "RD", rng)
-        nonzero = rng.randrange(1, 4096)
+        nonzero = 1 + _below(rng.getrandbits, 4095)
         part_a = self._loader(register, 0, rng) + setup + [target]
         part_b = self._loader(register, nonzero, rng) + setup + [target]
         return self._pad_to_equal_length(part_a, part_b)
@@ -432,16 +546,16 @@ class TestCaseGenerator:
             value_a, value_b = rng.getrandbits(8), rng.getrandbits(8)
             while value_b == value_a:
                 value_b = rng.getrandbits(8)
-            store = Instruction(
+            store = _instruction(
                 store_opcode, rs1=target.rs1, rs2=scratch, imm=target.imm
             )
             part_a = self._loader(scratch, value_a, rng) + [store, target]
             part_b = self._loader(scratch, value_b, rng) + [store, target]
             return self._pad_to_equal_length(part_a, part_b)
-        info = OPCODE_INFO[opcode]
-        if info.has_rs1 and opcode is not Opcode.JALR:
+        _has_rd, has_rs1, _has_rs2, kind = _SHAPES[opcode]
+        if has_rs1 and opcode is not Opcode.JALR:
             return self._vary_register_value(target, target.rs1, rng)
-        if info.has_imm:
+        if kind != _NO_IMM:
             return self._vary_immediate(target, rng, suffix_length=2)
         return self._vary_register_index(target, "RD", rng)
 
@@ -459,19 +573,19 @@ class TestCaseGenerator:
         leakage observable at all (a cold cache treats every single
         access alike).
         """
-        base = 4 * rng.randrange(0x40, 0x400)
+        base = 4 * (0x40 + _below(rng.getrandbits, 0x3C0))
         if alignment_delta == 0:
-            address_a, address_b = base, base + 4 * rng.randint(1, 64)
+            address_a, address_b = base, base + 4 * (1 + _below(rng.getrandbits, 64))
         else:
             address_a, address_b = base, base + alignment_delta
         register = target.rs1
         warm: List[Instruction] = []
-        if alignment_delta == 0 and target.info.category is InstructionCategory.LOAD:
+        if alignment_delta == 0 and target.opcode in _LOADS:
             warm_base, warm_rd = self._scratch_registers(
                 rng, (register, target.rd, target.rs2), 2
             )
             warm = self._loader(warm_base, address_a & ~0x3, rng) + [
-                Instruction(Opcode.LW, rd=warm_rd, rs1=warm_base, imm=0)
+                _instruction(Opcode.LW, rd=warm_rd, rs1=warm_base, imm=0)
             ]
         part_a = self._loader(register, (address_a - target.imm) & _MASK32, rng)
         part_b = self._loader(register, (address_b - target.imm) & _MASK32, rng)
@@ -485,7 +599,7 @@ class TestCaseGenerator:
         if target.rs1 == target.rs2:
             # Equal registers cannot take different values; re-point rs2.
             rs2 = self._scratch_registers(rng, (target.rs1,), 1)[0]
-            target = Instruction(
+            target = _instruction(
                 target.opcode, rs1=target.rs1, rs2=rs2, imm=target.imm
             )
         taken_first = rng.random() < 0.5
@@ -510,17 +624,17 @@ class TestCaseGenerator:
             true_pair, _false = _BRANCH_VALUE_PAIRS[opcode]
             if target.rs1 == target.rs2:
                 rs2 = self._scratch_registers(rng, (target.rs1,), 1)[0]
-                target = Instruction(opcode, rs1=target.rs1, rs2=rs2, imm=target.imm)
+                target = _instruction(opcode, rs1=target.rs1, rs2=rs2, imm=target.imm)
             loaders = self._loader(target.rs1, true_pair[0], rng) + self._loader(
                 target.rs2, true_pair[1], rng
             )
             offsets = [4 * k for k in range(1, max(3, suffix_length + 1))]
-            offset_a = offsets[rng.randrange(len(offsets))]
+            offset_a = offsets[_below(rng.getrandbits, len(offsets))]
             offset_b = offset_a
             while offset_b == offset_a:
-                offset_b = offsets[rng.randrange(len(offsets))]
-            taken_a = Instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_a)
-            taken_b = Instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_b)
+                offset_b = offsets[_below(rng.getrandbits, len(offsets))]
+            taken_a = _instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_a)
+            taken_b = _instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_b)
             return loaders + [taken_a], loaders + [taken_b]
         # JAL / JALR: vary the jump offset.
         setup, target = self._finalize_target(target, rng)
@@ -549,15 +663,15 @@ class TestCaseGenerator:
             register = scratch  # degenerate; still a valid random case
         if prefix == "RAW_RD":
             # WAR: the producer *reads* the target's destination.
-            producer_a = Instruction(Opcode.AND, rd=scratch, rs1=register, rs2=0)
-            producer_b = Instruction(Opcode.AND, rd=scratch, rs1=scratch, rs2=0)
+            producer_a = _instruction(Opcode.AND, rd=scratch, rs1=register, rs2=0)
+            producer_b = _instruction(Opcode.AND, rd=scratch, rs1=scratch, rs2=0)
         else:
             # RAW/WAW: the producer *writes* the relevant register
             # with its own value (architecturally a no-op).
-            producer_a = Instruction(Opcode.ADD, rd=register, rs1=register, rs2=0)
-            producer_b = Instruction(Opcode.ADD, rd=scratch, rs1=scratch, rs2=0)
+            producer_a = _instruction(Opcode.ADD, rd=register, rs1=register, rs2=0)
+            producer_b = _instruction(Opcode.ADD, rd=scratch, rs1=scratch, rs2=0)
         fillers = [
-            Instruction(Opcode.ADD, rd=reg, rs1=reg, rs2=0)
+            _instruction(Opcode.ADD, rd=reg, rs1=reg, rs2=0)
             for reg in scratch_pool[1:distance]
         ]
         part_a = [producer_a] + fillers + [target]
@@ -568,9 +682,8 @@ class TestCaseGenerator:
     def _pad_to_equal_length(part_a, part_b):
         """Pad the shorter part with architectural no-ops so both
         programs have identical instruction counts."""
-        nop = Instruction(Opcode.ADDI, rd=0, rs1=0, imm=0)
         while len(part_a) < len(part_b):
-            part_a = [nop] + part_a
+            part_a = [_NOP] + part_a
         while len(part_b) < len(part_a):
-            part_b = [nop] + part_b
+            part_b = [_NOP] + part_b
         return part_a, part_b

@@ -41,7 +41,12 @@ from repro.isa.instructions import Instruction, Opcode, OPCODE_INFO
 from repro.isa.program import Program
 from repro.isa.state import ArchState
 from repro.registry import Registry
-from repro.testgen.generator import GeneratorConfig, TestCaseGenerator, child_rng
+from repro.testgen.generator import (
+    GeneratorConfig,
+    TestCaseGenerator,
+    _below,
+    child_rng,
+)
 from repro.testgen.opcodes import SHIFTS_IMM, UPPER, mutation_pool
 from repro.testgen.testcase import TestCase
 
@@ -82,13 +87,6 @@ class GenerationStrategy(ABC):
     def generate(self, count: int, start_id: int = 0) -> List[TestCase]:
         return list(self.iter_generate(count, start_id))
 
-    def _random_case(self, test_id: int) -> TestCase:
-        """The legacy random case for ``test_id`` (the shared fallback)."""
-        rng = child_rng(self.seed, test_id)
-        atoms = self.template.atoms
-        atom = atoms[rng.randrange(len(atoms))]
-        return self._random.generate_for_atom(atom, test_id, rng)
-
     # -- feedback ------------------------------------------------------
 
     def observe(self, results: Sequence["TestCaseResultLike"]) -> None:
@@ -126,7 +124,7 @@ class RandomStrategy(GenerationStrategy):
     name = "random"
 
     def generate_case(self, test_id: int) -> TestCase:
-        return self._random_case(test_id)
+        return self._random.generate_case(test_id)
 
 
 class CoverageStrategy(GenerationStrategy):
@@ -213,9 +211,9 @@ class MutateStrategy(GenerationStrategy):
 
     def generate_case(self, test_id: int) -> TestCase:
         if not self._parents:
-            return self._random_case(test_id)
+            return self._random.generate_case(test_id)
         rng = child_rng(self.seed, test_id)
-        parent = self._parents[rng.randrange(len(self._parents))]
+        parent = self._parents[_below(rng.getrandbits, len(self._parents))]
         return self._mutate(parent, test_id, rng)
 
     # -- mutation ------------------------------------------------------
@@ -229,10 +227,11 @@ class MutateStrategy(GenerationStrategy):
             for index in range(min(len(instructions_a), len(instructions_b)))
             if instructions_a[index] == instructions_b[index]
         ]
-        mutation = _MUTATIONS[rng.randrange(len(_MUTATIONS))]
+        getrandbits = rng.getrandbits
+        mutation = _MUTATIONS[_below(getrandbits, len(_MUTATIONS))]
         mutated = False
         if mutation != "regs" and shared:
-            position = shared[rng.randrange(len(shared))]
+            position = shared[_below(getrandbits, len(shared))]
             replacement = self._mutate_instruction(
                 instructions_a[position], mutation, rng
             )
@@ -243,11 +242,11 @@ class MutateStrategy(GenerationStrategy):
         if not mutated:
             # Initial-state perturbation: always applicable, and the
             # fallback when the drawn operator had no legal site.
-            index = rng.randint(1, 31)
+            index = 1 + _below(getrandbits, 31)
             regs[index] = (
-                rng.randrange(0x100, 0x8000)
+                0x100 + _below(getrandbits, 0x7F00)
                 if rng.random() < self.config.address_like_probability
-                else rng.getrandbits(32)
+                else getrandbits(32)
             )
         return TestCase(
             test_id=test_id,
@@ -270,7 +269,7 @@ class MutateStrategy(GenerationStrategy):
             if not alternatives:
                 return None
             return TestCaseGenerator._rebuild(
-                instruction, alternatives[rng.randrange(len(alternatives))]
+                instruction, alternatives[_below(rng.getrandbits, len(alternatives))]
             )
         if mutation == "imm":
             # Control-flow offsets are left alone: re-rolling them could
@@ -278,11 +277,11 @@ class MutateStrategy(GenerationStrategy):
             if not info.has_imm or info.is_control:
                 return None
             if instruction.opcode in SHIFTS_IMM:
-                imm = rng.randint(0, 31)
+                imm = _below(rng.getrandbits, 32)
             elif instruction.opcode in UPPER:
                 imm = rng.getrandbits(20)
             else:
-                imm = rng.randint(-2048, 2047)
+                imm = _below(rng.getrandbits, 4096) - 2048
             return Instruction(
                 instruction.opcode,
                 rd=instruction.rd,
@@ -302,8 +301,8 @@ class MutateStrategy(GenerationStrategy):
             ]
             if not fields:
                 return None
-            field_name = fields[rng.randrange(len(fields))]
-            replacement = rng.randint(1, 31)
+            field_name = fields[_below(rng.getrandbits, len(fields))]
+            replacement = 1 + _below(rng.getrandbits, 31)
             values = {
                 "rd": instruction.rd,
                 "rs1": instruction.rs1,
