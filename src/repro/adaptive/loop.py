@@ -2,13 +2,17 @@
 
 :class:`AdaptiveLoop` wraps the existing pipeline phases in rounds.
 Each round generates ``batch`` test cases through a
-``GENERATOR_REGISTRY`` strategy (in-process or fanned out through an
-``EXECUTOR_REGISTRY`` backend — workers rebuild the strategy from its
-registry name plus a JSON state snapshot), evaluates them, feeds the
-per-atom coverage back into the strategy, and re-synthesizes the
-contract from the accumulated dataset — warm-starting the ILP from the
-previous round's :class:`~repro.synthesis.synthesizer.SynthesisResult`
-so a converged loop's synthesis degenerates to a feasibility check.
+``GENERATOR_REGISTRY`` strategy and evaluates them as one window of
+:func:`~repro.evaluation.parallel.evaluate_parallel`: by default on
+the ``serial`` backend over one stack built from the loop's own live
+strategy and evaluator (at ``batch <= shard_size`` one batched call
+per round), or fanned out through an ``EXECUTOR_REGISTRY`` backend
+whose workers rebuild the strategy from its registry name plus a JSON
+state snapshot.  The loop then feeds the per-atom coverage back into
+the strategy and re-synthesizes the contract from the accumulated
+dataset — warm-starting the ILP from the previous round's
+:class:`~repro.synthesis.synthesizer.SynthesisResult` so a converged
+loop's synthesis degenerates to a feasibility check.
 A pluggable :class:`~repro.adaptive.stopping.StoppingRule` ends the
 loop early; otherwise it runs its full round budget.
 
@@ -35,7 +39,14 @@ from repro.resilience.quarantine import FailureLog, FailureRecord
 from repro.resilience.retry import RetryPolicy, is_retryable
 from repro.attacker.base import Attacker
 from repro.contracts.template import ContractTemplate
-from repro.evaluation.evaluator import TestCaseEvaluator
+from repro.evaluation.backends import (
+    EvaluationExecutor,
+    SerialExecutor,
+    ShardEvaluator,
+    rows_to_results,
+)
+from repro.evaluation.backends.base import result_row
+from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
 from repro.pipeline.config import PipelineConfig
@@ -80,20 +91,6 @@ class RoundRecord:
     @property
     def contract_size(self) -> int:
         return len(self.contract_atom_ids)
-
-    def render(self) -> str:
-        """One progress line."""
-        return (
-            "round %d: %d cases evaluated (%.1f%% atom coverage, "
-            "%d-atom contract)%s"
-            % (
-                self.round_index,
-                self.cumulative_cases,
-                100.0 * self.atom_coverage,
-                self.contract_size,
-                " [%s]" % self.stop_reason if self.stop_reason else "",
-            )
-        )
 
 
 @dataclass
@@ -192,7 +189,8 @@ class AdaptiveLoop:
     Plugins are accepted as registry names or instances; the executor
     fan-out and manifest checkpointing require *names* (workers and
     checkpoint keys rebuild plugins by name, the same rule as the
-    sharded evaluation path).
+    pipeline's executor path).  Without an executor the rounds run on
+    the ``serial`` backend over the loop's own plugin instances.
     """
 
     def __init__(
@@ -209,7 +207,7 @@ class AdaptiveLoop:
         allowed_atom_ids=None,
         restriction: Optional[str] = None,
         use_fastpath: bool = True,
-        executor: Optional[str] = None,
+        executor: Union[None, str, EvaluationExecutor] = None,
         processes: Optional[int] = None,
         shard_size: int = 250,
         manifest_path: Optional[str] = None,
@@ -248,6 +246,18 @@ class AdaptiveLoop:
             frozenset(allowed_atom_ids) if allowed_atom_ids is not None else None
         )
         self.restriction = restriction
+        if executor is None:
+            # The serial loop over this loop's live strategy and evaluator.
+            executor = SerialExecutor(
+                worker=ShardEvaluator.from_plugins(
+                    self.core,
+                    self.template,
+                    self.strategy,
+                    attacker=self.attacker,
+                    use_fastpath=self.config.fastpath,
+                )
+            )
+        #: The backend every round runs on.
         self.executor = executor
         self.processes = processes
         self.shard_size = shard_size
@@ -263,8 +273,6 @@ class AdaptiveLoop:
         #: coverage/convergence end fields), one ``round-resumed``
         #: event per replayed round.  No-op when not configured.
         self.tracer = tracer if tracer is not None else Tracer(None)
-        #: In-process evaluator, built lazily on the first evaluated round.
-        self._evaluator: Optional[TestCaseEvaluator] = None
 
     # -- identity ------------------------------------------------------
 
@@ -300,7 +308,7 @@ class AdaptiveLoop:
                 if len(records) >= self.rounds:
                     break
                 round_index = int(entry["round"])
-                results = self._entry_results(entry)
+                results = rows_to_results([AdaptiveManifest.entry_rows(entry)])
                 accumulator.ingest(results)
                 accumulator.contracts.append(tuple(entry["contract"]))
                 # Convergence is re-decided by *this* run's rules over
@@ -394,15 +402,7 @@ class AdaptiveLoop:
                 manifest.append_round(
                     round_index,
                     start_id,
-                    [
-                        (
-                            result.test_id,
-                            result.attacker_distinguishable,
-                            tuple(sorted(result.distinguishing_atom_ids)),
-                            result.targeted_atom_id,
-                        )
-                        for result in round_results
-                    ],
+                    [result_row(result) for result in round_results],
                     self.strategy.state(),
                     contract_ids,
                     synthesis.false_positives,
@@ -485,39 +485,32 @@ class AdaptiveLoop:
                     time.sleep(delay)
 
     def _evaluate_round(self, start_id: int, state: dict) -> List[TestCaseResult]:
-        if self.executor is not None:
-            from repro.evaluation.parallel import evaluate_parallel
-
-            dataset = evaluate_parallel(
-                count=self.batch,
-                processes=self.processes,
-                shard_size=self.shard_size,
-                executor=self.executor,
-                generator_state=json.dumps(state, sort_keys=True) if state else None,
-                start_id=start_id,
-                retry=self.retry,
-                shard_timeout=self.shard_timeout,
-                # No per-round failure-log file: the task identity (and
-                # with it the log's binding key) changes every round as
-                # the strategy state advances.  Durable round-level
-                # records are written by the loop under its stable
-                # manifest key instead.
-                on_failure=self.on_failure,
-                tracer=self.tracer,
-                **self.config.stream_key(),
+        dataset = evaluate_parallel(
+            count=self.batch,
+            processes=self.processes,
+            shard_size=self.shard_size,
+            executor=self.executor,
+            generator_state=json.dumps(state, sort_keys=True) if state else None,
+            start_id=start_id,
+            retry=self.retry,
+            shard_timeout=self.shard_timeout,
+            # No per-round failure-log file: the task identity (and
+            # with it the log's binding key) changes every round as
+            # the strategy state advances.  Durable round-level
+            # records are written by the loop under its stable
+            # manifest key instead.
+            on_failure=self.on_failure,
+            tracer=self.tracer,
+            **self.config.stream_key(),
+        )
+        if len(dataset) < self.batch:
+            # Each round steers the next, so none may go on without a
+            # quarantined shard's rows: fail it (and retry the round).
+            raise RuntimeError(
+                "round lost %d of %d cases to quarantined shards"
+                % (self.batch - len(dataset), self.batch)
             )
-            return list(dataset)
-        if self._evaluator is None:
-            self._evaluator = TestCaseEvaluator(
-                self.core,
-                self.template,
-                attacker=self.attacker,
-                use_fastpath=self.config.fastpath,
-            )
-        return [
-            self._evaluator.evaluate(case)
-            for case in self.strategy.iter_generate(self.batch, start_id=start_id)
-        ]
+        return list(dataset)
 
     def _dataset(self, accumulator: _LoopAccumulator) -> EvaluationDataset:
         return EvaluationDataset(
@@ -584,21 +577,6 @@ class AdaptiveLoop:
             stop_reason=stop_reason,
             seconds=seconds,
         )
-
-    @staticmethod
-    def _entry_results(entry: dict) -> List[TestCaseResult]:
-        """One stored round's rows as :class:`TestCaseResult` objects."""
-        return [
-            TestCaseResult(
-                test_id=test_id,
-                attacker_distinguishable=distinguishable,
-                distinguishing_atom_ids=frozenset(atom_ids),
-                targeted_atom_id=targeted,
-            )
-            for test_id, distinguishable, atom_ids, targeted in (
-                AdaptiveManifest.entry_rows(entry)
-            )
-        ]
 
     def _emit(self, record: RoundRecord) -> None:
         if self.progress is not None:

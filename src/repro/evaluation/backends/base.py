@@ -30,6 +30,17 @@ Row = Tuple[int, bool, Tuple[int, ...], Optional[int]]
 Shard = Tuple[int, int]
 
 
+def result_row(result) -> Row:
+    """One ``TestCaseResult`` as a :data:`Row` (inverse of
+    :func:`rows_to_results`)."""
+    return (
+        result.test_id,
+        result.attacker_distinguishable,
+        tuple(sorted(result.distinguishing_atom_ids)),
+        result.targeted_atom_id,
+    )
+
+
 def plan_shards(count: int, shard_size: int) -> List[Shard]:
     """The canonical shard plan covering test ids ``[0, count)``.
 
@@ -93,26 +104,39 @@ class ShardProgress:
     resumed: bool
     elapsed_seconds: float
 
-    def render(self) -> str:
-        """One progress line."""
-        return "evaluated %d/%d test cases (shard %d/%d%s)" % (
-            self.completed_cases,
-            self.total_cases,
-            self.completed_shards,
-            self.total_shards,
-            ", resumed" if self.resumed else "",
-        )
-
 
 class ShardEvaluator:
     """The per-worker evaluation stack: generator + evaluator.
 
-    Built once per worker (process, thread, or the caller itself) from
-    an :class:`EvaluationTask`; rebuilding the multi-hundred-atom
-    template per shard would dominate the run.
+    Built once per worker (process, thread, or the caller itself) and
+    reused for every shard; rebuilding the multi-hundred-atom template
+    per shard would dominate the run.  Workers build it by name with
+    :meth:`from_task`; an in-process run hands its resolved plugins to
+    :meth:`from_plugins`, so instance-configured cores, templates,
+    attackers and generators evaluate through the same shard loop.
     """
 
-    def __init__(self, task: EvaluationTask):
+    def __init__(self, generator, evaluator):
+        self.generator = generator
+        self.evaluator = evaluator
+
+    @classmethod
+    def from_plugins(
+        cls, core, template, generator, attacker=None, use_fastpath: bool = True
+    ) -> "ShardEvaluator":
+        """The stack over ready-made plugin instances."""
+        from repro.evaluation.evaluator import TestCaseEvaluator
+
+        return cls(
+            generator,
+            TestCaseEvaluator(
+                core, template, attacker=attacker, use_fastpath=use_fastpath
+            ),
+        )
+
+    @classmethod
+    def from_task(cls, task: EvaluationTask) -> "ShardEvaluator":
+        """The stack a worker rebuilds from registry names."""
         import json
 
         from repro.attacker import ATTACKER_REGISTRY
@@ -120,7 +144,6 @@ class ShardEvaluator:
             TEMPLATE_REGISTRY,
             build_riscv_template,
         )
-        from repro.evaluation.evaluator import TestCaseEvaluator
         from repro.testgen.strategies import GENERATOR_REGISTRY
         from repro.uarch import CORE_REGISTRY
 
@@ -133,15 +156,15 @@ class ShardEvaluator:
             if task.attacker_name is not None
             else None
         )
-        self.task = task
-        self.generator = GENERATOR_REGISTRY.create(
+        generator = GENERATOR_REGISTRY.create(
             task.generator_name, template, seed=task.seed
         )
         if task.generator_state is not None:
-            self.generator.restore(json.loads(task.generator_state))
-        self.evaluator = TestCaseEvaluator(
+            generator.restore(json.loads(task.generator_state))
+        return cls.from_plugins(
             CORE_REGISTRY.create(task.core_name),
             template,
+            generator,
             attacker=attacker,
             use_fastpath=task.use_fastpath,
         )
@@ -156,13 +179,7 @@ class ShardEvaluator:
         start, count = shard
         test_cases = list(self.generator.iter_generate(count, start_id=start))
         return [
-            (
-                result.test_id,
-                result.attacker_distinguishable,
-                tuple(sorted(result.distinguishing_atom_ids)),
-                result.targeted_atom_id,
-            )
-            for result in self.evaluator.evaluate_batch(test_cases)
+            result_row(result) for result in self.evaluator.evaluate_batch(test_cases)
         ]
 
 

@@ -5,8 +5,10 @@ Two backends behind one interface:
 ``serial``
     One :class:`ShardEvaluator` in the calling process, shards in plan
     order.  The reference backend — everything else must match it —
-    and the degenerate target the pool falls back to for one worker or
-    one shard, so there is exactly one shard loop to get right.
+    the degenerate target the pool falls back to for one worker or one
+    shard, and the path of every run without an executor (over the
+    caller's prebuilt stack), so there is exactly one shard loop to get
+    right.
 
 ``multiprocess``
     A forked ``concurrent.futures.ProcessPoolExecutor`` submitting one
@@ -50,7 +52,7 @@ _worker_state: dict = {}
 
 
 def _initialize_process(task: EvaluationTask) -> None:
-    _worker_state["worker"] = ShardEvaluator(task)
+    _worker_state["worker"] = ShardEvaluator.from_task(task)
 
 
 def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> Tuple[Shard, List[Row]]:
@@ -100,14 +102,27 @@ def _default_processes(requested: Optional[int]) -> int:
 
 
 class SerialExecutor(EvaluationExecutor):
-    """In-process evaluation, shards in plan order (the reference)."""
+    """In-process evaluation, shards in plan order (the reference).
+
+    ``worker`` is a prebuilt :class:`ShardEvaluator`, which may hold
+    plugin instances no registry name rebuilds; without one, each
+    :meth:`run` builds its stack from the task.
+    """
 
     name = "serial"
+
+    def __init__(
+        self,
+        processes: Optional[int] = None,
+        worker: Optional[ShardEvaluator] = None,
+    ):
+        super().__init__(processes)
+        self.worker = worker
 
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
     ) -> Iterator[Tuple[Shard, List[Row]]]:
-        worker = ShardEvaluator(task)
+        worker = self.worker or ShardEvaluator.from_task(task)
         for shard in shards:
             yield _evaluate_shard(worker, shard)
 

@@ -17,8 +17,16 @@ decoded into columnar arrays and simulated lock-step
 simulations and compiled extraction per case).  Both engines produce
 byte-identical results.  ``use_fastpath=False`` selects the scalar
 reference oracle (closure-based extraction) the fast paths are tested
-against.  :meth:`evaluate` and :meth:`evaluate_many` remain as thin
-delegating wrappers for per-case callers.
+against.
+
+**One orchestration path.**  The toolchain never drives an evaluator
+directly: a :class:`~repro.evaluation.backends.ShardEvaluator` holds
+it with its generator, and every run — the pipeline's default, each
+adaptive round, every executor backend — evaluates through the shard
+loop of :mod:`repro.evaluation.backends` (one :meth:`evaluate_batch`
+call per shard).  :meth:`evaluate` and :meth:`evaluate_many` remain as
+the sequential reference the equivalence suites and benchmarks
+compare against.
 
 The evaluator keeps wall-clock accumulators for the simulation and
 extraction phases; Table III is reproduced from these.
@@ -27,6 +35,7 @@ extraction phases; Table III is reproduced from these.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence
 
 from repro import batchsim
@@ -39,8 +48,7 @@ from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.testgen.testcase import TestCase
 from repro.uarch.core import Core
 
-#: Batch chunk used by :meth:`evaluate_many` when no progress cadence
-#: dictates one.
+#: Batch chunk used by :meth:`evaluate_many`.
 DEFAULT_BATCH_SIZE = 256
 
 #: Smallest batch the columnar engine takes.  Smaller batches run the
@@ -172,8 +180,8 @@ class TestCaseEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Delegating wrappers (kept for per-case callers; prefer
-    # evaluate_batch in new code)
+    # Sequential reference wrappers (tests and benchmarks compare the
+    # shard loop against them)
 
     def evaluate(self, test_case: TestCase) -> TestCaseResult:
         """Evaluate one test case.
@@ -183,45 +191,16 @@ class TestCaseEvaluator:
         """
         return self.evaluate_batch([test_case])[0]
 
-    def evaluate_many(
-        self,
-        test_cases: Iterable[TestCase],
-        progress_every: Optional[int] = None,
-    ) -> EvaluationDataset:
+    def evaluate_many(self, test_cases: Iterable[TestCase]) -> EvaluationDataset:
         """Evaluate a stream of test cases into a dataset.
 
         Thin wrapper over :meth:`evaluate_batch`: the stream is chunked
-        (at the progress cadence when one is given) so the batched
-        engine sees full batches while progress reporting stays exact.
+        so the batched engine sees full batches.
         """
-        chunk_size = progress_every or DEFAULT_BATCH_SIZE
         results: List[TestCaseResult] = []
-        pending: List[TestCase] = []
-        count = 0
-
-        def flush() -> None:
-            nonlocal count
-            for result in self.evaluate_batch(pending):
-                results.append(result)
-                count += 1
-                if progress_every and count % progress_every == 0:
-                    print(
-                        "evaluated %d test cases (%d distinguishable)"
-                        % (
-                            count,
-                            sum(
-                                1 for r in results if r.attacker_distinguishable
-                            ),
-                        )
-                    )
-            pending.clear()
-
-        for test_case in test_cases:
-            pending.append(test_case)
-            if len(pending) >= chunk_size:
-                flush()
-        if pending:
-            flush()
+        stream = iter(test_cases)
+        while batch := list(islice(stream, DEFAULT_BATCH_SIZE)):
+            results.extend(self.evaluate_batch(batch))
         return EvaluationDataset(
             results,
             core_name=self.core.name,

@@ -1,11 +1,14 @@
 """Sharded test-case evaluation over pluggable executor backends.
 
-The paper evaluates test cases on up to 128 threads;
-:func:`evaluate_parallel` provides the equivalent fan-out for the
-Python substrate.  The work distribution itself is delegated to
-:mod:`repro.evaluation.backends`: the shard plan is computed once,
-every backend (including the serial one) consumes the *same* plan
-through the *same* per-worker shard loop, and completed shards can be
+:func:`evaluate_parallel` is the one orchestration path of the
+evaluate step.  The pipeline's default run, every adaptive round and
+every executor run go through it: the shard plan is computed once, and
+every backend consumes the *same* plan through the *same* per-worker
+shard loop, with its fault seam, error attribution and ``shard``
+spans.  A run without an executor passes a
+:class:`~repro.evaluation.backends.SerialExecutor` over the stack it
+built in setup; the paper's up-to-128-thread fan-out is the
+``multiprocess`` (or ``workqueue``) backend.  Completed shards can be
 checkpointed to a :class:`~repro.evaluation.backends.ShardManifest` so
 interrupted or budget-extended runs resume instead of restarting.
 
@@ -72,8 +75,9 @@ def evaluate_parallel(
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
     ``"multiprocess"``, ``"workqueue"``) or a ready-made
-    :class:`EvaluationExecutor`; ``processes`` sizes the backend's
-    worker pool.
+    :class:`EvaluationExecutor` (a ``SerialExecutor(worker=...)`` runs
+    on a prebuilt stack instead of rebuilding one from the names);
+    ``processes`` sizes the backend's worker pool.
 
     ``manifest_path`` enables shard checkpointing: completed shards are
     appended there as JSONL, shards already stored for the same task

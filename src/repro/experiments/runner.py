@@ -37,7 +37,6 @@ def experiment_pipeline(
     template: Union[str, ContractTemplate],
     count: int,
     seed: int,
-    progress_every: Optional[int] = None,
 ) -> SynthesisPipeline:
     """A pipeline configured the way the experiment drivers share it:
     attacker/solver/executor from the :class:`ExperimentConfig`,
@@ -50,14 +49,13 @@ def experiment_pipeline(
         .template(template)
         .budget(count, seed)
         .cache_dir(config.cache_dir())
-        .progress(progress_every)
     )
     if config.executor is not None:
         # Executor workers rebuild plugins by registry name.  Drivers
         # share one template *instance*; when it is equal to what its
         # registered name rebuilds, ship the name — otherwise (a
-        # bespoke instance, even one reusing a registered name) the
-        # in-process evaluator is the only sound path.
+        # bespoke instance, even one reusing a registered name) only
+        # the default serial loop over the instance itself is sound.
         if isinstance(template, str):
             pipeline.executor(config.executor)
         elif _matches_registered_template(template):
@@ -81,7 +79,6 @@ def evaluate_dataset(
     count: int,
     seed: int,
     cache_dir: Optional[str] = None,
-    progress_every: Optional[int] = None,
     attacker: Optional[Union[str, Attacker]] = None,
 ) -> Tuple[EvaluationDataset, Optional[TestCaseEvaluator]]:
     """Generate and evaluate ``count`` test cases on ``core_name``.
@@ -97,7 +94,6 @@ def evaluate_dataset(
         .template(template)
         .budget(count, seed)
         .cache_dir(cache_dir)
-        .progress(progress_every)
     )
     if attacker is not None:
         pipeline.attacker(attacker)

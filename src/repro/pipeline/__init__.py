@@ -35,9 +35,8 @@ Builder surface
 ``.adaptive(...)``              coverage-guided rounds (repro.adaptive)
 ``.fastpath(enabled)``          fast evaluator (default) or ``False`` oracle
 ``.cache_dir(path)``            dataset cache directory (default: off)
-``.progress(every)``            evaluation progress printing
 ``.verify(count, seed)``        verification budget (default: dataset check)
-``.executor(name, ...)``        sharded evaluation backend (EXECUTOR_REGISTRY)
+``.executor(name, ...)``        evaluation backend (default: serial, in-process)
 ``.resume(path_or_True)``       shard-manifest checkpointing and resumption
 ``.on_shard(callback)``         per-shard :class:`ShardProgress` events
 ``.trace(path)``                append :mod:`repro.trace` spans to a JSONL file

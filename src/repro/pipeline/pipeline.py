@@ -20,7 +20,12 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.attacker.base import Attacker
 from repro.contracts.template import Contract, ContractTemplate
-from repro.evaluation.backends import EvaluationExecutor, ShardProgress
+from repro.evaluation.backends import (
+    EvaluationExecutor,
+    SerialExecutor,
+    ShardEvaluator,
+    ShardProgress,
+)
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset
@@ -84,9 +89,9 @@ class SynthesisPipeline:
         #: The run-defining axes; every key derives from it.
         self.config = config if config is not None else PipelineConfig()
         self._cache_dir: Optional[str] = None
-        self._progress_every: Optional[int] = None
-        #: ``None`` → evaluate in-process; a registry name or executor
-        #: instance → fan evaluation out in shards through the backend.
+        #: ``None`` → the serial shard loop over the stack built in
+        #: setup; a registry name or executor instance → fan evaluation
+        #: out in shards through the backend.
         self._executor: Optional[ExecutorLike] = None
         self._processes: Optional[int] = None
         self._shard_size: int = 250
@@ -191,11 +196,6 @@ class SynthesisPipeline:
         self._cache_dir = directory
         return self
 
-    def progress(self, every: Optional[int]) -> "SynthesisPipeline":
-        """Print evaluation progress every ``every`` test cases."""
-        self._progress_every = every
-        return self
-
     def executor(
         self,
         executor: Optional[ExecutorLike],
@@ -207,8 +207,10 @@ class SynthesisPipeline:
         ``executor`` is an ``EXECUTOR_REGISTRY`` name (``"serial"``,
         ``"multiprocess"``, ``"workqueue"``) or an
         :class:`EvaluationExecutor` instance; ``None`` restores the
-        in-process evaluator.  ``processes`` sizes the worker pool and
-        ``shard_size`` the per-shard test-case count (default 250).
+        default, the serial shard loop over the plugins resolved in
+        setup (instances included).  ``processes`` sizes the worker
+        pool and ``shard_size`` the per-shard test-case count (default
+        250).
         """
         self._executor = executor
         if processes is not None:
@@ -390,30 +392,65 @@ class SynthesisPipeline:
             return "multiprocess"
         return self._executor
 
-    def _evaluate_sharded(
+    def _prepare_evaluate(
+        self, core: Optional[Core] = None, attacker: Optional[Attacker] = None
+    ) -> Tuple[Optional[ExecutorLike], Optional[ShardEvaluator]]:
+        """Set up the one-shot evaluate phase: ``(executor, local)``.
+
+        ``executor`` is ``None`` on a cache hit.  A run without a
+        configured executor builds its generator and evaluator here
+        (template fast-path compilation included, like the paper's
+        testbench compilation) and runs the serial backend over that
+        ``local`` stack; an executor's workers build their own."""
+        cache_path = self.cache_path()
+        if cache_path is not None and os.path.exists(cache_path):
+            return None, None
+        executor = self._effective_executor()
+        if executor is not None:
+            return executor, None
+        template = self.resolve_template()
+        local = ShardEvaluator.from_plugins(
+            core or self.resolve_core(),
+            template,
+            self.resolve_generator(template),
+            attacker=attacker or self.resolve_attacker(),
+            use_fastpath=self.config.fastpath,
+        )
+        return SerialExecutor(worker=local), local
+
+    def _evaluate(
         self,
-        executor: ExecutorLike,
+        executor: Optional[ExecutorLike],
+        local: Optional[ShardEvaluator],
         stats: dict,
         failures: List[FailureRecord],
         tracer: Optional[Tracer],
     ) -> EvaluationDataset:
-        """The executor-backed evaluation phase (shard fan-out,
-        checkpointing, retry/quarantine, per-shard progress).
+        """The evaluate phase: a cache load, or the shard loop of
+        ``executor`` (fan-out, checkpointing, retry/quarantine,
+        per-shard progress).
 
-        ``stats`` receives the executor accounting fields of the
-        evaluate phase span.  Owns the dataset cache write: a dataset
-        missing quarantined shards must never be cached under the
-        full-budget key, or the hole would silently persist across
-        clean re-runs."""
-        self.config.require_names("executor")
+        ``stats`` receives the fields of the evaluate phase span: the
+        local evaluator's sim/extract seconds, or the executor
+        accounting.  Owns the dataset cache write: a dataset missing
+        quarantined shards must never be cached under the full-budget
+        key, or the hole would silently persist across clean re-runs."""
+        cache_path = self.cache_path()
+        if cache_path is not None:
+            current_metrics().counter(
+                "dataset.cache.hits" if executor is None else "dataset.cache.misses"
+            ).inc()
+        if executor is None:
+            stats["cache_hit"] = True
+            return EvaluationDataset.load(cache_path)
+        if local is None:
+            self.config.require_names("executor")
         counters = {"total": 0, "resumed": 0}
 
         def on_shard(event: ShardProgress) -> None:
             counters["total"] = event.total_shards
             if event.resumed:
                 counters["resumed"] += 1
-            if self._progress_every:
-                print(event.render())
             if self._shard_callback is not None:
                 self._shard_callback(event)
 
@@ -433,68 +470,24 @@ class SynthesisPipeline:
             **self.config.stream_key(),
         )
         quarantined = sum(1 for record in collected if record.kind == "shard")
-        downgrades = [r.unit.get("to") for r in collected if r.kind == "downgrade"]
-        stats.update(
-            executor=plugin_name(executor),
-            shards_total=counters["total"],
-            shards_resumed=counters["resumed"],
-            shards_quarantined=quarantined,
-            executor_downgraded=downgrades[0] if downgrades else None,
-        )
+        if local is not None:
+            stats.update(
+                simulation_seconds=local.evaluator.simulation_seconds,
+                extraction_seconds=local.evaluator.extraction_seconds,
+            )
+        else:
+            downgrades = [r.unit.get("to") for r in collected if r.kind == "downgrade"]
+            stats.update(
+                executor=plugin_name(executor),
+                shards_total=counters["total"],
+                shards_resumed=counters["resumed"],
+                shards_quarantined=quarantined,
+                executor_downgraded=downgrades[0] if downgrades else None,
+            )
         failures.extend(collected)
-        cache_path = self.cache_path()
         if cache_path is not None and not quarantined:
             dataset.save(cache_path)
         return dataset
-
-    def _prepare_evaluate(
-        self, core: Optional[Core] = None, attacker: Optional[Attacker] = None
-    ) -> Tuple[Callable[..., EvaluationDataset], Optional[TestCaseEvaluator]]:
-        """Set up the one-shot evaluate phase.  Returns it, as a
-        function of the evaluate span's field dict, the failure list and
-        the tracer, with the in-process evaluator (``None`` on a cache
-        hit or an executor run, whose workers build and time their own).
-
-        Generator and evaluator construction (template fast-path
-        compilation included) is setup work, like the paper's
-        testbench compilation; a cache hit skips it."""
-        cache_path = self.cache_path()
-        cached = cache_path is not None and os.path.exists(cache_path)
-        executor = None if cached else self._effective_executor()
-        evaluator = generator = None
-        if not cached and executor is None:
-            template = self.resolve_template()
-            generator = self.resolve_generator(template)
-            evaluator = TestCaseEvaluator(
-                core or self.resolve_core(),
-                template,
-                attacker=attacker or self.resolve_attacker(),
-                use_fastpath=self.config.fastpath,
-            )
-
-        def evaluate(stats, failures, tracer) -> EvaluationDataset:
-            if cache_path is not None:
-                current_metrics().counter(
-                    "dataset.cache.hits" if cached else "dataset.cache.misses"
-                ).inc()
-            if cached:
-                stats["cache_hit"] = True
-                return EvaluationDataset.load(cache_path)
-            if executor is not None:
-                # The sharded path owns the cache write (quarantined
-                # datasets must not be cached).
-                return self._evaluate_sharded(executor, stats, failures, tracer)
-            dataset = evaluator.evaluate_many(
-                generator.iter_generate(self.config.budget),
-                progress_every=self._progress_every,
-            )
-            if cache_path is not None:
-                dataset.save(cache_path)
-            stats["simulation_seconds"] = evaluator.simulation_seconds
-            stats["extraction_seconds"] = evaluator.extraction_seconds
-            return dataset
-
-        return evaluate, evaluator
 
     def evaluate_with_stats(
         self,
@@ -503,8 +496,9 @@ class SynthesisPipeline:
         ``(dataset, evaluator)``; the evaluator carries the phase timers
         and is ``None`` after a cache hit or an executor run (whose
         workers keep their own timers)."""
-        evaluate, evaluator = self._prepare_evaluate()
-        return evaluate({}, [], None), evaluator
+        executor, local = self._prepare_evaluate()
+        dataset = self._evaluate(executor, local, {}, [], None)
+        return dataset, local.evaluator if local is not None else None
 
     def evaluate(self) -> EvaluationDataset:
         """Generate and evaluate the configured corpus (cache-aware)."""
@@ -597,12 +591,12 @@ class SynthesisPipeline:
             template = self.resolve_template()
             attacker = self.resolve_attacker()
             solver = self.resolve_solver()
-            evaluate, _evaluator = self._prepare_evaluate(core, attacker)
+            executor, local = self._prepare_evaluate(core, attacker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
         with evaluate_span:
             stats: dict = {}
-            dataset = evaluate(stats, failures, tracer)
+            dataset = self._evaluate(executor, local, stats, failures, tracer)
             evaluate_span.add(**stats)
 
         with tracer.span("phase", phase="synthesize"):
@@ -644,9 +638,6 @@ class SynthesisPipeline:
                 processes=self._processes,
                 shard_size=self._shard_size,
                 manifest_path=self.manifest_path(),
-                progress=(lambda record: print(record.render()))
-                if self._progress_every
-                else None,
                 retry=self._retry,
                 shard_timeout=self._shard_timeout,
                 failure_log_path=self.quarantine_path(),

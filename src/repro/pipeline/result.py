@@ -43,10 +43,10 @@ class PhaseTimings:
     #: Whether the dataset came from the cache (timers then exclude
     #: simulation/extraction).
     cache_hit: bool = False
-    #: Executor backend that ran the evaluation phase (``None`` for the
-    #: in-process evaluator), with its per-shard accounting: how many
-    #: shards the plan had and how many were resumed from a checkpoint
-    #: manifest instead of re-evaluated.
+    #: Executor backend that ran the evaluation phase (``None`` for a
+    #: default run on the stack built in setup), with its per-shard
+    #: accounting: how many shards the plan had and how many were
+    #: resumed from a checkpoint manifest instead of re-evaluated.
     executor_name: Optional[str] = None
     shards_total: int = 0
     shards_resumed: int = 0

@@ -7,14 +7,15 @@ service has ever synthesized::
     <root>/cache/            the dataset cache (pipeline cache_dir)
 
 Contracts are stored as :class:`~repro.campaign.result.CellOutcome`
-records keyed by the full :meth:`CampaignCell.key` — core, attacker,
-template, restriction, solver, generator, budget, seed, and the
-verification setting — i.e. exactly the dataset-cache axes plus the
-synthesis ones, so "the contract for (core, attacker, template,
-budget)" is a dictionary lookup.  Stored outcomes carry the template
-digest of their execution time, and a lookup under a
-differently-defined template of the same name misses instead of
-serving a stale contract (the campaign-manifest rule).
+records keyed by the :meth:`CampaignCell.key` of the cell with its
+retry and timeout settings cleared — core, attacker, template,
+restriction, solver, generator, budget, seed, and the verification
+setting — i.e. exactly the dataset-cache axes plus the synthesis ones,
+so "the contract for (core, attacker, template, budget)" is a
+dictionary lookup.  Stored outcomes carry the template digest of their
+execution time, and a lookup under a differently-defined template of
+the same name misses instead of serving a stale contract (the
+campaign-manifest rule).
 
 ``datasets_dir`` doubles as the pipeline dataset cache, which is what
 makes *misses* cheap too: the campaign layer's prefix-derivation works
@@ -25,12 +26,19 @@ prefix of a larger cached corpus schedules zero evaluation work.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.result import CellOutcome
 from repro.campaign.spec import CampaignCell
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
 from repro.pipeline.config import stored_outcomes
+
+
+def _fault_free(cell: CampaignCell) -> CampaignCell:
+    """The form a cell's contract is stored under: retry and timeout
+    settings never change a result (:meth:`PipelineConfig.cell`)."""
+    return replace(cell, retries=None, shard_timeout=None)
 
 
 class ContractStoreKeyError(CheckpointKeyError):
@@ -52,7 +60,7 @@ class _ContractLog(JsonlCheckpoint):
 
     def _accept(self, entry: dict) -> None:
         outcome = CellOutcome.from_dict(entry, resumed=True)
-        self.completed[outcome.cell.key()] = outcome
+        self.completed[_fault_free(outcome.cell).key()] = outcome
 
     def _entries(self) -> Iterable[dict]:
         for outcome in self.completed.values():
@@ -89,8 +97,15 @@ class ContractStore:
 
     def get_all(self, cells: Sequence[CampaignCell]) -> Dict[str, CellOutcome]:
         """Stored outcomes for ``cells``, keyed by cell key
-        (digest-stale entries excluded)."""
-        return stored_outcomes(self._log.completed, cells)
+        (digest-stale entries excluded); a cell matches by its
+        fault-free form."""
+        fault_free = {cell.key(): _fault_free(cell) for cell in cells}
+        found = stored_outcomes(self._log.completed, fault_free.values())
+        return {
+            key: found[cell.key()]
+            for key, cell in fault_free.items()
+            if cell.key() in found
+        }
 
     def outcomes(self) -> List[CellOutcome]:
         return list(self._log.completed.values())
@@ -101,7 +116,7 @@ class ContractStore:
         """Store one finished outcome; returns ``False`` when the key
         was already present (first write wins — results are
         deterministic, so overwriting could only churn bytes)."""
-        key = outcome.cell.key()
+        key = _fault_free(outcome.cell).key()
         if key in self._log.completed:
             return False
         self._log._append(outcome.to_dict())

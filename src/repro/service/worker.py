@@ -186,7 +186,7 @@ class JobWorker:
         key = json.dumps(task_payload, sort_keys=True)
         evaluator = self._evaluators.get(key)
         if evaluator is None:
-            evaluator = ShardEvaluator(task_from_payload(task_payload))
+            evaluator = ShardEvaluator.from_task(task_from_payload(task_payload))
             self._evaluators[key] = evaluator
         return evaluator
 

@@ -138,6 +138,60 @@ class TestLegacyEquivalence:
         )
 
 
+def _rows(dataset):
+    """A dataset's rows in canonical form (its header names the core
+    as configured, which differs between a name and an instance)."""
+    return [result.to_dict() for result in dataset]
+
+
+class TestOneOrchestrationPath:
+    """Without an executor, rounds run on the serial shard loop."""
+
+    def test_in_process_round_is_one_batch(self, monkeypatch):
+        from repro.evaluation.evaluator import TestCaseEvaluator
+
+        batches = []
+        evaluate_batch = TestCaseEvaluator.evaluate_batch
+
+        def counted(evaluator, test_cases):
+            batches.append(len(test_cases))
+            return evaluate_batch(evaluator, test_cases)
+
+        monkeypatch.setattr(TestCaseEvaluator, "evaluate_batch", counted)
+        result = AdaptiveLoop(
+            core=CORE,
+            template=TEMPLATE,
+            attacker=ATTACKER,
+            generator="coverage",
+            rounds=3,
+            batch=70,
+            stop="budget",
+            seed=SEED,
+        ).run()
+        assert result.rounds_run == 3
+        assert batches == [70, 70, 70]
+
+    def test_instance_configured_core_matches_the_named_core(self):
+        from repro.uarch.ibex import IbexConfig, IbexCore
+
+        def run(core):
+            return AdaptiveLoop(
+                core=core,
+                template=TEMPLATE,
+                attacker=ATTACKER,
+                generator="coverage",
+                rounds=3,
+                batch=60,
+                stop="budget",
+                seed=SEED,
+            ).run()
+
+        named = run(CORE)
+        instance = run(IbexCore(IbexConfig(dcache=True)))
+        assert _rows(instance.dataset) == _rows(named.dataset)
+        assert instance.contract.atom_ids == named.contract.atom_ids
+
+
 class TestStoppingRules:
     def _state(self, contracts, covered=frozenset(), targetable=frozenset()):
         return AdaptiveState(

@@ -386,3 +386,59 @@ class TestExecutorBackends:
                 .executor("serial")
                 .evaluate()
             )
+
+
+class TestDefaultRunIsTheSerialLoop:
+    """A run without an executor is the serial backend over the stack
+    built in setup."""
+
+    def test_default_run_matches_the_named_serial_executor(self):
+        default = SynthesisPipeline().core("ibex").budget(BUDGET, seed=SEED).run()
+        serial = (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(BUDGET, seed=SEED)
+            .executor("serial")
+            .run()
+        )
+        assert default.dataset.to_json() == serial.dataset.to_json()
+        assert default.dataset.to_json() == legacy_evaluate().to_json()
+        # The default run keeps its in-process timing detail.
+        timings = default.timings
+        assert timings.executor_name is None
+        assert timings.simulation_seconds > 0
+        assert "sim " in timings.render()
+
+    def test_default_run_streams_shard_events(self):
+        events = []
+        (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(30, seed=2)
+            .executor(None, shard_size=10)
+            .on_shard(events.append)
+            .evaluate()
+        )
+        assert [event.shard for event in events] == [(0, 10), (10, 10), (20, 10)]
+
+    def test_instance_configured_core_matches_the_named_core(self):
+        from repro.uarch.ibex import IbexConfig
+
+        def run(core):
+            return (
+                SynthesisPipeline()
+                .core(core)
+                .attacker("cache-state")
+                .template("riscv-mem")
+                .budget(120, seed=5)
+                .run()
+            )
+
+        named = run("ibex-dcache")
+        instance = run(IbexCore(IbexConfig(dcache=True)))
+        rows = [result.to_dict() for result in named.dataset]
+        assert [result.to_dict() for result in instance.dataset] == rows
+        assert instance.contract.atom_ids == named.contract.atom_ids
+        # The header names the core as configured.
+        assert named.dataset.core_name == "ibex-dcache"
+        assert instance.dataset.core_name == "ibex"

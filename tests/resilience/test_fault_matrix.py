@@ -114,6 +114,16 @@ class TestFaultMatrix:
         assert retry.unit == {"start_id": 20, "count": SHARD}
         assert "(start_id=20, count=10)" in retry.error
 
+    def test_in_process_worker_error_names_its_shard(self):
+        """A default run (no executor) evaluates on the serial shard
+        loop, so an evaluation error arrives attributed to its shard."""
+        with inject_fault("worker-error", start_id=20, fail_attempts=1):
+            with pytest.raises(ShardExecutionError) as caught:
+                _pipeline(executor=None).run()
+        assert caught.value.shard == (20, SHARD)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert "injected evaluation failure" in str(caught.value.__cause__)
+
     def test_shard_hang_is_rescheduled_by_the_watchdog(self, reference):
         """A hung worker cannot be interrupted; the sweep abandons the
         pool at the soft deadline and re-sweeps in a fresh one."""
@@ -183,6 +193,14 @@ class TestFaultMatrix:
         kinds = [record.kind for record in result.failures]
         assert kinds == ["retry"]
         assert result.failures[0].unit["round"] == 1
+
+    def test_round_never_goes_on_without_a_quarantined_shard(self):
+        """A round steers the next one: a shard quarantined in it fails
+        the round, which is retried and then raises, instead of the loop
+        going on with the shard's rows missing."""
+        with inject_fault("shard-crash", start_id=20, fail_attempts=ALWAYS):
+            with pytest.raises(RuntimeError, match="quarantined shards"):
+                _adaptive_pipeline().retry(2).run()
 
     def test_cell_crash_is_retried_to_identity(self, tmp_path, reference):
         spec = CampaignSpec(

@@ -129,3 +129,25 @@ class TestPipelineIntegration:
         pipeline = SynthesisPipeline().budget(10).core(IbexCore()).store(store)
         with pytest.raises(ValueError, match="registry name"):
             pipeline.run()
+
+    def test_cell_with_retries_finds_the_contract_its_pipeline_stored(self, tmp_path):
+        """Retry and timeout settings never change a result: a cell run
+        with retries finds its contract, and so do its fault-free and
+        differently fault-tolerant forms, before and after a reload."""
+        store = ContractStore(str(tmp_path / "store"))
+        cell = _cell(budget=30, seed=2, retries=2)
+        result = cell.pipeline().store(store).run()
+        atom_ids = tuple(sorted(result.contract.atom_ids))
+        assert store.get(cell).atom_ids == atom_ids
+        assert len(store) == 1
+        store.reload()
+        lookups = (
+            cell,
+            _cell(budget=30, seed=2),
+            _cell(budget=30, seed=2, retries=1, shard_timeout=5.0),
+        )
+        for lookup in lookups:
+            assert store.get(lookup).atom_ids == atom_ids
+        assert set(store.get_all([cell])) == {cell.key()}
+        # First write wins across fault-tolerance settings too.
+        assert not store.put(_outcome(_cell(budget=30, seed=2, retries=5)))

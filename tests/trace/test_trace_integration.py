@@ -10,7 +10,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.pipeline import SynthesisPipeline
-from repro.trace import fold_file, render_once
+from repro.trace import fold_file, read_trace, render_once
 
 pytestmark = pytest.mark.trace
 
@@ -75,6 +75,32 @@ class TestAdaptiveTrace:
         assert metrics.summary("round").count == 3
         for record in metrics.rounds():
             assert "cumulative_cases" in record and "atom_coverage" in record
+
+
+class TestShardTrace:
+    def test_default_run_writes_the_serial_executor_shard_spans(self, tmp_path):
+        """A run without an executor is the serial shard loop, so its
+        trace carries the same ``shard`` spans."""
+
+        def shard_spans(executor, name):
+            path = str(tmp_path / name)
+            (
+                SynthesisPipeline()
+                .solver("greedy")
+                .budget(45, seed=1)
+                .executor(executor, shard_size=20)
+                .trace(path)
+                .run()
+            )
+            return [
+                (record["start_id"], record["count"], record["ok"])
+                for record in read_trace(path)
+                if record.get("kind") == "shard" and "seconds" in record
+            ]
+
+        default = shard_spans(None, "default.jsonl")
+        assert default == [(0, 20, True), (20, 20, True), (40, 5, True)]
+        assert default == shard_spans("serial", "serial.jsonl")
 
 
 class TestServiceTrace:
