@@ -38,12 +38,9 @@ from repro.evaluation.backends.base import (
     ShardEvaluator,
 )
 from repro.metrics.registry import current_metrics
-from repro.resilience.errors import (
-    FatalInjectedFault,
-    ShardExecutionError,
-    ShardTimeoutError,
-)
+from repro.resilience.errors import ShardExecutionError, ShardTimeoutError
 from repro.resilience.injection import maybe_inject
+from repro.resilience.retry import is_retryable
 from repro.trace.tracer import current_tracer
 
 #: Per-process worker state for the process pool; populated by the
@@ -86,10 +83,12 @@ def _evaluate_shard_inner(
         return shard, worker.evaluate(shard)
     except ShardExecutionError:
         raise
-    except FatalInjectedFault as error:
-        raise ShardExecutionError(shard, cause=repr(error), fatal=True) from error
     except Exception as error:
-        raise ShardExecutionError(shard, cause=repr(error)) from error
+        # ``fatal`` crosses the pool's pickle boundary; ``__cause__``
+        # does not, so the classification travels in the flag.
+        raise ShardExecutionError(
+            shard, cause=repr(error), fatal=not is_retryable(error)
+        ) from error
 
 
 def _evaluate_in_process(shard: Shard) -> Tuple[Shard, List[Row]]:

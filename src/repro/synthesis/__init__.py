@@ -27,7 +27,7 @@ SOLVER_REGISTRY = Registry("solver", "ILP solver backends")
 SOLVER_REGISTRY.register(
     ScipyMilpSolver.name,
     ScipyMilpSolver,
-    description="exact 0-1 ILP via scipy.optimize.milp / HiGHS (default)",
+    description="exact 0-1 ILP on HiGHS via scipy's binding (default)",
 )
 SOLVER_REGISTRY.register(
     BranchAndBoundSolver.name,

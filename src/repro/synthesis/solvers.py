@@ -2,13 +2,14 @@
 
 Three interchangeable backends:
 
-- :class:`ScipyMilpSolver` — exact, via ``scipy.optimize.milp``
-  (HiGHS).  The default; the paper uses Google OR-Tools, any exact
-  0-1 ILP solver yields the same optimum.  It solves the LP
-  relaxation first and stops there when the rounded LP solution
-  matches the relaxation's bound (an *LP certificate*); only
-  otherwise does HiGHS branch and cut, with MIP presolve off.  One
-  ``time_limit`` covers both solves.
+- :class:`ScipyMilpSolver` — exact, HiGHS through the binding that
+  ships inside SciPy (:mod:`repro.synthesis.highs`, which hands it
+  what ``scipy.optimize.milp`` would).  The default; the paper uses
+  Google OR-Tools, any exact 0-1 ILP solver yields the same optimum.
+  It solves the LP relaxation first and stops there when the rounded
+  LP solution matches the relaxation's bound (an *LP certificate*);
+  only otherwise does HiGHS branch and cut, with MIP presolve off.
+  One ``time_limit`` covers both solves.
 - :class:`BranchAndBoundSolver` — exact, pure Python.  Self-contained
   reference implementation used to cross-check the scipy backend and
   in environments without SciPy.
@@ -33,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.synthesis import highs
 from repro.synthesis.ilp import IlpInstance, find_subset, subset_index
 
 
@@ -139,7 +141,8 @@ LP_BOUND_TOLERANCE = 1e-7
 
 
 class ScipyMilpSolver(IlpSolver):
-    """Exact backend on ``scipy.optimize.milp`` (HiGHS).
+    """Exact backend on HiGHS, called as ``scipy.optimize.milp`` calls
+    it (see :mod:`repro.synthesis.highs`).
 
     The objective is ``FP·(n+1) + |S|`` over ``n`` atom variables: one
     false positive outweighs any number of atoms, so an optimum of the
@@ -188,8 +191,6 @@ class ScipyMilpSolver(IlpSolver):
 
     def solve(self, instance: IlpInstance) -> SolverResult:
         import numpy as np
-        from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
 
         if not instance.cover_sets:
             return SolverResult(frozenset(), 0, self.name, optimal=True)
@@ -270,9 +271,11 @@ class ScipyMilpSolver(IlpSolver):
                 -np.ones(len(chain_sets)),
             ]
         )
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(row_count, variable_count)
-        )
+        # Column-wise, row indices ascending inside each column: the
+        # arrays ``csc_array`` would hold for this matrix.
+        order = np.lexsort((rows, cols))
+        column_start = np.zeros(variable_count + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=variable_count), out=column_start[1:])
         lower = np.concatenate(
             [np.ones(cover_count), np.full(row_count - cover_count, -1.0)]
         )
@@ -282,8 +285,11 @@ class ScipyMilpSolver(IlpSolver):
         stats.update({"variables": variable_count, "constraints": row_count})
         problem = dict(
             c=np.concatenate([atom_objective, modelled_weights]),
-            constraints=LinearConstraint(matrix, lower, upper),
-            bounds=Bounds(0.0, 1.0),
+            start=column_start,
+            index=rows[order].astype(np.int32),
+            value=data[order],
+            row_lower=lower,
+            row_upper=upper,
         )
 
         start = time.perf_counter()
@@ -296,7 +302,7 @@ class ScipyMilpSolver(IlpSolver):
                 if left <= 0.0:
                     return None
                 options["time_limit"] = left
-            return milp(integrality=integrality, options=options, **problem)
+            return highs.solve(integrality=integrality, options=options, **problem)
 
         def atoms_above_half(x) -> List[int]:
             return [atom_ids[index] for index in np.flatnonzero(x[:atom_count] > 0.5)]
@@ -323,11 +329,11 @@ class ScipyMilpSolver(IlpSolver):
             )
             if result is not None and result.x is not None:
                 raw_selection = atoms_above_half(result.x)
-                optimal = bool(result.success)
+                optimal = result.status == 0
             elif result is None or result.status == 1:  # out of time, no incumbent
                 raw_selection = sorted(GreedySolver().solve(instance).selected_atom_ids)
             else:  # pragma: no cover - defensive
-                raise RuntimeError("MILP solve failed: %s" % result.message)
+                raise RuntimeError("MILP solve failed with status %d" % result.status)
             selected = frozenset(eliminate_redundant_atoms(instance, raw_selection))
         self._verify(instance, selected)
         return SolverResult(

@@ -223,6 +223,70 @@ class TestFaultMatrix:
         assert not campaign.quarantined_cells
 
 
+class TestErrorClassification:
+    """An error raised inside a shard's evaluation keeps its retry
+    class through the shard wrapper, on both executors: a deterministic
+    error fails the run at once, a transient one is retried and then
+    quarantined."""
+
+    FAILING = 20
+    ATTEMPTS = 3
+
+    @pytest.fixture
+    def failing_shard(self, monkeypatch, tmp_path):
+        """Make shard ``FAILING`` raise ``error_class`` on every attempt;
+        returns a function counting the attempts (pool workers too)."""
+        attempts_file = str(tmp_path / "attempts")
+        evaluate = ShardEvaluator.evaluate
+
+        def install(error_class):
+            def failing(self, shard):
+                if shard[0] != TestErrorClassification.FAILING:
+                    return evaluate(self, shard)
+                with open(attempts_file, "a") as stream:
+                    stream.write("x")
+                raise error_class("evaluation failed")
+
+            def attempts():
+                with open(attempts_file) as stream:
+                    return len(stream.read())
+
+            monkeypatch.setattr(ShardEvaluator, "evaluate", failing)
+            return attempts
+
+        return install
+
+    @pytest.mark.parametrize("executor", ["serial", "multiprocess"])
+    @pytest.mark.parametrize("error_class", [ValueError, TypeError])
+    def test_deterministic_error_fails_on_the_first_attempt(
+        self, failing_shard, executor, error_class
+    ):
+        attempts = failing_shard(error_class)
+        with pytest.raises(ShardExecutionError) as caught:
+            _pipeline(executor, processes=2).retry(self.ATTEMPTS).run()
+        assert caught.value.fatal
+        assert caught.value.shard == (self.FAILING, SHARD)
+        assert attempts() == 1
+        if executor == "serial":
+            assert isinstance(caught.value.__cause__, error_class)
+
+    @pytest.mark.parametrize("executor", ["serial", "multiprocess"])
+    @pytest.mark.parametrize("error_class", [InjectedFault, OSError])
+    def test_transient_error_is_retried_then_quarantined(
+        self, failing_shard, executor, error_class
+    ):
+        attempts = failing_shard(error_class)
+        result = _pipeline(executor, processes=2).retry(self.ATTEMPTS).run()
+        assert attempts() == self.ATTEMPTS
+        kinds = [record.kind for record in result.failures]
+        assert kinds == ["retry", "retry", "shard"]
+        assert result.quarantined_shards[0].unit == {
+            "start_id": self.FAILING,
+            "count": SHARD,
+        }
+        assert len(result.dataset) == BUDGET - SHARD
+
+
 class TestQuarantine:
     def test_exhausted_shard_is_quarantined_and_logged(self, tmp_path):
         """A permanently failing shard ends in the FailureLog and the

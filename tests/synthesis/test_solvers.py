@@ -1,13 +1,17 @@
 """Tests for the three solver backends, including cross-checks of
 exactness on randomized instances."""
 
+import contextlib
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
+from repro.synthesis import highs
 from repro.synthesis.ilp import build_ilp_instance
 from repro.synthesis.solvers import (
     BranchAndBoundSolver,
@@ -208,20 +212,25 @@ def test_scipy_stats():
     assert result.stats["variables"] >= 3
 
 
-@pytest.fixture
-def milp_calls(monkeypatch):
-    """Record the keyword arguments of every ``scipy.optimize.milp`` call."""
-    import scipy.optimize
-
+@contextlib.contextmanager
+def _recorded_solves():
+    """Record the keyword arguments of every HiGHS solve
+    (:func:`repro.synthesis.highs.solve`, ``milp``'s arguments)."""
     calls = []
-    milp = scipy.optimize.milp
+    solve = highs.solve
 
-    def recording_milp(**kwargs):
+    def recording_solve(**kwargs):
         calls.append(kwargs)
-        return milp(**kwargs)
+        return solve(**kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
-    return calls
+    with mock.patch.object(highs, "solve", recording_solve):
+        yield calls
+
+
+@pytest.fixture
+def milp_calls():
+    with _recorded_solves() as calls:
+        yield calls
 
 
 class TestScipyFormulation:
@@ -400,8 +409,6 @@ def test_reductions_keep_the_optimum(dataset):
 
 @pytest.mark.parametrize("block", [1, 2, 512])
 def test_largest_proper_subsets_across_blocks(monkeypatch, block):
-    import numpy as np
-
     from repro.synthesis import solvers
 
     monkeypatch.setattr(solvers, "SUBSET_BLOCK", block)
@@ -419,3 +426,113 @@ def test_largest_proper_subsets_across_blocks(monkeypatch, block):
         ]
         expected.append(min(subsets)[1] if subsets else -1)
     assert list(solvers.largest_proper_subsets(incidence)) == expected
+
+
+def _recorded_problem(dataset):
+    """The keyword arguments of the first HiGHS solve of ``dataset``'s
+    instance, or ``None`` when the instance has no cover rows."""
+    with _recorded_solves() as calls:
+        ScipyMilpSolver(time_limit=None).solve(build_ilp_instance(dataset))
+    return calls[0] if calls else None
+
+
+def _public_fields(value):
+    return {
+        name: getattr(value, name)
+        for name in dir(value)
+        if not name.startswith("_") and not callable(getattr(value, name))
+    }
+
+
+def _lp_fields(lp):
+    matrix = lp.a_matrix_
+    arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_)
+    arrays += (lp.row_upper_, matrix.start_, matrix.index_, matrix.value_)
+    counts = (lp.num_col_, lp.num_row_, matrix.num_col_, matrix.num_row_)
+    return counts, matrix.format_, [list(array) for array in arrays], lp.integrality_
+
+
+#: One LP and one integral solve, with ``ScipyMilpSolver``'s options.
+_SOLVES = [
+    (0, {"time_limit": 60.0}),
+    (1, {"mip_rel_gap": 0.0, "presolve": False, "time_limit": 60.0}),
+]
+
+
+class TestHighsDriver:
+    """The direct binding path gives HiGHS what ``scipy.optimize.milp``
+    gives it, so every contract stays byte-identical."""
+
+    @pytest.mark.skipif(highs.load_binding() is None, reason="no _highspy binding")
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(_small_datasets, _odd_cycle_datasets()))
+    def test_highs_receives_the_milp_model_and_options(self, dataset):
+        problem = _recorded_problem(dataset)
+        if problem is None:
+            return
+        binding = highs.load_binding()
+        received = []
+
+        class RecordingHighs(binding._Highs):
+            def passOptions(self, options):
+                received.append(_public_fields(options))
+                return super().passOptions(options)
+
+            def passModel(self, lp):
+                received.append(_lp_fields(lp))
+                return super().passModel(lp)
+
+        with mock.patch.object(binding, "_Highs", RecordingHighs):
+            for integral, options in _SOLVES:
+                integrality = np.full(len(problem["c"]), integral)
+                arguments = dict(problem, integrality=integrality, options=options)
+                highs.solve(**arguments)
+                highs.milp_solve(**arguments)
+        assert len(received) == 8
+        for solve in range(0, 8, 4):
+            assert received[solve : solve + 2] == received[solve + 2 : solve + 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_small_datasets, _odd_cycle_datasets()))
+    def test_driver_matches_milp(self, dataset):
+        problem = _recorded_problem(dataset)
+        if problem is None:
+            return
+        for integral, options in _SOLVES:
+            integrality = np.full(len(problem["c"]), integral)
+            arguments = dict(problem, integrality=integrality, options=options)
+            direct = highs.solve(**arguments)
+            reference = highs.milp_solve(**arguments)
+            assert direct.status == reference.status == 0
+            assert np.array_equal(direct.x, reference.x)
+            assert direct.fun == reference.fun
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_small_datasets, _odd_cycle_datasets()))
+    def test_csc_arrays_match_scipy(self, dataset):
+        from scipy.sparse import csc_array, csr_matrix
+
+        problem = _recorded_problem(dataset)
+        if problem is None:
+            return
+        start, index, value = problem["start"], problem["index"], problem["value"]
+        shape = (len(problem["row_lower"]), len(problem["c"]))
+        # The same entries in a scrambled order, through the old csr path.
+        cols = np.repeat(np.arange(shape[1]), np.diff(start))
+        order = np.random.default_rng(len(value)).permutation(len(value))
+        old = csc_array(
+            csr_matrix((value[order], (index[order], cols[order])), shape=shape)
+        )
+        assert np.array_equal(start, old.indptr)
+        assert np.array_equal(index, old.indices)
+        assert np.array_equal(value, old.data)
+        assert index.dtype == np.int32 and start.dtype == np.int32
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_small_datasets, _odd_cycle_datasets()))
+    def test_milp_fallback_returns_the_same_result(self, dataset):
+        instance = build_ilp_instance(dataset)
+        direct = ScipyMilpSolver(time_limit=None).solve(instance)
+        with mock.patch.object(highs, "load_binding", lambda: None):
+            fallback = ScipyMilpSolver(time_limit=None).solve(instance)
+        assert fallback == direct
