@@ -29,9 +29,8 @@ The package is organized bottom-up:
   cells executed through the pipeline with cross-cell dataset reuse
   and a cell-granularity checkpoint manifest.
 - :mod:`repro.adaptive` — coverage-guided synthesis loops: rounds of
-  generation steered by evaluator feedback, warm-started per-round
-  ILP synthesis, pluggable stopping rules, and round-granularity
-  checkpointing.
+  generation steered by evaluator feedback, per-round ILP synthesis,
+  pluggable stopping rules, and round-granularity checkpointing.
 """
 
 __version__ = "1.0.0"

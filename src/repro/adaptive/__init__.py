@@ -4,7 +4,8 @@ The fixed-budget pipeline generates its whole corpus up front and
 throws the evaluator's per-atom feedback away.  :class:`AdaptiveLoop`
 closes that loop: rounds of ``batch``-sized generation through a
 ``GENERATOR_REGISTRY`` strategy, per-atom coverage fed back between
-rounds, warm-started per-round ILP synthesis, pluggable
+rounds, per-round ILP synthesis (offered the previous contract as a
+zero-false-positive warm start, which rarely applies), pluggable
 :data:`STOPPING_REGISTRY` convergence rules, and round-granularity
 checkpointing via :class:`AdaptiveManifest`.
 

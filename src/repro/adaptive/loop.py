@@ -10,9 +10,11 @@ per round), or fanned out through an ``EXECUTOR_REGISTRY`` backend
 whose workers rebuild the strategy from its registry name plus a JSON
 state snapshot.  The loop then feeds the per-atom coverage back into
 the strategy and re-synthesizes the contract from the accumulated
-dataset — warm-starting the ILP from the previous round's
-:class:`~repro.synthesis.synthesizer.SynthesisResult` so a converged
-loop's synthesis degenerates to a feasibility check.
+dataset, offering the previous round's contract as a warm start
+(:meth:`~repro.synthesis.synthesizer.ContractSynthesizer.synthesize`
+reuses it only while it still covers every case at zero false
+positives; coverage-steered rounds change the contract, so in
+practice every round solves cold).
 A pluggable :class:`~repro.adaptive.stopping.StoppingRule` ends the
 loop early; otherwise it runs its full round budget.
 

@@ -33,12 +33,19 @@ continues:
 4. Dominated atoms are dropped: when atom ``a`` covers every constraint
    ``b`` covers and triggers a subset of ``b``'s false-positive sets,
    swapping ``b`` for ``a`` never adds a false positive or an atom.
+   Such an ``a`` lies in every cover row of ``b``, so only the atoms of
+   ``b``'s smallest cover row are compared with it.  Strict dominance
+   over distinct signatures is a partial order, so the kept atoms (the
+   maximal signatures) do not depend on the order of the scan.
 5. The remaining rows are intersected with the kept atoms, which makes
    some of them equal again; equal cover sets and equal FP sets merge
    (test ids concatenate, FP weights add), as in 2 and 3.
 6. A cover set that is a proper superset of another is implied by it
-   (whatever hits the subset hits the superset) and is dropped; its
-   test ids move to that subset.
+   (whatever hits the subset hits the superset) and is dropped.  Each
+   row's parent is its largest proper subset among the cover rows
+   (:func:`largest_proper_subsets`, on a :class:`SubsetIndex`): a row
+   with a parent is dropped, and its test ids move to the root of its
+   parent chain, a kept row.
 7. Atoms left in no cover row cover nothing and are dropped like the
    atoms of 1; FP sets are intersected with the atoms that remain.
 
@@ -54,9 +61,10 @@ restricted templates of Fig. 2/3 lose sensitivity).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.evaluation.results import EvaluationDataset
 
@@ -187,38 +195,7 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
     equal, cleared of subsumed cover sets and of the atoms those left
     uncovered (reductions 5-7 of the module docstring).
     """
-    atom_ids = instance.candidate_atom_ids
-    cover_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
-    for position, atoms in enumerate(instance.cover_sets):
-        bit = 1 << position
-        for atom_id in atoms:
-            cover_mask[atom_id] |= bit
-    fp_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
-    for position, (atoms, _weight) in enumerate(instance.fp_sets):
-        bit = 1 << position
-        for atom_id in atoms:
-            fp_mask[atom_id] |= bit
-
-    # Deduplicate identical signatures first (keep the smallest id).
-    by_signature: Dict[Tuple[int, int], int] = {}
-    for atom_id in atom_ids:
-        signature = (cover_mask[atom_id], fp_mask[atom_id])
-        if signature not in by_signature or atom_id < by_signature[signature]:
-            by_signature[signature] = atom_id
-    survivors = sorted(by_signature.values())
-
-    # Pairwise strict dominance among the distinct signatures.
-    dominated = set()
-    for b in survivors:
-        cover_b, fp_b = cover_mask[b], fp_mask[b]
-        for a in survivors:
-            if a == b or a in dominated:
-                continue
-            if cover_b & ~cover_mask[a] == 0 and fp_mask[a] & ~fp_b == 0:
-                dominated.add(b)
-                break
-    kept = frozenset(atom_id for atom_id in survivors if atom_id not in dominated)
-
+    kept = undominated_atoms(instance)
     cover_items = _merge_rows(
         (atoms & kept, 1, ids)
         for atoms, ids in zip_longest(instance.cover_sets, instance.cover_test_ids, fillvalue=())
@@ -253,6 +230,38 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
     )
 
 
+def undominated_atoms(instance: IlpInstance) -> FrozenSet[int]:
+    """The candidate atoms with a maximal ``(cover rows, FP sets)``
+    signature, the smallest id standing for each distinct signature
+    (reduction 4 of the module docstring)."""
+    cover_mask, fp_mask = atom_masks(instance)
+
+    # Deduplicate identical signatures first (the candidate ids are
+    # sorted, so the smallest id stands for each).
+    by_signature: Dict[Tuple[int, int], int] = {}
+    for atom_id in instance.candidate_atom_ids:
+        by_signature.setdefault((cover_mask[atom_id], fp_mask[atom_id]), atom_id)
+    survivors = frozenset(by_signature.values())
+
+    # Strict dominance among the distinct signatures: a dominator of b
+    # lies in every cover row of b (each candidate lies in one, by
+    # reduction 1), so b's smallest row holds them all.
+    smallest_row: Dict[int, FrozenSet[int]] = {}
+    for atoms in sorted(instance.cover_sets, key=len):
+        for atom_id in atoms:
+            smallest_row.setdefault(atom_id, atoms)
+    dominated = set()
+    for b in survivors:
+        cover_b, fp_b = cover_mask[b], fp_mask[b]
+        for a in smallest_row[b]:
+            if a == b or a not in survivors or a in dominated:
+                continue
+            if cover_b & ~cover_mask[a] == 0 and fp_mask[a] & ~fp_b == 0:
+                dominated.add(b)
+                break
+    return survivors.difference(dominated)
+
+
 _Row = Tuple[FrozenSet[int], int, Tuple[int, ...]]
 
 
@@ -270,42 +279,74 @@ def _merge_rows(rows: Iterable[Tuple[FrozenSet[int], int, Sequence[int]]]) -> Li
     ]
 
 
-def subset_index(sets: Iterable[FrozenSet[int]]) -> Dict[int, List[FrozenSet[int]]]:
-    """Index non-empty ``sets`` by their smallest atom, for
-    :func:`find_subset`."""
-    index: Dict[int, List[FrozenSet[int]]] = {}
-    for atoms in sets:
-        index.setdefault(min(atoms), []).append(atoms)
-    return index
+def atom_masks(instance: IlpInstance) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per candidate atom, the bitmask of the cover rows it hits and the
+    bitmask of the FP sets it triggers (bit ``i`` is row ``i``)."""
+
+    def masks(rows: Iterable[FrozenSet[int]]) -> Dict[int, int]:
+        mask = dict.fromkeys(instance.candidate_atom_ids, 0)
+        for position, atoms in enumerate(rows):
+            bit = 1 << position
+            for atom_id in atoms:
+                mask[atom_id] |= bit
+        return mask
+
+    fp_sets = (atoms for atoms, _weight in instance.fp_sets)
+    return masks(instance.cover_sets), masks(fp_sets)
 
 
-def find_subset(
-    index: Dict[int, List[FrozenSet[int]]], atoms: FrozenSet[int]
-) -> Optional[FrozenSet[int]]:
-    """The first indexed set contained in ``atoms``, if any.  A subset's
-    smallest atom lies in ``atoms``, so only those buckets are probed."""
-    for atom_id in atoms:
-        for candidate in index.get(atom_id, ()):
-            if candidate <= atoms:
-                return candidate
-    return None
+class SubsetIndex:
+    """Non-empty atom sets, each filed under its rarest atom: a stored
+    subset of a query contains its key, so a query probes only the
+    buckets of its own atoms, and rare keys keep those buckets small."""
+
+    def __init__(self, sets: Sequence[FrozenSet[int]]):
+        self.sets = sets
+        frequency = Counter(atom_id for atoms in sets for atom_id in atoms)
+        self._buckets: Dict[int, List[int]] = {}
+        for position, atoms in enumerate(sets):
+            rarest = min(atoms, key=lambda atom_id: (frequency[atom_id], atom_id))
+            self._buckets.setdefault(rarest, []).append(position)
+
+    def subsets(self, atoms: FrozenSet[int]) -> Iterator[int]:
+        """The positions of the stored sets contained in ``atoms``
+        (itself included, if stored), in no particular order."""
+        for atom_id in atoms:
+            for position in self._buckets.get(atom_id, ()):
+                if self.sets[position] <= atoms:
+                    yield position
+
+
+def largest_proper_subsets(sets: Sequence[FrozenSet[int]]) -> List[int]:
+    """For each of the non-empty ``sets``, the position of its largest
+    proper subset among them, or -1.  Ties go to the lowest position."""
+    index = SubsetIndex(sets)
+    sizes = [len(atoms) for atoms in sets]
+    return [
+        max(
+            (position for position in index.subsets(atoms) if sizes[position] < size),
+            key=lambda position: (sizes[position], -position),
+            default=-1,
+        )
+        for atoms, size in zip(sets, sizes)
+    ]
 
 
 def drop_subsumed_cover_sets(cover_items: List[_Row]) -> List[_Row]:
     """Drop the (distinct) cover sets that are proper supersets of
-    another; each dropped set's test ids join the kept subset found.
-
-    Smaller sets are decided first, so a set only has to be checked
-    against kept ones: a subset that was itself dropped has a kept
-    subset of its own.
+    another.  A set with a parent (its largest proper subset) is
+    dropped; its test ids join the root of its parent chain, which has
+    no proper subset and is kept.
     """
-    index: Dict[int, List[FrozenSet[int]]] = {}
-    kept: Dict[FrozenSet[int], Tuple[int, List[int]]] = {}
-    for atoms, count, ids in sorted(cover_items, key=lambda item: len(item[0])):
-        subset = find_subset(index, atoms)
-        if subset is None:
-            index.setdefault(min(atoms), []).append(atoms)
-            kept[atoms] = (count, list(ids))
-        else:
-            kept[subset][1].extend(ids)
-    return _merge_rows((atoms, count, ids) for atoms, (count, ids) in kept.items())
+    parents = largest_proper_subsets([atoms for atoms, _count, _ids in cover_items])
+    test_ids = [list(ids) for _atoms, _count, ids in cover_items]
+    for position, parent in enumerate(parents):
+        if parent >= 0:
+            while parents[parent] >= 0:
+                parent = parents[parent]
+            test_ids[parent].extend(test_ids[position])
+    return _merge_rows(
+        (atoms, count, test_ids[position])
+        for position, (atoms, count, _ids) in enumerate(cover_items)
+        if parents[position] < 0
+    )

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.synthesis import highs
-from repro.synthesis.ilp import IlpInstance, find_subset, subset_index
+from repro.synthesis.ilp import (
+    IlpInstance,
+    SubsetIndex,
+    atom_masks,
+    largest_proper_subsets,
+)
 
 
 @dataclass
@@ -96,43 +101,6 @@ def eliminate_redundant_atoms(
     return kept
 
 
-#: FP sets per block of the subset matmul in
-#: :func:`largest_proper_subsets` (bounds its working memory).
-SUBSET_BLOCK = 128
-
-
-def largest_proper_subsets(incidence):
-    """For each row of a boolean set-incidence matrix (distinct sets),
-    the index of its largest proper subset among the rows, or -1.  Ties
-    go to the lowest index.
-
-    Rows are visited by size in blocks of :data:`SUBSET_BLOCK`, so each
-    block is multiplied only against the smaller sets and the full
-    intersection matrix never exists at once; the stable sort keeps the
-    tie-break.
-    """
-    import numpy as np
-
-    sizes = incidence.sum(axis=1, dtype=np.float32)
-    order = np.argsort(sizes, kind="stable")
-    by_size = incidence[order].astype(np.float32)
-    sorted_sizes = sizes[order]
-    parents = np.full(len(sizes), -1)
-    for begin in range(0, len(sizes), SUBSET_BLOCK):
-        block = slice(begin, begin + SUBSET_BLOCK)
-        end = np.searchsorted(sorted_sizes, sorted_sizes[block][-1])
-        if not end:
-            continue
-        shared = by_size[block] @ by_size[:end].T
-        is_subset = (shared == sorted_sizes[:end]) & (
-            sorted_sizes[:end] < sorted_sizes[block, None]
-        )
-        scores = np.where(is_subset, sorted_sizes[:end], 0.0)
-        best = order[scores.argmax(axis=1)]
-        parents[order[block]] = np.where(scores.max(axis=1) > 0, best, -1)
-    return parents
-
-
 #: Relative tolerance on the LP bound in the certificate of
 #: :class:`ScipyMilpSolver`.  It equals HiGHS's default optimality
 #: (dual feasibility) tolerance, so the certificate trusts the bound no
@@ -156,8 +124,10 @@ class ScipyMilpSolver(IlpSolver):
     - *Singleton* FP sets ``{A}`` fold their weight into ``s_A``'s
       objective coefficient.
     - *Nested* FP sets are chained: a set ``F`` whose largest proper
-      subset among the remaining FP sets is ``P`` gets the row
-      ``c_P ≤ c_F`` plus ``s_A ≤ c_F`` only for ``A ∈ F \\ P``.
+      subset among the remaining FP sets is ``P`` (ties to the first
+      such set) gets the row ``c_P ≤ c_F`` plus ``s_A ≤ c_F`` only for
+      ``A ∈ F \\ P``.  The forced sets and the parents ``P`` are both
+      found on a :class:`~repro.synthesis.ilp.SubsetIndex`.
 
     The LP relaxation of that formulation is solved first.  Its atom
     variables are rounded at 0.5.  When the rounded selection covers
@@ -207,11 +177,11 @@ class ScipyMilpSolver(IlpSolver):
         # Objective FP·(n+1) + |S|: 1 per atom, fp_scale per false positive.
         atom_objective = np.ones(atom_count)
         forced_weight = 0
-        covers = subset_index(instance.cover_sets)
+        covers = SubsetIndex(instance.cover_sets)
         modelled_sets: List[FrozenSet[int]] = []
         modelled_weights: List[float] = []
         for atoms, weight in instance.fp_sets:
-            if find_subset(covers, atoms) is not None:
+            if next(covers.subsets(atoms), None) is not None:
                 stats["rows.forced"] += len(atoms)
                 forced_weight += weight
             elif len(atoms) == 1:
@@ -226,7 +196,7 @@ class ScipyMilpSolver(IlpSolver):
         incidence = np.zeros((fp_count, atom_count), dtype=bool)
         for position, atoms in enumerate(modelled_sets):
             incidence[position, [atom_index[atom_id] for atom_id in atoms]] = True
-        parents = largest_proper_subsets(incidence)
+        parents = np.array(largest_proper_subsets(modelled_sets), dtype=int)
         chained = parents >= 0
         own = incidence.copy()
         own[chained] &= ~incidence[parents[chained]]
@@ -351,16 +321,9 @@ class GreedySolver(IlpSolver):
     name = "greedy"
 
     def solve(self, instance: IlpInstance) -> SolverResult:
-        uncovered = set(range(len(instance.cover_sets)))
-        atom_covers: Dict[int, set] = {
-            atom_id: set() for atom_id in instance.candidate_atom_ids
-        }
-        for position, atoms in enumerate(instance.cover_sets):
-            for atom_id in atoms:
-                atom_covers[atom_id].add(position)
-        atom_fp: Dict[int, int] = {
-            atom_id: 0 for atom_id in instance.candidate_atom_ids
-        }
+        atom_covers, _fp_masks = atom_masks(instance)
+        uncovered = (1 << len(instance.cover_sets)) - 1
+        atom_fp = dict.fromkeys(instance.candidate_atom_ids, 0)
         for atoms, weight in instance.fp_sets:
             for atom_id in atoms:
                 atom_fp[atom_id] += weight
@@ -372,7 +335,7 @@ class GreedySolver(IlpSolver):
             best_atom = None
             best_key = None
             for atom_id, covers in atom_covers.items():
-                gain = len(covers & uncovered)
+                gain = (covers & uncovered).bit_count()
                 if gain == 0:
                     continue
                 # Cheapest additional FP per newly covered constraint;
@@ -382,7 +345,7 @@ class GreedySolver(IlpSolver):
                     best_key = key
                     best_atom = atom_id
             selection.append(best_atom)
-            uncovered -= atom_covers[best_atom]
+            uncovered &= ~atom_covers[best_atom]
 
         selection = eliminate_redundant_atoms(instance, selection)
         selected = frozenset(selection)
@@ -416,18 +379,8 @@ class BranchAndBoundSolver(IlpSolver):
         if cover_count == 0:
             return SolverResult(frozenset(), 0, self.name, optimal=True)
 
-        atom_ids = instance.candidate_atom_ids
-        cover_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
-        for position, atoms in enumerate(instance.cover_sets):
-            bit = 1 << position
-            for atom_id in atoms:
-                cover_mask[atom_id] |= bit
-        fp_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
+        cover_mask, fp_mask = atom_masks(instance)
         fp_weights = [weight for _atoms, weight in instance.fp_sets]
-        for position, (atoms, _weight) in enumerate(instance.fp_sets):
-            bit = 1 << position
-            for atom_id in atoms:
-                fp_mask[atom_id] |= bit
 
         def weight_of(mask: int) -> int:
             total = 0

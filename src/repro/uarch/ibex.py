@@ -157,6 +157,8 @@ class IbexCore(Core):
     def __init__(self, config: IbexConfig = None, dependency_window: int = 4):
         super().__init__(dependency_window=dependency_window)
         self.config = config if config is not None else IbexConfig()
+        #: The registry name of this configuration.
+        self.name = "ibex-dcache" if self.config.dcache else "ibex"
         self._dcache = None
         if self.config.dcache:
             self._dcache = DirectMappedCache(

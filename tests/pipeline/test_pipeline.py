@@ -441,4 +441,4 @@ class TestDefaultRunIsTheSerialLoop:
         assert instance.contract.atom_ids == named.contract.atom_ids
         # The header names the core as configured.
         assert named.dataset.core_name == "ibex-dcache"
-        assert instance.dataset.core_name == "ibex"
+        assert instance.dataset.core_name == "ibex-dcache"

@@ -1,8 +1,18 @@
 """Tests for ILP-instance construction and its reductions."""
 
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.synthesis.ilp import build_ilp_instance as _build_ilp_instance
-from repro.synthesis.ilp import eliminate_dominated_atoms
+from repro.synthesis.ilp import (
+    SubsetIndex,
+    drop_subsumed_cover_sets,
+    eliminate_dominated_atoms,
+    largest_proper_subsets,
+    undominated_atoms,
+)
 
 
 def build_ilp_instance(dataset, allowed_atom_ids=None):
@@ -252,3 +262,108 @@ class TestCoverSubsumption:
         instance = _build_ilp_instance(dataset)
         assert instance.cover_sets == (frozenset({1, 2}), frozenset({2, 3}))
         assert instance.candidate_atom_ids == (1, 2, 3)
+
+
+#: Families over few atoms, so sets overlap, nest and tie in size.
+_atom_sets = st.frozensets(st.integers(0, 7), min_size=1, max_size=5)
+_families = st.lists(_atom_sets, max_size=30)
+
+
+class TestSubsetIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(_families, st.lists(st.frozensets(st.integers(0, 7)), max_size=10))
+    def test_subsets_match_brute_force(self, sets, queries):
+        index = SubsetIndex(sets)
+        for atoms in sets + queries:
+            found = list(index.subsets(atoms))
+            assert len(found) == len(set(found))
+            expected = {
+                position for position, other in enumerate(sets) if other <= atoms
+            }
+            assert set(found) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_families, st.booleans())
+    def test_largest_proper_subsets_match_brute_force(self, sets, distinct):
+        if distinct:
+            sets = list(dict.fromkeys(sets))
+        expected = []
+        for atoms in sets:
+            subsets = [
+                (-len(other), position)
+                for position, other in enumerate(sets)
+                if other < atoms
+            ]
+            expected.append(min(subsets)[1] if subsets else -1)
+        assert largest_proper_subsets(sets) == expected
+
+
+#: Un-reduced instances of random datasets (test ids 0, 1, ...).
+_raw_instances = st.lists(st.tuples(st.booleans(), _atom_sets), max_size=40).map(
+    lambda entries: build_ilp_instance(
+        make_dataset([(test_id, *entry) for test_id, entry in enumerate(entries)])
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_instances)
+def test_dominance_keeps_the_maximal_signatures(instance):
+    """Reduction 4 equals an all-pairs scan: per distinct signature its
+    smallest atom, unless another signature strictly dominates it."""
+    fp_sets = [atoms for atoms, _weight in instance.fp_sets]
+    signatures = {}
+    for atom_id in instance.candidate_atom_ids:
+        signature = tuple(
+            frozenset(row for row, atoms in enumerate(rows) if atom_id in atoms)
+            for rows in (instance.cover_sets, fp_sets)
+        )
+        signatures.setdefault(signature, atom_id)
+    expected = {
+        atom_id
+        for (cover_b, fp_b), atom_id in signatures.items()
+        if not any(
+            (cover_a, fp_a) != (cover_b, fp_b) and cover_b <= cover_a and fp_a <= fp_b
+            for cover_a, fp_a in signatures
+        )
+    }
+    assert undominated_atoms(instance) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_atom_sets, max_size=30, unique=True))
+def test_subsumed_cover_ids_land_in_a_kept_subset(cover_sets):
+    # Row ``i`` holds test ids ``2i`` and ``2i + 1``.
+    rows = [
+        (atoms, 1, (2 * position, 2 * position + 1))
+        for position, atoms in enumerate(cover_sets)
+    ]
+    kept = drop_subsumed_cover_sets(rows)
+    minimal = {
+        atoms for atoms in cover_sets if not any(other < atoms for other in cover_sets)
+    }
+    assert {atoms for atoms, _count, _ids in kept} == minimal
+    home = Counter()
+    for atoms, _count, ids in kept:
+        for test_id in ids:
+            home[test_id] += 1
+            assert atoms <= cover_sets[test_id // 2]
+    assert sorted(home) == list(range(2 * len(cover_sets)))
+    assert set(home.values()) <= {1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_instances)
+def test_every_covered_case_lands_in_one_row_of_its_own_atoms(raw):
+    """After all reductions, each coverable case's id sits in exactly one
+    cover row, and that row only holds atoms distinguishing the case."""
+    atoms_of = {
+        test_id: atoms
+        for atoms, ids in zip(raw.cover_sets, raw.cover_test_ids)
+        for test_id in ids
+    }
+    reduced = eliminate_dominated_atoms(raw)
+    home = Counter(test_id for ids in reduced.cover_test_ids for test_id in ids)
+    assert home.keys() == atoms_of.keys() and set(home.values()) <= {1}
+    for atoms, ids in zip(reduced.cover_sets, reduced.cover_test_ids):
+        assert all(atoms <= atoms_of[test_id] for test_id in ids)

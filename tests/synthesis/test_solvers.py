@@ -2,6 +2,7 @@
 exactness on randomized instances."""
 
 import contextlib
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -407,27 +408,6 @@ def test_reductions_keep_the_optimum(dataset):
     assert len(fp_ids) == result.false_positives
 
 
-@pytest.mark.parametrize("block", [1, 2, 512])
-def test_largest_proper_subsets_across_blocks(monkeypatch, block):
-    from repro.synthesis import solvers
-
-    monkeypatch.setattr(solvers, "SUBSET_BLOCK", block)
-    rng = random.Random(block)
-    sets = list({frozenset(rng.sample(range(8), rng.randint(1, 6))) for _ in range(40)})
-    incidence = np.zeros((len(sets), 8), dtype=bool)
-    for position, atoms in enumerate(sets):
-        incidence[position, sorted(atoms)] = True
-    expected = []
-    for atoms in sets:
-        subsets = [
-            (-len(other), position)
-            for position, other in enumerate(sets)
-            if other < atoms
-        ]
-        expected.append(min(subsets)[1] if subsets else -1)
-    assert list(solvers.largest_proper_subsets(incidence)) == expected
-
-
 def _recorded_problem(dataset):
     """The keyword arguments of the first HiGHS solve of ``dataset``'s
     instance, or ``None`` when the instance has no cover rows."""
@@ -536,3 +516,100 @@ class TestHighsDriver:
         with mock.patch.object(highs, "load_binding", lambda: None):
             fallback = ScipyMilpSolver(time_limit=None).solve(instance)
         assert fallback == direct
+
+
+def _digest(parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    return digest.hexdigest()
+
+
+#: The model arrays of a HiGHS solve (:func:`repro.synthesis.highs.solve`).
+_PROBLEM_ARRAYS = ("c", "start", "index", "value", "row_lower", "row_upper")
+
+
+def _problem_digest(problem):
+    """SHA-256 over the arrays HiGHS receives, in a fixed dtype."""
+    parts = []
+    for key in _PROBLEM_ARRAYS:
+        dtype = "<i4" if key in ("start", "index") else "<f8"
+        parts += [key, np.asarray(problem[key], dtype=dtype).tobytes()]
+    return _digest(parts)
+
+
+def _instance_digest(instance):
+    """SHA-256 over every :class:`IlpInstance` field.  Which kept cover
+    row receives a subsumed row's test ids is not pinned (nothing reads
+    it), so ``cover_test_ids`` enters as its sorted union."""
+    return _digest(
+        [
+            instance.candidate_atom_ids,
+            [sorted(atoms) for atoms in instance.cover_sets],
+            [(sorted(atoms), weight) for atoms, weight in instance.fp_sets],
+            instance.uncoverable_test_ids,
+            sorted(itertools.chain.from_iterable(instance.cover_test_ids)),
+            instance.fp_test_ids,
+            sorted(instance.reduced_rows.items()),
+        ]
+    )
+
+
+#: ``(core, template, seed)`` → (instance digest, HiGHS problem digest)
+#: of a 2,000-case generated corpus.  A change to the formulation must
+#: keep them, or re-record them on purpose.
+GOLDEN_FORMULATIONS = {
+    ("ibex", "riscv-rv32im", 0): (
+        "b77b18b17204f0efcf30eb627dcf4922e666fb0a18875b1205a0458f3b823187",
+        "76eaea469a8580d3df3baf17d7ba2e76d362461f893432cf403b908fbfa7995d",
+    ),
+    ("ibex", "riscv-rv32im", 1): (
+        "55c776138d10bdf7aaaee8dceafa39ff6eb42448692537a07f46f2021d205dd9",
+        "3d60920531f268ceec8250ac7c1facd9fb0fa924183a9f8fdd3165a51bfe78c0",
+    ),
+    ("cva6", "riscv-mem", 0): (
+        "4eff5d9ee0c52c7afe929d7f8c9e8ac4d6210383075b9cbfadd4d24eb8fe3445",
+        "d99b95c07dc78c517fc05fae8aa1c2f5dadf45cd401b87a660ce87dba8adc28f",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_FORMULATIONS), ids=lambda key: "%s-%s-%d" % key
+)
+def test_golden_formulation_digests(key):
+    """A generated corpus, and a shuffled copy of it, give the instance
+    and the HiGHS arrays recorded above."""
+    from repro.pipeline import SynthesisPipeline
+
+    core, template, seed = key
+    pipeline = SynthesisPipeline().core(core).template(template).budget(2000, seed)
+    dataset = pipeline.evaluate()
+    results = list(dataset)
+    random.Random(7).shuffle(results)
+    for corpus in (dataset, EvaluationDataset(results)):
+        instance_digest = _instance_digest(build_ilp_instance(corpus))
+        problem_digest = _problem_digest(_recorded_problem(corpus))
+        assert (instance_digest, problem_digest) == GOLDEN_FORMULATIONS[key]
+
+
+def _problem_arrays(dataset):
+    problem = _recorded_problem(dataset)
+    if problem is None:
+        return None
+    return {key: list(problem[key]) for key in _PROBLEM_ARRAYS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_small_datasets, _odd_cycle_datasets()),
+    st.randoms(use_true_random=False),
+)
+def test_result_order_does_not_change_the_formulation(dataset, rng):
+    """The instance and what HiGHS receives are functions of the set of
+    results, not of their order."""
+    results = list(dataset)
+    rng.shuffle(results)
+    shuffled = EvaluationDataset(results)
+    assert build_ilp_instance(shuffled) == build_ilp_instance(dataset)
+    assert _problem_arrays(shuffled) == _problem_arrays(dataset)
