@@ -37,8 +37,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from repro.adaptive.manifest import AdaptiveManifest
 from repro.adaptive.stopping import AdaptiveState, StoppingRule, resolve_stopping_rules
 from repro.resilience.injection import maybe_inject
-from repro.resilience.quarantine import FailureLog, FailureRecord
-from repro.resilience.retry import RetryPolicy, is_retryable
+from repro.resilience.quarantine import FailureRecord, FailureSink
+from repro.resilience.retry import RetryPolicy, retry_unit
 from repro.attacker.base import Attacker
 from repro.contracts.template import ContractTemplate
 from repro.evaluation.backends import (
@@ -47,7 +47,7 @@ from repro.evaluation.backends import (
     ShardEvaluator,
     rows_to_results,
 )
-from repro.evaluation.backends.base import result_row
+from repro.evaluation.backends.base import decode_rows, result_row
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
@@ -301,6 +301,12 @@ class AdaptiveLoop:
             if self.manifest_path is not None
             else None
         )
+        sink = FailureSink(
+            self.tracer,
+            self.on_failure,
+            self.failure_log_path,
+            self.manifest_key() if self.failure_log_path is not None else None,
+        )
         stop_reason: Optional[str] = None
         synthesis: Optional[SynthesisResult] = None
         previous_contract: Optional[Tuple[int, ...]] = None
@@ -310,7 +316,7 @@ class AdaptiveLoop:
                 if len(records) >= self.rounds:
                     break
                 round_index = int(entry["round"])
-                results = rows_to_results([AdaptiveManifest.entry_rows(entry)])
+                results = rows_to_results([decode_rows(entry["rows"])])
                 accumulator.ingest(results)
                 accumulator.contracts.append(tuple(entry["contract"]))
                 # Convergence is re-decided by *this* run's rules over
@@ -356,8 +362,21 @@ class AdaptiveLoop:
             )
             with round_span:
                 state = self.strategy.state()
-                round_results = self._evaluate_round_resilient(
-                    round_index, start_id, state
+
+                def attempt_round(attempt: int) -> List[TestCaseResult]:
+                    maybe_inject("round", round_index=round_index, attempt=attempt)
+                    return self._evaluate_round(start_id, state)
+
+                # A retry regenerates the same cases: ``state`` predates
+                # every attempt.  Each round steers the next, so an
+                # exhausted round raises.
+                round_results = retry_unit(
+                    attempt_round,
+                    self.retry,
+                    sink,
+                    "round",
+                    {"round": round_index, "start_id": start_id},
+                    quarantine=False,
                 )
                 self.strategy.observe(round_results)
                 accumulator.ingest(round_results)
@@ -437,55 +456,6 @@ class AdaptiveLoop:
 
     # -- internals -----------------------------------------------------
 
-    def _evaluate_round_resilient(
-        self, round_index: int, start_id: int, state: dict
-    ) -> List[TestCaseResult]:
-        """One round under the retry policy (round granularity).
-
-        The strategy state snapshot is taken *before* the attempt and
-        ``observe`` runs only after success, so a retried round
-        regenerates exactly the cases the failed attempt would have —
-        rounds stay deterministic under retry.  An exhausted round is
-        recorded as a ``"round"`` failure and still raises: rounds are
-        sequential (each steers the next), so there is no sound way to
-        skip one.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                maybe_inject("round", round_index=round_index, attempt=attempt)
-                return self._evaluate_round(start_id, state)
-            except Exception as error:
-                retryable = self.retry is not None and is_retryable(error)
-                exhausted = (
-                    self.retry is not None and attempt >= self.retry.max_attempts
-                )
-                record = FailureRecord(
-                    kind="round" if (not retryable or exhausted) else "retry",
-                    unit={"round": round_index, "start_id": start_id},
-                    error=repr(error),
-                    attempts=attempt,
-                )
-                self.tracer.event(
-                    "failure",
-                    failure=record.kind,
-                    unit=record.unit,
-                    error=record.error,
-                    attempts=record.attempts,
-                )
-                if self.on_failure is not None:
-                    self.on_failure(record)
-                if not retryable or exhausted:
-                    if record.kind == "round" and self.failure_log_path is not None:
-                        FailureLog(
-                            self.failure_log_path, self.manifest_key()
-                        ).append_record(record)
-                    raise
-                delay = self.retry.delay(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-
     def _evaluate_round(self, start_id: int, state: dict) -> List[TestCaseResult]:
         dataset = evaluate_parallel(
             count=self.batch,
@@ -499,8 +469,8 @@ class AdaptiveLoop:
             # No per-round failure-log file: the task identity (and
             # with it the log's binding key) changes every round as
             # the strategy state advances.  Durable round-level
-            # records are written by the loop under its stable
-            # manifest key instead.
+            # records go to the loop's sink, under its stable
+            # manifest key, instead.
             on_failure=self.on_failure,
             tracer=self.tracer,
             **self.config.stream_key(),

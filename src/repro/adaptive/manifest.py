@@ -101,13 +101,6 @@ class AdaptiveManifest(JsonlCheckpoint):
             index += 1
         return rounds
 
-    @staticmethod
-    def entry_rows(entry: dict) -> List[Row]:
-        """One stored round's rows in the executor ``Row`` shape."""
-        return [
-            (row[0], bool(row[1]), tuple(row[2]), row[3]) for row in entry["rows"]
-        ]
-
     def __len__(self) -> int:
         return len(self.completed)
 

@@ -47,8 +47,8 @@ from repro.pipeline import PipelineResult, SynthesisPipeline
 from repro.pipeline.config import QUARANTINE_SUFFIX, superset_cache_path
 from repro.reporting.tables import render_comparison_table
 from repro.resilience.injection import maybe_inject
-from repro.resilience.quarantine import FailureLog, FailureRecord
-from repro.resilience.retry import RetryPolicy, is_retryable
+from repro.resilience.quarantine import FailureRecord, FailureSink
+from repro.resilience.retry import RetryPolicy, retry_unit
 from repro.trace.tracer import Tracer
 
 #: Optional per-cell progress callback.
@@ -148,11 +148,10 @@ class CampaignRunner:
         self.keep_results = keep_results
         self._group_locks: Dict[tuple, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        #: Failure records of the current run; ``_execute`` appends
-        #: from pool threads, so mutation goes through ``_failures_lock``.
+        #: The current run's failure records and their sink (rebuilt
+        #: per run; cells record from pool threads).
         self._failures: List[FailureRecord] = []
-        self._failures_lock = threading.Lock()
-        self._failure_log: Optional[FailureLog] = None
+        self._sink = FailureSink()
         #: Campaign-level trace emitter: ``campaign-start``/``-end``
         #: events, one ``cell`` span per executed cell, a
         #: ``cell-resumed`` event per manifest-reused cell.  ``trace``
@@ -294,9 +293,13 @@ class CampaignRunner:
 
     def _run(self) -> CampaignResult:
         started = time.perf_counter()
-        with self._failures_lock:
-            self._failures = []
-            self._failure_log = None
+        self._failures = []
+        self._sink = FailureSink(
+            self.tracer,
+            self._failures.append,
+            self.quarantine_path(),
+            {"campaign": self.spec.name},
+        )
         cells = self.cells()
         path = self.manifest_path()
         manifest = CampaignManifest(path, self.spec.name) if path else None
@@ -348,8 +351,7 @@ class CampaignRunner:
             if result.failures:
                 # Surface each cell's shard-level retries/quarantines
                 # on the campaign result too.
-                with self._failures_lock:
-                    self._failures.extend(result.failures)
+                self._failures.extend(result.failures)
             emit(outcome, resumed=False)
 
         # Largest budget first within each dataset group, so smaller
@@ -464,69 +466,30 @@ class CampaignRunner:
         policy = (
             RetryPolicy.from_retries(cell.retries) if cell.retries is not None else None
         )
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                cell_span = self.tracer.span(
-                    "cell", cell=cell.label(), attempt=attempt
-                )
-                with cell_span:
-                    maybe_inject("cell", cell=cell.label(), attempt=attempt)
-                    pipeline = self.cell_pipeline(cell, processes=processes)
-                    dataset_reused = self._provision_dataset(
-                        pipeline, cell, group_max
-                    )
-                    result = pipeline.run()
-                    cell_span.add(
-                        atoms=result.atom_count,
-                        false_positives=result.false_positives,
-                        cases=len(result.dataset),
-                        dataset_reused=dataset_reused,
-                    )
-                return result, dataset_reused
-            except Exception as error:
-                if policy is None or not is_retryable(error):
-                    raise
-                if attempt >= policy.max_attempts:
-                    self._record_failure(
-                        FailureRecord(
-                            kind="cell",
-                            unit={"cell": cell.label()},
-                            error=repr(error),
-                            attempts=attempt,
-                        ),
-                        durable=True,
-                    )
-                    return None
-                self._record_failure(
-                    FailureRecord(
-                        kind="retry",
-                        unit={"cell": cell.label()},
-                        error=repr(error),
-                        attempts=attempt,
-                    )
-                )
-                time.sleep(policy.delay(attempt))
 
-    def _record_failure(self, record: FailureRecord, durable: bool = False) -> None:
-        """Collect one failure record (thread-safe; ``_execute`` runs
-        on pool threads), appending quarantines to the failure log."""
-        self.tracer.event(
-            "failure",
-            failure=record.kind,
-            unit=record.unit,
-            error=record.error,
-            attempts=record.attempts,
+        def attempt_cell(attempt: int) -> Tuple[PipelineResult, bool]:
+            cell_span = self.tracer.span("cell", cell=cell.label(), attempt=attempt)
+            with cell_span:
+                maybe_inject("cell", cell=cell.label(), attempt=attempt)
+                pipeline = self.cell_pipeline(cell, processes=processes)
+                dataset_reused = self._provision_dataset(pipeline, cell, group_max)
+                result = pipeline.run()
+                cell_span.add(
+                    atoms=result.atom_count,
+                    false_positives=result.false_positives,
+                    cases=len(result.dataset),
+                    dataset_reused=dataset_reused,
+                )
+            return result, dataset_reused
+
+        return retry_unit(
+            attempt_cell,
+            policy,
+            self._sink,
+            "cell",
+            {"cell": cell.label()},
+            quarantine=True,
         )
-        with self._failures_lock:
-            self._failures.append(record)
-            if durable:
-                if self._failure_log is None:
-                    self._failure_log = FailureLog(
-                        self.quarantine_path(), {"campaign": self.spec.name}
-                    )
-                self._failure_log.append_record(record)
 
     # -- cross-cell dataset provisioning --------------------------------
 

@@ -41,6 +41,12 @@ def result_row(result) -> Row:
     )
 
 
+def decode_rows(rows: Iterable[Sequence]) -> List[Row]:
+    """JSON rows (lists) as :data:`Row` tuples (inverse of
+    ``[list(row) for row in rows]``)."""
+    return [(row[0], bool(row[1]), tuple(row[2]), row[3]) for row in rows]
+
+
 def plan_shards(count: int, shard_size: int) -> List[Shard]:
     """The canonical shard plan covering test ids ``[0, count)``.
 

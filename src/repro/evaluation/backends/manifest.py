@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
-from repro.evaluation.backends.base import Row, Shard
+from repro.evaluation.backends.base import Row, Shard, decode_rows
 
 
 class ManifestKeyError(CheckpointKeyError):
@@ -53,9 +53,7 @@ class ShardManifest(JsonlCheckpoint):
 
     def _accept(self, entry: dict) -> None:
         shard = tuple(entry["shard"])
-        self.completed[shard] = [
-            (row[0], bool(row[1]), tuple(row[2]), row[3]) for row in entry["rows"]
-        ]
+        self.completed[shard] = decode_rows(entry["rows"])
 
     def _entries(self) -> Iterable[dict]:
         for shard, rows in self.completed.items():

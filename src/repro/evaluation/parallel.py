@@ -36,15 +36,12 @@ from repro.evaluation.backends import (
     rows_to_results,
 )
 from repro.evaluation.results import EvaluationDataset
-from repro.resilience.quarantine import FailureLog, FailureRecord
+from repro.resilience.quarantine import FailureRecord, FailureSink
 from repro.resilience.retry import RetryPolicy
 from repro.trace.tracer import Tracer
 
 #: Optional per-shard progress callback.
 ProgressCallback = Callable[[ShardProgress], None]
-
-#: Optional failure-event callback (retries, quarantines, downgrades).
-FailureCallback = Callable[[FailureRecord], None]
 
 
 def evaluate_parallel(
@@ -66,7 +63,7 @@ def evaluate_parallel(
     retry: Optional[RetryPolicy] = None,
     shard_timeout: Optional[float] = None,
     failure_log_path: Optional[str] = None,
-    on_failure: Optional[FailureCallback] = None,
+    on_failure: Optional[Callable[[FailureRecord], None]] = None,
     tracer: Optional[Tracer] = None,
 ) -> EvaluationDataset:
     """Evaluate ``count`` generated test cases on ``core_name`` using
@@ -102,17 +99,17 @@ def evaluate_parallel(
     :class:`~repro.resilience.ResilientExecutor`: failing shards are
     retried per the policy, hung shards past the soft deadline of a
     ``multiprocess`` sweep are rescheduled in a fresh pool, and shards
-    that exhaust their attempts are quarantined — appended to the
-    ``failure_log_path`` :class:`~repro.resilience.FailureLog` and
-    reported through ``on_failure`` — while the run continues without
-    their rows.
-    Retry settings never enter the task identity, so fault-tolerant
-    and plain runs share manifests and produce byte-identical
-    datasets.
+    that exhaust their attempts are quarantined while the run
+    continues without their rows.  Each failure record goes through a
+    :class:`~repro.resilience.FailureSink` (counted, traced, appended
+    to the ``failure_log_path`` log when durable, passed to
+    ``on_failure``).  Retry settings never enter the task identity,
+    so fault-tolerant and plain runs share manifests and produce
+    byte-identical datasets.
 
-    ``tracer``, when active, receives one ``failure`` event per
-    resilience event (retries, timeouts, quarantines, downgrades) and
-    one ``shard-resumed`` event per manifest-resumed shard; completed
+    ``tracer``, when active, receives the sink's ``failure`` events
+    (retries, timeouts, quarantines, downgrades) and one
+    ``shard-resumed`` event per manifest-resumed shard; completed
     shard *spans* are emitted by the workers themselves through the
     process-wide tracer installed by the pipeline (fork-inherited into
     pool children).  Tracing never changes results.
@@ -142,39 +139,16 @@ def evaluate_parallel(
         # (an instance's own explicit worker count always wins).
         executor = copy.copy(executor)
         executor.processes = processes
-    if tracer is not None and tracer.active:
-        # Surface resilience events on the trace stream without
-        # disturbing the caller's callback.  Wrapped *before* the
-        # ResilientExecutor captures on_event below.
-        caller_on_failure = on_failure
-
-        def on_failure(record: FailureRecord) -> None:
-            tracer.event(
-                "failure",
-                failure=record.kind,
-                unit=record.unit,
-                error=record.error,
-                attempts=record.attempts,
-            )
-            if caller_on_failure is not None:
-                caller_on_failure(record)
-
     if retry is not None or shard_timeout is not None:
         # Imported here: the resilient wrapper itself builds on the
         # backend modules this package initializes.
         from repro.resilience.executor import ResilientExecutor
 
-        failure_log = (
-            FailureLog(failure_log_path, task.identity())
-            if failure_log_path is not None
-            else None
-        )
         executor = ResilientExecutor(
             executor,
             policy=retry,
             shard_timeout=shard_timeout,
-            failure_log=failure_log,
-            on_event=on_failure,
+            sink=FailureSink(tracer, on_failure, failure_log_path, task.identity()),
         )
 
     shards = plan_shards(count, shard_size)

@@ -6,13 +6,18 @@ Public surface (lazily imported):
   name-addressable fault-injection harness;
 - :func:`install_fault` / :func:`clear_fault` / :func:`inject_fault` /
   :func:`maybe_inject` — the injection seam;
-- :class:`RetryPolicy` / :func:`is_retryable` — deterministic backoff
-  and the explicit retryable-vs-fatal classification;
-- :class:`FailureRecord` / :class:`FailureLog` — structured failure
-  records and the quarantine manifest;
+- :class:`RetryPolicy` / :func:`is_retryable` / :func:`retry_unit` —
+  deterministic backoff, the retryable-vs-fatal classification, and
+  the attempt loop of rounds and cells;
+- :class:`FailureRecord` / :class:`FailureSink` / :class:`FailureLog` —
+  failure records, the one sink each of them goes through, and the
+  quarantine manifest;
 - :class:`ResilientExecutor` — retry/watchdog/quarantine wrapper over
   any evaluation backend;
 - the error taxonomy (:class:`ShardExecutionError`, ...).
+
+Shards, rounds and cells fail by one rule (see
+:mod:`repro.resilience.retry`).
 
 Submodules are resolved on attribute access (PEP 562): low-level
 modules (``repro.checkpoint``, the executor backends) host injection
@@ -40,7 +45,9 @@ _EXPORTS = {
     "maybe_inject": "repro.resilience.injection",
     "RetryPolicy": "repro.resilience.retry",
     "is_retryable": "repro.resilience.retry",
+    "retry_unit": "repro.resilience.retry",
     "FailureRecord": "repro.resilience.quarantine",
+    "FailureSink": "repro.resilience.quarantine",
     "FailureLog": "repro.resilience.quarantine",
     "ResilientExecutor": "repro.resilience.executor",
 }

@@ -12,12 +12,14 @@ adds the fault semantics the inner backends deliberately do not have:
   worker cannot be interrupted, so the pool is discarded and a fresh
   one serves the next attempt);
 - **quarantine** — a shard that exhausts its attempts becomes a
-  :class:`~repro.resilience.quarantine.FailureRecord` (kind
-  ``"shard"``) in the failure log and the run continues without its
-  rows;
+  durable :class:`~repro.resilience.quarantine.FailureRecord` (kind
+  ``"shard"``) and the run continues without its rows;
 - **downgrade** — repeated pool-level breakage (no shard attribution)
   swaps the inner backend for the serial reference executor and logs
   the downgrade instead of crashing the run.
+
+Every record goes to the :class:`~repro.resilience.quarantine.FailureSink`
+the executor was given (counter, trace event, quarantine log, callback).
 
 Determinism: retries re-run the same ``(start_id, count)`` descriptor
 under the same task, and test cases are generated per test id, so a
@@ -27,8 +29,7 @@ run — the property the fault-matrix suite pins.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
@@ -37,29 +38,14 @@ from repro.evaluation.backends.base import (
     Shard,
 )
 from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
-from repro.metrics.registry import current_metrics
 from repro.resilience import injection
 from repro.resilience.errors import ShardExecutionError
-from repro.resilience.quarantine import FailureLog, FailureRecord
+from repro.resilience.quarantine import FailureRecord, FailureSink
 from repro.resilience.retry import RetryPolicy, is_retryable
 
 #: Pool-level failures (no shard attribution) before the run downgrades
 #: to the serial backend.
 _POOL_FAILURE_THRESHOLD = 2
-
-#: Observer for failure events (retries, quarantines, downgrades).
-#: :func:`repro.evaluation.parallel.evaluate_parallel` bridges these
-#: records into ``failure`` events on the run's trace file, so every
-#: retry/quarantine/downgrade decision is visible to ``watch``.
-FailureCallback = Callable[[FailureRecord], None]
-
-#: Failure-record kind -> run-metric counter name.
-_FAILURE_COUNTERS = {
-    "retry": "resilience.retries",
-    "shard": "resilience.quarantines",
-    "pool": "resilience.pool_failures",
-    "downgrade": "resilience.downgrades",
-}
 
 
 class ResilientExecutor(EvaluationExecutor):
@@ -72,31 +58,13 @@ class ResilientExecutor(EvaluationExecutor):
         inner: EvaluationExecutor,
         policy: Optional[RetryPolicy] = None,
         shard_timeout: Optional[float] = None,
-        failure_log: Optional[FailureLog] = None,
-        on_event: Optional[FailureCallback] = None,
+        sink: Optional[FailureSink] = None,
     ):
         super().__init__(inner.processes)
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.shard_timeout = shard_timeout
-        self.failure_log = failure_log
-        self.on_event = on_event
-
-    # -- event plumbing ------------------------------------------------
-
-    def _emit(self, record: FailureRecord, durable: bool) -> None:
-        counter = _FAILURE_COUNTERS.get(record.kind)
-        if counter is not None:
-            current_metrics().counter(counter).inc()
-        if durable and self.failure_log is not None:
-            self.failure_log.append_record(record)
-        if self.on_event is not None:
-            self.on_event(record)
-
-    @staticmethod
-    def _sleep(seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
+        self.sink = sink or FailureSink()
 
     # -- the attempt loop ----------------------------------------------
 
@@ -126,28 +94,20 @@ class ResilientExecutor(EvaluationExecutor):
                 attempts[shard] = attempts.get(shard, 0) + 1
                 if error.fatal or not is_retryable(error):
                     raise
-                if attempts[shard] >= self.policy.max_attempts:
-                    self._emit(
-                        FailureRecord(
-                            kind="shard",
-                            unit={"start_id": shard[0], "count": shard[1]},
-                            error=str(error),
-                            attempts=attempts[shard],
-                        ),
-                        durable=True,
-                    )
+                exhausted = attempts[shard] >= self.policy.max_attempts
+                self.sink.emit(
+                    FailureRecord(
+                        kind="shard" if exhausted else "retry",
+                        unit={"start_id": shard[0], "count": shard[1]},
+                        error=str(error),
+                        attempts=attempts[shard],
+                    ),
+                    durable=exhausted,
+                )
+                if exhausted:
                     pending = [other for other in pending if other != shard]
                 else:
-                    self._emit(
-                        FailureRecord(
-                            kind="retry",
-                            unit={"start_id": shard[0], "count": shard[1]},
-                            error=str(error),
-                            attempts=attempts[shard],
-                        ),
-                        durable=False,
-                    )
-                    self._sleep(self.policy.delay(attempts[shard]))
+                    self.policy.sleep(attempts[shard])
             except Exception as error:
                 # Pool-level breakage: no shard attribution, so no
                 # per-shard attempt is charged — but repeated breakage
@@ -156,17 +116,16 @@ class ResilientExecutor(EvaluationExecutor):
                     raise
                 pending = [shard for shard in pending if shard not in completed]
                 pool_failures += 1
-                self._emit(
+                self.sink.emit(
                     FailureRecord(
                         kind="pool",
                         unit={"executor": inner.name},
                         error=str(error),
                         attempts=pool_failures,
-                    ),
-                    durable=False,
+                    )
                 )
                 if inner.name != "serial" and pool_failures >= _POOL_FAILURE_THRESHOLD:
-                    self._emit(
+                    self.sink.emit(
                         FailureRecord(
                             kind="downgrade",
                             unit={"from": inner.name, "to": "serial"},
@@ -180,7 +139,7 @@ class ResilientExecutor(EvaluationExecutor):
                     pool_failures >= _POOL_FAILURE_THRESHOLD + self.policy.max_attempts
                 ):
                     raise
-                self._sleep(self.policy.delay(pool_failures))
+                self.policy.sleep(pool_failures)
 
     # -- sweeps --------------------------------------------------------
 

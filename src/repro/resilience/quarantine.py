@@ -1,31 +1,51 @@
-"""Structured failure records and the quarantine manifest.
+"""Structured failure records, the sink they all go through, and the
+quarantine manifest.
 
-When a unit of work exhausts its retries the run does not die — the
-failure becomes a :class:`FailureRecord` carried on the final result
-(``PipelineResult.failures``, ``CampaignResult.failures``) and, when a
-quarantine path is configured, appended to a :class:`FailureLog`: the
-same key-bound, torn-line-recovering JSONL checkpoint shape as the
-shard and cell manifests, so operators inspect quarantined work with
-the same tools and guarantees.
+Every failure of a shard, adaptive round or campaign cell becomes a
+:class:`FailureRecord` handed to the run's :class:`FailureSink`, which
+counts it (``resilience.*``), traces it (a ``failure`` event), appends
+it to a :class:`FailureLog` when it is durable and a quarantine path
+is configured, and passes it to the caller's callback — the way
+records reach ``PipelineResult.failures`` and
+``CampaignResult.failures``.  The log is the same key-bound,
+torn-line-recovering JSONL checkpoint as the shard and cell manifests.
 
 Record kinds:
 
 ``"shard"`` / ``"cell"`` / ``"round"``
-    The unit exhausted its retries and was quarantined (rounds are
-    sequential, so an exhausted round is recorded *and* still fatal).
+    The unit's last attempt failed (durable).  Shards and cells are
+    quarantined and the run goes on; rounds are sequential, so an
+    exhausted round is recorded *and* still raises.
 ``"retry"`` / ``"pool"``
-    A transient failure that was retried — emitted to ``on_event``
-    observers, durable only if a caller chooses to log it.
+    A transient failure that was retried.
 ``"downgrade"``
-    The executor fallback chain fired (pool backend → serial).
+    The executor fallback chain fired, pool backend → serial (durable).
+
+An error that is not retried propagates at once and leaves no record.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.checkpoint import JsonlCheckpoint
+from repro.metrics.registry import current_metrics
+
+if TYPE_CHECKING:
+    from repro.trace.tracer import Tracer
+
+#: Failure-record kind -> run-metric counter name.
+_COUNTERS = {
+    "retry": "resilience.retries",
+    "shard": "resilience.quarantines",
+    "cell": "resilience.quarantines",
+    "round": "resilience.quarantines",
+    "pool": "resilience.pool_failures",
+    "downgrade": "resilience.downgrades",
+}
 
 
 @dataclass(frozen=True)
@@ -86,3 +106,49 @@ class FailureLog(JsonlCheckpoint):
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+class FailureSink:
+    """Where every :class:`FailureRecord` of a run goes.
+
+    With ``log_path`` set, durable records are appended to a
+    :class:`FailureLog` bound to ``log_key``.  An existing log is opened
+    at once, so a foreign key is refused before any work starts; a
+    missing one is created at the first durable record, so a clean run
+    leaves no file.  Appends hold a lock: campaign cells run on threads.
+    """
+
+    def __init__(
+        self,
+        tracer: Optional[Tracer] = None,
+        callback: Optional[Callable[[FailureRecord], None]] = None,
+        log_path: Optional[str] = None,
+        log_key: Optional[dict] = None,
+    ):
+        self.tracer = tracer
+        self.callback = callback
+        self.log_path = log_path
+        self.log_key = log_key
+        self._lock = threading.Lock()
+        self._log: Optional[FailureLog] = None
+        if log_path is not None and os.path.exists(log_path):
+            self._log = FailureLog(log_path, log_key)
+
+    def emit(self, record: FailureRecord, durable: bool = False) -> None:
+        """Count, trace, log (if ``durable``) and hand on ``record``."""
+        current_metrics().counter(_COUNTERS[record.kind]).inc()
+        if self.tracer is not None:
+            self.tracer.event(
+                "failure",
+                failure=record.kind,
+                unit=record.unit,
+                error=record.error,
+                attempts=record.attempts,
+            )
+        if durable and self.log_path is not None:
+            with self._lock:
+                if self._log is None:
+                    self._log = FailureLog(self.log_path, self.log_key)
+                self._log.append_record(record)
+        if self.callback is not None:
+            self.callback(record)

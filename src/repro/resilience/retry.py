@@ -1,9 +1,13 @@
-"""Retry policy: deterministic backoff plus explicit classification.
+"""Retry policy, the retryable-vs-fatal classification, and the
+attempt loop of units retried whole.
 
-One :class:`RetryPolicy` shape serves all three granularities — shards
-(:class:`repro.resilience.executor.ResilientExecutor`), campaign cells
-(:class:`repro.campaign.runner.CampaignRunner`), and adaptive rounds
-(:class:`repro.adaptive.loop.AdaptiveLoop`).  The backoff schedule is
+One :class:`RetryPolicy` and one rule serve all three granularities —
+shards (:class:`repro.resilience.executor.ResilientExecutor`, which
+sweeps many at a time and keeps its own loop), and adaptive rounds and
+campaign cells (both through :func:`retry_unit`): a fatal error
+propagates at once unrecorded, a retryable one is recorded as
+``"retry"`` and the unit runs again, and a unit whose last attempt
+fails is recorded durably under its own kind.  The backoff schedule is
 a pure function of the attempt number; no wall-clock value ever enters
 an identity key, so retried runs stay byte-identical to clean runs and
 manifests written with or without retries resume interchangeably.
@@ -11,9 +15,11 @@ manifests written with or without retries resume interchangeably.
 
 from __future__ import annotations
 
+import itertools
+import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.checkpoint import CheckpointKeyError
 from repro.resilience.errors import (
@@ -22,6 +28,9 @@ from repro.resilience.errors import (
     PoolBrokenError,
     ShardExecutionError,
 )
+from repro.resilience.quarantine import FailureRecord, FailureSink
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,12 @@ class RetryPolicy:
             self.backoff_max,
         )
 
+    def sleep(self, attempt: int) -> None:
+        """Wait :meth:`delay` seconds after ``attempt`` failed."""
+        seconds = self.delay(attempt)
+        if seconds > 0:
+            time.sleep(seconds)
+
     def schedule(self) -> Tuple[float, ...]:
         """The full deterministic delay schedule, one entry per retry."""
         return tuple(self.delay(attempt) for attempt in range(1, self.max_attempts))
@@ -104,3 +119,43 @@ def is_retryable(error: BaseException) -> bool:
     if isinstance(error, (ValueError, TypeError)):
         return False
     return isinstance(error, RuntimeError)
+
+
+def retry_unit(
+    work: Callable[[int], T],
+    policy: Optional[RetryPolicy],
+    sink: FailureSink,
+    kind: str,
+    unit: dict,
+    quarantine: bool,
+) -> Optional[T]:
+    """Run ``work(attempt)`` until it returns, retrying the whole unit.
+
+    Without a ``policy``, or on a fatal error, the error propagates at
+    once and nothing is recorded.  A retryable error is recorded as
+    ``"retry"`` and ``work`` runs again after ``policy.delay(attempt)``.
+    When the last attempt fails the failure is recorded durably as
+    ``kind``; then a ``quarantine`` unit returns ``None`` and the run
+    goes on without it, any other unit re-raises.
+    """
+    for attempt in itertools.count(1):
+        try:
+            return work(attempt)
+        except Exception as error:
+            if policy is None or not is_retryable(error):
+                raise
+            exhausted = attempt >= policy.max_attempts
+            sink.emit(
+                FailureRecord(
+                    kind=kind if exhausted else "retry",
+                    unit=unit,
+                    error=repr(error),
+                    attempts=attempt,
+                ),
+                durable=exhausted,
+            )
+            if exhausted:
+                if quarantine:
+                    return None
+                raise
+            policy.sleep(attempt)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.checkpoint import append_jsonl_line
-from repro.evaluation.backends.base import EvaluationTask, Row, Shard
+from repro.evaluation.backends.base import EvaluationTask, Row, Shard, decode_rows
 from repro.pipeline.config import (  # noqa: F401 - task_from_payload re-exported
     job_id_for,
     task_from_payload,
@@ -379,9 +379,7 @@ class JobQueue:
     def read_result(self, job_id: str) -> List[Row]:
         with open(self.result_path(job_id)) as stream:
             payload = json.load(stream)
-        return [
-            (row[0], bool(row[1]), tuple(row[2]), row[3]) for row in payload["rows"]
-        ]
+        return decode_rows(payload["rows"])
 
     def has_result(self, job_id: str) -> bool:
         return os.path.exists(self.result_path(job_id))

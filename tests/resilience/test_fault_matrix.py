@@ -14,17 +14,22 @@ import time
 
 import pytest
 
+from repro.adaptive import loop as loop_module
+from repro.adaptive.loop import AdaptiveLoop
 from repro.campaign import CampaignRunner, CampaignSpec
+from repro.campaign import runner as runner_module
 from repro.evaluation.backends import ShardEvaluator
 from repro.pipeline import SynthesisPipeline
 from repro.resilience import (
     ALWAYS,
     FAULT_REGISTRY,
     FailureLog,
+    FatalInjectedFault,
     InjectedFault,
     ShardExecutionError,
     inject_fault,
 )
+from repro.trace import fold_file, read_trace
 
 pytestmark = pytest.mark.faults
 
@@ -54,6 +59,31 @@ def _pipeline(executor="serial", **executor_settings):
 
 def _adaptive_pipeline():
     return _pipeline().adaptive(rounds=2, batch=20, stop="budget")
+
+
+def _campaign(directory, retries=1, trace=None, seeds=(SEED,)):
+    spec = CampaignSpec(
+        name="matrix",
+        cores=("ibex",),
+        attackers=("retirement-timing",),
+        templates=("riscv-rv32im",),
+        solvers=("scipy-milp",),
+        budgets=(BUDGET,),
+        seeds=seeds,
+        retries=retries,
+    )
+    return CampaignRunner(
+        spec, results_dir=directory, executor="serial", cache=False, trace=trace
+    )
+
+
+def _failure_kinds(trace_path):
+    """The ``failure`` events a traced run left, in order."""
+    return [
+        record["failure"]
+        for record in read_trace(trace_path)
+        if record["kind"] == "failure"
+    ]
 
 
 def _fingerprint(result):
@@ -203,20 +233,8 @@ class TestFaultMatrix:
                 _adaptive_pipeline().retry(2).run()
 
     def test_cell_crash_is_retried_to_identity(self, tmp_path, reference):
-        spec = CampaignSpec(
-            name="matrix",
-            cores=("ibex",),
-            attackers=("retirement-timing",),
-            templates=("riscv-rv32im",),
-            solvers=("scipy-milp",),
-            budgets=(BUDGET,),
-            seeds=(SEED,),
-            retries=1,
-        )
         with inject_fault("cell-crash", match="seed=%d" % SEED, fail_attempts=1):
-            campaign = CampaignRunner(
-                spec, results_dir=str(tmp_path), executor="serial", cache=False
-            ).run()
+            campaign = _campaign(str(tmp_path)).run()
         assert len(campaign.outcomes) == 1
         assert campaign.outcomes[0].atom_ids == reference[1]
         assert [record.kind for record in campaign.failures] == ["retry"]
@@ -286,6 +304,135 @@ class TestErrorClassification:
         }
         assert len(result.dataset) == BUDGET - SHARD
 
+    # The same two classes at the round and cell seams.  Rounds and
+    # cells are retried whole, so the seam raises on every attempt.
+
+    FAILING_CELL = "seed=%d" % (SEED + 1)
+
+    @pytest.fixture
+    def failing_seam(self, monkeypatch):
+        """Make the ``round`` seam (round 1) or the ``cell`` seam (the
+        ``FAILING_CELL`` cell) raise ``error_class`` on every attempt;
+        returns the attempt numbers the seam saw."""
+
+        def install(site, error_class):
+            module = loop_module if site == "round" else runner_module
+            inject = module.maybe_inject
+            seen = []
+
+            def failing(at, **context):
+                if at == site and (
+                    context.get("round_index") == 1
+                    or self.FAILING_CELL in context.get("cell", "")
+                ):
+                    seen.append(context["attempt"])
+                    raise error_class("%s failed" % site)
+                inject(at, **context)
+
+            monkeypatch.setattr(module, "maybe_inject", failing)
+            return seen
+
+        return install
+
+    def _rounds(self, trace_path):
+        return _adaptive_pipeline().retry(self.ATTEMPTS).trace(trace_path)
+
+    def _cells(self, tmp_path, trace_path):
+        return _campaign(
+            str(tmp_path),
+            retries=self.ATTEMPTS - 1,
+            trace=trace_path,
+            seeds=(SEED, SEED + 1),
+        )
+
+    @pytest.mark.parametrize("error_class", [ValueError, TypeError])
+    def test_deterministic_round_error_fails_on_the_first_attempt(
+        self, failing_seam, tmp_path, error_class
+    ):
+        attempts = failing_seam("round", error_class)
+        trace_path = str(tmp_path / "trace.jsonl")
+        with pytest.raises(error_class):
+            self._rounds(trace_path).run()
+        assert attempts == [1]
+        assert "retry" not in _failure_kinds(trace_path)
+
+    @pytest.mark.parametrize("error_class", [InjectedFault, OSError])
+    def test_transient_round_error_is_retried_then_raises(
+        self, failing_seam, tmp_path, error_class
+    ):
+        attempts = failing_seam("round", error_class)
+        trace_path = str(tmp_path / "trace.jsonl")
+        with pytest.raises(error_class):
+            self._rounds(trace_path).run()
+        assert attempts == list(range(1, self.ATTEMPTS + 1))
+        assert _failure_kinds(trace_path) == ["retry", "retry", "round"]
+
+    @pytest.mark.parametrize("error_class", [ValueError, TypeError])
+    def test_deterministic_cell_error_fails_on_the_first_attempt(
+        self, failing_seam, tmp_path, error_class
+    ):
+        attempts = failing_seam("cell", error_class)
+        trace_path = str(tmp_path / "trace.jsonl")
+        with pytest.raises(error_class):
+            self._cells(tmp_path, trace_path).run()
+        assert attempts == [1]
+        assert "retry" not in _failure_kinds(trace_path)
+
+    @pytest.mark.parametrize("error_class", [InjectedFault, OSError])
+    def test_transient_cell_error_is_retried_then_quarantined(
+        self, failing_seam, tmp_path, error_class
+    ):
+        attempts = failing_seam("cell", error_class)
+        trace_path = str(tmp_path / "trace.jsonl")
+        campaign = self._cells(tmp_path, trace_path).run()
+        assert attempts == list(range(1, self.ATTEMPTS + 1))
+        assert _failure_kinds(trace_path) == ["retry", "retry", "cell"]
+        assert len(campaign.outcomes) == 1  # the healthy sibling completed
+        quarantined = campaign.quarantined_cells
+        assert len(quarantined) == 1
+        assert self.FAILING_CELL in quarantined[0].unit["cell"]
+        assert quarantined[0].attempts == self.ATTEMPTS
+
+
+def _shard_run(trace_path, fail_attempts):
+    with inject_fault("shard-crash", start_id=10, fail_attempts=fail_attempts):
+        _pipeline().retry(2).trace(trace_path).run()
+
+
+def _round_run(trace_path, fail_attempts):
+    with inject_fault("round-crash", round_index=1, fail_attempts=fail_attempts):
+        _adaptive_pipeline().retry(2).trace(trace_path).run()
+
+
+def _cell_run(trace_path, fail_attempts):
+    directory = os.path.join(os.path.dirname(trace_path), "results")
+    with inject_fault(
+        "cell-crash", match="seed=%d" % SEED, fail_attempts=fail_attempts
+    ):
+        _campaign(directory, retries=1, trace=trace_path).run()
+
+
+class TestResilienceCounters:
+    """Every granularity counts its retries and quarantines in the
+    run's metrics, the same way: one ``resilience.retries`` per retried
+    attempt, one ``resilience.quarantines`` per exhausted unit."""
+
+    @pytest.mark.parametrize("run", [_shard_run, _round_run, _cell_run])
+    def test_one_retry_counts_once(self, tmp_path, run):
+        trace_path = str(tmp_path / "trace.jsonl")
+        run(trace_path, fail_attempts=1)
+        counters = fold_file(trace_path).metrics.counters()
+        assert counters["resilience.retries"] == 1
+        assert "resilience.quarantines" not in counters
+
+    @pytest.mark.parametrize("run", [_shard_run, _cell_run])
+    def test_an_exhausted_unit_counts_one_quarantine(self, tmp_path, run):
+        trace_path = str(tmp_path / "trace.jsonl")
+        run(trace_path, fail_attempts=ALWAYS)
+        counters = fold_file(trace_path).metrics.counters()
+        assert counters["resilience.retries"] == 1
+        assert counters["resilience.quarantines"] == 1
+
 
 class TestQuarantine:
     def test_exhausted_shard_is_quarantined_and_logged(self, tmp_path):
@@ -314,12 +461,62 @@ class TestQuarantine:
             name for name in os.listdir(str(tmp_path)) if name.endswith(".json")
         ]
 
+    def test_clean_run_leaves_no_quarantine_file(self, tmp_path):
+        pipeline = _pipeline().retry(2).cache_dir(str(tmp_path))
+        result = pipeline.run()
+        assert result.failures == []
+        assert not os.path.exists(pipeline.quarantine_path())
+
     def test_fatal_fault_is_never_retried(self):
         with inject_fault("shard-crash", start_id=10, fail_attempts=1, fatal=True):
             with pytest.raises(ShardExecutionError) as info:
                 _pipeline().retry(3).run()
         assert info.value.fatal
         assert "(start_id=10, count=10)" in str(info.value)
+
+    @staticmethod
+    def _round_log_pipeline(directory, monkeypatch):
+        """A resumable adaptive pipeline, and the loops its runs build."""
+        loops = []
+        run = AdaptiveLoop.run
+
+        def capture(loop):
+            loops.append(loop)
+            return run(loop)
+
+        monkeypatch.setattr(AdaptiveLoop, "run", capture)
+        pipeline = _adaptive_pipeline().retry(2).cache_dir(directory).resume(True)
+        return pipeline, loops
+
+    def test_exhausted_round_is_logged_under_the_loop_key(self, tmp_path, monkeypatch):
+        pipeline, loops = self._round_log_pipeline(str(tmp_path), monkeypatch)
+        with inject_fault("round-crash", round_index=0, fail_attempts=ALWAYS):
+            with pytest.raises(InjectedFault):
+                pipeline.run()
+        log_path = pipeline.quarantine_path()
+        with open(log_path) as stream:
+            header = json.loads(stream.readline())
+        assert header["key"] == loops[0].manifest_key()
+        log = FailureLog(log_path, header["key"])
+        assert len(log) == 1
+        record = log.records[0]
+        assert record.kind == "round"
+        assert record.unit == {"round": 0, "start_id": 0}
+        assert record.attempts == 2
+
+    def test_fatal_round_error_leaves_no_record(self, tmp_path, monkeypatch):
+        pipeline, _ = self._round_log_pipeline(str(tmp_path), monkeypatch)
+        inject = loop_module.maybe_inject
+
+        def fatal(site, **context):
+            if site == "round":
+                raise FatalInjectedFault("fatal round failure")
+            inject(site, **context)
+
+        monkeypatch.setattr(loop_module, "maybe_inject", fatal)
+        with pytest.raises(FatalInjectedFault):
+            pipeline.run()
+        assert not os.path.exists(pipeline.quarantine_path())
 
     def test_exhausted_cell_is_quarantined_and_logged(self, tmp_path):
         spec = CampaignSpec(

@@ -1,10 +1,13 @@
-"""FailureRecord round-trips and the FailureLog quarantine manifest."""
+"""FailureRecord round-trips, the FailureSink every record goes
+through, and the FailureLog quarantine manifest."""
 
 import json
+import os
 
 import pytest
 
-from repro.resilience import FailureLog, FailureRecord
+from repro.resilience import FailureLog, FailureRecord, FailureSink
+from repro.trace import Tracer
 
 pytestmark = pytest.mark.faults
 
@@ -103,3 +106,33 @@ class TestFailureLog:
         assert len(lines) == 4  # header + 3 intact records
         for line in lines:
             json.loads(line)
+
+
+class TestFailureSink:
+    def test_every_record_is_traced_and_handed_on(self):
+        events, seen = [], []
+        sink = FailureSink(Tracer(None, collector=events), seen.append)
+        sink.emit(_record(kind="retry", attempts=1))
+        sink.emit(_record(), durable=True)
+        assert seen == [_record(kind="retry", attempts=1), _record()]
+        assert [(event["kind"], event["failure"]) for event in events] == [
+            ("failure", "retry"),
+            ("failure", "shard"),
+        ]
+        assert events[1]["unit"] == {"start_id": 20, "count": 10}
+
+    def test_the_log_is_created_at_the_first_durable_record(self, tmp_path):
+        path = str(tmp_path / "quarantine.jsonl")
+        sink = FailureSink(log_path=path, log_key=KEY)
+        sink.emit(_record(kind="retry", attempts=1))
+        assert not os.path.exists(path)
+        sink.emit(_record(), durable=True)
+        sink.emit(_record(kind="downgrade", unit={"to": "serial"}), durable=True)
+        kinds = [record.kind for record in FailureLog(path, KEY).records]
+        assert kinds == ["shard", "downgrade"]
+
+    def test_a_foreign_log_is_refused_before_any_record(self, tmp_path):
+        path = str(tmp_path / "quarantine.jsonl")
+        FailureLog(path, KEY)
+        with pytest.raises(ValueError, match="different run"):
+            FailureSink(log_path=path, log_key={"core": "cva6", "seed": 3})
