@@ -21,7 +21,7 @@ loop early; otherwise it runs its full round budget.
 Test ids are allocated per round as ``[r * batch, (r + 1) * batch)``,
 so a loop is resumable at round granularity: completed rounds are
 checkpointed to an :class:`~repro.adaptive.manifest.AdaptiveManifest`
-(rows, strategy state, contract) and re-ingested instead of re-run.
+(results, strategy state, contract) and re-ingested instead of re-run.
 
 One round of the ``random`` strategy is byte-identical to the classic
 fixed-budget pipeline — the adaptive loop strictly generalizes it.
@@ -38,16 +38,14 @@ from repro.adaptive.manifest import AdaptiveManifest
 from repro.adaptive.stopping import AdaptiveState, StoppingRule, resolve_stopping_rules
 from repro.resilience.injection import maybe_inject
 from repro.resilience.quarantine import FailureRecord, FailureSink
-from repro.resilience.retry import RetryPolicy, retry_unit
+from repro.resilience.retry import RetryPolicy, effective_policy, retry_unit
 from repro.attacker.base import Attacker
 from repro.contracts.template import ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
     SerialExecutor,
     ShardEvaluator,
-    rows_to_results,
 )
-from repro.evaluation.backends.base import decode_rows, result_row
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
@@ -265,9 +263,9 @@ class AdaptiveLoop:
         self.shard_size = shard_size
         self.manifest_path = manifest_path
         self.progress = progress
-        #: Round-granularity retry policy; also forwarded to the
-        #: executor path for shard-granularity retry within a round.
-        self.retry = retry
+        #: Round-granularity retry policy (see ``effective_policy``); also
+        #: forwarded to the executor path for shard retry within a round.
+        self.retry = effective_policy(retry, shard_timeout)
         self.shard_timeout = shard_timeout
         self.failure_log_path = failure_log_path
         self.on_failure = on_failure
@@ -316,7 +314,7 @@ class AdaptiveLoop:
                 if len(records) >= self.rounds:
                     break
                 round_index = int(entry["round"])
-                results = rows_to_results([decode_rows(entry["rows"])])
+                results = [TestCaseResult.from_row(row) for row in entry["rows"]]
                 accumulator.ingest(results)
                 accumulator.contracts.append(tuple(entry["contract"]))
                 # Convergence is re-decided by *this* run's rules over
@@ -423,7 +421,7 @@ class AdaptiveLoop:
                 manifest.append_round(
                     round_index,
                     start_id,
-                    [result_row(result) for result in round_results],
+                    round_results,
                     self.strategy.state(),
                     contract_ids,
                     synthesis.false_positives,
@@ -477,7 +475,7 @@ class AdaptiveLoop:
         )
         if len(dataset) < self.batch:
             # Each round steers the next, so none may go on without a
-            # quarantined shard's rows: fail it (and retry the round).
+            # quarantined shard's results: fail it (and retry the round).
             raise RuntimeError(
                 "round lost %d of %d cases to quarantined shards"
                 % (self.batch - len(dataset), self.batch)

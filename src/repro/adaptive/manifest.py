@@ -3,15 +3,15 @@
 The adaptive sibling of the evaluation shard manifest and the campaign
 cell manifest, on the same :class:`repro.checkpoint.JsonlCheckpoint`
 mechanics: line 1 binds the file to the loop's identity, every further
-line is one completed round — its evaluated rows, the strategy's
-post-round feedback state, the synthesized contract, and the stop
-reason (if any)::
+line is one completed round — its results as ``TestCaseResult.to_row``
+rows, the strategy's post-round feedback state, the synthesized
+contract, and the stop reason (if any)::
 
     {"manifest": "adaptive-rounds", "version": 2, "key": {...}}
     {"round": 0, "start_id": 0, "rows": [...], "state": {...},
      "contract": [3, 17], "stop": null}
 
-The key covers everything that changes a round's rows or steering
+The key covers everything that changes a round's results or steering
 (core, template name *and* atom-list digest, attacker, seed, generator,
 batch, extraction engine, solver, restriction) but deliberately not the
 round budget: extending ``rounds`` resumes a finished-but-unconverged
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
-from repro.evaluation.backends.base import Row
+from repro.evaluation.results import TestCaseResult
 
 
 class AdaptiveKeyError(CheckpointKeyError):
@@ -69,7 +69,7 @@ class AdaptiveManifest(JsonlCheckpoint):
         self,
         round_index: int,
         start_id: int,
-        rows: Sequence[Row],
+        results: Sequence[TestCaseResult],
         state: dict,
         contract_atom_ids: Sequence[int],
         false_positives: int,
@@ -79,7 +79,7 @@ class AdaptiveManifest(JsonlCheckpoint):
         entry = {
             "round": round_index,
             "start_id": start_id,
-            "rows": [list(row) for row in rows],
+            "rows": [result.to_row() for result in results],
             "state": state,
             "contract": list(contract_atom_ids),
             "fps": false_positives,

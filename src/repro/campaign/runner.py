@@ -48,7 +48,7 @@ from repro.pipeline.config import QUARANTINE_SUFFIX, superset_cache_path
 from repro.reporting.tables import render_comparison_table
 from repro.resilience.injection import maybe_inject
 from repro.resilience.quarantine import FailureRecord, FailureSink
-from repro.resilience.retry import RetryPolicy, retry_unit
+from repro.resilience.retry import RetryPolicy, effective_policy, retry_unit
 from repro.trace.tracer import Tracer
 
 #: Optional per-cell progress callback.
@@ -463,8 +463,9 @@ class CampaignRunner:
         processes = None
         if self.process_budget is not None:
             processes = max(1, self.process_budget // max(1, concurrent))
-        policy = (
-            RetryPolicy.from_retries(cell.retries) if cell.retries is not None else None
+        policy = effective_policy(
+            None if cell.retries is None else RetryPolicy.from_retries(cell.retries),
+            cell.shard_timeout,
         )
 
         def attempt_cell(attempt: int) -> Tuple[PipelineResult, bool]:

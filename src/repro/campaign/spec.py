@@ -92,10 +92,10 @@ class CampaignCell:
     #: directed satisfaction testing.
     verify: Optional[int] = None
     #: Per-shard retry budget of the cell's evaluation phase (``None``
-    #: → no retries; failures propagate as before).  Also the cell's
-    #: own retry budget in the runner: a cell whose pipeline keeps
-    #: failing retryably is re-run up to ``retries`` times and then
-    #: quarantined instead of aborting the campaign.
+    #: → the default policy with a ``shard_timeout``, else no retries).
+    #: Also the cell's own budget in the runner: a cell whose pipeline
+    #: keeps failing retryably is re-run up to ``retries`` times and
+    #: then quarantined instead of aborting the campaign.
     retries: Optional[int] = None
     #: Soft per-shard deadline in seconds (``None`` → no watchdog).
     shard_timeout: Optional[float] = None
@@ -229,7 +229,7 @@ class CampaignSpec:
     #: Fault tolerance, applied to every cell (overridable per axis
     #: value): ``retries`` grants each cell (and each of its evaluation
     #: shards) that many retries before quarantine; ``shard_timeout``
-    #: arms the per-shard watchdog.
+    #: arms the per-shard watchdog (alone, with the default retries).
     retries: Optional[int] = None
     shard_timeout: Optional[float] = None
     #: Trace file every cell (and the runner itself) appends spans to.

@@ -6,11 +6,13 @@ package is the seam that fan-out plugs into.  Three backends ship:
 process pool, the one in-process pool) and ``workqueue`` (external
 workers draining a filesystem queue).  An
 :class:`EvaluationExecutor` consumes shard descriptors ``(start_id,
-count)`` and streams back result batches; :data:`EXECUTOR_REGISTRY`
-maps names to backends exactly like the core/attacker/solver
-registries, so new distribution strategies (async, distributed) are
-one ``register`` call, never a fork of :func:`evaluate_parallel` or
-the drivers::
+count)`` and streams back batches of
+:class:`~repro.evaluation.results.TestCaseResult` — the one result
+type in memory; the row form exists only inside the JSONL
+checkpoints.  :data:`EXECUTOR_REGISTRY` maps names to backends exactly
+like the core/attacker/solver registries, so new distribution
+strategies (async, distributed) are one ``register`` call, never a
+fork of :func:`evaluate_parallel` or the drivers::
 
     from repro.evaluation.backends import EXECUTOR_REGISTRY
     EXECUTOR_REGISTRY.register("my-cluster", MyClusterExecutor,
@@ -28,12 +30,10 @@ evaluating only the missing shards.
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
-    Row,
     Shard,
     ShardEvaluator,
     ShardProgress,
     plan_shards,
-    rows_to_results,
 )
 from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
 from repro.evaluation.backends.manifest import ManifestKeyError, ShardManifest
@@ -83,12 +83,10 @@ __all__ = [
     "EvaluationTask",
     "ManifestKeyError",
     "MultiprocessExecutor",
-    "Row",
     "SerialExecutor",
     "Shard",
     "ShardEvaluator",
     "ShardManifest",
     "ShardProgress",
     "plan_shards",
-    "rows_to_results",
 ]

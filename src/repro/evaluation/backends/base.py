@@ -2,16 +2,16 @@
 
 An :class:`EvaluationExecutor` consumes a fixed *shard plan* — a list
 of ``(start_id, count)`` descriptors covering the test-id range — and
-streams back ``(shard, rows)`` batches as shards complete, in whatever
-order the backend finishes them.  Everything a worker needs to build
-its own generator/evaluator pair travels as an :class:`EvaluationTask`
-of plain registry names and integers, so the same task crosses process
-boundaries, threads, and (later) machines unchanged.
+streams back ``(shard, results)`` batches as shards complete, in
+whatever order the backend finishes them.  Everything a worker needs
+to build its own generator/evaluator pair travels as an
+:class:`EvaluationTask` of plain registry names and integers, so the
+same task crosses process boundaries, threads, and machines unchanged.
 
 Determinism contract: test cases are generated *per test id* (the
 generator derives a child RNG from ``(seed, test_id)``), so a shard's
-rows depend only on the task identity and the shard descriptor — never
-on which backend ran it, which sibling shards ran, or the total
+results depend only on the task identity and the shard descriptor —
+never on which backend ran it, which sibling shards ran, or the total
 budget.  This is what makes shard-level checkpointing and resumption
 (:mod:`repro.evaluation.backends.manifest`) sound.
 """
@@ -20,31 +20,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-#: One evaluated test case, as a plain tuple that serializes cheaply:
-#: ``(test_id, attacker_distinguishable, sorted_atom_ids, targeted)``.
-Row = Tuple[int, bool, Tuple[int, ...], Optional[int]]
+from repro.evaluation.results import TestCaseResult
 
 #: A shard descriptor: evaluate ``count`` test cases from ``start_id``.
 Shard = Tuple[int, int]
 
-
-def result_row(result) -> Row:
-    """One ``TestCaseResult`` as a :data:`Row` (inverse of
-    :func:`rows_to_results`)."""
-    return (
-        result.test_id,
-        result.attacker_distinguishable,
-        tuple(sorted(result.distinguishing_atom_ids)),
-        result.targeted_atom_id,
-    )
-
-
-def decode_rows(rows: Iterable[Sequence]) -> List[Row]:
-    """JSON rows (lists) as :data:`Row` tuples (inverse of
-    ``[list(row) for row in rows]``)."""
-    return [(row[0], bool(row[1]), tuple(row[2]), row[3]) for row in rows]
+#: One completed shard as executors stream it: ``(shard, results)``.
+ShardResults = Tuple[Shard, List[TestCaseResult]]
 
 
 def plan_shards(count: int, shard_size: int) -> List[Shard]:
@@ -88,7 +72,7 @@ class EvaluationTask:
 
     def identity(self) -> dict:
         """The shard-manifest key: every field that changes a shard's
-        rows (see :func:`repro.pipeline.config.task_identity`)."""
+        results (see :func:`repro.pipeline.config.task_identity`)."""
         # Imported here: the key formats live with the pipeline
         # configuration, which builds on this module.
         from repro.pipeline.config import task_identity
@@ -175,8 +159,8 @@ class ShardEvaluator:
             use_fastpath=task.use_fastpath,
         )
 
-    def evaluate(self, shard: Shard) -> List[Row]:
-        """Evaluate one shard into plain result rows.
+    def evaluate(self, shard: Shard) -> List[TestCaseResult]:
+        """Evaluate one shard into its results, in test-id order.
 
         One shard is one :meth:`TestCaseEvaluator.evaluate_batch` call
         — shards are the natural batch unit of every executor, so the
@@ -184,16 +168,14 @@ class ShardEvaluator:
         """
         start, count = shard
         test_cases = list(self.generator.iter_generate(count, start_id=start))
-        return [
-            result_row(result) for result in self.evaluator.evaluate_batch(test_cases)
-        ]
+        return self.evaluator.evaluate_batch(test_cases)
 
 
 class EvaluationExecutor(ABC):
     """Common interface over the work-distribution backends.
 
-    ``run`` yields ``(shard, rows)`` batches as shards complete; the
-    order is backend-defined (callers sort by test id at the end).
+    ``run`` yields ``(shard, results)`` batches as shards complete;
+    the order is backend-defined (callers sort by test id at the end).
     Executors are cheap, stateless objects — all evaluation state lives
     in per-worker :class:`ShardEvaluator` instances.
     """
@@ -212,26 +194,8 @@ class EvaluationExecutor(ABC):
     @abstractmethod
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         """Evaluate ``shards`` under ``task``, streaming result batches."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(processes=%r)" % (type(self).__name__, self.processes)
-
-
-def rows_to_results(row_batches: Iterable[List[Row]]):
-    """Flatten row batches into ``TestCaseResult`` objects sorted by
-    test id — the deterministic dataset order every backend shares."""
-    from repro.evaluation.results import TestCaseResult
-
-    rows = [row for batch in row_batches for row in batch]
-    rows.sort(key=lambda row: row[0])
-    return [
-        TestCaseResult(
-            test_id=test_id,
-            attacker_distinguishable=distinguishable,
-            distinguishing_atom_ids=frozenset(atom_ids),
-            targeted_atom_id=targeted,
-        )
-        for test_id, distinguishable, atom_ids, targeted in rows
-    ]

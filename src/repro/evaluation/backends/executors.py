@@ -28,14 +28,14 @@ import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
-    Row,
     Shard,
     ShardEvaluator,
+    ShardResults,
 )
 from repro.metrics.registry import current_metrics
 from repro.resilience.errors import ShardExecutionError, ShardTimeoutError
@@ -52,7 +52,7 @@ def _initialize_process(task: EvaluationTask) -> None:
     _worker_state["worker"] = ShardEvaluator.from_task(task)
 
 
-def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> Tuple[Shard, List[Row]]:
+def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> ShardResults:
     """The one shard-evaluation call every backend funnels through.
 
     Hosts the ``"shard"`` fault-injection seam, the shard trace span
@@ -75,9 +75,7 @@ def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> Tuple[Shard, List[R
         current_metrics().maybe_flush()
 
 
-def _evaluate_shard_inner(
-    worker: ShardEvaluator, shard: Shard
-) -> Tuple[Shard, List[Row]]:
+def _evaluate_shard_inner(worker: ShardEvaluator, shard: Shard) -> ShardResults:
     try:
         maybe_inject("shard", shard=shard)
         return shard, worker.evaluate(shard)
@@ -91,7 +89,7 @@ def _evaluate_shard_inner(
         ) from error
 
 
-def _evaluate_in_process(shard: Shard) -> Tuple[Shard, List[Row]]:
+def _evaluate_in_process(shard: Shard) -> ShardResults:
     worker: ShardEvaluator = _worker_state["worker"]
     return _evaluate_shard(worker, shard)
 
@@ -120,7 +118,7 @@ class SerialExecutor(EvaluationExecutor):
 
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         worker = self.worker or ShardEvaluator.from_task(task)
         for shard in shards:
             yield _evaluate_shard(worker, shard)
@@ -136,7 +134,7 @@ class MultiprocessExecutor(EvaluationExecutor):
         task: EvaluationTask,
         shards: Sequence[Shard],
         shard_timeout: Optional[float] = None,
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         """Evaluate ``shards`` in the pool.
 
         With ``shard_timeout`` set, a shard that runs past the soft

@@ -9,7 +9,7 @@ evaluates only the missing ones.
 File layout — line 1 is a header binding the file to the task identity
 (core, template, attacker, seed, dependency distance, extraction
 engine — the same axes as the dataset cache key); every further line
-is one completed shard::
+is one completed shard, its results as ``TestCaseResult.to_row`` rows::
 
     {"manifest": "evaluation-shards", "version": 1, "key": {...}}
     {"shard": [0, 250], "rows": [[0, true, [3, 17], 3], ...]}
@@ -28,7 +28,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.checkpoint import CheckpointKeyError, JsonlCheckpoint
-from repro.evaluation.backends.base import Row, Shard, decode_rows
+from repro.evaluation.backends.base import Shard
+from repro.evaluation.results import TestCaseResult
 
 
 class ManifestKeyError(CheckpointKeyError):
@@ -46,27 +47,27 @@ class ShardManifest(JsonlCheckpoint):
 
     def __init__(self, path: str, key: dict):
         #: Completed shards loaded from disk, keyed by descriptor.
-        self.completed: Dict[Shard, List[Row]] = {}
+        self.completed: Dict[Shard, List[TestCaseResult]] = {}
         super().__init__(path, key)
 
     # -- checkpoint payload --------------------------------------------
 
     def _accept(self, entry: dict) -> None:
         shard = tuple(entry["shard"])
-        self.completed[shard] = decode_rows(entry["rows"])
+        self.completed[shard] = [TestCaseResult.from_row(row) for row in entry["rows"]]
 
     def _entries(self) -> Iterable[dict]:
-        for shard, rows in self.completed.items():
-            yield {"shard": list(shard), "rows": [list(row) for row in rows]}
+        for shard, results in self.completed.items():
+            yield _entry(shard, results)
 
-    def append(self, shard: Shard, rows: Sequence[Row]) -> None:
+    def append(self, shard: Shard, results: Sequence[TestCaseResult]) -> None:
         """Checkpoint one completed shard (flushed immediately)."""
-        self._append({"shard": list(shard), "rows": [list(row) for row in rows]})
-        self.completed[shard] = list(rows)
+        self._append(_entry(shard, results))
+        self.completed[shard] = list(results)
 
     # -- plan intersection ---------------------------------------------
 
-    def stored(self, shards: Sequence[Shard]) -> Dict[Shard, List[Row]]:
+    def stored(self, shards: Sequence[Shard]) -> Dict[Shard, List[TestCaseResult]]:
         """The subset of ``shards`` already completed in this manifest.
 
         Matching is by exact descriptor — a plan with a different
@@ -83,3 +84,7 @@ class ShardManifest(JsonlCheckpoint):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ShardManifest(%s, %d shards)" % (self.path, len(self.completed))
+
+
+def _entry(shard: Shard, results: Sequence[TestCaseResult]) -> dict:
+    return {"shard": list(shard), "rows": [result.to_row() for result in results]}

@@ -33,11 +33,10 @@ from repro.evaluation.backends import (
     ShardManifest,
     ShardProgress,
     plan_shards,
-    rows_to_results,
 )
 from repro.evaluation.results import EvaluationDataset
 from repro.resilience.quarantine import FailureRecord, FailureSink
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, effective_policy
 from repro.trace.tracer import Tracer
 
 #: Optional per-shard progress callback.
@@ -68,7 +67,9 @@ def evaluate_parallel(
 ) -> EvaluationDataset:
     """Evaluate ``count`` generated test cases on ``core_name`` using
     the named executor backend.  Equivalent to the sequential evaluator
-    for the same ``seed`` (results ordered by test id).
+    for the same ``seed``: the backends' result batches are collected
+    as they are and ordered by test id, under one header for every
+    ``count``, zero included.
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
     ``"multiprocess"``, ``"workqueue"``) or a ready-made
@@ -96,12 +97,13 @@ def evaluate_parallel(
     one such window.
 
     ``retry`` and/or ``shard_timeout`` wrap the backend in a
-    :class:`~repro.resilience.ResilientExecutor`: failing shards are
-    retried per the policy, hung shards past the soft deadline of a
-    ``multiprocess`` sweep are rescheduled in a fresh pool, and shards
-    that exhaust their attempts are quarantined while the run
-    continues without their rows.  Each failure record goes through a
-    :class:`~repro.resilience.FailureSink` (counted, traced, appended
+    :class:`~repro.resilience.ResilientExecutor` under their
+    :func:`~repro.resilience.retry.effective_policy`: failing shards
+    are retried per the policy, hung shards past the soft deadline of
+    a ``multiprocess`` sweep are rescheduled in a fresh pool, and
+    shards that exhaust their attempts are quarantined while the run
+    continues without their results.  Each failure record goes through
+    a :class:`~repro.resilience.FailureSink` (counted, traced, appended
     to the ``failure_log_path`` log when durable, passed to
     ``on_failure``).  Retry settings never enter the task identity,
     so fault-tolerant and plain runs share manifests and produce
@@ -119,8 +121,13 @@ def evaluate_parallel(
             "pass either template_name or max_distance, not both: a "
             "registered template fixes its own dependency distance"
         )
+    header = dict(
+        core_name=core_name,
+        template_name=template_name or "riscv-rv32im",
+        attacker_name=attacker_name or "retirement-timing",
+    )
     if count <= 0:
-        return EvaluationDataset([], core_name=core_name)
+        return EvaluationDataset([], **header)
 
     task = EvaluationTask(
         core_name=core_name,
@@ -139,14 +146,15 @@ def evaluate_parallel(
         # (an instance's own explicit worker count always wins).
         executor = copy.copy(executor)
         executor.processes = processes
-    if retry is not None or shard_timeout is not None:
+    policy = effective_policy(retry, shard_timeout)
+    if policy is not None:
         # Imported here: the resilient wrapper itself builds on the
         # backend modules this package initializes.
         from repro.resilience.executor import ResilientExecutor
 
         executor = ResilientExecutor(
             executor,
-            policy=retry,
+            policy=policy,
             shard_timeout=shard_timeout,
             sink=FailureSink(tracer, on_failure, failure_log_path, task.identity()),
         )
@@ -166,7 +174,7 @@ def evaluate_parallel(
 
     completed_shards = 0
     completed_cases = 0
-    batches = []
+    results = []
 
     def emit(shard, resumed: bool) -> None:
         nonlocal completed_shards, completed_cases
@@ -187,20 +195,16 @@ def evaluate_parallel(
 
     for shard in shards:
         if shard in stored:
-            batches.append(stored[shard])
+            results.extend(stored[shard])
             if tracer is not None and tracer.active:
                 tracer.event("shard-resumed", start_id=shard[0], count=shard[1])
             emit(shard, resumed=True)
     if pending:  # a fully-resumed run never builds a worker stack
-        for shard, rows in executor.run(task, pending):
+        for shard, batch in executor.run(task, pending):
             if manifest is not None:
-                manifest.append(shard, rows)
-            batches.append(rows)
+                manifest.append(shard, batch)
+            results.extend(batch)
             emit(shard, resumed=False)
 
-    return EvaluationDataset(
-        rows_to_results(batches),
-        core_name=core_name,
-        template_name=template_name or "riscv-rv32im",
-        attacker_name=attacker_name or "retirement-timing",
-    )
+    results.sort(key=lambda result: result.test_id)
+    return EvaluationDataset(results, **header)

@@ -42,6 +42,20 @@ class TestCaseResult:
             targeted_atom_id=data.get("targeted_atom_id"),
         )
 
+    def to_row(self) -> list:
+        """The JSON row the JSONL checkpoints store (see :meth:`from_row`):
+        ``[test_id, distinguishable, sorted atom ids, targeted]``."""
+        return [
+            self.test_id,
+            self.attacker_distinguishable,
+            sorted(self.distinguishing_atom_ids),
+            self.targeted_atom_id,
+        ]
+
+    @staticmethod
+    def from_row(row: Sequence) -> "TestCaseResult":
+        return TestCaseResult(row[0], bool(row[1]), frozenset(row[2]), row[3])
+
 
 class EvaluationDataset:
     """An ordered collection of test-case results."""

@@ -339,7 +339,7 @@ class PipelineConfig:
 
     def round_manifest_key(self, batch: int, restriction: Optional[str]) -> dict:
         """The adaptive round-manifest key: everything that changes a
-        round's rows or steering, for the loop's ``batch`` and
+        round's results or steering, for the loop's ``batch`` and
         restriction label.  The round budget is absent, so extending
         ``rounds`` resumes instead of restarting."""
         stream = self.stream_key()
@@ -473,7 +473,7 @@ def superset_cache_path(cache_path: str, budget: int) -> Optional[str]:
 
 def task_identity(task: EvaluationTask) -> dict:
     """The shard-manifest key: every task field that changes a shard's
-    rows.  The total budget is absent (shards are keyed by ``(start_id,
+    results.  The total budget is absent (shards are keyed by ``(start_id,
     count)``), so a manifest stays valid when the budget is extended.
     A non-default generator is present, with its feedback state as a
     short digest so steered rounds never alias the fresh stream; the

@@ -44,7 +44,7 @@ from repro.pipeline.config import (
 )
 from repro.pipeline.result import PhaseTimings, PipelineResult
 from repro.resilience.quarantine import FailureRecord
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, effective_policy
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer
 from repro.testgen.strategies import GenerationStrategy
@@ -248,7 +248,7 @@ class SynthesisPipeline:
         a shard that exhausts its attempts is quarantined — recorded
         to the :meth:`quarantine_path` failure log and reported in
         ``PipelineResult.failures`` — and the run continues without
-        its rows.  Retry settings never enter cache or manifest keys:
+        its results.  Retry settings never enter cache or manifest keys:
         a run that survives faults is byte-identical to a clean one.
         One-shot runs retry shards on the executor path, so ``retry``
         implies :meth:`executor` like :meth:`resume` does.
@@ -264,9 +264,9 @@ class SynthesisPipeline:
 
         A shard running past the deadline is abandoned with its pool
         and rescheduled in a fresh one, consuming one retry attempt
-        (see :meth:`retry`; the default policy applies when only a
-        timeout is configured).  ``None`` disables.  Only the process
-        pool enforces deadlines, even with one worker: the serial
+        (see :meth:`retry`; without one, the default policy applies to
+        shards, rounds and cells alike).  ``None`` disables.  Only the
+        process pool enforces deadlines, even with one worker: the serial
         backend has no pool to abandon, and the ``workqueue`` backend
         bounds hung workers with its job lease instead.
         """
@@ -375,7 +375,7 @@ class SynthesisPipeline:
         :meth:`timeout` quarantine, and the log sits beside the dataset
         cache file (one-shot) or the round manifest (adaptive).  Without
         one, failures still travel on ``PipelineResult.failures``."""
-        if self._retry is None and self._shard_timeout is None:
+        if effective_policy(self._retry, self._shard_timeout) is None:
             return None
         return self.config.quarantine_path(self._cache_dir, self._resume)
 
@@ -386,8 +386,7 @@ class SynthesisPipeline:
         ``retry``/``timeout``) implying one."""
         if self._executor is None and (
             self._resume is not None
-            or self._retry is not None
-            or self._shard_timeout is not None
+            or effective_policy(self._retry, self._shard_timeout) is not None
         ):
             return "multiprocess"
         return self._executor

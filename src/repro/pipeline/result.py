@@ -51,7 +51,7 @@ class PhaseTimings:
     shards_total: int = 0
     shards_resumed: int = 0
     #: Shards that exhausted their retries and were quarantined (the
-    #: dataset is missing their rows).
+    #: dataset is missing their results).
     shards_quarantined: int = 0
     #: Backend the executor fallback chain downgraded to (``None``
     #: when the configured backend survived the whole run).

@@ -13,29 +13,31 @@ adds the fault semantics the inner backends deliberately do not have:
   one serves the next attempt);
 - **quarantine** — a shard that exhausts its attempts becomes a
   durable :class:`~repro.resilience.quarantine.FailureRecord` (kind
-  ``"shard"``) and the run continues without its rows;
+  ``"shard"``) and the run continues without its results;
 - **downgrade** — repeated pool-level breakage (no shard attribution)
   swaps the inner backend for the serial reference executor and logs
   the downgrade instead of crashing the run.
 
-Every record goes to the :class:`~repro.resilience.quarantine.FailureSink`
-the executor was given (counter, trace event, quarantine log, callback).
+The policy is explicit (callers resolve it with
+:func:`~repro.resilience.retry.effective_policy`), and every record
+goes to the :class:`~repro.resilience.quarantine.FailureSink` the
+executor was given (counter, trace event, quarantine log, callback).
 
 Determinism: retries re-run the same ``(start_id, count)`` descriptor
 under the same task, and test cases are generated per test id, so a
-run that survives faults yields rows byte-identical to a fault-free
+run that survives faults yields results byte-identical to a fault-free
 run — the property the fault-matrix suite pins.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
-    Row,
     Shard,
+    ShardResults,
 )
 from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
 from repro.resilience import injection
@@ -56,13 +58,13 @@ class ResilientExecutor(EvaluationExecutor):
     def __init__(
         self,
         inner: EvaluationExecutor,
-        policy: Optional[RetryPolicy] = None,
+        policy: RetryPolicy,
         shard_timeout: Optional[float] = None,
         sink: Optional[FailureSink] = None,
     ):
         super().__init__(inner.processes)
         self.inner = inner
-        self.policy = policy or RetryPolicy()
+        self.policy = policy
         self.shard_timeout = shard_timeout
         self.sink = sink or FailureSink()
 
@@ -70,7 +72,7 @@ class ResilientExecutor(EvaluationExecutor):
 
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         pending = sorted(shards)
         attempts = {shard: 0 for shard in pending}
         inner = self.inner
@@ -84,9 +86,9 @@ class ResilientExecutor(EvaluationExecutor):
             )
             completed: List[Shard] = []
             try:
-                for shard, rows in self._sweep(inner, task, pending):
+                for shard, results in self._sweep(inner, task, pending):
                     completed.append(shard)
-                    yield shard, rows
+                    yield shard, results
                 pending = [shard for shard in pending if shard not in completed]
             except ShardExecutionError as error:
                 pending = [shard for shard in pending if shard not in completed]
@@ -145,7 +147,7 @@ class ResilientExecutor(EvaluationExecutor):
 
     def _sweep(
         self, inner: EvaluationExecutor, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         """One pass of ``inner`` over ``shards``.
 
         Deadlines apply to the process pool only: it is the one backend

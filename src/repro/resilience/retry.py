@@ -4,7 +4,8 @@ attempt loop of units retried whole.
 One :class:`RetryPolicy` and one rule serve all three granularities —
 shards (:class:`repro.resilience.executor.ResilientExecutor`, which
 sweeps many at a time and keeps its own loop), and adaptive rounds and
-campaign cells (both through :func:`retry_unit`): a fatal error
+campaign cells (both through :func:`retry_unit`), under the policy
+:func:`effective_policy` decides: a fatal error
 propagates at once unrecorded, a retryable one is recorded as
 ``"retry"`` and the unit runs again, and a unit whose last attempt
 fails is recorded durably under its own kind.  The backoff schedule is
@@ -92,6 +93,17 @@ class RetryPolicy:
             "backoff_factor": self.backoff_factor,
             "backoff_max": self.backoff_max,
         }
+
+
+def effective_policy(
+    policy: Optional[RetryPolicy], shard_timeout: Optional[float]
+) -> Optional[RetryPolicy]:
+    """The policy shards, rounds and cells follow: ``policy``, else the
+    default one if a ``shard_timeout`` needs attempts to spend, else
+    ``None`` (fail fast)."""
+    if policy is None and shard_timeout is not None:
+        return RetryPolicy()
+    return policy
 
 
 def is_retryable(error: BaseException) -> bool:

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.checkpoint import append_jsonl_line
-from repro.evaluation.backends.base import EvaluationTask, Row, Shard, decode_rows
+from repro.evaluation.backends.base import EvaluationTask, Shard
+from repro.evaluation.results import TestCaseResult
 from repro.pipeline.config import (  # noqa: F401 - task_from_payload re-exported
     job_id_for,
     task_from_payload,
@@ -341,13 +342,13 @@ class JobQueue:
             # Lost the race for this job; try the next pending one.
         return None
 
-    def complete(self, job: JobRecord, rows: Sequence[Row]) -> None:
+    def complete(self, job: JobRecord, results: Sequence[TestCaseResult]) -> None:
         """Persist the result file, then mark the job done.
 
         Order matters: the result file must be durably in place before
         the ``done`` event makes it authoritative.
         """
-        self.write_result(job.job_id, rows)
+        self.write_result(job.job_id, results)
         self._emit({"event": "done", "job": job.job_id, "epoch": job.epoch})
 
     def fail(self, job: JobRecord, error: str, fatal: bool = False) -> None:
@@ -366,8 +367,8 @@ class JobQueue:
     def result_path(self, job_id: str) -> str:
         return os.path.join(self.results_dir, job_id + ".json")
 
-    def write_result(self, job_id: str, rows: Sequence[Row]) -> None:
-        payload = {"job": job_id, "rows": [list(row) for row in rows]}
+    def write_result(self, job_id: str, results: Sequence[TestCaseResult]) -> None:
+        payload = {"job": job_id, "rows": [result.to_row() for result in results]}
         tmp_path = self.result_path(job_id) + ".tmp.%d" % os.getpid()
         with open(tmp_path, "w") as stream:
             json.dump(payload, stream)
@@ -376,10 +377,10 @@ class JobQueue:
                 os.fsync(stream.fileno())
         os.replace(tmp_path, self.result_path(job_id))
 
-    def read_result(self, job_id: str) -> List[Row]:
+    def read_result(self, job_id: str) -> List[TestCaseResult]:
         with open(self.result_path(job_id)) as stream:
             payload = json.load(stream)
-        return decode_rows(payload["rows"])
+        return [TestCaseResult.from_row(row) for row in payload["rows"]]
 
     def has_result(self, job_id: str) -> bool:
         return os.path.exists(self.result_path(job_id))

@@ -200,7 +200,7 @@ class JobWorker:
         try:
             with self.tracer.span("execute", job=job.job_id, shard=list(shard)):
                 evaluator = self._evaluator(job.task)
-                _, rows = _evaluate_shard(evaluator, shard)
+                _, results = _evaluate_shard(evaluator, shard)
         except ShardExecutionError as error:
             self.busy_seconds += time.monotonic() - job_started
             self.queue.fail(job, error=error.cause, fatal=error.fatal)
@@ -211,8 +211,8 @@ class JobWorker:
             self.failed += 1
             return
         self.busy_seconds += time.monotonic() - job_started
-        self.queue.complete(job, rows)
-        self.tracer.event("done", job=job.job_id, rows=len(rows))
+        self.queue.complete(job, results)
+        self.tracer.event("done", job=job.job_id, rows=len(results))
         self.completed += 1
 
     def _record_failure(self, job: JobRecord, error: ShardExecutionError) -> None:

@@ -14,7 +14,7 @@ carries over.
    previous run are *not* re-enqueued — their result files are
    streamed back immediately, the distributed analogue of shard-manifest
    resume);
-2. poll the queue, yielding ``(shard, rows)`` as ``done`` events land;
+2. poll the queue, yielding ``(shard, results)`` as ``done`` events land;
 3. reclaim expired leases (a SIGKILLed worker's job is requeued and
    picked up by a survivor) and requeue retryable failures, both
    charged against a :class:`RetryPolicy` — exhaustion or a fatal
@@ -33,13 +33,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set
 
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
-    Row,
     Shard,
+    ShardResults,
 )
 from repro.metrics.registry import current_metrics
 from repro.resilience.errors import ShardExecutionError
@@ -95,7 +95,7 @@ class WorkQueueExecutor(EvaluationExecutor):
 
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         queue = JobQueue(resolve_queue_root(self.queue_dir), durable=self.durable)
         queue.ensure()
         embedded = self._start_embedded(queue)
@@ -109,7 +109,7 @@ class WorkQueueExecutor(EvaluationExecutor):
 
     def _run(
         self, queue: JobQueue, task: EvaluationTask, shards: Sequence[Shard]
-    ) -> Iterator[Tuple[Shard, List[Row]]]:
+    ) -> Iterator[ShardResults]:
         before = set(queue.load().jobs)
         job_ids = queue.enqueue_all(task, shards)
         shard_by_job = {job_id_for(task, shard): shard for shard in shards}
@@ -144,10 +144,10 @@ class WorkQueueExecutor(EvaluationExecutor):
                 if job is None:
                     continue
                 if job.status == "done" and queue.has_result(job_id):
-                    rows = queue.read_result(job_id)
+                    results = queue.read_result(job_id)
                     outstanding.discard(job_id)
                     progressed = True
-                    yield shard_by_job[job_id], rows
+                    yield shard_by_job[job_id], results
                 elif job.status == "failed":
                     if job.fatal:
                         raise ShardExecutionError(

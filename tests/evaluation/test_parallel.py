@@ -1,8 +1,11 @@
 """Tests for the multi-process evaluator."""
 
+import pytest
+
 from repro.contracts.riscv_template import build_riscv_template
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
+from repro.pipeline import SynthesisPipeline
 from repro.testgen.generator import TestCaseGenerator
 from repro.uarch.ibex import IbexCore
 
@@ -17,6 +20,34 @@ def sequential_dataset(count, seed):
 def test_empty_count():
     dataset = evaluate_parallel("ibex", 0, seed=1)
     assert len(dataset) == 0
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_header_is_the_same_for_every_count(count):
+    dataset = evaluate_parallel(
+        "ibex",
+        count,
+        seed=0,
+        executor="serial",
+        template_name="riscv-mem",
+        attacker_name="retirement-timing",
+    )
+    assert len(dataset) == count
+    assert (dataset.core_name, dataset.template_name, dataset.attacker_name) == (
+        "ibex",
+        "riscv-mem",
+        "retirement-timing",
+    )
+
+
+def test_empty_pipeline_run_keeps_its_header():
+    dataset = SynthesisPipeline().budget(0).run().dataset
+    assert len(dataset) == 0
+    assert (dataset.core_name, dataset.template_name, dataset.attacker_name) == (
+        "ibex",
+        "riscv-rv32im",
+        "retirement-timing",
+    )
 
 
 def test_single_process_matches_sequential():

@@ -224,6 +224,14 @@ class TestFaultMatrix:
         assert kinds == ["retry"]
         assert result.failures[0].unit["round"] == 1
 
+    def test_timeout_alone_retries_a_round(self, adaptive_reference):
+        """A shard timeout without a policy implies the default one for
+        rounds too, as it does for shards."""
+        with inject_fault("round-crash", round_index=1, fail_attempts=1):
+            result = _adaptive_pipeline().timeout(30.0).run()
+        assert _fingerprint(result) == adaptive_reference
+        assert [record.kind for record in result.failures] == ["retry"]
+
     def test_round_never_goes_on_without_a_quarantined_shard(self):
         """A round steers the next one: a shard quarantined in it fails
         the round, which is retried and then raises, instead of the loop

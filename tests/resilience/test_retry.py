@@ -14,6 +14,7 @@ from repro.resilience import (
     ShardTimeoutError,
     is_retryable,
 )
+from repro.resilience.retry import effective_policy
 
 pytestmark = pytest.mark.faults
 
@@ -37,6 +38,13 @@ class TestRetryPolicy:
     def test_from_retries_is_the_cli_spelling(self):
         assert RetryPolicy.from_retries(0).max_attempts == 1
         assert RetryPolicy.from_retries(3).max_attempts == 4
+
+    def test_effective_policy(self):
+        explicit = RetryPolicy(max_attempts=2)
+        assert effective_policy(None, None) is None
+        assert effective_policy(None, 30.0) == RetryPolicy()
+        assert effective_policy(explicit, None) is explicit
+        assert effective_policy(explicit, 30.0) is explicit
 
     def test_backoff_schedule_is_deterministic_and_capped(self):
         policy = RetryPolicy(

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.evaluation.backends.base import EvaluationTask
+from repro.evaluation.results import TestCaseResult
 from repro.service.queue import (
     JobQueue,
     QueueUnavailableError,
@@ -22,7 +23,10 @@ from repro.service.queue import (
 pytestmark = pytest.mark.service
 
 TASK = EvaluationTask(core_name="ibex", seed=3)
-ROWS = [(0, True, (1, 2), "h"), (1, False, (3,), "m")]
+RESULTS = [
+    TestCaseResult(0, True, frozenset({1, 2}), "h"),
+    TestCaseResult(1, False, frozenset({3}), "m"),
+]
 
 
 def _queue(tmp_path) -> JobQueue:
@@ -58,10 +62,10 @@ class TestClaimProtocol:
         assert job.attempts == 1
         assert queue.claim("w2", lease_seconds=30.0) is None  # nothing pending
 
-        queue.complete(job, ROWS)
+        queue.complete(job, RESULTS)
         state = queue.load()
         assert state.jobs[job_id].status == "done"
-        assert queue.read_result(job_id) == ROWS
+        assert queue.read_result(job_id) == RESULTS
 
     def test_enqueue_is_idempotent(self, tmp_path):
         queue = _queue(tmp_path)
@@ -117,9 +121,9 @@ class TestClaimProtocol:
         (job_id,) = queue.enqueue_all(TASK, [(0, 10)])
         stale = queue.claim("w1", lease_seconds=0.0, now=100.0)
         queue.requeue(stale)
-        queue.complete(stale, ROWS)  # stale epoch 0 completion
+        queue.complete(stale, RESULTS)  # stale epoch 0 completion
         assert queue.load().jobs[job_id].status == "done"
-        assert queue.read_result(job_id) == ROWS
+        assert queue.read_result(job_id) == RESULTS
 
     def test_reclaim_expired_requeues_only_overdue_leases(self, tmp_path):
         queue = _queue(tmp_path)
