@@ -19,8 +19,9 @@ one generation serves the whole group even under parallel scheduling.
 **Concurrent cells under a process budget.**  ``max_parallel_cells``
 cells run on a thread pool; each cell's evaluation phase may fan out
 through an ``EXECUTOR_REGISTRY`` backend, with the per-campaign
-``process_budget`` divided evenly among concurrent cells so a 2x8 grid
-cannot fork 16 pools at once.
+``process_budget`` (by default the CPUs the process may use) divided
+evenly among concurrent cells so a 2x8 grid cannot fork 16 full-size
+pools at once.
 
 **Cell-granularity resumption.**  Completed cells are appended to a
 :class:`~repro.campaign.manifest.CampaignManifest`; a killed (or
@@ -40,6 +41,7 @@ from repro.campaign.manifest import CampaignManifest
 from repro.campaign.result import CampaignResult, CellOutcome
 from repro.campaign.spec import CampaignCell, CampaignSpec, filter_cells
 from repro.evaluation.backends.base import EvaluationExecutor
+from repro.evaluation.backends.executors import usable_cpus
 from repro.evaluation.results import EvaluationDataset
 from repro.metrics.registry import Metrics, current_metrics, install_metrics
 from repro.metrics.runs import record_run
@@ -463,6 +465,10 @@ class CampaignRunner:
         processes = None
         if self.process_budget is not None:
             processes = max(1, self.process_budget // max(1, concurrent))
+        elif concurrent > 1:
+            # Concurrent cells split the usable CPUs, so N cell threads
+            # do not each fork a full-size pool.
+            processes = max(1, usable_cpus() // concurrent)
         policy = effective_policy(
             None if cell.retries is None else RetryPolicy.from_retries(cell.retries),
             cell.shard_timeout,

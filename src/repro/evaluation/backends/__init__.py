@@ -3,7 +3,7 @@
 The paper fans test-case evaluation out to up to 128 threads; this
 package is the seam that fan-out plugs into.  Three backends ship:
 ``serial`` (the in-process reference), ``multiprocess`` (a forked
-process pool, the one in-process pool) and ``workqueue`` (external
+process pool, the one in-process pool and the default) and ``workqueue`` (external
 workers draining a filesystem queue).  An
 :class:`EvaluationExecutor` consumes shard descriptors ``(start_id,
 count)`` and streams back batches of

@@ -5,16 +5,19 @@ Two backends behind one interface:
 ``serial``
     One :class:`ShardEvaluator` in the calling process, shards in plan
     order.  The reference backend — everything else must match it —
-    the degenerate target the pool falls back to for one worker or one
-    shard, and the path of every run without an executor (over the
-    caller's prebuilt stack), so there is exactly one shard loop to get
-    right.
+    and the degenerate target the pool falls back to for one worker or
+    one shard, so there is exactly one shard loop to get right.
 
 ``multiprocess``
     A forked ``concurrent.futures.ProcessPoolExecutor`` submitting one
-    future per shard (the paper's up-to-128-thread fan-out).  Workers
-    are initialized once; each shard checkpoints the moment it
-    completes.  The sweep optionally enforces a per-shard soft
+    future per shard (the paper's up-to-128-thread fan-out), sized by
+    the CPUs this process may run on.  Workers are initialized once:
+    from the task's registry names, or — for a run without an
+    executor, which hands over the stack it built in setup — by
+    inheriting that stack through ``fork``, so instance-configured
+    plugins fan out too and nothing is rebuilt.  Shards are yielded in
+    plan order, each as soon as it and every shard before it have
+    completed.  The sweep optionally enforces a per-shard soft
     deadline, which is how :class:`~repro.resilience.ResilientExecutor`
     abandons a hung worker.
 
@@ -25,6 +28,7 @@ The cores are pure Python (GIL-bound), so a thread pool is slower than
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from itertools import islice
@@ -48,8 +52,10 @@ from repro.trace.tracer import current_tracer
 _worker_state: dict = {}
 
 
-def _initialize_process(task: EvaluationTask) -> None:
-    _worker_state["worker"] = ShardEvaluator.from_task(task)
+def _initialize_process(task: EvaluationTask, worker: Optional[ShardEvaluator]) -> None:
+    # Under ``fork`` the initializer's arguments are inherited, never
+    # pickled: a parent's prebuilt stack reaches the child as it is.
+    _worker_state["worker"] = worker or ShardEvaluator.from_task(task)
 
 
 def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> ShardResults:
@@ -85,17 +91,35 @@ def _evaluate_shard_inner(worker: ShardEvaluator, shard: Shard) -> ShardResults:
         # ``fatal`` crosses the pool's pickle boundary; ``__cause__``
         # does not, so the classification travels in the flag.
         raise ShardExecutionError(
-            shard, cause=repr(error), fatal=not is_retryable(error)
+            shard, cause=repr(error), fatal=not is_retryable(error), original=error
         ) from error
 
 
-def _evaluate_in_process(shard: Shard) -> ShardResults:
+def _evaluate_in_process(shard: Shard):
+    """One pool shard: its results and the child-side simulation and
+    extraction seconds it took, for the parent to fold back."""
     worker: ShardEvaluator = _worker_state["worker"]
-    return _evaluate_shard(worker, shard)
+    evaluator = worker.evaluator
+    simulation = evaluator.simulation_seconds
+    extraction = evaluator.extraction_seconds
+    evaluated = _evaluate_shard(worker, shard)
+    return evaluated, (
+        evaluator.simulation_seconds - simulation,
+        evaluator.extraction_seconds - extraction,
+    )
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a pinned container sees fewer CPUs than the
+    host has), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return multiprocessing.cpu_count()
 
 
 def _default_processes(requested: Optional[int]) -> int:
-    return requested or min(multiprocessing.cpu_count(), 8)
+    return requested or min(usable_cpus(), 8)
 
 
 class SerialExecutor(EvaluationExecutor):
@@ -125,9 +149,23 @@ class SerialExecutor(EvaluationExecutor):
 
 
 class MultiprocessExecutor(EvaluationExecutor):
-    """Forked process pool, one future per shard, yielded as completed."""
+    """Forked process pool, one future per shard, yielded in plan order.
+
+    ``worker`` is a prebuilt :class:`ShardEvaluator` the pool's
+    children inherit through ``fork`` instead of rebuilding their stack
+    from the task; its timers then also cover the shards the children
+    evaluated.
+    """
 
     name = "multiprocess"
+
+    def __init__(
+        self,
+        processes: Optional[int] = None,
+        worker: Optional[ShardEvaluator] = None,
+    ):
+        super().__init__(processes)
+        self.worker = worker
 
     def run(
         self,
@@ -148,16 +186,21 @@ class MultiprocessExecutor(EvaluationExecutor):
             # backend — the *same* shard loop, not a parallel
             # reimplementation that could drift.  A deadline still
             # needs a pool: only a pool can abandon a hung shard.
-            yield from SerialExecutor().run(task, shards)
+            yield from SerialExecutor(worker=self.worker).run(task, shards)
             return
         pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_initialize_process,
-            initargs=(task,),
+            initargs=(task, self.worker),
         )
         waiting = {pool.submit(_evaluate_in_process, shard): shard for shard in shards}
         started: dict = {}
+        # Completed shards wait here until every shard before them in
+        # the plan has been yielded.
+        finished: dict = {}
+        plan = iter(shards)
+        head = next(plan, None)
         try:
             while waiting:
                 # Workers take shards in submission order, so only the
@@ -181,9 +224,11 @@ class MultiprocessExecutor(EvaluationExecutor):
                     current_metrics().counter("resilience.timeouts").inc()
                     raise ShardTimeoutError(waiting[oldest], shard_timeout)
                 for future in done:
-                    del waiting[future]
+                    finished[waiting.pop(future)] = self._collect(future)
                     started.pop(future, None)
-                    yield future.result()
+                while head in finished:
+                    yield finished.pop(head)
+                    head = next(plan, None)
         except BaseException:
             # A failed or hung shard may still occupy a worker that
             # cannot be joined; leave the pool to drain in the
@@ -191,3 +236,22 @@ class MultiprocessExecutor(EvaluationExecutor):
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown()
+
+    def _collect(self, future) -> ShardResults:
+        """A finished shard's results, its child timers folded into
+        :attr:`worker`.
+
+        A shard error keeps its original exception as ``__cause__``
+        when that survived the pickle boundary, with the child's
+        traceback chained behind it."""
+        try:
+            evaluated, (simulation, extraction) = future.result()
+        except ShardExecutionError as error:
+            if error.original is not None:
+                error.original.__cause__ = error.__cause__
+                error.__cause__ = error.original
+            raise
+        if self.worker is not None:
+            self.worker.evaluator.simulation_seconds += simulation
+            self.worker.evaluator.extraction_seconds += extraction
+        return evaluated

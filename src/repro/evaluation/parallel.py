@@ -5,10 +5,13 @@ evaluate step.  The pipeline's default run, every adaptive round and
 every executor run go through it: the shard plan is computed once, and
 every backend consumes the *same* plan through the *same* per-worker
 shard loop, with its fault seam, error attribution and ``shard``
-spans.  A run without an executor passes a
-:class:`~repro.evaluation.backends.SerialExecutor` over the stack it
-built in setup; the paper's up-to-128-thread fan-out is the
-``multiprocess`` (or ``workqueue``) backend.  Completed shards can be
+spans.  A pipeline run without an executor passes a
+:class:`~repro.evaluation.backends.MultiprocessExecutor` over the
+stack it built in setup, which its forked workers inherit; an
+adaptive round passes a
+:class:`~repro.evaluation.backends.SerialExecutor` over its live
+stack.  The paper's up-to-128-thread fan-out is the ``multiprocess``
+(or ``workqueue``) backend.  Completed shards can be
 checkpointed to a :class:`~repro.evaluation.backends.ShardManifest` so
 interrupted or budget-extended runs resume instead of restarting.
 
@@ -73,9 +76,10 @@ def evaluate_parallel(
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
     ``"multiprocess"``, ``"workqueue"``) or a ready-made
-    :class:`EvaluationExecutor` (a ``SerialExecutor(worker=...)`` runs
-    on a prebuilt stack instead of rebuilding one from the names);
-    ``processes`` sizes the backend's worker pool.
+    :class:`EvaluationExecutor` (a ``SerialExecutor(worker=...)`` or
+    ``MultiprocessExecutor(worker=...)`` runs on a prebuilt stack, the
+    pool's workers inheriting it by fork, instead of rebuilding one
+    from the names); ``processes`` sizes the backend's worker pool.
 
     ``manifest_path`` enables shard checkpointing: completed shards are
     appended there as JSONL, shards already stored for the same task
@@ -83,7 +87,8 @@ def evaluate_parallel(
     for a *different* identity raises rather than mixing corpora.
 
     ``progress`` receives one :class:`ShardProgress` event per shard —
-    resumed shards first, then evaluated shards as they complete.
+    resumed shards first, then evaluated shards as the backend yields
+    them (in plan order for the in-process backends).
 
     ``template_name`` and ``attacker_name`` are registry names resolved
     inside each worker (instances cannot cross the fork cheaply);

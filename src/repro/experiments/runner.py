@@ -55,7 +55,8 @@ def experiment_pipeline(
         # share one template *instance*; when it is equal to what its
         # registered name rebuilds, ship the name — otherwise (a
         # bespoke instance, even one reusing a registered name) only
-        # the default serial loop over the instance itself is sound.
+        # the default run, whose workers inherit the instance itself,
+        # is sound.
         if isinstance(template, str):
             pipeline.executor(config.executor)
         elif _matches_registered_template(template):

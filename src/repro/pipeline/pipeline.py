@@ -22,7 +22,7 @@ from repro.attacker.base import Attacker
 from repro.contracts.template import Contract, ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
-    SerialExecutor,
+    MultiprocessExecutor,
     ShardEvaluator,
     ShardProgress,
 )
@@ -89,9 +89,9 @@ class SynthesisPipeline:
         #: The run-defining axes; every key derives from it.
         self.config = config if config is not None else PipelineConfig()
         self._cache_dir: Optional[str] = None
-        #: ``None`` → the serial shard loop over the stack built in
-        #: setup; a registry name or executor instance → fan evaluation
-        #: out in shards through the backend.
+        #: ``None`` → the pool over the stack built in setup, inherited
+        #: by its forked workers; a registry name or executor instance →
+        #: fan evaluation out in shards through that backend.
         self._executor: Optional[ExecutorLike] = None
         self._processes: Optional[int] = None
         self._shard_size: int = 250
@@ -207,10 +207,11 @@ class SynthesisPipeline:
         ``executor`` is an ``EXECUTOR_REGISTRY`` name (``"serial"``,
         ``"multiprocess"``, ``"workqueue"``) or an
         :class:`EvaluationExecutor` instance; ``None`` restores the
-        default, the serial shard loop over the plugins resolved in
-        setup (instances included).  ``processes`` sizes the worker
-        pool and ``shard_size`` the per-shard test-case count (default
-        250).
+        default, the ``multiprocess`` backend over the plugins resolved
+        in setup (instances included), inherited by its forked workers.
+        ``processes`` sizes the worker pool (default: the usable CPUs,
+        at most 8) and ``shard_size`` the per-shard test-case count
+        (default 250).
         """
         self._executor = executor
         if processes is not None:
@@ -399,8 +400,11 @@ class SynthesisPipeline:
         ``executor`` is ``None`` on a cache hit.  A run without a
         configured executor builds its generator and evaluator here
         (template fast-path compilation included, like the paper's
-        testbench compilation) and runs the serial backend over that
-        ``local`` stack; an executor's workers build their own."""
+        testbench compilation) and hands that ``local`` stack to the
+        ``multiprocess`` backend: its forked workers inherit the stack,
+        and one usable CPU or one pending shard runs the serial shard
+        loop on it in this process.  A configured executor's workers
+        build their own."""
         cache_path = self.cache_path()
         if cache_path is not None and os.path.exists(cache_path):
             return None, None
@@ -415,7 +419,7 @@ class SynthesisPipeline:
             attacker=attacker or self.resolve_attacker(),
             use_fastpath=self.config.fastpath,
         )
-        return SerialExecutor(worker=local), local
+        return MultiprocessExecutor(worker=local), local
 
     def _evaluate(
         self,
@@ -493,8 +497,9 @@ class SynthesisPipeline:
     ) -> Tuple[EvaluationDataset, Optional[TestCaseEvaluator]]:
         """Generate and evaluate the configured corpus.  Returns
         ``(dataset, evaluator)``; the evaluator carries the phase timers
-        and is ``None`` after a cache hit or an executor run (whose
-        workers keep their own timers)."""
+        of every shard, pool workers' included, and is ``None`` after a
+        cache hit or a configured executor's run (whose workers keep
+        their own timers)."""
         executor, local = self._prepare_evaluate()
         dataset = self._evaluate(executor, local, {}, [], None)
         return dataset, local.evaluator if local is not None else None

@@ -17,6 +17,7 @@ explicit ``__reduce__`` implementations.
 
 from __future__ import annotations
 
+import pickle
 from typing import Optional, Tuple
 
 
@@ -56,21 +57,41 @@ class ShardExecutionError(RuntimeError):
     ``(start_id, count)`` descriptor so the resilient layer can retry
     or quarantine exactly the failing shard, and so a human reading a
     traceback knows which test-id window to reproduce.
+
+    ``original`` is the exception the shard raised.  It crosses the
+    pickle boundary when it survives a pickle round trip (the pool
+    re-chains it as ``__cause__``); otherwise only ``cause``, its
+    ``repr``, does.
     """
 
-    def __init__(self, shard: Tuple[int, int], cause: str = "", fatal: bool = False):
+    def __init__(
+        self,
+        shard: Tuple[int, int],
+        cause: str = "",
+        fatal: bool = False,
+        original: Optional[BaseException] = None,
+    ):
         self.shard = (int(shard[0]), int(shard[1]))
         self.start_id, self.count = self.shard
         self.cause = cause
         self.fatal = fatal
+        self.original = original
         super().__init__(
             "shard (start_id=%d, count=%d) failed: %s"
             % (self.start_id, self.count, cause or "unknown error")
         )
 
     def __reduce__(self):
-        # Cross the pool's pickle boundary with fields intact.
-        return (type(self), (self.shard, self.cause, self.fatal))
+        # Cross the pool's pickle boundary with fields intact.  An
+        # original that fails to pickle or unpickle is dropped here:
+        # the pool would otherwise replace this whole error with the
+        # pickling error and lose the shard attribution.
+        original = self.original
+        try:
+            pickle.loads(pickle.dumps(original))
+        except Exception:
+            original = None
+        return (type(self), (self.shard, self.cause, self.fatal, original))
 
 
 class ShardTimeoutError(ShardExecutionError):

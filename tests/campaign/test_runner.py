@@ -131,6 +131,34 @@ class TestGridExecution:
             o.atom_ids for o in parallel.outcomes
         ]
 
+    @pytest.mark.parametrize(
+        "parallel, budget, expected",
+        [(1, None, {None}), (2, None, {2}), (3, None, {1}), (2, 6, {3})],
+    )
+    def test_concurrent_cells_split_the_usable_cpus(
+        self, tmp_path, monkeypatch, parallel, budget, expected
+    ):
+        """Without a process budget, concurrent cells share the CPUs
+        the process may use instead of each forking a full-size pool."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+        )
+        sizes = []
+        original = CampaignRunner.cell_pipeline
+
+        def recording(runner, cell, processes=None):
+            sizes.append(processes)
+            return original(runner, cell, processes=processes)
+
+        monkeypatch.setattr(CampaignRunner, "cell_pipeline", recording)
+        run_campaign(
+            _spec(cores=("ibex", "ibex-dcache", "cva6"), budgets=(10,)),
+            results_dir=str(tmp_path),
+            max_parallel_cells=parallel,
+            process_budget=budget,
+        )
+        assert set(sizes) == expected
+
     def test_filters_restrict_the_plan(self, tmp_path):
         runner = CampaignRunner(
             _spec(cores=("ibex", "ibex-dcache"), budgets=(10, 20)),

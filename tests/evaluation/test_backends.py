@@ -104,6 +104,53 @@ class TestProgressEvents:
         assert all(event.elapsed_seconds >= 0 for event in events)
 
 
+    def test_pool_events_arrive_in_plan_order(self, monkeypatch):
+        """Pool shards complete in any order but are yielded in plan
+        order: a later shard that finishes first waits for the ones
+        before it."""
+        import time
+
+        from repro.evaluation.backends import ShardEvaluator
+
+        evaluate = ShardEvaluator.evaluate
+
+        def first_shard_slowest(worker, shard):
+            if shard[0] == 0:
+                time.sleep(0.3)
+            return evaluate(worker, shard)
+
+        monkeypatch.setattr(ShardEvaluator, "evaluate", first_shard_slowest)
+        events = []
+        evaluate_parallel(
+            "ibex",
+            30,
+            seed=2,
+            shard_size=10,
+            processes=2,
+            executor="multiprocess",
+            progress=events.append,
+        )
+        assert [event.shard for event in events] == plan_shards(30, 10)
+
+
+class TestPoolSizing:
+    """Pools are sized by the CPUs the process may run on."""
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (3, 3), (64, 8)])
+    def test_default_size_follows_the_affinity_mask(self, monkeypatch, cpus, expected):
+        from repro.evaluation.backends import executors as executors_module
+
+        monkeypatch.setattr(
+            executors_module.os,
+            "sched_getaffinity",
+            lambda pid: set(range(cpus)),
+            raising=False,
+        )
+        assert executors_module._default_processes(None) == expected
+        # An explicit worker count always wins.
+        assert executors_module._default_processes(5) == 5
+
+
 class TestManifestCheckpointing:
     def _manifest_path(self, tmp_path):
         return str(tmp_path / "run.shards.jsonl")

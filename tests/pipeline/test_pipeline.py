@@ -442,3 +442,112 @@ class TestDefaultRunIsTheSerialLoop:
         # The header names the core as configured.
         assert named.dataset.core_name == "ibex-dcache"
         assert instance.dataset.core_name == "ibex-dcache"
+
+
+def _usable_cpus(monkeypatch, count):
+    """Pin the CPUs the process may use, as a pinned container would."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def _count_pools(monkeypatch, refuse=False):
+    """Record every process pool the executors construct (or refuse
+    to construct one)."""
+    from repro.evaluation.backends import executors as executors_module
+
+    pools = []
+    real = executors_module.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        if refuse:
+            raise AssertionError("the run constructed a process pool")
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executors_module, "ProcessPoolExecutor", spy)
+    return pools
+
+
+class TestDefaultRunFansOut:
+    """A run without an executor evaluates its shards on the usable
+    CPUs, over the stack built in setup, inherited by fork."""
+
+    def test_pooled_default_run_matches_serial_and_legacy(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        pools = _count_pools(monkeypatch)
+        default = (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(BUDGET, seed=SEED)
+            .executor(None, shard_size=20)
+            .run()
+        )
+        assert pools == [2]
+        serial = (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(BUDGET, seed=SEED)
+            .executor("serial", shard_size=20)
+            .run()
+        )
+        assert default.dataset.to_json() == serial.dataset.to_json()
+        assert default.dataset.to_json() == legacy_evaluate().to_json()
+        # Every shard ran in a worker, so only the timers folded back
+        # into the setup stack's evaluator can make these non-zero.
+        timings = default.timings
+        assert timings.executor_name is None
+        assert timings.simulation_seconds > 0
+        assert timings.extraction_seconds > 0
+        assert "sim " in timings.render()
+
+    def test_unregistered_instance_core_fans_out(self, monkeypatch):
+        """The children use the inherited stack: rebuilding it from
+        the task's names would fail on a core no registry knows."""
+        from repro.evaluation.backends import ShardEvaluator
+
+        class UnregisteredIbex(IbexCore):
+            def __init__(self):
+                super().__init__()
+                self.name = "ibex-unregistered"
+
+        def refuse(task):
+            raise AssertionError("a worker rebuilt its stack from the task")
+
+        named = (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(BUDGET, seed=SEED)
+            .executor("serial", shard_size=20)
+            .evaluate()
+        )
+        _usable_cpus(monkeypatch, 2)
+        pools = _count_pools(monkeypatch)
+        monkeypatch.setattr(ShardEvaluator, "from_task", staticmethod(refuse))
+        instance = (
+            SynthesisPipeline()
+            .core(UnregisteredIbex())
+            .budget(BUDGET, seed=SEED)
+            .executor(None, shard_size=20)
+            .evaluate()
+        )
+        assert pools == [2]
+        assert instance.core_name == "ibex-unregistered"
+        assert [r.to_dict() for r in instance] == [r.to_dict() for r in named]
+
+    @pytest.mark.parametrize("cpus, budget", [(1, BUDGET), (2, 20)])
+    def test_one_cpu_or_one_shard_forks_no_pool(self, monkeypatch, cpus, budget):
+        _usable_cpus(monkeypatch, cpus)
+        _count_pools(monkeypatch, refuse=True)
+        events = []
+        result = (
+            SynthesisPipeline()
+            .core("ibex")
+            .budget(budget, seed=SEED)
+            .executor(None, shard_size=20)
+            .on_shard(events.append)
+            .run()
+        )
+        assert len(result.dataset) == budget
+        assert len(events) == -(-budget // 20)
+        assert result.timings.simulation_seconds > 0

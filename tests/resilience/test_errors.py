@@ -16,6 +16,13 @@ from repro.resilience import (
 pytestmark = pytest.mark.faults
 
 
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be unpickled: its ``args`` hold one value."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
 class TestShardExecutionError:
     def test_message_names_the_shard(self):
         error = ShardExecutionError((30, 10), cause="RuntimeError('boom')")
@@ -45,6 +52,24 @@ class TestShardExecutionError:
         assert clone.cause == "boom"
         assert clone.fatal
         assert str(clone) == str(original)
+
+    def test_original_error_survives_the_pickle_boundary(self):
+        original = ShardExecutionError(
+            (40, 10), cause="boom", original=ValueError("boom")
+        )
+        clone = pickle.loads(pickle.dumps(original))
+        assert isinstance(clone.original, ValueError)
+        assert str(clone.original) == "boom"
+
+    def test_unpicklable_original_error_is_dropped(self):
+        """An original that cannot round-trip must not take the shard
+        attribution down with it."""
+        for unpicklable in (TwoArgumentError(1, 2), RuntimeError(lambda: None)):
+            error = ShardExecutionError((40, 10), cause="boom", original=unpicklable)
+            clone = pickle.loads(pickle.dumps(error))
+            assert clone.original is None
+            assert clone.shard == (40, 10)
+            assert clone.cause == "boom"
 
     def test_cause_chain_preserved_for_humans(self):
         error = ShardExecutionError((0, 5))

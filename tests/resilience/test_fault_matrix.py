@@ -154,6 +154,16 @@ class TestFaultMatrix:
         assert isinstance(caught.value.__cause__, RuntimeError)
         assert "injected evaluation failure" in str(caught.value.__cause__)
 
+    def test_pool_worker_error_keeps_its_cause(self):
+        """The original error crosses the pool's pickle boundary and
+        is re-chained as the shard error's cause."""
+        with inject_fault("worker-error", start_id=20, fail_attempts=1):
+            with pytest.raises(ShardExecutionError) as caught:
+                _pipeline(executor="multiprocess", processes=2).run()
+        assert caught.value.shard == (20, SHARD)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert "injected evaluation failure" in str(caught.value.__cause__)
+
     def test_shard_hang_is_rescheduled_by_the_watchdog(self, reference):
         """A hung worker cannot be interrupted; the sweep abandons the
         pool at the soft deadline and re-sweeps in a fresh one."""
