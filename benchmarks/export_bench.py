@@ -53,9 +53,14 @@ PAIRED_BENCHMARKS = {
 #: count, recorded in each entry's extra_info.  The workqueue pair
 #: prices the distributed queue's claim/lease/result machinery against
 #: the bare serial loop on an identical tiny corpus — an overhead
-#: ratio (expected well below 1.0), not a fast path.
+#: ratio (expected well below 1.0), not a fast path.  The round-pipeline
+#: pair times one adaptive corpus at the default width against width 1:
+#: its ratio follows the runner's CPU count (1.0 on one CPU).
 INFORMATIONAL_PAIRS = {
     "test_bench_adaptive_convergence": "test_bench_adaptive_convergence_reference",
+    "test_bench_adaptive_round_pipeline": (
+        "test_bench_adaptive_round_pipeline_reference"
+    ),
     "test_bench_workqueue_overhead": "test_bench_workqueue_overhead_reference",
 }
 

@@ -333,6 +333,41 @@ def test_bench_adaptive_matches_fixed_with_fewer_cases():
     assert adaptive.total_cases < len(fixed.dataset)
 
 
+#: The pinned round-pipeline corpus: the ``AdaptiveLoop`` defaults
+#: (ibex, ``riscv-rv32im``, ``coverage``, 8 rounds of 250 cases, the
+#: ``ibex-adaptive-8x250`` e2ebench workload) at generator seed 7,
+#: whose eight ILPs take comparable time, so there are solves to
+#: overlap.
+_PIPELINE_SEED = 7
+
+
+def _run_round_pipeline(processes):
+    from repro.adaptive import AdaptiveLoop
+
+    result = AdaptiveLoop(seed=_PIPELINE_SEED, processes=processes).run()
+    assert result.total_cases == 2000
+    return result
+
+
+def test_bench_adaptive_round_pipeline(benchmark):
+    """``AdaptiveLoop.run()`` at the default width (the usable CPUs, at
+    most 8): rounds evaluate while earlier rounds solve on the solve
+    pool.  Paired with ``test_bench_adaptive_round_pipeline_reference``
+    (width 1: each round solves in-process before the next starts).
+    The ratio is informational: it follows the runner's CPU count, and
+    a one-CPU runner runs width 1 on both sides."""
+    from repro.evaluation.backends.executors import default_processes
+
+    benchmark.extra_info["width"] = default_processes(None)
+    benchmark.pedantic(_run_round_pipeline, args=(None,), rounds=3, iterations=1)
+
+
+def test_bench_adaptive_round_pipeline_reference(benchmark):
+    """The round-pipeline benchmark's corpus at width 1."""
+    benchmark.extra_info["width"] = 1
+    benchmark.pedantic(_run_round_pipeline, args=(1,), rounds=3, iterations=1)
+
+
 #: The pinned workqueue-overhead corpus: small enough that evaluation
 #: itself is cheap, so the paired ratio is dominated by what we want to
 #: see — queue bookkeeping (enqueue, claim protocol, polling, result

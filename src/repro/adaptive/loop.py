@@ -10,13 +10,31 @@ per round), or fanned out through an ``EXECUTOR_REGISTRY`` backend
 whose workers rebuild the strategy from its registry name plus a JSON
 state snapshot.  The loop then feeds the per-atom coverage back into
 the strategy and re-synthesizes the contract from the accumulated
-dataset, offering the previous round's contract as a warm start
-(:meth:`~repro.synthesis.synthesizer.ContractSynthesizer.synthesize`
-reuses it only while it still covers every case at zero false
-positives; coverage-steered rounds change the contract, so in
-practice every round solves cold).
-A pluggable :class:`~repro.adaptive.stopping.StoppingRule` ends the
-loop early; otherwise it runs its full round budget.
+dataset.  A pluggable :class:`~repro.adaptive.stopping.StoppingRule`
+ends the loop early; otherwise it runs its full round budget.
+
+The strategy steers on results, not contracts, so a round's synthesis
+is not needed before the next round is evaluated.  The rounds form a
+pipeline: the loop evaluates each round in the calling thread and hands
+its :meth:`~repro.synthesis.synthesizer.ContractSynthesizer.synthesize`
+call to a thread, whose HiGHS solve runs on a
+:class:`~repro.synthesis.pool.SolvePool` of forked processes, and goes
+on to the next round.  Up to ``processes`` rounds (by default the
+usable CPUs, at most 8) are in flight at once.  Rounds *settle* in
+round order: the previous round's contract is offered as a warm start
+(reused only while it still covers every case at zero false positives;
+coverage-steered rounds change the contract, so in practice every round
+solves cold), the stopping rules run, and the round is recorded,
+traced, checkpointed and reported.  Rounds evaluated or solved past a
+stop are dropped, and the strategy steps back to the last settled
+round, so every width yields the same records, dataset, manifest and
+contract.  A round whose evaluation or solve fails raises when it
+settles, after every earlier round.  At width 1 (one CPU, one round
+left, or ``processes=1``) each synthesis runs in the calling thread
+before the next round starts.  :attr:`RoundRecord.seconds` runs from
+the start of a round's evaluation to its settlement, so the rounds of
+a pipeline overlap and their seconds add up to more than the loop's
+wall time.
 
 Test ids are allocated per round as ``[r * batch, (r + 1) * batch)``,
 so a loop is resumable at round granularity: completed rounds are
@@ -31,8 +49,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.manifest import AdaptiveManifest
 from repro.adaptive.stopping import AdaptiveState, StoppingRule, resolve_stopping_rules
@@ -46,10 +66,12 @@ from repro.evaluation.backends import (
     SerialExecutor,
     ShardEvaluator,
 )
+from repro.evaluation.backends.executors import default_processes
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
 from repro.pipeline.config import PipelineConfig
+from repro.synthesis.pool import SolvePool
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult
 from repro.testgen.strategies import GenerationStrategy
@@ -86,6 +108,8 @@ class RoundRecord:
     resumed: bool
     #: Stop reason recorded after this round (``None`` to continue).
     stop_reason: Optional[str]
+    #: Wall seconds from the start of the round's evaluation to its
+    #: settlement (overlapping the next rounds' in a pipeline).
     seconds: float
 
     @property
@@ -183,6 +207,42 @@ class _LoopAccumulator:
                 self.atom_counts[atom_id] = self.atom_counts.get(atom_id, 0) + 1
 
 
+@dataclass
+class _PendingRound:
+    """A round evaluated, with its synthesis submitted, not yet settled."""
+
+    round_index: int
+    start_id: int
+    #: ``time.perf_counter()`` when the round's evaluation started.
+    started: float
+    results: List[TestCaseResult]
+    #: The strategy's state right after it observed this round.
+    state: dict
+    #: The round's :class:`SynthesisResult`, or the error of its
+    #: evaluation or solve.
+    synthesis: Future
+
+
+class _RoundSynthesizer(ContractSynthesizer):
+    """The loop's synthesizer.  A round may be synthesized before the
+    previous one settles, so the loop applies the warm-start shortcut
+    and counts the round in the run's metrics when it settles it, in
+    round order: a round dropped past a stop counts nothing, and no
+    two threads bump a counter."""
+
+    def count(self, synthesis: SynthesisResult) -> None:
+        """Count nothing yet: :meth:`settle` does."""
+
+    def settle(
+        self,
+        synthesis: SynthesisResult,
+        previous_contract: Optional[Tuple[int, ...]],
+    ) -> SynthesisResult:
+        synthesis = self.apply_warm_start(synthesis, previous_contract)
+        super().count(synthesis)
+        return synthesis
+
+
 class AdaptiveLoop:
     """Coverage-guided synthesis: rounds of generate → evaluate → steer.
 
@@ -269,9 +329,10 @@ class AdaptiveLoop:
         self.shard_timeout = shard_timeout
         self.failure_log_path = failure_log_path
         self.on_failure = on_failure
-        #: Trace emitter: one ``round`` span per live round (with
-        #: coverage/convergence end fields), one ``round-resumed``
-        #: event per replayed round.  No-op when not configured.
+        #: Trace emitter: one ``round`` span per live round, an end
+        #: record (with coverage/convergence fields) emitted when the
+        #: round settles, and one ``round-resumed`` event per replayed
+        #: round.  No-op when not configured.
         self.tracer = tracer if tracer is not None else Tracer(None)
 
     # -- identity ------------------------------------------------------
@@ -291,7 +352,6 @@ class AdaptiveLoop:
 
     def run(self) -> AdaptiveResult:
         """Run rounds until a stopping rule fires or the budget ends."""
-        synthesizer = ContractSynthesizer(self.template, self.solver)
         accumulator = _LoopAccumulator()
         records: List[RoundRecord] = []
         manifest = (
@@ -307,7 +367,6 @@ class AdaptiveLoop:
         )
         stop_reason: Optional[str] = None
         synthesis: Optional[SynthesisResult] = None
-        previous_contract: Optional[Tuple[int, ...]] = None
 
         if manifest is not None:
             for entry in manifest.stored_rounds():
@@ -334,7 +393,6 @@ class AdaptiveLoop:
                     seconds=0.0,
                 )
                 records.append(record)
-                previous_contract = record.contract_atom_ids
                 self.tracer.event(
                     "round-resumed",
                     round=record.round_index,
@@ -350,101 +408,22 @@ class AdaptiveLoop:
                 last_entry = manifest.completed[records[-1].round_index]
                 self.strategy.restore(last_entry["state"])
 
-        for round_index in range(len(records), self.rounds):
-            if stop_reason is not None:
-                break
-            started = time.perf_counter()
-            start_id = round_index * self.batch
-            round_span = self.tracer.span(
-                "round", round=round_index, start_id=start_id
+        if stop_reason is None and len(records) < self.rounds:
+            stop_reason, synthesis = self._run_rounds(
+                accumulator, records, manifest, sink
             )
-            with round_span:
-                state = self.strategy.state()
-
-                def attempt_round(attempt: int) -> List[TestCaseResult]:
-                    maybe_inject("round", round_index=round_index, attempt=attempt)
-                    return self._evaluate_round(start_id, state)
-
-                # A retry regenerates the same cases: ``state`` predates
-                # every attempt.  Each round steers the next, so an
-                # exhausted round raises.
-                round_results = retry_unit(
-                    attempt_round,
-                    self.retry,
-                    sink,
-                    "round",
-                    {"round": round_index, "start_id": start_id},
-                    quarantine=False,
-                )
-                self.strategy.observe(round_results)
-                accumulator.ingest(round_results)
-                synthesis = synthesizer.synthesize(
-                    self._dataset(accumulator),
-                    allowed_atom_ids=self.allowed_atom_ids,
-                    warm_start=previous_contract,
-                )
-                contract_ids = tuple(sorted(synthesis.contract.atom_ids))
-                accumulator.contracts.append(contract_ids)
-                stop_reason = self._check_stop(round_index, accumulator)
-                if stop_reason is None and round_index == self.rounds - 1:
-                    stop_reason = "budget-exhausted"
-                record = self._record(
-                    round_index,
-                    start_id,
-                    len(round_results),
-                    accumulator,
-                    synthesis,
-                    stop_reason,
-                    resumed=False,
-                    seconds=time.perf_counter() - started,
-                )
-                round_span.add(
-                    cases=record.cases,
-                    cumulative_cases=record.cumulative_cases,
-                    covered_atoms=record.covered_atoms,
-                    atom_coverage=record.atom_coverage,
-                    contract_size=record.contract_size,
-                    false_positives=record.false_positives,
-                    warm_started=record.warm_started,
-                    stop_reason=record.stop_reason,
-                )
-                metrics = current_metrics()
-                metrics.counter("adaptive.rounds").inc()
-                metrics.counter("adaptive.cases").inc(record.cases)
-                metrics.gauge("adaptive.round.coverage").set(
-                    round(record.atom_coverage, 6)
-                )
-                metrics.maybe_flush()
-            records.append(record)
-            previous_contract = contract_ids
-            if manifest is not None:
-                manifest.append_round(
-                    round_index,
-                    start_id,
-                    round_results,
-                    self.strategy.state(),
-                    contract_ids,
-                    synthesis.false_positives,
-                    # Only rule-based convergence persists: budget
-                    # exhaustion is relative to *this* run's round
-                    # budget, and an extended-rounds resume must be
-                    # free to continue past it.
-                    stop_reason if stop_reason != "budget-exhausted" else None,
-                )
-            self._emit(record)
-
         if synthesis is None:
             # Every round was resumed from the manifest: rebuild the
             # final synthesis from the accumulated dataset, warm-started
             # from the stored contract.
-            synthesis = synthesizer.synthesize(
-                self._dataset(accumulator),
+            synthesis = ContractSynthesizer(self.template, self.solver).synthesize(
+                self._dataset(accumulator.results),
                 allowed_atom_ids=self.allowed_atom_ids,
-                warm_start=previous_contract,
+                warm_start=records[-1].contract_atom_ids if records else None,
             )
         return AdaptiveResult(
             records=records,
-            dataset=self._dataset(accumulator),
+            dataset=self._dataset(accumulator.results),
             synthesis=synthesis,
             stop_reason=stop_reason or "budget-exhausted",
             generator_name=self.generator_name,
@@ -453,6 +432,196 @@ class AdaptiveLoop:
         )
 
     # -- internals -----------------------------------------------------
+
+    def _run_rounds(
+        self,
+        accumulator: _LoopAccumulator,
+        records: List[RoundRecord],
+        manifest: Optional[AdaptiveManifest],
+        sink: FailureSink,
+    ) -> Tuple[Optional[str], SynthesisResult]:
+        """Run the live rounds after ``records``; returns the stop reason
+        and the last round's synthesis.
+
+        The rounds form a pipeline of width ``processes``, or the
+        usable CPUs (at most 8), and at most the rounds left: this
+        thread evaluates round ``r``, submits its synthesis and goes on
+        to round ``r + 1`` while the round solves on a
+        :class:`~repro.synthesis.pool.SolvePool`.  Rounds settle in
+        round order (see :meth:`_settle`); rounds started past a stop
+        are dropped.  Width 1 runs each synthesis in this thread and
+        settles it before the next round starts.
+        """
+        width = min(default_processes(self.processes), self.rounds - len(records))
+        pool = SolvePool(self.solver, width) if width > 1 else None
+        threads = ThreadPoolExecutor(width) if pool is not None else None
+        synthesizer = _RoundSynthesizer(self.template, pool or self.solver)
+        pending: Deque[_PendingRound] = deque()
+        evaluated = list(accumulator.results)
+        state = settled_state = self.strategy.state()
+        stop_reason: Optional[str] = None
+        synthesis: Optional[SynthesisResult] = None
+        next_round, end = len(records), self.rounds
+        try:
+            while stop_reason is None:
+                if pending and (
+                    len(pending) == width
+                    or next_round == end
+                    or pending[0].synthesis.done()
+                ):
+                    entry = pending.popleft()
+                    synthesis = self._settle(
+                        entry, synthesizer, accumulator, records, manifest
+                    )
+                    stop_reason = records[-1].stop_reason
+                    settled_state = entry.state
+                    continue
+                if next_round == end:
+                    break
+                started = time.perf_counter()
+                start_id = next_round * self.batch
+                future: Future = Future()
+                try:
+                    results = self._evaluate_with_retry(
+                        next_round, start_id, state, sink
+                    )
+                    self.strategy.observe(results)
+                    state = self.strategy.state()
+                    evaluated.extend(results)
+                    dataset = self._dataset(evaluated)
+                    # With every earlier round settled the previous
+                    # contract is final and can warm-start the solve.
+                    warm_start = None
+                    if records and not pending:
+                        warm_start = records[-1].contract_atom_ids
+                    if threads is None:
+                        future.set_result(
+                            synthesizer.synthesize(
+                                dataset, self.allowed_atom_ids, warm_start
+                            )
+                        )
+                    else:
+                        future = threads.submit(
+                            synthesizer.synthesize,
+                            dataset,
+                            self.allowed_atom_ids,
+                            warm_start,
+                        )
+                except Exception as error:
+                    # Raised when the round settles: after every earlier
+                    # round, and never if one of them stops the run.
+                    future.set_exception(error)
+                    results, end = [], next_round + 1
+                pending.append(
+                    _PendingRound(next_round, start_id, started, results, state, future)
+                )
+                next_round += 1
+        finally:
+            if pool is not None:
+                # Solves still running are abandoned, not waited for.
+                pool.close()
+                threads.shutdown(cancel_futures=True)
+        if pending:
+            # Rounds started past the stop are dropped, with the
+            # strategy steps they took.
+            self.strategy.restore(settled_state)
+        return stop_reason, synthesis
+
+    def _evaluate_with_retry(
+        self, round_index: int, start_id: int, state: dict, sink: FailureSink
+    ) -> List[TestCaseResult]:
+        def attempt_round(attempt: int) -> List[TestCaseResult]:
+            maybe_inject("round", round_index=round_index, attempt=attempt)
+            return self._evaluate_round(start_id, state)
+
+        # A retry regenerates the same cases: ``state`` predates every
+        # attempt.  Each round steers the next, so an exhausted round
+        # raises.
+        return retry_unit(
+            attempt_round,
+            self.retry,
+            sink,
+            "round",
+            {"round": round_index, "start_id": start_id},
+            quarantine=False,
+        )
+
+    def _settle(
+        self,
+        entry: "_PendingRound",
+        synthesizer: "_RoundSynthesizer",
+        accumulator: _LoopAccumulator,
+        records: List[RoundRecord],
+        manifest: Optional[AdaptiveManifest],
+    ) -> SynthesisResult:
+        """Settle the oldest pending round: apply the warm-start
+        shortcut against the previous round's contract, run the stopping
+        rules, then record, trace, checkpoint and report the round.  A
+        round whose evaluation or solve failed raises here."""
+        previous_contract = records[-1].contract_atom_ids if records else None
+        try:
+            synthesis = synthesizer.settle(entry.synthesis.result(), previous_contract)
+        except BaseException:
+            self.tracer.record(
+                "round",
+                time.perf_counter() - entry.started,
+                ok=False,
+                round=entry.round_index,
+                start_id=entry.start_id,
+            )
+            raise
+        accumulator.ingest(entry.results)
+        contract_ids = tuple(sorted(synthesis.contract.atom_ids))
+        accumulator.contracts.append(contract_ids)
+        stop_reason = self._check_stop(entry.round_index, accumulator)
+        if stop_reason is None and entry.round_index == self.rounds - 1:
+            stop_reason = "budget-exhausted"
+        record = self._record(
+            entry.round_index,
+            entry.start_id,
+            len(entry.results),
+            accumulator,
+            synthesis,
+            stop_reason,
+            resumed=False,
+            seconds=time.perf_counter() - entry.started,
+        )
+        self.tracer.record(
+            "round",
+            record.seconds,
+            round=record.round_index,
+            start_id=record.start_id,
+            cases=record.cases,
+            cumulative_cases=record.cumulative_cases,
+            covered_atoms=record.covered_atoms,
+            atom_coverage=record.atom_coverage,
+            contract_size=record.contract_size,
+            false_positives=record.false_positives,
+            warm_started=record.warm_started,
+            stop_reason=record.stop_reason,
+        )
+        metrics = current_metrics()
+        metrics.counter("adaptive.rounds").inc()
+        metrics.counter("adaptive.cases").inc(record.cases)
+        metrics.gauge("adaptive.round.coverage").set(round(record.atom_coverage, 6))
+        metrics.maybe_flush()
+        records.append(record)
+        if manifest is not None:
+            manifest.append_round(
+                entry.round_index,
+                entry.start_id,
+                entry.results,
+                entry.state,
+                contract_ids,
+                synthesis.false_positives,
+                # Only rule-based convergence persists: budget
+                # exhaustion is relative to *this* run's round
+                # budget, and an extended-rounds resume must be
+                # free to continue past it.
+                stop_reason if stop_reason != "budget-exhausted" else None,
+            )
+        self._emit(record)
+        return synthesis
 
     def _evaluate_round(self, start_id: int, state: dict) -> List[TestCaseResult]:
         dataset = evaluate_parallel(
@@ -482,9 +651,9 @@ class AdaptiveLoop:
             )
         return list(dataset)
 
-    def _dataset(self, accumulator: _LoopAccumulator) -> EvaluationDataset:
+    def _dataset(self, results: Sequence[TestCaseResult]) -> EvaluationDataset:
         return EvaluationDataset(
-            accumulator.results,
+            results,
             core_name=self.config.name("core"),
             template_name=self.config.name("template"),
             attacker_name=self.config.name("attacker"),

@@ -118,7 +118,9 @@ def usable_cpus() -> int:
     return multiprocessing.cpu_count()
 
 
-def _default_processes(requested: Optional[int]) -> int:
+def default_processes(requested: Optional[int]) -> int:
+    """A pool's worker count: ``requested`` when set, else the usable
+    CPUs, at most 8."""
     return requested or min(usable_cpus(), 8)
 
 
@@ -180,7 +182,7 @@ class MultiprocessExecutor(EvaluationExecutor):
         worker cannot be interrupted, so the pool is abandoned without
         waiting and the caller re-sweeps the survivors in a fresh one.
         """
-        workers = _default_processes(self.processes)
+        workers = default_processes(self.processes)
         if shard_timeout is None and (workers == 1 or len(shards) <= 1):
             # One worker (or one shard) degenerates to the serial
             # backend — the *same* shard loop, not a parallel

@@ -210,8 +210,9 @@ class SynthesisPipeline:
         default, the ``multiprocess`` backend over the plugins resolved
         in setup (instances included), inherited by its forked workers.
         ``processes`` sizes the worker pool (default: the usable CPUs,
-        at most 8) and ``shard_size`` the per-shard test-case count
-        (default 250).
+        at most 8), and in an adaptive run how many rounds are in
+        flight on the loop's solve pool; ``shard_size`` is the
+        per-shard test-case count (default 250).
         """
         self._executor = executor
         if processes is not None:

@@ -40,6 +40,7 @@ SOLVER_REGISTRY.register(
     description="weighted set-cover heuristic (ablation baseline)",
 )
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult, synthesize
+from repro.synthesis.pool import SolvePool
 from repro.synthesis.metrics import (
     ClassificationCounts,
     evaluate_contract,
@@ -57,6 +58,7 @@ __all__ = [
     "IlpInstance",
     "IlpSolver",
     "ScipyMilpSolver",
+    "SolvePool",
     "SolverResult",
     "SynthesisResult",
     "build_ilp_instance",

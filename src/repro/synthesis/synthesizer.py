@@ -94,30 +94,59 @@ class ContractSynthesizer:
         in no round of the ``ibex-adaptive-8x250`` benchmark workload.
         """
         start = time.perf_counter()
-        metrics = current_metrics()
         instance = build_ilp_instance(dataset, allowed_atom_ids)
         solver_result = None
         if warm_start is not None:
             solver_result = self._try_warm_start(instance, warm_start)
         if solver_result is None:
             solver_result = self.solver.solve(instance)
-            metrics.counter("solver.cold_solves").inc()
-            if solver_result.stats.get("lp_certificate"):
-                metrics.counter("solver.lp_certificates").inc()
-        else:
+        synthesis = self._result(instance, solver_result, time.perf_counter() - start)
+        self.count(synthesis)
+        return synthesis
+
+    def apply_warm_start(
+        self, synthesis: SynthesisResult, warm_start: Optional[Iterable[int]]
+    ) -> SynthesisResult:
+        """``synthesis`` as :meth:`synthesize` would have returned it,
+        for the same dataset, had it been given ``warm_start``.
+
+        This lets a caller start a solve before the warm start is known
+        and decide afterwards: the adaptive loop solves a round while
+        the previous one is still solving.
+        """
+        if warm_start is None:
+            return synthesis
+        solver_result = self._try_warm_start(synthesis.instance, warm_start)
+        if solver_result is None:
+            return synthesis
+        return self._result(synthesis.instance, solver_result, synthesis.wall_seconds)
+
+    def count(self, synthesis: SynthesisResult) -> None:
+        """Count one synthesis in the run's metrics: a warm start, or a
+        cold solve and whether the LP certificate proved it, plus the
+        formulation's size and the rows each ILP reduction removed.
+        :meth:`synthesize` calls it for every result it returns."""
+        metrics = current_metrics()
+        stats = synthesis.solver_result.stats
+        if stats.get("warm_start"):
             metrics.counter("solver.warm_starts").inc()
+        else:
+            metrics.counter("solver.cold_solves").inc()
+            if stats.get("lp_certificate"):
+                metrics.counter("solver.lp_certificates").inc()
         if metrics.enabled:
-            # Formulation size and the rows each ILP reduction removed.
-            for stat, value in solver_result.stats.items():
+            for stat, value in stats.items():
                 if stat in ("constraints", "variables") or stat.startswith("rows."):
                     metrics.histogram("solver." + stat).observe(value)
-        contract = Contract(self.template, solver_result.selected_atom_ids)
-        elapsed = time.perf_counter() - start
+
+    def _result(
+        self, instance: IlpInstance, solver_result: SolverResult, seconds: float
+    ) -> SynthesisResult:
         return SynthesisResult(
-            contract=contract,
+            contract=Contract(self.template, solver_result.selected_atom_ids),
             solver_result=solver_result,
             instance=instance,
-            wall_seconds=elapsed,
+            wall_seconds=seconds,
             false_positive_test_ids=tuple(
                 instance.false_positive_test_ids(solver_result.selected_atom_ids)
             ),

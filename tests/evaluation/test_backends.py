@@ -146,9 +146,9 @@ class TestPoolSizing:
             lambda pid: set(range(cpus)),
             raising=False,
         )
-        assert executors_module._default_processes(None) == expected
+        assert executors_module.default_processes(None) == expected
         # An explicit worker count always wins.
-        assert executors_module._default_processes(5) == 5
+        assert executors_module.default_processes(5) == 5
 
 
 class TestManifestCheckpointing:

@@ -9,6 +9,7 @@ incomplete dataset never reaches the dataset cache.
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -22,6 +23,7 @@ from repro.evaluation.backends import ShardEvaluator
 from repro.pipeline import SynthesisPipeline
 from repro.resilience import (
     ALWAYS,
+    RetryPolicy,
     FAULT_REGISTRY,
     FailureLog,
     FatalInjectedFault,
@@ -29,6 +31,7 @@ from repro.resilience import (
     ShardExecutionError,
     inject_fault,
 )
+from repro.synthesis.solvers import ScipyMilpSolver
 from repro.trace import fold_file, read_trace
 
 pytestmark = pytest.mark.faults
@@ -428,6 +431,158 @@ def _cell_run(trace_path, fail_attempts):
         "cell-crash", match="seed=%d" % SEED, fail_attempts=fail_attempts
     ):
         _campaign(directory, retries=1, trace=trace_path).run()
+
+
+class TestRoundPipelineFailures:
+    """Rounds in flight on the solve pool fail in round order.  A round
+    whose evaluation exhausts its retries, or whose solve raises in a
+    worker, raises only after every earlier round has settled and been
+    checkpointed, with its own error type.  Work started past a stop,
+    failing or still solving, is dropped and its workers terminated.
+    No worker outlives the run."""
+
+    BATCH = 20
+    FAILING = 2
+
+    def _run(self, tmp_path, width, **settings):
+        """A 4-round run at ``width``; returns the rounds reported and
+        checkpointed, and the result (``None`` when ``run()`` raised,
+        with the error in the second slot)."""
+        progress = []
+        manifest = tmp_path / ("rounds-%d.jsonl" % width)
+        loop_settings = dict(
+            core="ibex",
+            template="riscv-rv32im",
+            attacker="retirement-timing",
+            generator="coverage",
+            rounds=4,
+            batch=self.BATCH,
+            stop="budget",
+            seed=SEED,
+            processes=width,
+            manifest_path=str(manifest),
+            progress=progress.append,
+        )
+        loop_settings.update(settings)
+        error = result = None
+        try:
+            result = AdaptiveLoop(**loop_settings).run()
+        except Exception as raised:
+            error = raised
+        assert multiprocessing.active_children() == []
+        with open(manifest) as stream:
+            stored = [json.loads(line) for line in stream][1:]
+        rounds = [record.round_index for record in progress]
+        assert [entry["round"] for entry in stored] == rounds
+        return rounds, error, result
+
+    def _solve_fails_from(self, monkeypatch, first_round, action):
+        """Make every solve of round ``first_round`` or later call
+        ``action`` first; forked solve workers inherit the patch."""
+        solve = ScipyMilpSolver.solve
+        batch = self.BATCH
+
+        def patched(solver, instance):
+            test_ids = [
+                test_id
+                for ids in instance.cover_test_ids + instance.fp_test_ids
+                for test_id in ids
+            ]
+            round_index = max(test_ids, default=0) // batch
+            if round_index >= first_round:
+                action(round_index)
+            return solve(solver, instance)
+
+        monkeypatch.setattr(ScipyMilpSolver, "solve", patched)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_exhausted_round_raises_after_earlier_rounds_settle(self, tmp_path, width):
+        with inject_fault(
+            "round-crash", round_index=self.FAILING, fail_attempts=ALWAYS
+        ):
+            rounds, error, _ = self._run(
+                tmp_path, width, retry=RetryPolicy(max_attempts=2)
+            )
+        assert isinstance(error, InjectedFault)
+        assert rounds == [0, 1]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_solve_error_raises_after_earlier_rounds_settle(
+        self, monkeypatch, tmp_path, width
+    ):
+        def fail(round_index):
+            raise ValueError("solve failed in round %d" % round_index)
+
+        self._solve_fails_from(monkeypatch, self.FAILING, fail)
+        rounds, error, _ = self._run(tmp_path, width)
+        assert isinstance(error, ValueError)
+        assert str(error) == "solve failed in round %d" % self.FAILING
+        assert rounds == [0, 1]
+        if width > 1:  # the worker's traceback travels as the cause
+            assert "Traceback" in str(error.__cause__)
+
+    #: Full coverage stops this run after round 1 of 6.
+    STOPPING = dict(
+        core="ibex-dcache",
+        template="riscv-mem",
+        attacker="cache-state",
+        rounds=6,
+        batch=40,
+        stop="full-coverage",
+        seed=7,
+    )
+
+    def _slow_second_round(self, monkeypatch, tmp_path, later):
+        """Round 1 solves for a second, so that the pipeline starts the
+        rounds after it before the stop.  Their solves leave a marker
+        file, then call ``later``."""
+        batch = self.STOPPING["batch"]
+
+        def act(round_index):
+            if round_index == 1:
+                time.sleep(1.0)
+                return
+            (tmp_path / ("solving-%d" % round_index)).touch()
+            later(round_index)
+
+        monkeypatch.setattr(self, "BATCH", batch)
+        self._solve_fails_from(monkeypatch, 1, act)
+
+    def test_solves_past_a_stop_are_terminated(self, monkeypatch, tmp_path):
+        self._slow_second_round(
+            monkeypatch, tmp_path, lambda round_index: time.sleep(60.0)
+        )
+        serial_rounds, _, serial = self._run(tmp_path, 1, **self.STOPPING)
+        assert not list(tmp_path.glob("solving-*"))
+        started = time.monotonic()
+        rounds, error, pooled = self._run(tmp_path, 3, **self.STOPPING)
+        assert time.monotonic() - started < 30.0
+        assert (tmp_path / "solving-2").exists()  # a solve was cut short
+        assert error is None
+        assert rounds == serial_rounds == [0, 1]
+        assert pooled.stop_reason == serial.stop_reason
+        assert pooled.dataset.to_json() == serial.dataset.to_json()
+
+    def test_failures_past_a_stop_are_dropped(self, monkeypatch, tmp_path):
+        def fail(round_index):
+            raise ValueError("solve failed in round %d" % round_index)
+
+        self._slow_second_round(monkeypatch, tmp_path, fail)
+        inject = loop_module.maybe_inject
+        evaluated = []
+
+        def recording(site, **context):
+            evaluated.append(context["round_index"])
+            inject(site, **context)
+
+        monkeypatch.setattr(loop_module, "maybe_inject", recording)
+        with inject_fault("round-crash", round_index=3, fail_attempts=ALWAYS):
+            rounds, error, result = self._run(tmp_path, 3, **self.STOPPING)
+        assert (tmp_path / "solving-2").exists()  # round 2's solve failed
+        assert 3 in evaluated  # and round 3's evaluation
+        assert error is None
+        assert rounds == [0, 1]
+        assert result.stop_reason.startswith("full atom coverage")
 
 
 class TestResilienceCounters:
