@@ -55,8 +55,11 @@ PAIRED_BENCHMARKS = {
 #: the bare serial loop on an identical tiny corpus — an overhead
 #: ratio (expected well below 1.0), not a fast path.  The round-pipeline
 #: pair times one adaptive corpus at the default width against width 1:
-#: its ratio follows the runner's CPU count (1.0 on one CPU).
+#: its ratio follows the runner's CPU count (1.0 on one CPU).  So does
+#: the directed-verify pair, which times ``check_contract_satisfaction``
+#: on the pool against the case-at-a-time loop it replaced.
 INFORMATIONAL_PAIRS = {
+    "test_bench_directed_verify": "test_bench_directed_verify_reference",
     "test_bench_adaptive_convergence": "test_bench_adaptive_convergence_reference",
     "test_bench_adaptive_round_pipeline": (
         "test_bench_adaptive_round_pipeline_reference"

@@ -437,3 +437,59 @@ def test_bench_workqueue_overhead_reference(
 
     dataset = benchmark.pedantic(run_serial, rounds=1, iterations=1)
     assert dataset.to_json() == workqueue_reference_json
+
+
+#: The pinned directed-verification workload: a contract synthesized
+#: from ``_VERIFY_CASES`` ibex cases at seed 0, checked on as many
+#: fresh cases at seed 1.
+_VERIFY_CASES = 2000
+
+
+@pytest.fixture(scope="module")
+def verify_contract(template):
+    from repro.evaluation.parallel import evaluate_parallel
+    from repro.synthesis.synthesizer import synthesize
+
+    dataset = evaluate_parallel("ibex", _VERIFY_CASES, seed=0, executor="serial")
+    return synthesize(dataset, template).contract
+
+
+def test_bench_directed_verify(benchmark, verify_contract):
+    """``check_contract_satisfaction`` on the pinned contract: the
+    fresh cases evaluate through the shard loop on a forked pool of the
+    usable CPUs.  Paired with ``test_bench_directed_verify_reference``
+    (the same check, one case at a time in this process).  The ratio
+    is informational: it follows the runner's CPU count."""
+    from repro.evaluation.backends.executors import default_processes
+    from repro.verification.checker import check_contract_satisfaction
+
+    def verify():
+        return check_contract_satisfaction(
+            verify_contract, IbexCore(), test_cases=_VERIFY_CASES, seed=1
+        )
+
+    benchmark.extra_info["width"] = default_processes(None)
+    report = benchmark.pedantic(verify, rounds=3, iterations=1)
+    assert report.test_cases == _VERIFY_CASES
+
+
+def test_bench_directed_verify_reference(benchmark, verify_contract):
+    """The directed-verification benchmark's check, evaluating one case
+    at a time in this process."""
+    from repro.evaluation.evaluator import TestCaseEvaluator
+
+    def verify():
+        evaluator = TestCaseEvaluator(IbexCore(), verify_contract.template)
+        generator = TestCaseGenerator(verify_contract.template, seed=1)
+        covered = distinguishable = 0
+        for case in generator.iter_generate(_VERIFY_CASES):
+            result = evaluator.evaluate(case)
+            if result.attacker_distinguishable:
+                distinguishable += 1
+                covered += verify_contract.distinguishes(
+                    result.distinguishing_atom_ids
+                )
+        return covered, distinguishable
+
+    covered, distinguishable = benchmark.pedantic(verify, rounds=3, iterations=1)
+    assert 0 < covered <= distinguishable

@@ -20,15 +20,13 @@ its :meth:`~repro.synthesis.synthesizer.ContractSynthesizer.synthesize`
 call to a thread, whose HiGHS solve runs on a
 :class:`~repro.synthesis.pool.SolvePool` of forked processes, and goes
 on to the next round.  Up to ``processes`` rounds (by default the
-usable CPUs, at most 8) are in flight at once.  Rounds *settle* in
-round order: the previous round's contract is offered as a warm start
-(reused only while it still covers every case at zero false positives;
-coverage-steered rounds change the contract, so in practice every round
-solves cold), the stopping rules run, and the round is recorded,
-traced, checkpointed and reported.  Rounds evaluated or solved past a
-stop are dropped, and the strategy steps back to the last settled
-round, so every width yields the same records, dataset, manifest and
-contract.  A round whose evaluation or solve fails raises when it
+usable CPUs, at most 8) are in flight at once.  Every round solves its
+own cumulative dataset, so its contract never depends on an earlier
+round's.  Rounds *settle* in round order: the stopping rules run, and
+the round is recorded, traced, checkpointed and reported.  Rounds
+evaluated or solved past a stop are dropped, and the strategy steps
+back to the last settled round, so every width yields the same
+records, dataset, manifest and contract.  A round whose evaluation or solve fails raises when it
 settles, after every earlier round.  At width 1 (one CPU, one round
 left, or ``processes=1``) each synthesis runs in the calling thread
 before the next round starts.  :attr:`RoundRecord.seconds` runs from
@@ -101,8 +99,8 @@ class RoundRecord:
     #: The round's synthesized contract (sorted atom ids) and its FPs.
     contract_atom_ids: Tuple[int, ...]
     false_positives: int
-    #: The round's synthesis reused the previous contract (the
-    #: warm-start feasibility shortcut) instead of a cold solve.
+    #: Always ``False``: every round solves cold.  Kept only because the
+    #: e2ebench harness reads it.
     warm_started: bool
     #: The round came from the manifest, not this run.
     resumed: bool
@@ -167,14 +165,13 @@ class AdaptiveResult:
         for record in self.records:
             lines.append(
                 "  round %d: %d cases, %.1f%% atom coverage, "
-                "%d-atom contract, %d FPs%s%s"
+                "%d-atom contract, %d FPs%s"
                 % (
                     record.round_index,
                     record.cumulative_cases,
                     100.0 * record.atom_coverage,
                     record.contract_size,
                     record.false_positives,
-                    " (warm)" if record.warm_started else "",
                     " (resumed)" if record.resumed else "",
                 )
             )
@@ -225,22 +222,15 @@ class _PendingRound:
 
 class _RoundSynthesizer(ContractSynthesizer):
     """The loop's synthesizer.  A round may be synthesized before the
-    previous one settles, so the loop applies the warm-start shortcut
-    and counts the round in the run's metrics when it settles it, in
-    round order: a round dropped past a stop counts nothing, and no
-    two threads bump a counter."""
+    previous one settles, so the loop counts the round in the run's
+    metrics when it settles it, in round order: a round dropped past a
+    stop counts nothing, and no two threads bump a counter."""
 
     def count(self, synthesis: SynthesisResult) -> None:
         """Count nothing yet: :meth:`settle` does."""
 
-    def settle(
-        self,
-        synthesis: SynthesisResult,
-        previous_contract: Optional[Tuple[int, ...]],
-    ) -> SynthesisResult:
-        synthesis = self.apply_warm_start(synthesis, previous_contract)
+    def settle(self, synthesis: SynthesisResult) -> None:
         super().count(synthesis)
-        return synthesis
 
 
 class AdaptiveLoop:
@@ -414,12 +404,10 @@ class AdaptiveLoop:
             )
         if synthesis is None:
             # Every round was resumed from the manifest: rebuild the
-            # final synthesis from the accumulated dataset, warm-started
-            # from the stored contract.
+            # final synthesis from the accumulated dataset.
             synthesis = ContractSynthesizer(self.template, self.solver).synthesize(
                 self._dataset(accumulator.results),
                 allowed_atom_ids=self.allowed_atom_ids,
-                warm_start=records[-1].contract_atom_ids if records else None,
             )
         return AdaptiveResult(
             records=records,
@@ -489,23 +477,13 @@ class AdaptiveLoop:
                     state = self.strategy.state()
                     evaluated.extend(results)
                     dataset = self._dataset(evaluated)
-                    # With every earlier round settled the previous
-                    # contract is final and can warm-start the solve.
-                    warm_start = None
-                    if records and not pending:
-                        warm_start = records[-1].contract_atom_ids
                     if threads is None:
                         future.set_result(
-                            synthesizer.synthesize(
-                                dataset, self.allowed_atom_ids, warm_start
-                            )
+                            synthesizer.synthesize(dataset, self.allowed_atom_ids)
                         )
                     else:
                         future = threads.submit(
-                            synthesizer.synthesize,
-                            dataset,
-                            self.allowed_atom_ids,
-                            warm_start,
+                            synthesizer.synthesize, dataset, self.allowed_atom_ids
                         )
                 except Exception as error:
                     # Raised when the round settles: after every earlier
@@ -554,13 +532,11 @@ class AdaptiveLoop:
         records: List[RoundRecord],
         manifest: Optional[AdaptiveManifest],
     ) -> SynthesisResult:
-        """Settle the oldest pending round: apply the warm-start
-        shortcut against the previous round's contract, run the stopping
-        rules, then record, trace, checkpoint and report the round.  A
-        round whose evaluation or solve failed raises here."""
-        previous_contract = records[-1].contract_atom_ids if records else None
+        """Settle the oldest pending round: run the stopping rules, then
+        count, record, trace, checkpoint and report the round.  A round
+        whose evaluation or solve failed raises here."""
         try:
-            synthesis = synthesizer.settle(entry.synthesis.result(), previous_contract)
+            synthesis = entry.synthesis.result()
         except BaseException:
             self.tracer.record(
                 "round",
@@ -570,6 +546,7 @@ class AdaptiveLoop:
                 start_id=entry.start_id,
             )
             raise
+        synthesizer.settle(synthesis)
         accumulator.ingest(entry.results)
         contract_ids = tuple(sorted(synthesis.contract.atom_ids))
         accumulator.contracts.append(contract_ids)
@@ -597,7 +574,6 @@ class AdaptiveLoop:
             atom_coverage=record.atom_coverage,
             contract_size=record.contract_size,
             false_positives=record.false_positives,
-            warm_started=record.warm_started,
             stop_reason=record.stop_reason,
         )
         metrics = current_metrics()
@@ -697,10 +673,8 @@ class AdaptiveLoop:
         contract_ids = accumulator.contracts[-1]
         if synthesis is not None:
             false_positives = synthesis.false_positives
-            warm_started = bool(synthesis.solver_result.stats.get("warm_start"))
         else:  # resumed round: diagnostics come from the stored entry
             false_positives = self._resumed_false_positives
-            warm_started = False
         return RoundRecord(
             round_index=round_index,
             start_id=start_id,
@@ -711,7 +685,7 @@ class AdaptiveLoop:
             atom_coverage=fraction,
             contract_atom_ids=contract_ids,
             false_positives=false_positives,
-            warm_started=warm_started,
+            warm_started=False,
             resumed=resumed,
             stop_reason=stop_reason,
             seconds=seconds,

@@ -232,10 +232,12 @@ class MultiprocessExecutor(EvaluationExecutor):
                     yield finished.pop(head)
                     head = next(plan, None)
         except BaseException:
-            # A failed or hung shard may still occupy a worker that
-            # cannot be joined; leave the pool to drain in the
-            # background and move on.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Without a deadline the other workers finish their shards
+            # and exit before the error propagates, so no worker
+            # outlives a failed sweep.  Under a deadline a hung shard
+            # may occupy a worker that cannot be joined: leave that
+            # pool to drain in the background and move on.
+            pool.shutdown(wait=shard_timeout is None, cancel_futures=True)
             raise
         pool.shutdown()
 

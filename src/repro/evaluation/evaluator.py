@@ -22,9 +22,9 @@ against.
 **One orchestration path.**  The toolchain never drives an evaluator
 directly: a :class:`~repro.evaluation.backends.ShardEvaluator` holds
 it with its generator, and every run — the pipeline's default, each
-adaptive round, every executor backend — evaluates through the shard
-loop of :mod:`repro.evaluation.backends` (one :meth:`evaluate_batch`
-call per shard).  :meth:`evaluate` and :meth:`evaluate_many` remain as
+adaptive round, every executor backend, directed verification —
+evaluates through the shard loop of :mod:`repro.evaluation.backends`
+(one :meth:`evaluate_batch` call per shard).  :meth:`evaluate` and :meth:`evaluate_many` remain as
 the sequential reference the equivalence suites and benchmarks
 compare against.
 

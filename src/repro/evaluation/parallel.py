@@ -1,13 +1,14 @@
 """Sharded test-case evaluation over pluggable executor backends.
 
 :func:`evaluate_parallel` is the one orchestration path of the
-evaluate step.  The pipeline's default run, every adaptive round and
-every executor run go through it: the shard plan is computed once, and
-every backend consumes the *same* plan through the *same* per-worker
-shard loop, with its fault seam, error attribution and ``shard``
-spans.  A pipeline run without an executor passes a
+evaluate step.  The pipeline's default run, every adaptive round,
+every executor run and directed verification go through it: the shard
+plan is computed once, and every backend consumes the *same* plan
+through the *same* per-worker shard loop, with its fault seam, error
+attribution and ``shard`` spans.  A pipeline run without an executor,
+and directed verification, pass a
 :class:`~repro.evaluation.backends.MultiprocessExecutor` over the
-stack it built in setup, which its forked workers inherit; an
+stack they built, which its forked workers inherit; an
 adaptive round passes a
 :class:`~repro.evaluation.backends.SerialExecutor` over its live
 stack.  The paper's up-to-128-thread fan-out is the ``multiprocess``

@@ -1,7 +1,7 @@
 """Named counters, gauges, and histograms over the trace stream.
 
 :class:`Metrics` is the quantitative half of the observability layer:
-call sites record *counts* (cache hits, solver warm starts, retries),
+call sites record *counts* (cache hits, solver cold solves, retries),
 *levels* (queue depth, worker utilization, adaptive coverage), and
 *distributions* (batch-engine lane occupancy, ILP constraint counts)
 against a per-process registry, and the registry snapshots its state
@@ -29,7 +29,7 @@ on metrics being configured.
 
 Naming convention: dotted lowercase ``component.noun[.verb]`` —
 ``dataset.cache.hits``, ``batchsim.lanes.active``,
-``solver.warm_start``, ``resilience.retries``, ``queue.depth``,
+``solver.cold_solves``, ``resilience.retries``, ``queue.depth``,
 ``worker.utilization``, ``adaptive.round.coverage``.
 """
 

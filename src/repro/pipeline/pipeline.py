@@ -320,7 +320,10 @@ class SynthesisPipeline:
     ) -> "SynthesisPipeline":
         """Verification budget: ``None`` checks the synthesized contract
         against the evaluated dataset; a positive count runs directed
-        satisfaction testing on fresh test cases; ``0`` skips.
+        satisfaction testing on fresh test cases; ``0`` skips.  Fresh
+        cases evaluate through the shard loop, on a forked pool of the
+        usable CPUs (at most 8) when they span more than one shard,
+        whatever executor the run uses.
 
         ``seed`` defaults to the generator seed plus one, so directed
         verification never silently replays the synthesis test cases.

@@ -2,7 +2,9 @@
 
 ``synthesize`` ties the pieces together: reduce an evaluation dataset
 to an ILP instance (optionally under a template restriction), solve
-it, and package the optimal contract with its diagnostics.
+it, and package the optimal contract with its diagnostics.  Every call
+solves its own instance: no earlier contract is reused, so the
+contract is a function of the dataset alone.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from repro.contracts.template import Contract, ContractTemplate
 from repro.evaluation.results import EvaluationDataset
 from repro.metrics.registry import current_metrics
 from repro.synthesis.ilp import IlpInstance, build_ilp_instance
-from repro.synthesis.solvers import (
-    IlpSolver,
-    ScipyMilpSolver,
-    SolverResult,
-    eliminate_redundant_atoms,
-)
+from repro.synthesis.solvers import IlpSolver, ScipyMilpSolver, SolverResult
 from repro.trace.tracer import profile_step
 
 
@@ -75,109 +72,41 @@ class ContractSynthesizer:
         self,
         dataset: EvaluationDataset,
         allowed_atom_ids: Optional[Iterable[int]] = None,
-        warm_start: Optional[Iterable[int]] = None,
     ) -> SynthesisResult:
         """Synthesize the most precise correct contract for ``dataset``.
 
         ``allowed_atom_ids`` restricts the template (e.g. to the
         IL+RL+ML base families); atom ids refer to ``self.template``.
-
-        ``warm_start`` is a previously synthesized selection (the
-        adaptive loop passes the previous round's contract): when it
-        still covers every coverage constraint of the new instance at
-        zero false-positive weight it is *provably optimal* (the
-        objective is a non-negative FP count), so the solve is skipped
-        and the selection is re-canonicalized instead.  Any other warm
-        selection is ignored and the backend solves cold.  The shortcut
-        needs a contract with zero false positives that survives the
-        new cases, which coverage-steered rounds rarely leave: it fired
-        in no round of the ``ibex-adaptive-8x250`` benchmark workload.
         """
         start = time.perf_counter()
         instance = build_ilp_instance(dataset, allowed_atom_ids)
-        solver_result = None
-        if warm_start is not None:
-            solver_result = self._try_warm_start(instance, warm_start)
-        if solver_result is None:
-            solver_result = self.solver.solve(instance)
-        synthesis = self._result(instance, solver_result, time.perf_counter() - start)
-        self.count(synthesis)
-        return synthesis
-
-    def apply_warm_start(
-        self, synthesis: SynthesisResult, warm_start: Optional[Iterable[int]]
-    ) -> SynthesisResult:
-        """``synthesis`` as :meth:`synthesize` would have returned it,
-        for the same dataset, had it been given ``warm_start``.
-
-        This lets a caller start a solve before the warm start is known
-        and decide afterwards: the adaptive loop solves a round while
-        the previous one is still solving.
-        """
-        if warm_start is None:
-            return synthesis
-        solver_result = self._try_warm_start(synthesis.instance, warm_start)
-        if solver_result is None:
-            return synthesis
-        return self._result(synthesis.instance, solver_result, synthesis.wall_seconds)
-
-    def count(self, synthesis: SynthesisResult) -> None:
-        """Count one synthesis in the run's metrics: a warm start, or a
-        cold solve and whether the LP certificate proved it, plus the
-        formulation's size and the rows each ILP reduction removed.
-        :meth:`synthesize` calls it for every result it returns."""
-        metrics = current_metrics()
-        stats = synthesis.solver_result.stats
-        if stats.get("warm_start"):
-            metrics.counter("solver.warm_starts").inc()
-        else:
-            metrics.counter("solver.cold_solves").inc()
-            if stats.get("lp_certificate"):
-                metrics.counter("solver.lp_certificates").inc()
-        if metrics.enabled:
-            for stat, value in stats.items():
-                if stat in ("constraints", "variables") or stat.startswith("rows."):
-                    metrics.histogram("solver." + stat).observe(value)
-
-    def _result(
-        self, instance: IlpInstance, solver_result: SolverResult, seconds: float
-    ) -> SynthesisResult:
-        return SynthesisResult(
+        solver_result = self.solver.solve(instance)
+        synthesis = SynthesisResult(
             contract=Contract(self.template, solver_result.selected_atom_ids),
             solver_result=solver_result,
             instance=instance,
-            wall_seconds=seconds,
+            wall_seconds=time.perf_counter() - start,
             false_positive_test_ids=tuple(
                 instance.false_positive_test_ids(solver_result.selected_atom_ids)
             ),
         )
+        self.count(synthesis)
+        return synthesis
 
-    def _try_warm_start(
-        self, instance: IlpInstance, warm_start: Iterable[int]
-    ) -> Optional[SolverResult]:
-        """A :class:`SolverResult` for a still-optimal warm selection,
-        or ``None`` when a cold solve is needed.
-
-        The warm selection is first intersected with the instance's
-        candidate set (new data may have dominance-eliminated an atom);
-        it is reused only when the intersection still covers every
-        constraint at zero FP weight, which makes it objective-optimal.
-        """
-        if not instance.cover_sets:
-            return None
-        selection = frozenset(warm_start) & frozenset(instance.candidate_atom_ids)
-        if not selection or not instance.covers_all(selection):
-            return None
-        if instance.false_positive_weight(selection) != 0:
-            return None
-        selected = frozenset(eliminate_redundant_atoms(instance, sorted(selection)))
-        return SolverResult(
-            selected_atom_ids=selected,
-            false_positives=0,
-            solver_name=self.solver.name,
-            optimal=True,
-            stats={"warm_start": 1.0},
-        )
+    def count(self, synthesis: SynthesisResult) -> None:
+        """Count one synthesis in the run's metrics: a cold solve and
+        whether the LP certificate proved it, plus the formulation's
+        size and the rows each ILP reduction removed.
+        :meth:`synthesize` calls it for every result it returns."""
+        metrics = current_metrics()
+        stats = synthesis.solver_result.stats
+        metrics.counter("solver.cold_solves").inc()
+        if stats.get("lp_certificate"):
+            metrics.counter("solver.lp_certificates").inc()
+        if metrics.enabled:
+            for stat, value in stats.items():
+                if stat in ("constraints", "variables") or stat.startswith("rows."):
+                    metrics.histogram("solver." + stat).observe(value)
 
 
 def synthesize(

@@ -1,4 +1,10 @@
-"""Contract-satisfaction checking by directed random testing."""
+"""Contract-satisfaction checking by directed random testing.
+
+:func:`check_dataset_satisfaction` checks a contract against an
+evaluated dataset.  :func:`check_contract_satisfaction` generates fresh
+test cases, evaluates them as one dataset through the shard loop every
+evaluation runs on, and reports through the former.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,8 @@ from typing import List, Optional, Tuple
 
 from repro.attacker.base import Attacker
 from repro.contracts.template import Contract
-from repro.evaluation.evaluator import TestCaseEvaluator
+from repro.evaluation.backends import MultiprocessExecutor, ShardEvaluator
+from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset
 from repro.testgen.generator import TestCaseGenerator
 from repro.testgen.testcase import TestCase
@@ -82,48 +89,33 @@ def check_contract_satisfaction(
 
     Test cases are generated with the same atom-targeted strategy used
     for synthesis (over the contract's *template*, so leaks outside
-    the contract are probed too) and evaluated on the core; every
-    attacker-distinguishable, contract-indistinguishable case is a
-    violation witness.
+    the contract are probed too) and evaluated on the core as one
+    dataset, through the shard loop of
+    :func:`~repro.evaluation.parallel.evaluate_parallel` on the
+    ``multiprocess`` backend, whose forked workers inherit this call's
+    generator and evaluator.  Every attacker-distinguishable,
+    contract-indistinguishable case is a violation.  The report counts
+    all ``test_cases`` cases and keeps the first ``max_violations``
+    violations in test-id order, their witness programs regenerated
+    from their test ids.
     """
     template = contract.template
     if generator is None:
         generator = TestCaseGenerator(template, seed=seed)
-    evaluator = TestCaseEvaluator(core, template, attacker=attacker)
-
-    violations: List[Violation] = []
-    covered = 0
-    distinguishable = 0
-    evaluated = 0
-    for test_case in generator.iter_generate(test_cases):
-        result = evaluator.evaluate(test_case)
-        evaluated += 1
-        if not result.attacker_distinguishable:
-            continue
-        distinguishable += 1
-        if contract.distinguishes(result.distinguishing_atom_ids):
-            covered += 1
-            continue
-        violations.append(
-            Violation(
-                test_case=test_case,
-                distinguishing_atom_names=tuple(
-                    sorted(
-                        template.atom(atom_id).name
-                        for atom_id in result.distinguishing_atom_ids
-                    )
-                ),
-            )
-        )
-        if len(violations) >= max_violations:
-            break
-    return SatisfactionReport(
-        contract_atoms=len(contract),
-        test_cases=evaluated,
-        violations=violations,
-        covered=covered,
-        attacker_distinguishable=distinguishable,
+    worker = ShardEvaluator.from_plugins(core, template, generator, attacker)
+    dataset = evaluate_parallel(
+        core_name=core.name,
+        count=test_cases,
+        seed=seed,
+        template_name=template.name,
+        attacker_name=worker.evaluator.attacker.name,
+        executor=MultiprocessExecutor(worker=worker),
     )
+    report = check_dataset_satisfaction(contract, dataset)
+    report.violations = report.violations[: max(1, max_violations)]
+    for violation in report.violations:
+        violation.test_case = generator.generate_case(violation.test_case.test_id)
+    return report
 
 
 def check_dataset_satisfaction(

@@ -304,49 +304,3 @@ class TestRoundRecords:
         assert by_label["contract-atoms"].ys[-1] == float(
             len(result.contract.atom_ids)
         )
-
-
-class TestWarmStart:
-    def test_zero_fp_warm_start_skips_the_solve(self):
-        """A previous selection that still covers everything at zero FP
-        weight is reused without a cold solve."""
-        from repro.contracts.riscv_template import build_riscv_template
-        from repro.evaluation.results import EvaluationDataset, TestCaseResult
-        from repro.synthesis.synthesizer import ContractSynthesizer
-
-        template = build_riscv_template()
-        dataset = EvaluationDataset(
-            [
-                TestCaseResult(0, True, frozenset({1, 2})),
-                TestCaseResult(1, False, frozenset({3})),
-            ]
-        )
-        synthesizer = ContractSynthesizer(template)
-        cold = synthesizer.synthesize(dataset)
-        assert "warm_start" not in cold.solver_result.stats
-        extended = EvaluationDataset(
-            dataset.results + [TestCaseResult(2, True, frozenset({1, 5}))]
-        )
-        warm = synthesizer.synthesize(
-            extended, warm_start=cold.contract.atom_ids
-        )
-        assert warm.solver_result.stats.get("warm_start")
-        assert warm.solver_result.optimal
-        assert warm.contract.atom_ids == cold.contract.atom_ids
-
-    def test_uncovering_data_falls_back_to_a_cold_solve(self):
-        from repro.contracts.riscv_template import build_riscv_template
-        from repro.evaluation.results import EvaluationDataset, TestCaseResult
-        from repro.synthesis.synthesizer import ContractSynthesizer
-
-        template = build_riscv_template()
-        dataset = EvaluationDataset([TestCaseResult(0, True, frozenset({1}))])
-        synthesizer = ContractSynthesizer(template)
-        first = synthesizer.synthesize(dataset)
-        # A new distinguishable case the old contract cannot cover.
-        extended = EvaluationDataset(
-            dataset.results + [TestCaseResult(1, True, frozenset({9}))]
-        )
-        warm = synthesizer.synthesize(extended, warm_start=first.contract.atom_ids)
-        assert "warm_start" not in warm.solver_result.stats
-        assert warm.contract.atom_ids == frozenset({1, 9})

@@ -7,7 +7,8 @@ solve on a forked solve pool, and settles the rounds in order.  Widths
 records, dataset, manifest bytes, progress callbacks, ``round`` spans,
 solver counters and the strategy's final state — under every stopping
 rule, including runs that stop before their last round and so drop
-rounds started past the stop.
+rounds started past the stop.  Every settled round holds the
+``(false positives, atoms)`` optimum of its cumulative dataset.
 """
 
 import dataclasses
@@ -18,12 +19,15 @@ import pytest
 from repro.adaptive import AdaptiveLoop
 from repro.adaptive import loop as loop_module
 from repro.evaluation.backends import executors as executors_module
+from repro.evaluation.results import EvaluationDataset
 from repro.metrics.registry import Metrics, install_metrics
+from repro.synthesis.ilp import build_ilp_instance
+from repro.synthesis.solvers import BranchAndBoundSolver
 from repro.trace import Tracer
 
 pytestmark = pytest.mark.adaptive
 
-SOLVER_COUNTERS = ("solver.cold_solves", "solver.lp_certificates", "solver.warm_starts")
+SOLVER_COUNTERS = ("solver.cold_solves", "solver.lp_certificates")
 #: Trace fields that are clocks, not results.
 CLOCK_FIELDS = ("ts", "start_ts", "seconds", "pid")
 
@@ -31,7 +35,6 @@ _DCACHE = dict(core="ibex-dcache", template="riscv-mem", attacker="cache-state")
 
 #: One scenario per stopping rule, with the rounds each one runs.
 SCENARIOS = {
-    # Rounds 1, 2 and 4 reuse the previous contract (warm start).
     "budget": (
         dict(
             core="ibex",
@@ -119,23 +122,18 @@ def test_every_width_matches_the_serial_loop(monkeypatch, tmp_path, rule):
     serial = _outcome(monkeypatch, tmp_path, 1, settings)
     assert len(serial["records"]) == rounds_run
     assert len(serial["spans"]) == rounds_run
-    assert sum(serial["counters"].values()) >= rounds_run
+    assert serial["counters"]["solver.cold_solves"] == rounds_run
+    dataset = EvaluationDataset.from_json(serial["dataset"])
+    for record in serial["records"]:
+        prefix = dataset.prefix(record.cumulative_cases)
+        optimum = BranchAndBoundSolver().solve(build_ilp_instance(prefix))
+        assert optimum.optimal
+        assert (record.false_positives, record.contract_size) == (
+            optimum.false_positives,
+            len(optimum.selected_atom_ids),
+        )
     for width in (2, 3):
         assert _outcome(monkeypatch, tmp_path, width, settings) == serial
-
-
-def test_warm_start_fires_when_the_round_settles(monkeypatch, tmp_path):
-    """At width 2 a round is submitted while the previous one still
-    solves, so it solves cold and the shortcut applies when it
-    settles: the records and counters match the serial loop's."""
-    settings, _ = SCENARIOS["budget"]
-    serial = _outcome(monkeypatch, tmp_path, 1, settings)
-    warm = [record.warm_started for record in serial["records"]]
-    assert warm == [False, True, True, False, True, False]
-    assert serial["counters"]["solver.warm_starts"] == 3
-    pooled = _outcome(monkeypatch, tmp_path, 2, settings)
-    assert [record.warm_started for record in pooled["records"]] == warm
-    assert pooled["counters"] == serial["counters"]
 
 
 def test_width_follows_processes_and_the_rounds_left(monkeypatch):

@@ -20,6 +20,7 @@ from repro.adaptive.loop import AdaptiveLoop
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign import runner as runner_module
 from repro.evaluation.backends import ShardEvaluator
+from repro.evaluation.backends import executors as executors_module
 from repro.pipeline import SynthesisPipeline
 from repro.resilience import (
     ALWAYS,
@@ -166,6 +167,20 @@ class TestFaultMatrix:
         assert caught.value.shard == (20, SHARD)
         assert isinstance(caught.value.__cause__, RuntimeError)
         assert "injected evaluation failure" in str(caught.value.__cause__)
+
+    def test_verify_shard_error_names_its_shard(self, monkeypatch):
+        """Directed verification evaluates its fresh cases on a forked
+        pool through the same shard loop, with no retry policy: one
+        failed attempt of a verify shard raises, naming that shard,
+        although the run's own shards retry.  No worker outlives it."""
+        monkeypatch.setattr(executors_module, "usable_cpus", lambda: 2)
+        with inject_fault("worker-error", start_id=500, fail_attempts=1):
+            with pytest.raises(ShardExecutionError) as caught:
+                _pipeline().retry(3).verify(1000).run()
+        assert caught.value.shard == (500, 250)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert "injected evaluation failure" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
 
     def test_shard_hang_is_rescheduled_by_the_watchdog(self, reference):
         """A hung worker cannot be interrupted; the sweep abandons the

@@ -72,6 +72,22 @@ class TestSynthesizer:
         assert full.contract.distinguishes(frozenset({10, 20}))
         assert restricted.contract.atom_ids == {20}
 
+    @pytest.mark.parametrize("solver", [None, BranchAndBoundSolver()])
+    def test_six_cycle_returns_the_three_atom_optimum(self, template, solver):
+        """Cover rows {1,2}, {2,3}, ..., {6,1}.  The selection
+        [1, 2, 4, 5] covers every row at zero false positives and no
+        atom of it is redundant, but the optimum takes every other
+        atom: three atoms."""
+        dataset = make_dataset([(True, {k, k % 6 + 1}) for k in range(1, 7)])
+        result = synthesize(dataset, template, solver=solver)
+        assert result.false_positives == 0
+        assert result.atom_count == 3
+        assert result.solver_result.optimal
+        for distinguishable in dataset.distinguishable:
+            assert result.contract.distinguishes(
+                distinguishable.distinguishing_atom_ids
+            )
+
     def test_custom_solver(self, template):
         dataset = make_dataset([(True, {3})])
         synthesizer = ContractSynthesizer(template, solver=BranchAndBoundSolver())

@@ -1,14 +1,20 @@
 """Tests for testing-based contract-satisfaction checking."""
 
+import multiprocessing
+
 import pytest
 
 from repro.contracts.riscv_template import build_riscv_template
 from repro.contracts.template import Contract
+from repro.evaluation.backends import executors as executors_module
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.synthesis.synthesizer import synthesize
 from repro.testgen.generator import TestCaseGenerator
+from repro.uarch.cva6 import CVA6Core
 from repro.uarch.ibex import IbexCore
 from repro.verification.checker import (
+    SatisfactionReport,
+    Violation,
     check_contract_satisfaction,
     check_dataset_satisfaction,
 )
@@ -28,6 +34,53 @@ def synthesis_artifacts(template):
     return dataset, contract
 
 
+def reference_check(contract, core, test_cases, seed, max_violations=25):
+    """The sequential reference: evaluate one case at a time and stop
+    at the ``max_violations``-th violation."""
+    template = contract.template
+    generator = TestCaseGenerator(template, seed=seed)
+    evaluator = TestCaseEvaluator(core, template)
+    violations = []
+    covered = distinguishable = evaluated = 0
+    for test_case in generator.iter_generate(test_cases):
+        result = evaluator.evaluate(test_case)
+        evaluated += 1
+        if not result.attacker_distinguishable:
+            continue
+        distinguishable += 1
+        if contract.distinguishes(result.distinguishing_atom_ids):
+            covered += 1
+            continue
+        violations.append(
+            Violation(
+                test_case=test_case,
+                distinguishing_atom_names=tuple(
+                    sorted(
+                        template.atom(atom_id).name
+                        for atom_id in result.distinguishing_atom_ids
+                    )
+                ),
+            )
+        )
+        if len(violations) >= max_violations:
+            break
+    return SatisfactionReport(
+        contract_atoms=len(contract),
+        test_cases=evaluated,
+        violations=violations,
+        covered=covered,
+        attacker_distinguishable=distinguishable,
+    )
+
+
+def checked(*args, **kwargs):
+    """``check_contract_satisfaction``, asserting that no pool worker
+    outlives the call."""
+    report = check_contract_satisfaction(*args, **kwargs)
+    assert multiprocessing.active_children() == []
+    return report
+
+
 def test_synthesized_contract_satisfied_on_its_dataset(synthesis_artifacts):
     dataset, contract = synthesis_artifacts
     report = check_dataset_satisfaction(contract, dataset)
@@ -40,32 +93,88 @@ def test_synthesized_contract_mostly_satisfied_on_fresh_cases(
     template, synthesis_artifacts
 ):
     _dataset, contract = synthesis_artifacts
-    report = check_contract_satisfaction(
-        contract, IbexCore(), test_cases=500, seed=991
-    )
+    report = checked(contract, IbexCore(), test_cases=500, seed=991)
     # Random testing may expose rare uncovered leaks (the paper's
     # sensitivity is 99.93%, not 100%), but the bulk must be covered.
     assert report.attacker_distinguishable > 0
     assert report.covered >= 0.8 * report.attacker_distinguishable
 
 
+@pytest.mark.parametrize(
+    "core_class, test_cases",
+    [(IbexCore, 600), (CVA6Core, 600), (CVA6Core, 2000)],
+)
+def test_report_matches_the_sequential_reference(
+    synthesis_artifacts, core_class, test_cases
+):
+    """Shard-loop verification reports what the case-at-a-time loop
+    reports.  Where the reference stopped at ``max_violations`` (the
+    ibex contract on CVA6 at 2,000 cases) it counted only the cases up
+    to its stop, so there only the violations are compared."""
+    _dataset, contract = synthesis_artifacts
+    report = checked(contract, core_class(), test_cases=test_cases, seed=991)
+    reference = reference_check(contract, core_class(), test_cases, seed=991)
+    assert report.violations == reference.violations
+    if reference.test_cases == test_cases:
+        assert report == reference
+    else:
+        assert len(reference.violations) == 25
+        assert report.test_cases == test_cases
+        assert report.attacker_distinguishable > reference.attacker_distinguishable
+
+
 def test_empty_contract_violated(template):
     empty = Contract(template, [])
-    report = check_contract_satisfaction(
-        empty, IbexCore(), test_cases=200, seed=3, max_violations=5
-    )
+    report = checked(empty, IbexCore(), test_cases=200, seed=3, max_violations=5)
     assert not report.satisfied
-    assert len(report.violations) == 5  # stops at max_violations
+    assert len(report.violations) == 5  # keeps max_violations witnesses
     assert report.covered == 0
     text = report.render()
     assert "VIOLATED" in text
 
 
+def test_empty_contract_keeps_the_first_violations_in_id_order(template):
+    """Every distinguishable case violates the empty contract: the
+    report counts all of them and keeps the lowest ids, each witness
+    regenerated from its test id."""
+    empty = Contract(template, [])
+    evaluator = TestCaseEvaluator(IbexCore(), template)
+    generator = TestCaseGenerator(template, seed=3)
+    dataset = evaluator.evaluate_many(generator.iter_generate(300))
+    violating = [result.test_id for result in dataset.distinguishable]
+    assert len(violating) > 5
+
+    report = checked(empty, IbexCore(), test_cases=300, seed=3, max_violations=5)
+    assert report.test_cases == 300
+    assert report.attacker_distinguishable == len(violating)
+    assert [v.test_case.test_id for v in report.violations] == violating[:5]
+    for violation in report.violations:
+        test_id = violation.test_case.test_id
+        assert violation.test_case == generator.generate_case(test_id)
+
+
+def test_one_usable_cpu_gives_the_same_report(
+    monkeypatch, template, synthesis_artifacts
+):
+    """A pool (2,000 cases are 8 shards) and the in-process serial loop
+    of one usable CPU report the same."""
+    _dataset, contract = synthesis_artifacts
+    empty = Contract(template, [])
+    pooled = [
+        checked(contract, IbexCore(), test_cases=2000, seed=7),
+        checked(empty, IbexCore(), test_cases=2000, seed=7),
+    ]
+    monkeypatch.setattr(executors_module, "usable_cpus", lambda: 1)
+    serial = [
+        checked(contract, IbexCore(), test_cases=2000, seed=7),
+        checked(empty, IbexCore(), test_cases=2000, seed=7),
+    ]
+    assert serial == pooled
+
+
 def test_violation_names_candidate_atoms(template):
     empty = Contract(template, [])
-    report = check_contract_satisfaction(
-        empty, IbexCore(), test_cases=300, seed=3, max_violations=1
-    )
+    report = checked(empty, IbexCore(), test_cases=300, seed=3, max_violations=1)
     assert report.violations
     violation = report.violations[0]
     assert violation.distinguishing_atom_names
@@ -83,9 +192,7 @@ def test_wrong_core_contract_detected(template, synthesis_artifacts):
     dataset = evaluator.evaluate_many(generator.iter_generate(1500))
     shiftless_contract = synthesize(dataset, template).contract
 
-    report = check_contract_satisfaction(
-        shiftless_contract, IbexCore(), test_cases=1500, seed=777
-    )
+    report = checked(shiftless_contract, IbexCore(), test_cases=1500, seed=777)
     assert not report.satisfied
     witnessed = {
         name
