@@ -23,8 +23,10 @@ import os
 import sys
 
 from repro.campaign import CampaignSpec, run_campaign
+from repro.metrics.report import render_markdown
 from repro.pipeline import SynthesisPipeline
 from repro.trace import fold_file, render_once
+
 
 def main():
     results_dir = sys.argv[1] if len(sys.argv) > 1 else "results"
@@ -58,7 +60,7 @@ def main():
     )
 
     print("\n== fold: per-span summaries and detail tables ==\n")
-    print(fold_file(trace_path).render(slowest=5))
+    print(render_markdown(fold_file(trace_path), slowest=5))
 
     print("\n== watch: the live frame, from the file alone ==\n")
     print(render_once(trace_path))

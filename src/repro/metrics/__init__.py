@@ -18,7 +18,6 @@ from repro.metrics.fold import (
     GaugeSummary,
     HistogramSummary,
     MetricsAggregate,
-    is_metric_record,
 )
 from repro.metrics.registry import (
     Metrics,
@@ -42,7 +41,6 @@ __all__ = [
     "current_metrics",
     "diff_runs",
     "install_metrics",
-    "is_metric_record",
     "load_runs",
     "record_run",
     "render_report",

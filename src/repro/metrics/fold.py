@@ -23,7 +23,7 @@ million-span service trace never needs to be resident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.metrics.registry import _BUCKET_BOUNDS
 
@@ -144,15 +144,8 @@ class MetricsAggregate:
         return merged
 
 
-def is_metric_record(record: dict) -> bool:
-    """Whether a trace record is a registry snapshot (the ``metric``
-    shape: an event-positioned record carrying instrument tables)."""
-    return record.get("kind") == "metric" and "start_ts" not in record
-
-
 __all__ = [
     "GaugeSummary",
     "HistogramSummary",
     "MetricsAggregate",
-    "is_metric_record",
 ]

@@ -6,7 +6,9 @@ a post-mortem or perf review reads off a run: per-phase/span wall
 tables, counter totals, gauge envelopes, histogram percentiles, and
 the slowest spans.  The fold is streaming
 (:func:`repro.trace.metrics.fold_file`), so reports over million-span
-service traces stay flat in memory.
+service traces stay flat in memory.  :func:`build_sections` is the one
+source of the report's tables; :func:`render_markdown` and
+:func:`render_html` only lay them out.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def render_report(
     """Fold ``trace_path`` and render it as ``markdown`` or ``html``."""
     from repro.trace.metrics import fold_file
 
-    metrics = fold_file(trace_path, keep_records=False)
+    metrics = fold_file(trace_path)
     if title is None:
         title = "Run report: %s" % trace_path
     if fmt in ("markdown", "md"):

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.checkpoint import append_jsonl_line
 from repro.reporting.tables import render_comparison_table
+from repro.trace.tracer import read_trace
 
 #: The index file name under a results root.
 RUNS_FILENAME = "runs.jsonl"
@@ -82,25 +83,9 @@ def record_run(
 
 
 def load_runs(results_dir: str) -> List[dict]:
-    """Every parseable record in the index, file order (oldest first)."""
-    path = runs_path(results_dir)
-    records: List[dict] = []
-    try:
-        stream = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return records
-    with stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed writer
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    """Every parseable record in the index, file order (oldest first);
+    a torn tail from a killed writer is skipped, as in a trace file."""
+    return read_trace(runs_path(results_dir))
 
 
 def resolve_run(runs: List[dict], token: str) -> dict:

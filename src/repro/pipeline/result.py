@@ -10,6 +10,7 @@ from repro.contracts.template import Contract
 from repro.evaluation.results import EvaluationDataset
 from repro.resilience.quarantine import FailureRecord
 from repro.synthesis.synthesizer import SynthesisResult
+from repro.trace.tracer import record_shape
 from repro.verification.checker import SatisfactionReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,17 +62,17 @@ class PhaseTimings:
     def from_spans(cls, records: Iterable[dict]) -> "PhaseTimings":
         """Project phase timings out of a trace span stream.
 
-        Consumes completed span records (the ones carrying
-        ``seconds``): the ``pipeline`` span supplies the total, and
-        each ``phase`` span supplies its phase timer — the ``evaluate``
-        span additionally carries the cache/executor/sim-extract detail
-        fields.  Begin records and event records pass through
-        untouched, so the whole of a run's trace stream (or its
-        in-memory collector) can be fed directly.
+        Consumes completed span records (shape ``end``, see
+        :func:`~repro.trace.tracer.record_shape`): the ``pipeline``
+        span supplies the total, and each ``phase`` span supplies its
+        phase timer — the ``evaluate`` span additionally carries the
+        cache/executor/sim-extract detail fields.  Every other shape
+        passes through untouched, so the whole of a run's trace stream
+        (or its in-memory collector) can be fed directly.
         """
         timings = cls()
         for record in records:
-            if "seconds" not in record:
+            if record_shape(record) != "end":
                 continue
             kind = record.get("kind")
             if kind == "pipeline":

@@ -4,9 +4,12 @@
 :class:`Tracer` appends events and ``start_ts``-carrying spans to a
 single shared JSONL file; pipeline phases, executor shards, campaign
 cells, adaptive rounds, and service job/request transitions all emit
-into it.  :mod:`repro.trace.metrics`
-folds a trace file into summary tables, and :mod:`repro.trace.watch`
-tails it as a live progress view (``repro-synthesize watch``).
+into it.  Every reader parses the file through one tolerant line
+parser and classifies records with :func:`record_shape`:
+:mod:`repro.trace.metrics` folds a trace file into run summaries,
+:mod:`repro.trace.export` converts it for trace viewers, and
+:mod:`repro.trace.watch` tails it as a live progress view
+(``repro-synthesize watch``).
 """
 
 from repro.trace.metrics import (
@@ -14,15 +17,16 @@ from repro.trace.metrics import (
     TraceMetrics,
     fold,
     fold_file,
-    iter_trace,
-    read_trace,
     span_group,
 )
 from repro.trace.tracer import (
     Tracer,
     current_tracer,
     install_tracer,
+    iter_trace,
     profile_step,
+    read_trace,
+    record_shape,
     trace_step,
 )
 from repro.trace.watch import TraceTail, TraceWatch, render_once, watch
@@ -40,6 +44,7 @@ __all__ = [
     "iter_trace",
     "profile_step",
     "read_trace",
+    "record_shape",
     "render_once",
     "span_group",
     "trace_step",

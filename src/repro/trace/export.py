@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.metrics import iter_trace, span_group
+from repro.trace.metrics import span_group
+from repro.trace.tracer import iter_trace, record_shape
 
 
 def _number(value, default=0.0) -> float:
@@ -99,7 +100,8 @@ def chrome_trace_events(records: Iterable[dict]) -> List[dict]:
         if base_ts is None:
             base_ts = _number(start_ts, ts) if start_ts is not None else ts
             base_ts = min(base_ts, ts)
-        if record.get("kind") == "metric" and start_ts is None:
+        shape = record_shape(record)
+        if shape == "metric":
             tid = lane(pid, source)
             tracks = dict(record.get("gauges") or {})
             tracks.update(record.get("counters") or {})
@@ -115,7 +117,7 @@ def chrome_trace_events(records: Iterable[dict]) -> List[dict]:
                         "args": {"value": _number(value)},
                     }
                 )
-        elif start_ts is not None and "seconds" in record:
+        elif shape == "end":
             # A completed span: one self-contained duration slice.
             args = {
                 key: record[key] for key in _ARG_KEYS if key in record
@@ -132,7 +134,7 @@ def chrome_trace_events(records: Iterable[dict]) -> List[dict]:
                     "args": args,
                 }
             )
-        elif start_ts is None:
+        elif shape == "event":
             events.append(
                 {
                     "ph": "i",

@@ -1,65 +1,29 @@
 """Fold a trace file into per-phase / per-cell / per-round summaries.
 
-:func:`iter_trace` is the tolerant reader shared by metrics and
-``watch``: it yields records one line at a time and skips blank and
-unparseable lines instead of raising, because a live multi-writer
-trace file legitimately ends in a torn line while a writer is
-mid-append (readers recover; the next append repairs the boundary —
-see :func:`repro.checkpoint.append_jsonl_line`).  :func:`read_trace`
-is the materialized form for callers that want a list.
-
-:func:`fold` aggregates the stream **incrementally**: span-group
+:func:`fold` aggregates a record stream **incrementally**: span-group
 summaries, per-cell and per-round detail, a bounded slowest-spans
 heap, and the run's metric snapshots
 (:class:`repro.metrics.fold.MetricsAggregate`) are all maintained
-record by record, so folding a million-span service trace with
-``keep_records=False`` holds only the aggregates resident — the raw
-record lists are an opt-in convenience (kept by default, which the
-``repro trace`` summary view uses for its slowest/detail tables over
-small files).
-
-Unknown record shapes pass through untouched: anything that is not a
-completed span (``seconds``), a span begin (``start_ts`` alone), or a
-``metric`` snapshot counts as an event — old readers stay correct as
-the wire format grows.
+record by record, so folding a million-span service trace holds only
+the aggregates resident.  Records are read through the tolerant
+:func:`~repro.trace.tracer.iter_trace` and classified by
+:func:`~repro.trace.tracer.record_shape`; unknown shapes count as
+events.  ``repro report`` (:mod:`repro.metrics.report`) renders the
+result; the live ``watch`` view keeps its own state
+(:mod:`repro.trace.watch`) over the same reader and rule.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.metrics.fold import MetricsAggregate, is_metric_record
-from repro.reporting.tables import render_comparison_table
+from repro.metrics.fold import MetricsAggregate
+from repro.trace.tracer import iter_trace, record_shape
 
 #: How many slowest spans the fold keeps, regardless of trace size.
 _SLOWEST_KEPT = 64
-
-
-def iter_trace(path: str) -> Iterator[dict]:
-    """Every parseable record of a trace file, streamed in file order
-    (a missing file yields nothing, like an empty trace)."""
-    try:
-        stream = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return
-    with stream:
-        for line in stream:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn or in-flight line: skip, never raise
-            if isinstance(record, dict):
-                yield record
-
-
-def read_trace(path: str) -> List[dict]:
-    """Every parseable record of a trace file, as a list."""
-    return list(iter_trace(path))
 
 
 def span_group(record: dict) -> str:
@@ -96,23 +60,13 @@ class SpanGroupSummary:
 
 @dataclass
 class TraceMetrics:
-    """Everything :func:`fold` derived from one record stream.
-
-    The count fields and aggregate tables are always maintained; the
-    ``records``/``spans``/``events`` lists fill only when the fold ran
-    with ``keep_records=True`` (the default).
-    """
+    """Everything :func:`fold` derived from one record stream."""
 
     record_count: int = 0
     span_count: int = 0
     event_count: int = 0
     #: ``metric`` registry snapshots folded into :attr:`metrics`.
     metric_count: int = 0
-    records: List[dict] = field(default_factory=list)
-    #: Completed span records (the ones carrying ``seconds``).
-    spans: List[dict] = field(default_factory=list)
-    #: Instantaneous events (no ``start_ts``).
-    events: List[dict] = field(default_factory=list)
     summaries: Dict[str, SpanGroupSummary] = field(default_factory=dict)
     #: Counters/gauges/histograms merged across processes.
     metrics: MetricsAggregate = field(default_factory=MetricsAggregate)
@@ -137,24 +91,17 @@ class TraceMetrics:
 
     # -- incremental ingestion -----------------------------------------
 
-    def ingest(self, record: dict, keep_records: bool = True) -> None:
+    def ingest(self, record: dict) -> None:
         """Fold one record into the aggregates."""
         self.record_count += 1
-        if keep_records:
-            self.records.append(record)
-        if is_metric_record(record):
+        shape = record_shape(record)
+        if shape == "metric":
             self.metric_count += 1
             self.metrics.ingest(record)
-        elif "start_ts" not in record:
-            # Events may carry a ``seconds`` payload field (e.g.
-            # ``campaign-end``); only ``start_ts`` marks a span record.
+        elif shape == "event":
             self.event_count += 1
-            if keep_records:
-                self.events.append(record)
-        elif "seconds" in record:
+        elif shape == "end":
             self.span_count += 1
-            if keep_records:
-                self.spans.append(record)
             group = span_group(record)
             summary = self.summaries.get(group)
             if summary is None:
@@ -173,161 +120,17 @@ class TraceMetrics:
         # begin records (start_ts, no seconds) count as neither: their
         # span lands via the matching end record.
 
-    # -- rendering -----------------------------------------------------
 
-    def render(self, slowest: int = 10) -> str:
-        sections = [self._render_summary()]
-        if self._cells:
-            sections.append(self._render_cells())
-        if self._rounds:
-            sections.append(self._render_rounds())
-        if self.span_count:
-            sections.append(self._render_slowest(slowest))
-        if self.metric_count:
-            sections.extend(self._render_metrics())
-        return "\n\n".join(sections)
-
-    def _render_summary(self) -> str:
-        rows = []
-        for group in sorted(self.summaries):
-            summary = self.summaries[group]
-            rows.append(
-                [
-                    group,
-                    str(summary.count),
-                    "%.3f" % summary.total_seconds,
-                    "%.3f" % summary.mean_seconds,
-                    "%.3f" % summary.max_seconds,
-                    str(summary.failed),
-                ]
-            )
-        if not rows:
-            rows = [["-", "0", "-", "-", "-", "0"]]
-        return render_comparison_table(
-            ["span", "count", "total s", "mean s", "max s", "failed"],
-            rows,
-            title="Trace summary: %d records (%d spans, %d events)"
-            % (self.record_count, self.span_count, self.event_count),
-        )
-
-    def _render_cells(self) -> str:
-        rows = [
-            [
-                str(record.get("cell", "?")),
-                "%.3f" % float(record.get("seconds", 0.0)),
-                "ok" if record.get("ok", True) else "FAILED",
-                str(record.get("atoms", "-")),
-            ]
-            for record in self._cells
-        ]
-        return render_comparison_table(
-            ["cell", "seconds", "status", "atoms"], rows, title="Campaign cells"
-        )
-
-    def _render_rounds(self) -> str:
-        rows = [
-            [
-                str(record.get("round", "?")),
-                str(record.get("cumulative_cases", "-")),
-                "%.1f%%" % (100.0 * float(record.get("atom_coverage", 0.0))),
-                str(record.get("contract_size", "-")),
-                "%.3f" % float(record.get("seconds", 0.0)),
-                str(record.get("stop_reason") or "-"),
-            ]
-            for record in self._rounds
-        ]
-        return render_comparison_table(
-            ["round", "cases", "coverage", "atoms", "seconds", "stop"],
-            rows,
-            title="Adaptive rounds",
-        )
-
-    def _render_slowest(self, limit: int) -> str:
-        rows = []
-        for record in self.slowest(limit):
-            detail = []
-            for key in ("phase", "cell", "round", "start_id", "job", "request"):
-                if key in record:
-                    detail.append("%s=%s" % (key, record[key]))
-            rows.append(
-                [
-                    span_group(record),
-                    str(record.get("source", "-")),
-                    " ".join(detail) or "-",
-                    "%.3f" % float(record.get("seconds", 0.0)),
-                ]
-            )
-        return render_comparison_table(
-            ["span", "source", "detail", "seconds"],
-            rows,
-            title="Slowest spans",
-        )
-
-    def _render_metrics(self) -> List[str]:
-        sections = []
-        counters = self.metrics.counters()
-        if counters:
-            rows = [
-                [name, "%g" % counters[name]] for name in sorted(counters)
-            ]
-            sections.append(
-                render_comparison_table(
-                    ["counter", "total"], rows, title="Counters"
-                )
-            )
-        gauges = self.metrics.gauges()
-        if gauges:
-            rows = [
-                [
-                    name,
-                    "%g" % gauges[name].last,
-                    "%g" % gauges[name].min,
-                    "%g" % gauges[name].max,
-                ]
-                for name in sorted(gauges)
-            ]
-            sections.append(
-                render_comparison_table(
-                    ["gauge", "last", "min", "max"], rows, title="Gauges"
-                )
-            )
-        histograms = self.metrics.histograms()
-        if histograms:
-            rows = []
-            for name in sorted(histograms):
-                summary = histograms[name]
-                rows.append(
-                    [
-                        name,
-                        str(summary.count),
-                        "%g" % summary.mean,
-                        "%g" % summary.percentile(0.5),
-                        "%g" % summary.percentile(0.9),
-                        "%g" % summary.percentile(0.99),
-                        "%g" % summary.max,
-                    ]
-                )
-            sections.append(
-                render_comparison_table(
-                    ["histogram", "count", "mean", "p50", "p90", "p99", "max"],
-                    rows,
-                    title="Histograms",
-                )
-            )
-        return sections
-
-
-def fold(records: Iterable[dict], keep_records: bool = True) -> TraceMetrics:
-    """Aggregate a record stream into :class:`TraceMetrics` (a single
-    streaming pass; with ``keep_records=False`` only bounded
-    aggregates are retained)."""
+def fold(records: Iterable[dict]) -> TraceMetrics:
+    """Aggregate a record stream into :class:`TraceMetrics` in a
+    single streaming pass that keeps no raw record list."""
     metrics = TraceMetrics()
     for record in records:
-        metrics.ingest(record, keep_records=keep_records)
+        metrics.ingest(record)
     return metrics
 
 
-def fold_file(path: str, keep_records: bool = True) -> TraceMetrics:
-    """:func:`fold` over :func:`iter_trace` — the file is never
-    materialized as a whole."""
-    return fold(iter_trace(path), keep_records=keep_records)
+def fold_file(path: str) -> TraceMetrics:
+    """:func:`fold` over :func:`~repro.trace.tracer.iter_trace` — the
+    file is never materialized as a whole."""
+    return fold(iter_trace(path))

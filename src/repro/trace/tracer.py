@@ -13,16 +13,27 @@ records), adapted to multi-process appenders: lines go out through
 ``O_APPEND`` write — so brokers, pool workers, and independent worker
 processes can interleave in one file without tearing lines.
 
-Three record shapes, discriminated by their fields::
+Four record shapes, discriminated by their fields (:func:`record_shape`)::
 
     {"ts": t, "pid": p, "kind": k, ...}                      # event
+    {"ts": t, "pid": p, "kind": "metric", "counters": ...}   # metric
     {"ts": t0, "start_ts": t0, "pid": p, "kind": k, ...}     # span begin
     {"ts": t1, "start_ts": t0, "seconds": s, "ok": b, ...}   # span end
 
 Every span record carries ``start_ts``: the begin record announces
 in-flight work (what ``watch`` shows as running), and the end record's
 duration survives reordering in interleaved multi-process files —
-matching end to begin is ``(pid, source, kind, start_ts)``.
+matching end to begin is ``(pid, source, kind, start_ts)``.  Events may
+carry a ``seconds`` payload (``campaign-end``); only ``start_ts`` marks
+a span.  ``metric`` records are registry snapshots
+(:mod:`repro.metrics.registry`).  Any other shape a newer writer adds
+reads as an event, so old readers stay correct as the format grows.
+
+Every reader parses lines through :func:`parse_lines`, which skips
+blank and unparseable lines instead of raising: a live multi-writer
+file legitimately ends in a torn line while a writer is mid-append
+(the next append repairs the boundary — see
+:func:`repro.checkpoint.append_jsonl_line`).
 
 A :class:`Tracer` built with ``path=None`` (and no collector) is a
 no-op whose hot path allocates nothing — ``span()`` returns a shared
@@ -33,11 +44,50 @@ sites never guard on tracing being configured.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.checkpoint import append_jsonl_line
+
+
+def parse_lines(lines: Iterable[str]) -> Iterator[dict]:
+    """Every record among ``lines``: blank, torn and non-object lines
+    are skipped, never raised on."""
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # torn or in-flight line
+        if isinstance(record, dict):
+            yield record
+
+
+def iter_trace(path: str) -> Iterator[dict]:
+    """Every parseable record of a JSONL file, streamed in file order
+    (a missing file yields nothing, like an empty trace)."""
+    try:
+        stream = open(path, "r", encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        return
+    with stream:
+        yield from parse_lines(stream)
+
+
+def read_trace(path: str) -> List[dict]:
+    """Every parseable record of a JSONL file, as a list."""
+    return list(iter_trace(path))
+
+
+def record_shape(record: dict) -> str:
+    """Which of the four wire shapes ``record`` is: ``"metric"``,
+    ``"event"``, ``"begin"`` or ``"end"``."""
+    if "start_ts" in record:
+        return "end" if "seconds" in record else "begin"
+    return "metric" if record.get("kind") == "metric" else "event"
 
 
 class _NullSpan:

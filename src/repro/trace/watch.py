@@ -4,20 +4,27 @@
 :class:`TraceTail` incrementally reads new records from the shared
 JSONL trace file (buffering a torn final line until its writer finishes
 the append), a :class:`TraceWatch` folds them into live state, and
-:func:`render` draws one frame — campaign cell progress, adaptive
-rounds, queue depth, worker heartbeats, and in-flight spans.
+:meth:`TraceWatch.render` draws one frame — campaign cell progress,
+adaptive rounds, queue depth, worker heartbeats, and in-flight spans.
 
 Everything is derived from the trace file alone: the same view works
 for a serial pipeline run, a campaign, and the distributed service,
-because all three emit the one span schema of :mod:`repro.trace`.
+because all three emit the one span schema of :mod:`repro.trace`.  The
+tail parses lines with the same tolerant parser as the offline readers
+and the state classifies records with the same
+:func:`~repro.trace.tracer.record_shape` rule as the run-summary fold
+(:mod:`repro.trace.metrics`); the two keep separate state because they
+answer different questions, live progress versus run totals.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import sys
 import time as _time
 from typing import Dict, List, Optional, Tuple
+
+from repro.trace.tracer import parse_lines, record_shape
 
 #: Matching a span end record to its begin record across interleaved
 #: multi-process files.
@@ -43,47 +50,53 @@ class TraceTail:
     Keeps a byte offset and a partial-line buffer: a read that ends
     mid-line (a writer is inside its append) holds the fragment until
     the terminating newline arrives, so records are never half-parsed.
-    A file smaller than the last-seen offset means the trace was
-    truncated or replaced (a restarted run rewriting its path); the
-    tail resets and re-reads from the top instead of sticking at the
-    stale offset.
+    A restarted run rewriting its path must not leave the tail at a
+    stale offset, so the tail resets and re-reads from the top when the
+    file is smaller than the offset (truncated), is a different file
+    (its ``st_dev``/``st_ino`` changed: replaced), or no longer starts
+    with the first line read (rewritten in place).
     """
 
     def __init__(self, path: str):
         self.path = path
         self._offset = 0
-        self._buffer = ""
+        self._buffer = b""
+        self._identity: Optional[Tuple[int, int]] = None
+        #: The file's first line as far as read (with its newline once
+        #: complete): a changed first line means a rewritten file.
+        self._head = b""
 
     def poll(self) -> List[dict]:
         """Every complete new record since the last poll."""
         try:
-            with open(self.path) as stream:
-                stream.seek(0, 2)
-                if stream.tell() < self._offset:
-                    # Truncated/replaced underneath us: start over.
+            with open(self.path, "rb") as stream:
+                status = os.fstat(stream.fileno())
+                identity = (status.st_dev, status.st_ino)
+                if (
+                    identity != self._identity
+                    or status.st_size < self._offset
+                    or stream.read(len(self._head)) != self._head
+                ):
+                    # Truncated/replaced/rewritten underneath us.
+                    self._identity = identity
                     self._offset = 0
-                    self._buffer = ""
+                    self._buffer = b""
+                    self._head = b""
                 stream.seek(self._offset)
                 chunk = stream.read()
-                self._offset = stream.tell()
         except FileNotFoundError:
             return []
         if not chunk:
             return []
+        self._offset += len(chunk)
+        if not self._head.endswith(b"\n"):
+            newline = chunk.find(b"\n")
+            self._head += chunk if newline < 0 else chunk[: newline + 1]
         data = self._buffer + chunk
-        lines = data.split("\n")
-        self._buffer = lines.pop()  # "" after a complete final line
-        records = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        end = data.rfind(b"\n") + 1
+        self._buffer = data[end:]  # b"" after a complete final line
+        text = data[:end].decode("utf-8", errors="replace")
+        return list(parse_lines(text.split("\n")))
 
 
 class TraceWatch:
@@ -122,17 +135,17 @@ class TraceWatch:
     def feed(self, record: dict) -> None:
         self.records += 1
         kind = record.get("kind", "")
-        if "start_ts" in record:
-            key = self._span_key(record)
-            if "seconds" in record:
-                self.in_flight.pop(key, None)
-                self._completed_span(kind, record)
-            else:
-                self.in_flight[key] = record
-            if kind in _WORKER_KINDS or kind == "execute":
-                self._touch_worker(record)
+        shape = record_shape(record)
+        if shape == "end":
+            self.in_flight.pop(self._span_key(record), None)
+            self._completed_span(kind, record)
+        elif shape == "begin":
+            self.in_flight[self._span_key(record)] = record
+        else:
+            self._event(kind, record)
             return
-        self._event(kind, record)
+        if kind in _WORKER_KINDS or kind == "execute":
+            self._touch_worker(record)
 
     def feed_all(self, records: List[dict]) -> None:
         for record in records:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.metrics import MetricsAggregate, is_metric_record
+from repro.metrics import MetricsAggregate
+from repro.trace import record_shape
 
 pytestmark = pytest.mark.trace
 
@@ -29,14 +30,15 @@ def _histogram(values):
     return histogram.snapshot()
 
 
-class TestIsMetricRecord:
+class TestMetricShape:
     def test_discriminates_on_kind_and_shape(self):
-        assert is_metric_record(_metric(1, "main"))
+        assert record_shape(_metric(1, "main")) == "metric"
         # A span named "metric" would carry start_ts: not a snapshot.
-        assert not is_metric_record(
-            {"ts": 1.0, "start_ts": 0.0, "pid": 1, "kind": "metric"}
+        assert (
+            record_shape({"ts": 1.0, "start_ts": 0.0, "pid": 1, "kind": "metric"})
+            == "begin"
         )
-        assert not is_metric_record({"ts": 1.0, "pid": 1, "kind": "phase"})
+        assert record_shape({"ts": 1.0, "pid": 1, "kind": "phase"}) == "event"
 
 
 class TestCounters:

@@ -12,8 +12,9 @@ import json
 
 import pytest
 
+from repro.metrics.report import render_markdown
 from repro.pipeline import PhaseTimings
-from repro.trace import fold, fold_file
+from repro.trace import fold, fold_file, record_shape
 from repro.trace.watch import TraceWatch
 
 pytestmark = pytest.mark.trace
@@ -72,15 +73,14 @@ class TestFold:
         assert metrics.span_count == 2
         assert metrics.metric_count == 1
         # The future shape lands in the events bucket, uncrashed.
-        assert any(
-            record["kind"] == "flamegraph-v9" for record in metrics.events
-        )
+        assert metrics.event_count == 1
+        assert record_shape(FUTURE_RECORD) == "event"
         path = tmp_path / "trace.jsonl"
         with open(path, "w") as stream:
             for record in RECORDS:
                 stream.write(json.dumps(record) + "\n")
         assert fold_file(str(path)).record_count == len(RECORDS)
-        metrics.render()  # must not raise
+        render_markdown(metrics)  # must not raise
 
     def test_counters_still_fold(self):
         assert fold(RECORDS).metrics.counters() == {"dataset.cache.hits": 1}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.report import render_markdown
 from repro.trace import fold, fold_file, span_group
 
 pytestmark = pytest.mark.trace
@@ -55,9 +56,9 @@ class TestSpanGroup:
 class TestFold:
     def test_partitions_spans_events_and_ignores_begin_records(self):
         metrics = fold(RECORDS)
-        assert len(metrics.records) == len(RECORDS)
-        assert len(metrics.spans) == 6  # completed ends only
-        assert len(metrics.events) == 1  # campaign-start
+        assert metrics.record_count == len(RECORDS)
+        assert metrics.span_count == 6  # completed ends only
+        assert metrics.event_count == 1  # campaign-start
         # the begin record is neither: its span lands via its end.
 
     def test_group_summaries_aggregate_count_total_max_and_failures(self):
@@ -79,16 +80,18 @@ class TestFold:
         assert [record["seconds"] for record in slowest] == [3.0, 2.0]
 
     def test_render_includes_every_section(self):
-        text = fold(RECORDS).render()
-        assert "Trace summary: 8 records (6 spans, 1 events)" in text
+        text = render_markdown(fold(RECORDS))
+        assert "Span summary (8 records: 6 spans, 1 events, 0 metric" in text
         assert "Campaign cells" in text
         assert "Adaptive rounds" in text
         assert "Slowest spans" in text
         assert "phase:evaluate" in text
         assert "contract-stable" in text
 
-    def test_render_of_an_empty_stream_is_still_a_table(self):
-        assert "Trace summary: 0 records" in fold([]).render()
+    def test_render_of_an_empty_stream_still_has_its_summary(self):
+        text = render_markdown(fold([]))
+        assert "Span summary (0 records" in text
+        assert "*(empty)*" in text
 
 
 class TestFoldFile:
@@ -102,5 +105,5 @@ class TestFoldFile:
             '{"ts": 3.0, "kind": "torn'
         )
         metrics = fold_file(str(path))
-        assert len(metrics.events) == 1
-        assert len(metrics.spans) == 1
+        assert metrics.event_count == 1
+        assert metrics.span_count == 1

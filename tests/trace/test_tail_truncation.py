@@ -3,10 +3,13 @@
 A restarted run rewriting its trace path shrinks the file under a
 live ``watch``; a tail stuck at its stale offset would read garbage
 from mid-record (or nothing ever again).  The tail must detect the
-shrink, reset, and re-read from the top.
+shrink, reset, and re-read from the top.  A replacement that is not
+shorter must be detected too: by the file's identity when it is a new
+file, by its first line when it was rewritten in place.
 """
 
 import json
+import os
 
 import pytest
 
@@ -63,3 +66,23 @@ class TestTruncation:
         with open(path, "a") as stream:
             stream.write('nd": "event", "n": 21}\n')
         assert [record["n"] for record in tail.poll()] == [21]
+
+    def test_replacement_by_a_longer_file_is_reread_from_the_top(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        _write(path, [_record(0), _record(1), _record(2)])
+        tail = TraceTail(path)
+        assert [record["n"] for record in tail.poll()] == [0, 1, 2]
+        replacement = str(tmp_path / "trace.jsonl.new")
+        _write(replacement, [_record(n) for n in range(10, 15)])
+        os.replace(replacement, path)
+        assert [record["n"] for record in tail.poll()] == [10, 11, 12, 13, 14]
+
+    def test_longer_in_place_rewrite_is_reread_from_the_top(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        _write(path, [_record(0), _record(1), _record(2)])
+        tail = TraceTail(path)
+        assert [record["n"] for record in tail.poll()] == [0, 1, 2]
+        _write(path, [_record(n) for n in range(20, 26)])
+        assert [record["n"] for record in tail.poll()] == list(range(20, 26))
+        _write(path, [_record(26)], mode="a")
+        assert [record["n"] for record in tail.poll()] == [26]
