@@ -3,15 +3,16 @@
 :class:`AdaptiveLoop` wraps the existing pipeline phases in rounds.
 Each round generates ``batch`` test cases through a
 ``GENERATOR_REGISTRY`` strategy and evaluates them as one window of
-:func:`~repro.evaluation.parallel.evaluate_parallel`: by default on
-the ``serial`` backend over one stack built from the loop's own live
-strategy and evaluator (at ``batch <= shard_size`` one batched call
-per round), or fanned out through an ``EXECUTOR_REGISTRY`` backend
-whose workers rebuild the strategy from its registry name plus a JSON
-state snapshot.  The loop then feeds the per-atom coverage back into
-the strategy and re-synthesizes the contract from the accumulated
-dataset.  A pluggable :class:`~repro.adaptive.stopping.StoppingRule`
-ends the loop early; otherwise it runs its full round budget.
+:func:`~repro.evaluation.parallel.evaluate_parallel`, by default on the
+``serial`` backend (at ``batch <= shard_size`` one batched call per
+round).  Every in-process backend runs on one stack built from the
+loop's own live strategy and evaluator, which a ``multiprocess`` pool's
+forked workers inherit; only ``workqueue`` workers rebuild the strategy
+from its registry name plus a JSON state snapshot.  The loop then feeds
+the per-atom coverage back into the strategy and re-synthesizes the
+contract from the accumulated dataset.  A pluggable
+:class:`~repro.adaptive.stopping.StoppingRule` ends the loop early;
+otherwise it runs its full round budget.
 
 The strategy steers on results, not contracts, so a round's synthesis
 is not needed before the next round is evaluated.  The rounds form a
@@ -61,8 +62,8 @@ from repro.attacker.base import Attacker
 from repro.contracts.template import ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
-    SerialExecutor,
     ShardEvaluator,
+    bind_executor,
 )
 from repro.evaluation.backends.executors import default_processes
 from repro.evaluation.parallel import evaluate_parallel
@@ -236,11 +237,11 @@ class _RoundSynthesizer(ContractSynthesizer):
 class AdaptiveLoop:
     """Coverage-guided synthesis: rounds of generate → evaluate → steer.
 
-    Plugins are accepted as registry names or instances; the executor
-    fan-out and manifest checkpointing require *names* (workers and
-    checkpoint keys rebuild plugins by name, the same rule as the
-    pipeline's executor path).  Without an executor the rounds run on
-    the ``serial`` backend over the loop's own plugin instances.
+    Plugins are accepted as registry names or instances.  Every
+    in-process executor (``serial`` by default) runs the rounds over
+    the loop's own plugin instances; the ``workqueue`` backend and
+    manifest checkpointing require *names* (its workers and checkpoint
+    keys rebuild plugins by name, the same rule as the pipeline's).
     """
 
     def __init__(
@@ -281,7 +282,9 @@ class AdaptiveLoop:
             seed=seed,
             fastpath=use_fastpath,
         )
-        if executor is not None:
+        #: The backend every round runs on.
+        self.executor = bind_executor(executor or "serial")
+        if self.executor.external:
             self.config.require_names("executor")
         self.generator_name = self.config.name("generator")
         self.core = self.config.resolve_core()
@@ -296,19 +299,15 @@ class AdaptiveLoop:
             frozenset(allowed_atom_ids) if allowed_atom_ids is not None else None
         )
         self.restriction = restriction
-        if executor is None:
-            # The serial loop over this loop's live strategy and evaluator.
-            executor = SerialExecutor(
-                worker=ShardEvaluator.from_plugins(
-                    self.core,
-                    self.template,
-                    self.strategy,
-                    attacker=self.attacker,
-                    use_fastpath=self.config.fastpath,
-                )
+        if not self.executor.external and self.executor.worker is None:
+            # This loop's live strategy and evaluator.
+            self.executor.worker = ShardEvaluator.from_plugins(
+                self.core,
+                self.template,
+                self.strategy,
+                attacker=self.attacker,
+                use_fastpath=self.config.fastpath,
             )
-        #: The backend every round runs on.
-        self.executor = executor
         self.processes = processes
         self.shard_size = shard_size
         self.manifest_path = manifest_path

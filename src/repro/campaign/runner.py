@@ -137,9 +137,9 @@ class CampaignRunner:
         self.cache = cache
         #: Evaluation executor backend for every cell — a registry
         #: name or an :class:`EvaluationExecutor` instance (e.g. a
-        #: configured workqueue broker); a process budget without an
-        #: explicit backend implies the default pool.
-        self.executor = executor or ("multiprocess" if process_budget else None)
+        #: configured workqueue broker); ``None`` keeps the pipeline's
+        #: default pool.
+        self.executor = executor
         self.process_budget = process_budget
         self.shard_size = shard_size
         self.max_parallel_cells = max_parallel_cells

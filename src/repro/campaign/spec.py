@@ -185,8 +185,7 @@ class CampaignCell:
             pipeline.retry(self.retries + 1)
         if self.shard_timeout is not None:
             pipeline.timeout(self.shard_timeout)
-        if executor is not None:
-            pipeline.executor(executor, processes=processes, shard_size=shard_size)
+        pipeline.executor(executor, processes=processes, shard_size=shard_size)
         if trace_path is not None:
             pipeline.trace(trace_path)
         return pipeline

@@ -21,11 +21,20 @@ fork of :func:`evaluate_parallel` or the drivers::
 after which ``SynthesisPipeline().executor("my-cluster")`` and
 ``repro-synthesize run --executor my-cluster`` accept it.
 
+Every in-process backend (one whose :attr:`EvaluationExecutor.external`
+is false) runs on one :class:`ShardEvaluator` built in the process that
+starts the evaluation and bound to a :func:`bind_executor` copy of the
+backend; forked workers inherit it.  Only an external backend's workers
+rebuild the stack from the :class:`EvaluationTask` names.
+
 Shard-manifest checkpointing (:class:`ShardManifest`) rides on the
 same seam: completed shards are appended to a JSONL file keyed by the
 task identity, so interrupted or budget-extended runs resume by
 evaluating only the missing shards.
 """
+
+import copy
+from typing import Optional, Union
 
 from repro.evaluation.backends.base import (
     EvaluationExecutor,
@@ -77,6 +86,26 @@ EXECUTOR_REGISTRY.register(
     ),
 )
 
+
+def bind_executor(
+    executor: Union[str, EvaluationExecutor], processes: Optional[int] = None
+) -> EvaluationExecutor:
+    """The backend to run ``executor`` on: a registry name as a fresh
+    backend, an in-process instance as a shallow copy (the caller's is
+    never mutated), sized by ``processes`` unless it has its own count.
+    The caller binds the copy's :attr:`~EvaluationExecutor.worker` to
+    its stack.  An external instance runs as given, so its counters
+    stay readable on the caller's instance."""
+    if isinstance(executor, str):
+        return EXECUTOR_REGISTRY.create(executor, processes=processes)
+    if executor.external:
+        return executor
+    executor = copy.copy(executor)
+    if executor.processes is None:
+        executor.processes = processes
+    return executor
+
+
 __all__ = [
     "EXECUTOR_REGISTRY",
     "EvaluationExecutor",
@@ -88,5 +117,6 @@ __all__ = [
     "ShardEvaluator",
     "ShardManifest",
     "ShardProgress",
+    "bind_executor",
     "plan_shards",
 ]

@@ -3,10 +3,12 @@
 An :class:`EvaluationExecutor` consumes a fixed *shard plan* — a list
 of ``(start_id, count)`` descriptors covering the test-id range — and
 streams back ``(shard, results)`` batches as shards complete, in
-whatever order the backend finishes them.  Everything a worker needs
-to build its own generator/evaluator pair travels as an
-:class:`EvaluationTask` of plain registry names and integers, so the
-same task crosses process boundaries, threads, and machines unchanged.
+whatever order the backend finishes them.  An in-process backend runs
+every shard on one :class:`ShardEvaluator` built in the process that
+starts the evaluation (forked workers inherit it); an external backend
+(the work queue) ships an :class:`EvaluationTask` of plain registry
+names and integers, from which its workers rebuild the stack on other
+processes or machines.
 
 Determinism contract: test cases are generated *per test id* (the
 generator derives a child RNG from ``(seed, test_id)``), so a shard's
@@ -48,10 +50,11 @@ def plan_shards(count: int, shard_size: int) -> List[Shard]:
 
 @dataclass(frozen=True)
 class EvaluationTask:
-    """Everything a worker needs to rebuild its evaluation stack.
+    """The identity of an evaluation, and everything an external
+    worker needs to rebuild its stack.
 
-    Plugins travel by registry name (instances cannot cross a process
-    boundary cheaply); ``template_name`` supersedes ``max_distance``.
+    Plugins travel by registry name (instances cannot cross a machine
+    boundary); ``template_name`` supersedes ``max_distance``.
     The generation strategy travels as its ``GENERATOR_REGISTRY`` name
     plus a JSON snapshot of its feedback state (``None`` for the
     stateless fresh strategy), so adaptive rounds can fan out through
@@ -96,14 +99,17 @@ class ShardProgress:
 
 
 class ShardEvaluator:
-    """The per-worker evaluation stack: generator + evaluator.
+    """The evaluation stack: generator + evaluator.
 
-    Built once per worker (process, thread, or the caller itself) and
-    reused for every shard; rebuilding the multi-hundred-atom template
-    per shard would dominate the run.  Workers build it by name with
-    :meth:`from_task`; an in-process run hands its resolved plugins to
+    Built once per evaluation and reused for every shard; rebuilding
+    the multi-hundred-atom template per shard would dominate the run.
+    An in-process run builds it from its resolved plugins with
     :meth:`from_plugins`, so instance-configured cores, templates,
-    attackers and generators evaluate through the same shard loop.
+    attackers and generators evaluate through the same shard loop, and
+    forked pool workers inherit it.  :meth:`from_task` rebuilds it from
+    registry names only where no caller stack exists: in a work-queue
+    worker, for an in-process backend run by name alone (once, before
+    any fork), and on a downgrade from the work queue to serial.
     """
 
     def __init__(self, generator, evaluator):
@@ -176,20 +182,29 @@ class EvaluationExecutor(ABC):
 
     ``run`` yields ``(shard, results)`` batches as shards complete;
     the order is backend-defined (callers sort by test id at the end).
-    Executors are cheap, stateless objects — all evaluation state lives
-    in per-worker :class:`ShardEvaluator` instances.
+    Executors are cheap objects — all evaluation state lives in the
+    :class:`ShardEvaluator` an in-process backend runs on.
     """
 
     #: Registry name of the backend (``"serial"``, ``"multiprocess"``...).
     name = "abstract"
-    #: True for backends that depend on infrastructure outside this
-    #: process (a broker, workers) — the equivalence suites and smoke
-    #: loops skip these; they pin byte-identity in their own harnesses.
+    #: True for backends whose workers run outside this process (a
+    #: broker, workers) and rebuild their stack from the task's names:
+    #: they need name-configured plugins, and the equivalence suites and
+    #: smoke loops skip them (they pin byte-identity in their own
+    #: harnesses).  Every other backend runs on :attr:`worker`.
     external = False
 
-    def __init__(self, processes: Optional[int] = None):
+    def __init__(
+        self,
+        processes: Optional[int] = None,
+        worker: Optional[ShardEvaluator] = None,
+    ):
         #: Worker count; ``None`` picks a backend-specific default.
         self.processes = processes
+        #: The stack an in-process backend evaluates every shard on
+        #: (:func:`bind_executor` sets it on a copy).
+        self.worker = worker
 
     @abstractmethod
     def run(

@@ -1,25 +1,25 @@
 """The built-in in-process evaluation executors.
 
-Two backends behind one interface:
+Two backends behind one interface, both on the :class:`ShardEvaluator`
+bound to them (see :func:`~repro.evaluation.backends.bind_executor`):
 
 ``serial``
-    One :class:`ShardEvaluator` in the calling process, shards in plan
-    order.  The reference backend — everything else must match it —
-    and the degenerate target the pool falls back to for one worker or
-    one shard, so there is exactly one shard loop to get right.
+    The bound stack in the calling process, shards in plan order.  The
+    reference backend — everything else must match it — and the
+    degenerate target the pool falls back to for one worker or one
+    shard, so there is exactly one shard loop to get right.
 
 ``multiprocess``
     A forked ``concurrent.futures.ProcessPoolExecutor`` submitting one
     future per shard (the paper's up-to-128-thread fan-out), sized by
-    the CPUs this process may run on.  Workers are initialized once:
-    from the task's registry names, or — for a run without an
-    executor, which hands over the stack it built in setup — by
-    inheriting that stack through ``fork``, so instance-configured
-    plugins fan out too and nothing is rebuilt.  Shards are yielded in
-    plan order, each as soon as it and every shard before it have
-    completed.  The sweep optionally enforces a per-shard soft
-    deadline, which is how :class:`~repro.resilience.ResilientExecutor`
-    abandons a hung worker.
+    the CPUs this process may run on.  Workers inherit the bound stack
+    through ``fork``, so instance-configured plugins fan out too and
+    nothing is rebuilt; their simulation and extraction timers fold
+    back into it.  Shards are yielded in plan order, each as soon as it
+    and every shard before it have completed.  The sweep optionally
+    enforces a per-shard soft deadline, which is how
+    :class:`~repro.resilience.ResilientExecutor` abandons a hung
+    worker.
 
 The cores are pure Python (GIL-bound), so a thread pool is slower than
 ``serial`` and no backend offers one.
@@ -52,10 +52,10 @@ from repro.trace.tracer import current_tracer
 _worker_state: dict = {}
 
 
-def _initialize_process(task: EvaluationTask, worker: Optional[ShardEvaluator]) -> None:
+def _initialize_process(worker: ShardEvaluator) -> None:
     # Under ``fork`` the initializer's arguments are inherited, never
-    # pickled: a parent's prebuilt stack reaches the child as it is.
-    _worker_state["worker"] = worker or ShardEvaluator.from_task(task)
+    # pickled: the parent's stack reaches the child as it is.
+    _worker_state["worker"] = worker
 
 
 def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> ShardResults:
@@ -125,49 +125,26 @@ def default_processes(requested: Optional[int]) -> int:
 
 
 class SerialExecutor(EvaluationExecutor):
-    """In-process evaluation, shards in plan order (the reference).
-
-    ``worker`` is a prebuilt :class:`ShardEvaluator`, which may hold
-    plugin instances no registry name rebuilds; without one, each
-    :meth:`run` builds its stack from the task.
-    """
+    """In-process evaluation on :attr:`worker`, shards in plan order
+    (the reference)."""
 
     name = "serial"
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        worker: Optional[ShardEvaluator] = None,
-    ):
-        super().__init__(processes)
-        self.worker = worker
 
     def run(
         self, task: EvaluationTask, shards: Sequence[Shard]
     ) -> Iterator[ShardResults]:
-        worker = self.worker or ShardEvaluator.from_task(task)
         for shard in shards:
-            yield _evaluate_shard(worker, shard)
+            yield _evaluate_shard(self.worker, shard)
 
 
 class MultiprocessExecutor(EvaluationExecutor):
     """Forked process pool, one future per shard, yielded in plan order.
 
-    ``worker`` is a prebuilt :class:`ShardEvaluator` the pool's
-    children inherit through ``fork`` instead of rebuilding their stack
-    from the task; its timers then also cover the shards the children
-    evaluated.
+    The children inherit :attr:`worker` through ``fork``; its timers
+    also cover the shards the children evaluated.
     """
 
     name = "multiprocess"
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        worker: Optional[ShardEvaluator] = None,
-    ):
-        super().__init__(processes)
-        self.worker = worker
 
     def run(
         self,
@@ -194,7 +171,7 @@ class MultiprocessExecutor(EvaluationExecutor):
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_initialize_process,
-            initargs=(task, self.worker),
+            initargs=(self.worker,),
         )
         waiting = {pool.submit(_evaluate_in_process, shard): shard for shard in shards}
         started: dict = {}
@@ -255,7 +232,6 @@ class MultiprocessExecutor(EvaluationExecutor):
                 error.original.__cause__ = error.__cause__
                 error.__cause__ = error.original
             raise
-        if self.worker is not None:
-            self.worker.evaluator.simulation_seconds += simulation
-            self.worker.evaluator.extraction_seconds += extraction
+        self.worker.evaluator.simulation_seconds += simulation
+        self.worker.evaluator.extraction_seconds += extraction
         return evaluated

@@ -86,17 +86,11 @@ class TestCaseEvaluator:
         )
         self.simulation_seconds = 0.0
         self.extraction_seconds = 0.0
-        self.simulated_test_cases = 0
 
     @property
     def use_fastpath(self) -> bool:
         """Whether extraction runs through the compiled engine."""
         return self._compiled is not None
-
-    def reset_timers(self) -> None:
-        self.simulation_seconds = 0.0
-        self.extraction_seconds = 0.0
-        self.simulated_test_cases = 0
 
     # ------------------------------------------------------------------
     # Primary surface: batches
@@ -137,7 +131,6 @@ class TestCaseEvaluator:
 
         self.simulation_seconds += after_simulation - start
         self.extraction_seconds += after_extraction - after_simulation
-        self.simulated_test_cases += count
         return [
             TestCaseResult(
                 test_id=case.test_id,
@@ -171,7 +164,6 @@ class TestCaseEvaluator:
 
         self.simulation_seconds += after_simulation - start
         self.extraction_seconds += after_extraction - after_simulation
-        self.simulated_test_cases += 1
         return TestCaseResult(
             test_id=test_case.test_id,
             attacker_distinguishable=attacker_distinguishable,

@@ -5,16 +5,15 @@ evaluate step.  The pipeline's default run, every adaptive round,
 every executor run and directed verification go through it: the shard
 plan is computed once, and every backend consumes the *same* plan
 through the *same* per-worker shard loop, with its fault seam, error
-attribution and ``shard`` spans.  A pipeline run without an executor,
-and directed verification, pass a
-:class:`~repro.evaluation.backends.MultiprocessExecutor` over the
-stack they built, which its forked workers inherit; an
-adaptive round passes a
-:class:`~repro.evaluation.backends.SerialExecutor` over its live
-stack.  The paper's up-to-128-thread fan-out is the ``multiprocess``
-(or ``workqueue``) backend.  Completed shards can be
-checkpointed to a :class:`~repro.evaluation.backends.ShardManifest` so
-interrupted or budget-extended runs resume instead of restarting.
+attribution and ``shard`` spans.  Every in-process backend runs on one
+stack, which forked pool workers inherit: the pipeline, an adaptive
+round and directed verification bind the stack they built, and a
+backend run by name alone gets one built here from the task, once,
+before any fork.  Only ``workqueue`` workers rebuild the stack from the
+task.  The paper's up-to-128-thread fan-out is the ``multiprocess`` (or
+``workqueue``) backend.  Completed shards can be checkpointed to a
+:class:`~repro.evaluation.backends.ShardManifest` so interrupted or
+budget-extended runs resume instead of restarting.
 
 Determinism: the combined dataset equals the sequential
 ``TestCaseEvaluator.evaluate_many`` output for the same seed, because
@@ -26,16 +25,16 @@ executor-equivalence test suite pins down.
 
 from __future__ import annotations
 
-import copy
 import time
 from typing import Callable, Optional, Union
 
 from repro.evaluation.backends import (
-    EXECUTOR_REGISTRY,
     EvaluationExecutor,
     EvaluationTask,
+    ShardEvaluator,
     ShardManifest,
     ShardProgress,
+    bind_executor,
     plan_shards,
 )
 from repro.evaluation.results import EvaluationDataset
@@ -77,10 +76,11 @@ def evaluate_parallel(
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
     ``"multiprocess"``, ``"workqueue"``) or a ready-made
-    :class:`EvaluationExecutor` (a ``SerialExecutor(worker=...)`` or
-    ``MultiprocessExecutor(worker=...)`` runs on a prebuilt stack, the
-    pool's workers inheriting it by fork, instead of rebuilding one
-    from the names); ``processes`` sizes the backend's worker pool.
+    :class:`EvaluationExecutor`, run as a
+    :func:`~repro.evaluation.backends.bind_executor` copy; ``processes``
+    sizes the backend's worker pool.  An in-process backend runs on its
+    bound stack (``SerialExecutor(worker=...)``), or without one on a
+    stack built here from the names, once, before any fork.
 
     ``manifest_path`` enables shard checkpointing: completed shards are
     appended there as JSONL, shards already stored for the same task
@@ -91,13 +91,14 @@ def evaluate_parallel(
     resumed shards first, then evaluated shards as the backend yields
     them (in plan order for the in-process backends).
 
-    ``template_name`` and ``attacker_name`` are registry names resolved
-    inside each worker (instances cannot cross the fork cheaply);
-    ``template_name`` supersedes ``max_distance``, so passing both is
-    an error.
+    ``template_name`` and ``attacker_name`` are registry names: they
+    key the manifest and name the dataset header, and a stack built
+    from the task resolves them; ``template_name`` supersedes
+    ``max_distance``, so passing both is an error.
 
-    ``generator_name`` picks the ``GENERATOR_REGISTRY`` strategy each
-    worker rebuilds, ``generator_state`` its JSON feedback snapshot;
+    ``generator_name`` picks the ``GENERATOR_REGISTRY`` strategy a
+    stack built from the task runs, ``generator_state`` its JSON
+    feedback snapshot;
     ``start_id`` offsets the evaluated test-id range to ``[start_id,
     start_id + count)`` — the adaptive loop evaluates round ``r`` as
     one such window.
@@ -145,26 +146,6 @@ def evaluate_parallel(
         generator_name=generator_name,
         generator_state=generator_state,
     )
-    if isinstance(executor, str):
-        executor = EXECUTOR_REGISTRY.create(executor, processes=processes)
-    elif processes is not None and executor.processes is None:
-        # Never mutate a caller-supplied instance: size a shallow copy
-        # (an instance's own explicit worker count always wins).
-        executor = copy.copy(executor)
-        executor.processes = processes
-    policy = effective_policy(retry, shard_timeout)
-    if policy is not None:
-        # Imported here: the resilient wrapper itself builds on the
-        # backend modules this package initializes.
-        from repro.resilience.executor import ResilientExecutor
-
-        executor = ResilientExecutor(
-            executor,
-            policy=policy,
-            shard_timeout=shard_timeout,
-            sink=FailureSink(tracer, on_failure, failure_log_path, task.identity()),
-        )
-
     shards = plan_shards(count, shard_size)
     if start_id:
         shards = [(start_id + shard_start, size) for shard_start, size in shards]
@@ -177,6 +158,24 @@ def evaluate_parallel(
     )
     stored = manifest.stored(shards) if manifest is not None else {}
     pending = [shard for shard in shards if shard not in stored]
+
+    executor = bind_executor(executor, processes)
+    if pending and not executor.external and executor.worker is None:
+        # Run by name alone: the one stack, built before any fork (a
+        # fully-resumed run never builds one).
+        executor.worker = ShardEvaluator.from_task(task)
+    policy = effective_policy(retry, shard_timeout)
+    if policy is not None:
+        # Imported here: the resilient wrapper itself builds on the
+        # backend modules this package initializes.
+        from repro.resilience.executor import ResilientExecutor
+
+        executor = ResilientExecutor(
+            executor,
+            policy=policy,
+            shard_timeout=shard_timeout,
+            sink=FailureSink(tracer, on_failure, failure_log_path, task.identity()),
+        )
 
     completed_shards = 0
     completed_cases = 0
@@ -205,7 +204,7 @@ def evaluate_parallel(
             if tracer is not None and tracer.active:
                 tracer.event("shard-resumed", start_id=shard[0], count=shard[1])
             emit(shard, resumed=True)
-    if pending:  # a fully-resumed run never builds a worker stack
+    if pending:
         for shard, batch in executor.run(task, pending):
             if manifest is not None:
                 manifest.append(shard, batch)

@@ -400,13 +400,11 @@ def _run_pipeline(arguments) -> int:
         pipeline.retry(arguments.retries + 1)
     if arguments.shard_timeout is not None:
         pipeline.timeout(arguments.shard_timeout)
-    pool = (arguments.executor, arguments.processes, arguments.shard_size)
-    if any(value is not None for value in pool):
-        pipeline.executor(
-            _effective_cli_executor(arguments) or "multiprocess",
-            processes=arguments.processes,
-            shard_size=arguments.shard_size,
-        )
+    pipeline.executor(
+        _effective_cli_executor(arguments),
+        processes=arguments.processes,
+        shard_size=arguments.shard_size,
+    )
     if arguments.resume is not None:
         pipeline.resume(arguments.resume)
     if arguments.trace:

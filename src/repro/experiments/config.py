@@ -46,8 +46,8 @@ class ExperimentConfig:
     #: ``--solver``, and ``--executor`` flags override them.
     attacker: str = "retirement-timing"
     solver: str = "scipy-milp"
-    #: Evaluation executor backend; ``None`` keeps the in-process
-    #: evaluator (the sequential reference path).
+    #: Evaluation executor backend; ``None`` keeps the pipeline's
+    #: default ``multiprocess`` pool over the stack built in setup.
     executor: Optional[str] = None
 
     def __post_init__(self) -> None:

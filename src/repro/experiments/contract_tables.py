@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.contracts.template import Contract
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import experiment_pipeline, shared_template
+from repro.experiments.runner import experiment_pipeline
 from repro.reporting.tables import (
     Grid,
     PAPER_TABLE_1,
@@ -98,7 +98,6 @@ def _run_contract_table(
     reference: Grid,
     output_stem: str,
 ) -> ContractTableResult:
-    template = shared_template()
     spec = contract_table_campaign(config, core_name, synthesis_count)
     campaign = CampaignRunner(
         spec,
@@ -112,7 +111,7 @@ def _run_contract_table(
     pipeline_result = campaign.result_for(campaign.cells[0])
     synthesis_set = pipeline_result.dataset
     evaluation_set = experiment_pipeline(
-        config, core_name, template,
+        config, core_name, "riscv-rv32im",
         config.evaluation_test_cases, config.evaluation_seed,
     ).evaluate()
 

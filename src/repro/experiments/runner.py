@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from repro.attacker.base import Attacker
-from repro.contracts.riscv_template import TEMPLATE_REGISTRY, build_riscv_template
+from repro.contracts.riscv_template import build_riscv_template
 from repro.contracts.template import ContractTemplate
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.results import EvaluationDataset
@@ -40,8 +40,10 @@ def experiment_pipeline(
 ) -> SynthesisPipeline:
     """A pipeline configured the way the experiment drivers share it:
     attacker/solver/executor from the :class:`ExperimentConfig`,
-    dataset cache under the results directory."""
-    pipeline = (
+    dataset cache under the results directory.  A template instance
+    evaluates under every in-process executor; the ``workqueue``
+    backend needs it by registry name."""
+    return (
         SynthesisPipeline()
         .core(core_name)
         .attacker(config.attacker)
@@ -49,29 +51,8 @@ def experiment_pipeline(
         .template(template)
         .budget(count, seed)
         .cache_dir(config.cache_dir())
+        .executor(config.executor)
     )
-    if config.executor is not None:
-        # Executor workers rebuild plugins by registry name.  Drivers
-        # share one template *instance*; when it is equal to what its
-        # registered name rebuilds, ship the name — otherwise (a
-        # bespoke instance, even one reusing a registered name) only
-        # the default run, whose workers inherit the instance itself,
-        # is sound.
-        if isinstance(template, str):
-            pipeline.executor(config.executor)
-        elif _matches_registered_template(template):
-            pipeline.template(template.name).executor(config.executor)
-    return pipeline
-
-
-def _matches_registered_template(template: ContractTemplate) -> bool:
-    """Whether a worker rebuilding ``template.name`` from the registry
-    gets the same atoms — the name alone proves nothing (e.g.
-    ``build_riscv_template(max_distance=8)`` keeps the default name)."""
-    if template.name not in TEMPLATE_REGISTRY:
-        return False
-    registered = TEMPLATE_REGISTRY.create(template.name)
-    return [atom.name for atom in template] == [atom.name for atom in registered]
 
 
 def evaluate_dataset(

@@ -78,7 +78,7 @@ _NAMED_AXES = {
     "store": _EXECUTOR_AXES + ("solver", "restriction", "stop"),
 }
 _NAMED_REASONS = {
-    "executor": "executor backends rebuild plugins inside each worker",
+    "executor": "the workqueue backend's workers rebuild plugins",
     "store": "store() keys contracts",
 }
 

@@ -22,9 +22,9 @@ from repro.attacker.base import Attacker
 from repro.contracts.template import Contract, ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
-    MultiprocessExecutor,
     ShardEvaluator,
     ShardProgress,
+    bind_executor,
 )
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
@@ -89,9 +89,9 @@ class SynthesisPipeline:
         #: The run-defining axes; every key derives from it.
         self.config = config if config is not None else PipelineConfig()
         self._cache_dir: Optional[str] = None
-        #: ``None`` → the pool over the stack built in setup, inherited
-        #: by its forked workers; a registry name or executor instance →
-        #: fan evaluation out in shards through that backend.
+        #: ``None`` → the ``multiprocess`` backend; a registry name or
+        #: executor instance → that backend.  In-process backends run on
+        #: the stack built in setup (see :meth:`_prepare_evaluate`).
         self._executor: Optional[ExecutorLike] = None
         self._processes: Optional[int] = None
         self._shard_size: int = 250
@@ -202,17 +202,19 @@ class SynthesisPipeline:
         processes: Optional[int] = None,
         shard_size: Optional[int] = None,
     ) -> "SynthesisPipeline":
-        """Run the evaluation phase through a sharded executor backend.
+        """Pick the backend the evaluation phase's shards run on.
 
         ``executor`` is an ``EXECUTOR_REGISTRY`` name (``"serial"``,
         ``"multiprocess"``, ``"workqueue"``) or an
-        :class:`EvaluationExecutor` instance; ``None`` restores the
-        default, the ``multiprocess`` backend over the plugins resolved
-        in setup (instances included), inherited by its forked workers.
-        ``processes`` sizes the worker pool (default: the usable CPUs,
-        at most 8), and in an adaptive run how many rounds are in
-        flight on the loop's solve pool; ``shard_size`` is the
-        per-shard test-case count (default 250).
+        :class:`EvaluationExecutor` instance, never mutated; ``None``
+        restores the default, ``multiprocess``.  Every in-process
+        backend runs on the plugins resolved in setup (instances
+        included), which forked workers inherit; only the ``workqueue``
+        backend's workers rebuild them, so it needs every plugin
+        configured by registry name.  ``processes`` sizes the worker
+        pool (default: the usable CPUs, at most 8), and in an adaptive
+        run how many rounds are in flight on the loop's solve pool;
+        ``shard_size`` is the per-shard test-case count (default 250).
         """
         self._executor = executor
         if processes is not None:
@@ -227,10 +229,8 @@ class SynthesisPipeline:
 
         ``True`` derives the manifest path from the run key (requires
         :meth:`cache_dir`); a string names the JSONL manifest file
-        explicitly; ``False`` disables checkpointing.  Only the
-        executor path shards its work, so ``resume`` implies
-        :meth:`executor` (defaulting to ``"multiprocess"`` if none was
-        chosen).
+        explicitly; ``False`` disables checkpointing.  Works with any
+        executor, the default included.
         """
         self._resume = manifest if manifest is not False else None
         return self
@@ -252,8 +252,7 @@ class SynthesisPipeline:
         ``PipelineResult.failures`` — and the run continues without
         its results.  Retry settings never enter cache or manifest keys:
         a run that survives faults is byte-identical to a clean one.
-        One-shot runs retry shards on the executor path, so ``retry``
-        implies :meth:`executor` like :meth:`resume` does.
+        One-shot runs retry shards, whatever the executor.
         """
         if policy is None or isinstance(policy, RetryPolicy):
             self._retry = policy
@@ -386,49 +385,39 @@ class SynthesisPipeline:
 
     # -- execution -----------------------------------------------------
 
-    def _effective_executor(self) -> Optional[ExecutorLike]:
-        """The executor to use, with ``resume`` (and shard-granularity
-        ``retry``/``timeout``) implying one."""
-        if self._executor is None and (
-            self._resume is not None
-            or effective_policy(self._retry, self._shard_timeout) is not None
-        ):
-            return "multiprocess"
-        return self._executor
-
     def _prepare_evaluate(
         self, core: Optional[Core] = None, attacker: Optional[Attacker] = None
-    ) -> Tuple[Optional[ExecutorLike], Optional[ShardEvaluator]]:
-        """Set up the one-shot evaluate phase: ``(executor, local)``.
+    ) -> Optional[EvaluationExecutor]:
+        """Set up the one-shot evaluate phase: ``None`` on a cache hit,
+        else a copy of the configured backend to run.
 
-        ``executor`` is ``None`` on a cache hit.  A run without a
-        configured executor builds its generator and evaluator here
-        (template fast-path compilation included, like the paper's
-        testbench compilation) and hands that ``local`` stack to the
-        ``multiprocess`` backend: its forked workers inherit the stack,
-        and one usable CPU or one pending shard runs the serial shard
-        loop on it in this process.  A configured executor's workers
-        build their own."""
+        Unless an in-process backend instance brought its own stack,
+        this builds the generator and evaluator (template fast-path
+        compilation included, like the paper's testbench compilation)
+        and binds that stack to the copy: forked workers inherit it, and
+        the serial shard loop runs on it in this process.  An external
+        backend (the work queue) gets no stack: its workers rebuild
+        theirs from registry names."""
         cache_path = self.cache_path()
         if cache_path is not None and os.path.exists(cache_path):
-            return None, None
-        executor = self._effective_executor()
-        if executor is not None:
-            return executor, None
-        template = self.resolve_template()
-        local = ShardEvaluator.from_plugins(
-            core or self.resolve_core(),
-            template,
-            self.resolve_generator(template),
-            attacker=attacker or self.resolve_attacker(),
-            use_fastpath=self.config.fastpath,
-        )
-        return MultiprocessExecutor(worker=local), local
+            return None
+        executor = bind_executor(self._executor or "multiprocess", self._processes)
+        if executor.external:
+            self.config.require_names("executor")
+        elif executor.worker is None:
+            template = self.resolve_template()
+            executor.worker = ShardEvaluator.from_plugins(
+                core or self.resolve_core(),
+                template,
+                self.resolve_generator(template),
+                attacker=attacker or self.resolve_attacker(),
+                use_fastpath=self.config.fastpath,
+            )
+        return executor
 
     def _evaluate(
         self,
-        executor: Optional[ExecutorLike],
-        local: Optional[ShardEvaluator],
+        executor: Optional[EvaluationExecutor],
         stats: dict,
         failures: List[FailureRecord],
         tracer: Optional[Tracer],
@@ -438,10 +427,11 @@ class SynthesisPipeline:
         per-shard progress).
 
         ``stats`` receives the fields of the evaluate phase span: the
-        local evaluator's sim/extract seconds, or the executor
-        accounting.  Owns the dataset cache write: a dataset missing
-        quarantined shards must never be cached under the full-budget
-        key, or the hole would silently persist across clean re-runs."""
+        stack's sim/extract seconds (pool workers' included), the shard
+        accounting, and the configured executor's name.  Owns the
+        dataset cache write: a dataset missing quarantined shards must
+        never be cached under the full-budget key, or the hole would
+        silently persist across clean re-runs."""
         cache_path = self.cache_path()
         if cache_path is not None:
             current_metrics().counter(
@@ -450,8 +440,6 @@ class SynthesisPipeline:
         if executor is None:
             stats["cache_hit"] = True
             return EvaluationDataset.load(cache_path)
-        if local is None:
-            self.config.require_names("executor")
         counters = {"total": 0, "resumed": 0}
 
         def on_shard(event: ShardProgress) -> None:
@@ -464,7 +452,6 @@ class SynthesisPipeline:
         collected: List[FailureRecord] = []
         dataset = evaluate_parallel(
             count=self.config.budget,
-            processes=self._processes,
             shard_size=self._shard_size,
             executor=executor,
             manifest_path=self.manifest_path(),
@@ -477,20 +464,20 @@ class SynthesisPipeline:
             **self.config.stream_key(),
         )
         quarantined = sum(1 for record in collected if record.kind == "shard")
-        if local is not None:
+        downgrades = [r.unit.get("to") for r in collected if r.kind == "downgrade"]
+        if executor.worker is not None:
             stats.update(
-                simulation_seconds=local.evaluator.simulation_seconds,
-                extraction_seconds=local.evaluator.extraction_seconds,
+                simulation_seconds=executor.worker.evaluator.simulation_seconds,
+                extraction_seconds=executor.worker.evaluator.extraction_seconds,
             )
-        else:
-            downgrades = [r.unit.get("to") for r in collected if r.kind == "downgrade"]
-            stats.update(
-                executor=plugin_name(executor),
-                shards_total=counters["total"],
-                shards_resumed=counters["resumed"],
-                shards_quarantined=quarantined,
-                executor_downgraded=downgrades[0] if downgrades else None,
-            )
+        if self._executor is not None:
+            stats["executor"] = plugin_name(self._executor)
+        stats.update(
+            shards_total=counters["total"],
+            shards_resumed=counters["resumed"],
+            shards_quarantined=quarantined,
+            executor_downgraded=downgrades[0] if downgrades else None,
+        )
         failures.extend(collected)
         if cache_path is not None and not quarantined:
             dataset.save(cache_path)
@@ -502,11 +489,12 @@ class SynthesisPipeline:
         """Generate and evaluate the configured corpus.  Returns
         ``(dataset, evaluator)``; the evaluator carries the phase timers
         of every shard, pool workers' included, and is ``None`` after a
-        cache hit or a configured executor's run (whose workers keep
-        their own timers)."""
-        executor, local = self._prepare_evaluate()
-        dataset = self._evaluate(executor, local, {}, [], None)
-        return dataset, local.evaluator if local is not None else None
+        cache hit or a work-queue run (whose workers keep their own
+        timers)."""
+        executor = self._prepare_evaluate()
+        dataset = self._evaluate(executor, {}, [], None)
+        worker = executor.worker if executor is not None else None
+        return dataset, worker.evaluator if worker is not None else None
 
     def evaluate(self) -> EvaluationDataset:
         """Generate and evaluate the configured corpus (cache-aware)."""
@@ -599,12 +587,12 @@ class SynthesisPipeline:
             template = self.resolve_template()
             attacker = self.resolve_attacker()
             solver = self.resolve_solver()
-            executor, local = self._prepare_evaluate(core, attacker)
+            executor = self._prepare_evaluate(core, attacker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
         with evaluate_span:
             stats: dict = {}
-            dataset = self._evaluate(executor, local, stats, failures, tracer)
+            dataset = self._evaluate(executor, stats, failures, tracer)
             evaluate_span.add(**stats)
 
         with tracer.span("phase", phase="synthesize"):

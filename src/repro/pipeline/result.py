@@ -44,10 +44,10 @@ class PhaseTimings:
     #: Whether the dataset came from the cache (timers then exclude
     #: simulation/extraction).
     cache_hit: bool = False
-    #: Executor backend that ran the evaluation phase (``None`` for a
-    #: default run on the stack built in setup), with its per-shard
-    #: accounting: how many shards the plan had and how many were
-    #: resumed from a checkpoint manifest instead of re-evaluated.
+    #: Executor backend the run configured (``None`` for a default
+    #: run), and the per-shard accounting of every evaluation: how many
+    #: shards the plan had and how many were resumed from a checkpoint
+    #: manifest instead of re-evaluated.
     executor_name: Optional[str] = None
     shards_total: int = 0
     shards_resumed: int = 0
@@ -108,23 +108,22 @@ class PhaseTimings:
     def render(self) -> str:
         if self.cache_hit:
             evaluate_detail = " (cached)"
-        elif self.executor_name is not None:
-            evaluate_detail = " (executor %s, %d shards, %d resumed%s%s)" % (
-                self.executor_name,
-                self.shards_total,
-                self.shards_resumed,
-                ", %d quarantined" % self.shards_quarantined
-                if self.shards_quarantined
-                else "",
-                ", downgraded to %s" % self.executor_downgraded
-                if self.executor_downgraded
-                else "",
-            )
         else:
-            evaluate_detail = " (sim %.3fs, extract %.3fs)" % (
-                self.simulation_seconds,
-                self.extraction_seconds,
-            )
+            details = [
+                "sim %.3fs" % self.simulation_seconds,
+                "extract %.3fs" % self.extraction_seconds,
+            ]
+            if self.executor_name is not None:
+                details.append("executor %s" % self.executor_name)
+            if self.executor_name is not None or self.shards_resumed:
+                details.append(
+                    "%d shards, %d resumed" % (self.shards_total, self.shards_resumed)
+                )
+            if self.shards_quarantined:
+                details.append("%d quarantined" % self.shards_quarantined)
+            if self.executor_downgraded:
+                details.append("downgraded to %s" % self.executor_downgraded)
+            evaluate_detail = " (%s)" % ", ".join(details)
         parts = [
             "setup %.3fs" % self.setup_seconds,
             "evaluate %.3fs%s" % (self.evaluation_seconds, evaluate_detail),

@@ -16,7 +16,9 @@ adds the fault semantics the inner backends deliberately do not have:
   ``"shard"``) and the run continues without its results;
 - **downgrade** — repeated pool-level breakage (no shard attribution)
   swaps the inner backend for the serial reference executor and logs
-  the downgrade instead of crashing the run.
+  the downgrade instead of crashing the run.  The serial executor runs
+  on the inner backend's stack; only a work-queue backend, which has
+  none, leaves it to be rebuilt from the task's names.
 
 The policy is explicit (callers resolve it with
 :func:`~repro.resilience.retry.effective_policy`), and every record
@@ -37,6 +39,7 @@ from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
     Shard,
+    ShardEvaluator,
     ShardResults,
 )
 from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
@@ -136,7 +139,9 @@ class ResilientExecutor(EvaluationExecutor):
                         ),
                         durable=True,
                     )
-                    inner = SerialExecutor()
+                    inner = SerialExecutor(
+                        worker=inner.worker or ShardEvaluator.from_task(task)
+                    )
                 elif (
                     pool_failures >= _POOL_FAILURE_THRESHOLD + self.policy.max_attempts
                 ):

@@ -191,6 +191,43 @@ class TestOneOrchestrationPath:
         assert _rows(instance.dataset) == _rows(named.dataset)
         assert instance.contract.atom_ids == named.contract.atom_ids
 
+    def test_instance_core_fans_out_on_the_live_stack(self, monkeypatch):
+        """A pooled round runs on the loop's own stack, which the
+        pool's workers inherit: rebuilding it from the task's names
+        would lose the instance-configured core."""
+        from dataclasses import replace
+
+        from repro.evaluation.backends import ShardEvaluator
+        from repro.uarch.ibex import IbexConfig, IbexCore
+
+        def run(core, **kwargs):
+            return AdaptiveLoop(
+                core=core,
+                template=TEMPLATE,
+                attacker=ATTACKER,
+                generator="coverage",
+                rounds=3,
+                batch=60,
+                stop="budget",
+                seed=SEED,
+                shard_size=30,
+                **kwargs,
+            ).run()
+
+        def refuse(task):
+            raise AssertionError("a round rebuilt its stack from the task")
+
+        serial = run(CORE)
+        monkeypatch.setattr(ShardEvaluator, "from_task", staticmethod(refuse))
+        pooled = run(
+            IbexCore(IbexConfig(dcache=True)), executor="multiprocess", processes=2
+        )
+        assert [replace(record, seconds=0.0) for record in pooled.records] == [
+            replace(record, seconds=0.0) for record in serial.records
+        ]
+        assert _rows(pooled.dataset) == _rows(serial.dataset)
+        assert pooled.contract.atom_ids == serial.contract.atom_ids
+
 
 class TestStoppingRules:
     def _state(self, contracts, covered=frozenset(), targetable=frozenset()):

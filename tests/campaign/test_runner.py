@@ -159,6 +159,28 @@ class TestGridExecution:
         )
         assert set(sizes) == expected
 
+    def test_concurrent_cells_size_the_default_pool(self, tmp_path, monkeypatch):
+        """Without an executor, each concurrent cell's default pool
+        gets its share of the usable CPUs and the runner's shard size."""
+        import repro.campaign.runner as runner_module
+
+        monkeypatch.setattr(runner_module, "usable_cpus", lambda: 4)
+        sizes = []
+        original = pipeline_module.evaluate_parallel
+
+        def recording(**kwargs):
+            sizes.append((kwargs["executor"].processes, kwargs["shard_size"]))
+            return original(**kwargs)
+
+        monkeypatch.setattr(pipeline_module, "evaluate_parallel", recording)
+        run_campaign(
+            _spec(cores=("ibex", "ibex-dcache")),
+            results_dir=str(tmp_path),
+            max_parallel_cells=2,
+            shard_size=10,
+        )
+        assert sizes == [(2, 10), (2, 10)]
+
     def test_filters_restrict_the_plan(self, tmp_path):
         runner = CampaignRunner(
             _spec(cores=("ibex", "ibex-dcache"), budgets=(10, 20)),

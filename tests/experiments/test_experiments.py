@@ -51,29 +51,34 @@ class TestRunner:
         assert len(dataset) == 10
         assert evaluator is not None
 
-    def test_executor_config_ships_only_the_registered_template(self, tmp_path):
+    def test_executor_config_keeps_a_bespoke_template(self, tmp_path):
         """Regression: a bespoke template instance that *reuses* a
         registered name (build_riscv_template(max_distance=8) keeps
-        'riscv-rv32im') must not be silently swapped for the registry
-        default in executor workers — only an instance equal to the
-        registered one may travel by name."""
+        'riscv-rv32im') must not be swapped for the registry default.
+        In-process executors run on the instance itself; the work
+        queue, whose workers rebuild plugins by name, refuses it."""
         from repro.contracts.riscv_template import build_riscv_template
         from repro.experiments.runner import experiment_pipeline
 
-        config = ExperimentConfig(
-            results_dir=str(tmp_path), executor="serial"
+        bespoke = build_riscv_template(max_distance=8)
+        default = experiment_pipeline(
+            ExperimentConfig(results_dir=str(tmp_path / "default")),
+            "ibex", bespoke, 30, 1,
         )
-        shipped = experiment_pipeline(
-            config, "ibex", shared_template(), 10, 1
+        serial = experiment_pipeline(
+            ExperimentConfig(results_dir=str(tmp_path / "serial"), executor="serial"),
+            "ibex", bespoke, 30, 1,
         )
-        assert shipped._executor == "serial"
-        assert shipped.config.template == "riscv-rv32im"
+        assert serial._executor == "serial"
+        assert serial.config.template is bespoke
+        assert serial.evaluate().to_json() == default.evaluate().to_json()
 
-        bespoke = experiment_pipeline(
-            config, "ibex", build_riscv_template(max_distance=8), 10, 1
+        queued = experiment_pipeline(
+            ExperimentConfig(results_dir=str(tmp_path / "queue"), executor="workqueue"),
+            "ibex", bespoke, 30, 1,
         )
-        assert bespoke._executor is None  # stays on the in-process path
-        assert not isinstance(bespoke.config.template, str)
+        with pytest.raises(ValueError, match="registry name"):
+            queued.evaluate()
 
     def test_cache_distinguishes_attackers(self, tmp_path):
         """Regression: the cache key must include the attacker, so a

@@ -348,18 +348,26 @@ class TestExecutorBackends:
         assert second.timings.shards_resumed == second.timings.shards_total == 3
         assert second.dataset.to_json() == first.dataset.to_json()
 
-    def test_resume_implies_an_executor(self, tmp_path):
+    def test_resume_keeps_the_default_executor(self, tmp_path):
         pipeline = (
             SynthesisPipeline()
             .core("ibex")
             .budget(20, seed=1)
             .solver("greedy")
+            .executor(None, shard_size=10)
             .cache_dir(str(tmp_path))
             .resume()
         )
-        result = pipeline.run()
-        assert result.timings.executor_name == "multiprocess"
+        first = pipeline.run()
+        assert first.timings.executor_name is None
+        assert first.timings.simulation_seconds > 0
         assert os.path.exists(pipeline.manifest_path())
+
+        os.unlink(pipeline.cache_path())
+        second = pipeline.run()
+        assert second.timings.executor_name is None
+        assert second.timings.shards_resumed == second.timings.shards_total == 2
+        assert second.dataset.to_json() == first.dataset.to_json()
 
     def test_resume_without_cache_dir_requires_explicit_path(self, tmp_path):
         with pytest.raises(ValueError, match="resume"):
@@ -377,13 +385,13 @@ class TestExecutorBackends:
         assert result.atom_count > 0
         assert os.path.exists(explicit)
 
-    def test_executor_requires_name_configured_plugins(self):
-        with pytest.raises(ValueError, match="registry name"):
+    def test_workqueue_requires_name_configured_plugins(self):
+        with pytest.raises(ValueError, match="workqueue.*registry name"):
             (
                 SynthesisPipeline()
                 .core(IbexCore())
                 .budget(10)
-                .executor("serial")
+                .executor("workqueue")
                 .evaluate()
             )
 
@@ -501,9 +509,24 @@ class TestDefaultRunFansOut:
         assert timings.extraction_seconds > 0
         assert "sim " in timings.render()
 
-    def test_unregistered_instance_core_fans_out(self, monkeypatch):
-        """The children use the inherited stack: rebuilding it from
-        the task's names would fail on a core no registry knows."""
+    @pytest.mark.parametrize(
+        "configure, pooled",
+        [
+            (lambda pipeline, tmp_path: pipeline, True),
+            (lambda pipeline, tmp_path: pipeline.executor("serial"), False),
+            (lambda pipeline, tmp_path: pipeline.executor("multiprocess"), True),
+            (lambda pipeline, tmp_path: pipeline.resume(str(tmp_path / "m")), True),
+            (lambda pipeline, tmp_path: pipeline.retry(2), True),
+            (lambda pipeline, tmp_path: pipeline.timeout(30.0), True),
+        ],
+        ids=["default", "serial", "multiprocess", "resume", "retry", "timeout"],
+    )
+    def test_unregistered_instance_core_fans_out(
+        self, monkeypatch, tmp_path, configure, pooled
+    ):
+        """Every in-process backend runs on the stack built in setup,
+        which pool workers inherit: rebuilding it from the task's names
+        would fail on a core no registry knows."""
         from repro.evaluation.backends import ShardEvaluator
 
         class UnregisteredIbex(IbexCore):
@@ -524,14 +547,14 @@ class TestDefaultRunFansOut:
         _usable_cpus(monkeypatch, 2)
         pools = _count_pools(monkeypatch)
         monkeypatch.setattr(ShardEvaluator, "from_task", staticmethod(refuse))
-        instance = (
+        instance = configure(
             SynthesisPipeline()
             .core(UnregisteredIbex())
             .budget(BUDGET, seed=SEED)
-            .executor(None, shard_size=20)
-            .evaluate()
-        )
-        assert pools == [2]
+            .executor(None, shard_size=20),
+            tmp_path,
+        ).evaluate()
+        assert pools == ([2] if pooled else [])
         assert instance.core_name == "ibex-unregistered"
         assert [r.to_dict() for r in instance] == [r.to_dict() for r in named]
 

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.evaluation.backends import EvaluationTask
+from repro.evaluation.backends import EvaluationTask, ShardEvaluator
 from repro.evaluation.backends.executors import SerialExecutor
 from repro.resilience import (
     ShardExecutionError,
@@ -38,9 +38,10 @@ class TestShardExecutionError:
         ShardExecutionError naming ``(start_id, count)`` — the executor
         seam is what pins which test-id window died."""
         task = EvaluationTask(core_name="ibex", seed=3)
+        executor = SerialExecutor(worker=ShardEvaluator.from_task(task))
         with inject_fault("worker-error", start_id=20, fail_attempts=10**9):
             with pytest.raises(ShardExecutionError) as info:
-                list(SerialExecutor().run(task, [(0, 10), (20, 10)]))
+                list(executor.run(task, [(0, 10), (20, 10)]))
         assert "(start_id=20, count=10)" in str(info.value)
         assert info.value.shard == (20, 10)
         assert "RuntimeError" in info.value.cause
