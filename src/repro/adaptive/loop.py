@@ -18,10 +18,10 @@ The strategy steers on results, not contracts, so a round's synthesis
 is not needed before the next round is evaluated.  The rounds form a
 pipeline: the loop evaluates each round in the calling thread and hands
 its :meth:`~repro.synthesis.synthesizer.ContractSynthesizer.synthesize`
-call to a thread, whose HiGHS solve runs on a
-:class:`~repro.synthesis.pool.SolvePool` of forked processes, and goes
-on to the next round.  Up to ``processes`` rounds (by default the
-usable CPUs, at most 8) are in flight at once.  Every round solves its
+call to a thread, whose HiGHS solve runs in a worker of the run's
+:class:`~repro.forkpool.ForkPool`, and goes on to the next round.  Up
+to ``processes`` rounds (by default the usable CPUs, at most 8) are in
+flight at once.  Every round solves its
 own cumulative dataset, so its contract never depends on an earlier
 round's.  Rounds *settle* in round order: the stopping rules run, and
 the round is recorded, traced, checkpointed and reported.  Rounds
@@ -49,7 +49,9 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
@@ -65,12 +67,12 @@ from repro.evaluation.backends import (
     ShardEvaluator,
     bind_executor,
 )
-from repro.evaluation.backends.executors import default_processes
+from repro.evaluation.backends.executors import MultiprocessExecutor, default_processes
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.metrics.registry import current_metrics
+from repro.forkpool import ForkPool, current_pool, result
 from repro.pipeline.config import PipelineConfig
-from repro.synthesis.pool import SolvePool
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult
 from repro.testgen.strategies import GenerationStrategy
@@ -232,6 +234,31 @@ class _RoundSynthesizer(ContractSynthesizer):
 
     def settle(self, synthesis: SynthesisResult) -> None:
         super().count(synthesis)
+
+
+def _solve(solver: IlpSolver, instance):
+    return solver.solve(instance)
+
+
+class _PooledSolver(IlpSolver):
+    """``solver``'s solves in ``pool``'s workers, so that round threads
+    solve at once, each HiGHS outside this address space.  A solve a
+    pool break cut off is resubmitted once (solves are pure), unless
+    the loop :attr:`stopped` and abandoned it."""
+
+    def __init__(self, pool: ForkPool, solver: IlpSolver):
+        self.pool = pool
+        self.solver = solver
+        self.name = solver.name
+        self.stopped = False
+
+    def solve(self, instance):
+        try:
+            return result(self.pool.submit(_solve, self.solver, instance))
+        except (BrokenProcessPool, CancelledError):
+            if self.stopped:
+                raise
+            return result(self.pool.submit(_solve, self.solver, instance))
 
 
 class AdaptiveLoop:
@@ -430,19 +457,22 @@ class AdaptiveLoop:
         """Run the live rounds after ``records``; returns the stop reason
         and the last round's synthesis.
 
-        The rounds form a pipeline of width ``processes``, or the
-        usable CPUs (at most 8), and at most the rounds left: this
-        thread evaluates round ``r``, submits its synthesis and goes on
-        to round ``r + 1`` while the round solves on a
-        :class:`~repro.synthesis.pool.SolvePool`.  Rounds settle in
-        round order (see :meth:`_settle`); rounds started past a stop
-        are dropped.  Width 1 runs each synthesis in this thread and
-        settles it before the next round starts.
+        The rounds form a pipeline (see the module docstring) of width
+        ``processes``, or the usable CPUs (at most 8), and at most the
+        rounds left; rounds settle in round order (see :meth:`_settle`).
+        Solves run on the enclosing run's pool when it holds this loop's
+        solver and stack, else on the loop's own, as wide as the
+        pipeline (``processes`` wide when evaluation fans out on it);
+        it forks before the first solve thread starts.  Solves still in
+        flight past a stop are abandoned with the pool's workers.
         """
-        width = min(default_processes(self.processes), self.rounds - len(records))
-        pool = SolvePool(self.solver, width) if width > 1 else None
-        threads = ThreadPoolExecutor(width) if pool is not None else None
-        synthesizer = _RoundSynthesizer(self.template, pool or self.solver)
+        workers = default_processes(self.processes)
+        width = min(workers, self.rounds - len(records))
+        size = workers if isinstance(self.executor, MultiprocessExecutor) else width
+        targets = [t for t in (self.solver, self.executor.worker) if t is not None]
+        own = ExitStack()
+        pool = current_pool(*targets) or own.enter_context(ForkPool(size, targets))
+        threads = solver = None
         pending: Deque[_PendingRound] = deque()
         evaluated = list(accumulator.results)
         state = settled_state = self.strategy.state()
@@ -450,6 +480,11 @@ class AdaptiveLoop:
         synthesis: Optional[SynthesisResult] = None
         next_round, end = len(records), self.rounds
         try:
+            if width > 1:
+                pool.start()
+                threads = ThreadPoolExecutor(width)
+                solver = _PooledSolver(pool, self.solver)
+            synthesizer = _RoundSynthesizer(self.template, solver or self.solver)
             while stop_reason is None:
                 if pending and (
                     len(pending) == width
@@ -494,10 +529,13 @@ class AdaptiveLoop:
                 )
                 next_round += 1
         finally:
-            if pool is not None:
-                # Solves still running are abandoned, not waited for.
-                pool.close()
+            if threads is not None:
+                if not all(entry.synthesis.done() for entry in pending):
+                    # Solves still running are abandoned, not waited for.
+                    solver.stopped = True
+                    pool.close()
                 threads.shutdown(cancel_futures=True)
+            own.close()
         if pending:
             # Rounds started past the stop are dropped, with the
             # strategy steps they took.

@@ -2,9 +2,10 @@
 
 The paper fans test-case evaluation out to up to 128 threads; this
 package is the seam that fan-out plugs into.  Three backends ship:
-``serial`` (the in-process reference), ``multiprocess`` (a forked
-process pool, the one in-process pool and the default) and ``workqueue`` (external
-workers draining a filesystem queue).  An
+``serial`` (the in-process reference), ``multiprocess`` (the one
+in-process pool and the default: shards on the run's forked
+:class:`~repro.forkpool.ForkPool`) and ``workqueue`` (external workers
+draining a filesystem queue).  An
 :class:`EvaluationExecutor` consumes shard descriptors ``(start_id,
 count)`` and streams back batches of
 :class:`~repro.evaluation.results.TestCaseResult` — the one result

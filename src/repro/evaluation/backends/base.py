@@ -116,6 +116,18 @@ class ShardEvaluator:
         self.generator = generator
         self.evaluator = evaluator
 
+    def __eq__(self, other) -> bool:
+        # Stacks over the same plugin instances evaluate alike: a pool
+        # worker that inherited one runs the other's shards.
+        return isinstance(other, ShardEvaluator) and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        stack = self.evaluator
+        plugins = (self.generator, stack.core, stack.template, stack.attacker)
+        return tuple(map(id, plugins)) + (stack.use_fastpath,)
+
+    __hash__ = None
+
     @classmethod
     def from_plugins(
         cls, core, template, generator, attacker=None, use_fastpath: bool = True

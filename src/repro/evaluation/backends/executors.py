@@ -10,14 +10,17 @@ bound to them (see :func:`~repro.evaluation.backends.bind_executor`):
     shard, so there is exactly one shard loop to get right.
 
 ``multiprocess``
-    A forked ``concurrent.futures.ProcessPoolExecutor`` submitting one
-    future per shard (the paper's up-to-128-thread fan-out), sized by
-    the CPUs this process may run on.  Workers inherit the bound stack
-    through ``fork``, so instance-configured plugins fan out too and
-    nothing is rebuilt; their simulation and extraction timers fold
-    back into it.  Shards are yielded in plan order, each as soon as it
-    and every shard before it have completed.  The sweep optionally
-    enforces a per-shard soft deadline, which is how
+    One future per shard (the paper's up-to-128-thread fan-out) on the
+    run's :class:`~repro.forkpool.ForkPool`, or outside a run on a pool
+    scoped to the call, sized by the CPUs this process may run on.
+    Workers inherit the bound stack through ``fork``, so
+    instance-configured plugins fan out too and nothing is rebuilt;
+    their simulation and extraction timers fold back into it.  Each
+    submission carries what a long-lived worker cannot have inherited:
+    the shard's attempt number and the adaptive strategy's state.
+    Shards are yielded in plan order, each as soon as it and every
+    shard before it have completed.  The sweep optionally enforces a
+    per-shard soft deadline, which is how
     :class:`~repro.resilience.ResilientExecutor` abandons a hung
     worker.
 
@@ -27,10 +30,11 @@ The cores are pure Python (GIL-bound), so a thread pool is slower than
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -41,39 +45,34 @@ from repro.evaluation.backends.base import (
     ShardEvaluator,
     ShardResults,
 )
+from repro.forkpool import ForkPool, current_pool, result
 from repro.metrics.registry import current_metrics
 from repro.resilience.errors import ShardExecutionError, ShardTimeoutError
-from repro.resilience.injection import maybe_inject
+from repro.resilience.injection import current_attempt, maybe_inject
 from repro.resilience.retry import is_retryable
 from repro.trace.tracer import current_tracer
 
-#: Per-process worker state for the process pool; populated by the
-#: pool initializer in each forked child.
-_worker_state: dict = {}
+#: In a pool worker: the generator state each stack last restored.
+_restored: dict = {}
 
 
-def _initialize_process(worker: ShardEvaluator) -> None:
-    # Under ``fork`` the initializer's arguments are inherited, never
-    # pickled: the parent's stack reaches the child as it is.
-    _worker_state["worker"] = worker
-
-
-def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> ShardResults:
+def _evaluate_shard(worker: ShardEvaluator, shard: Shard, attempt: int) -> ShardResults:
     """The one shard-evaluation call every backend funnels through.
 
-    Hosts the ``"shard"`` fault-injection seam, the shard trace span
-    (the process-wide tracer is fork-inherited from the parent that
-    installed it, so pool workers append to the same trace file), and
-    wraps any worker error in a :class:`ShardExecutionError` naming
-    ``(start_id, count)`` — a bare exception crossing a pool boundary
-    would otherwise carry no clue which shard died.
+    Hosts the ``"shard"`` fault-injection seam (``attempt`` is the
+    shard's attempt number), the shard trace span (the process-wide
+    tracer is fork-inherited from the parent that installed it, so pool
+    workers append to the same trace file), and wraps any worker error
+    in a :class:`ShardExecutionError` naming ``(start_id, count)`` — a
+    bare exception crossing a pool boundary would otherwise carry no
+    clue which shard died.
     """
     tracer = current_tracer()
     if tracer.path is None:
-        return _evaluate_shard_inner(worker, shard)
+        return _evaluate_shard_inner(worker, shard, attempt)
     try:
         with tracer.span("shard", start_id=shard[0], count=shard[1]):
-            return _evaluate_shard_inner(worker, shard)
+            return _evaluate_shard_inner(worker, shard, attempt)
     finally:
         # Pool workers inherit the installed registry by fork; a
         # periodic snapshot per shard bounds how much of a long sweep's
@@ -81,9 +80,11 @@ def _evaluate_shard(worker: ShardEvaluator, shard: Shard) -> ShardResults:
         current_metrics().maybe_flush()
 
 
-def _evaluate_shard_inner(worker: ShardEvaluator, shard: Shard) -> ShardResults:
+def _evaluate_shard_inner(
+    worker: ShardEvaluator, shard: Shard, attempt: int
+) -> ShardResults:
     try:
-        maybe_inject("shard", shard=shard)
+        maybe_inject("shard", shard=shard, attempt=attempt)
         return shard, worker.evaluate(shard)
     except ShardExecutionError:
         raise
@@ -95,14 +96,20 @@ def _evaluate_shard_inner(worker: ShardEvaluator, shard: Shard) -> ShardResults:
         ) from error
 
 
-def _evaluate_in_process(shard: Shard):
+def _evaluate_in_process(
+    worker: ShardEvaluator, shard: Shard, attempt: int, generator_state: Optional[str]
+):
     """One pool shard: its results and the child-side simulation and
-    extraction seconds it took, for the parent to fold back."""
-    worker: ShardEvaluator = _worker_state["worker"]
+    extraction seconds it took, for the parent to fold back.  The
+    worker's generator first takes ``generator_state`` unless it
+    already holds it: the parent's strategy moves on after the fork."""
+    if generator_state is not None and _restored.get(id(worker)) != generator_state:
+        worker.generator.restore(json.loads(generator_state))
+        _restored[id(worker)] = generator_state
     evaluator = worker.evaluator
     simulation = evaluator.simulation_seconds
     extraction = evaluator.extraction_seconds
-    evaluated = _evaluate_shard(worker, shard)
+    evaluated = _evaluate_shard(worker, shard, attempt)
     return evaluated, (
         evaluator.simulation_seconds - simulation,
         evaluator.extraction_seconds - extraction,
@@ -134,14 +141,16 @@ class SerialExecutor(EvaluationExecutor):
         self, task: EvaluationTask, shards: Sequence[Shard]
     ) -> Iterator[ShardResults]:
         for shard in shards:
-            yield _evaluate_shard(self.worker, shard)
+            yield _evaluate_shard(self.worker, shard, current_attempt(shard))
 
 
 class MultiprocessExecutor(EvaluationExecutor):
     """Forked process pool, one future per shard, yielded in plan order.
 
-    The children inherit :attr:`worker` through ``fork``; its timers
-    also cover the shards the children evaluated.
+    The run's pool when it holds :attr:`worker`, else a pool of
+    ``processes`` workers scoped to the call.  The children inherit
+    :attr:`worker` through ``fork``; its timers also cover the shards
+    the children evaluated.
     """
 
     name = "multiprocess"
@@ -156,24 +165,21 @@ class MultiprocessExecutor(EvaluationExecutor):
 
         With ``shard_timeout`` set, a shard that runs past the soft
         deadline raises :class:`ShardTimeoutError` for it.  A hung
-        worker cannot be interrupted, so the pool is abandoned without
-        waiting and the caller re-sweeps the survivors in a fresh one.
+        worker cannot be interrupted, so the pool is abandoned and the
+        caller re-sweeps the survivors on its replacement.
         """
-        workers = default_processes(self.processes)
-        if shard_timeout is None and (workers == 1 or len(shards) <= 1):
+        pool = current_pool(self.worker)
+        scoped = pool is None
+        if scoped:
+            pool = ForkPool(default_processes(self.processes), (self.worker,))
+        if shard_timeout is None and (pool.workers == 1 or len(shards) <= 1):
             # One worker (or one shard) degenerates to the serial
             # backend — the *same* shard loop, not a parallel
             # reimplementation that could drift.  A deadline still
             # needs a pool: only a pool can abandon a hung shard.
             yield from SerialExecutor(worker=self.worker).run(task, shards)
             return
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_initialize_process,
-            initargs=(self.worker,),
-        )
-        waiting = {pool.submit(_evaluate_in_process, shard): shard for shard in shards}
+        waiting: dict = {}
         started: dict = {}
         # Completed shards wait here until every shard before them in
         # the plan has been yielded.
@@ -181,14 +187,18 @@ class MultiprocessExecutor(EvaluationExecutor):
         plan = iter(shards)
         head = next(plan, None)
         try:
+            for shard in shards:
+                args = (shard, current_attempt(shard), task.generator_state)
+                waiting[pool.submit(_evaluate_in_process, self.worker, *args)] = shard
             while waiting:
-                # Workers take shards in submission order, so only the
+                # Workers take calls in submission order, so only the
                 # oldest ``workers`` unfinished futures can be running:
                 # they are the only ones to wait on and to clock.  (A
                 # future's own ``running()`` flag turns true as soon as
                 # it enters the pool's call queue, before any worker
-                # picks it up.)
-                window = list(islice(waiting, workers))
+                # picks it up.  An adaptive run's solves on the same
+                # workers can hold a clocked shard back.)
+                window = list(islice(waiting, pool.workers))
                 timeout = None
                 if shard_timeout is not None:
                     now = time.monotonic()
@@ -209,29 +219,26 @@ class MultiprocessExecutor(EvaluationExecutor):
                     yield finished.pop(head)
                     head = next(plan, None)
         except BaseException:
-            # Without a deadline the other workers finish their shards
-            # and exit before the error propagates, so no worker
-            # outlives a failed sweep.  Under a deadline a hung shard
-            # may occupy a worker that cannot be joined: leave that
-            # pool to drain in the background and move on.
-            pool.shutdown(wait=shard_timeout is None, cancel_futures=True)
+            # Shards no worker took yet are cancelled.  Without a
+            # deadline the running ones finish before the error
+            # propagates, so no worker is busy with a failed sweep.
+            # Under a deadline a hung shard may occupy a worker that
+            # cannot be joined: the pool's workers are terminated.
+            for future in waiting:
+                future.cancel()
+            if shard_timeout is None:
+                wait(waiting)
+            else:
+                pool.close()
             raise
-        pool.shutdown()
+        finally:
+            if scoped:
+                pool.close()
 
     def _collect(self, future) -> ShardResults:
         """A finished shard's results, its child timers folded into
-        :attr:`worker`.
-
-        A shard error keeps its original exception as ``__cause__``
-        when that survived the pickle boundary, with the child's
-        traceback chained behind it."""
-        try:
-            evaluated, (simulation, extraction) = future.result()
-        except ShardExecutionError as error:
-            if error.original is not None:
-                error.original.__cause__ = error.__cause__
-                error.__cause__ = error.original
-            raise
+        :attr:`worker`."""
+        evaluated, (simulation, extraction) = result(future)
         self.worker.evaluator.simulation_seconds += simulation
         self.worker.evaluator.extraction_seconds += extraction
         return evaluated

@@ -9,7 +9,9 @@ attribution and ``shard`` spans.  Every in-process backend runs on one
 stack, which forked pool workers inherit: the pipeline, an adaptive
 round and directed verification bind the stack they built, and a
 backend run by name alone gets one built here from the task, once,
-before any fork.  Only ``workqueue`` workers rebuild the stack from the
+before any fork.  The ``multiprocess`` backend runs on the enclosing
+run's :class:`~repro.forkpool.ForkPool`, or outside a run on a pool
+scoped to the call.  Only ``workqueue`` workers rebuild the stack from the
 task.  The paper's up-to-128-thread fan-out is the ``multiprocess`` (or
 ``workqueue``) backend.  Completed shards can be checkpointed to a
 :class:`~repro.evaluation.backends.ShardManifest` so interrupted or
@@ -107,7 +109,8 @@ def evaluate_parallel(
     :class:`~repro.resilience.ResilientExecutor` under their
     :func:`~repro.resilience.retry.effective_policy`: failing shards
     are retried per the policy, hung shards past the soft deadline of
-    a ``multiprocess`` sweep are rescheduled in a fresh pool, and
+    a ``multiprocess`` sweep are rescheduled on the replacement of the
+    pool whose workers the deadline abandoned, and
     shards that exhaust their attempts are quarantined while the run
     continues without their results.  Each failure record goes through
     a :class:`~repro.resilience.FailureSink` (counted, traced, appended

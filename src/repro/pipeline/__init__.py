@@ -36,7 +36,7 @@ Builder surface
 ``.fastpath(enabled)``          fast evaluator (default) or ``False`` oracle
 ``.cache_dir(path)``            dataset cache directory (default: off)
 ``.verify(count, seed)``        verification budget (default: dataset check)
-``.executor(name, ...)``        evaluation backend (default: serial, in-process)
+``.executor(name, ...)``        evaluation backend (default: multiprocess, one pool per run)
 ``.resume(path_or_True)``       shard-manifest checkpointing and resumption
 ``.on_shard(callback)``         per-shard :class:`ShardProgress` events
 ``.trace(path)``                append :mod:`repro.trace` spans to a JSONL file

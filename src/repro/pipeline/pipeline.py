@@ -26,9 +26,11 @@ from repro.evaluation.backends import (
     ShardProgress,
     bind_executor,
 )
+from repro.evaluation.backends.executors import default_processes
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset
+from repro.forkpool import ForkPool
 from repro.metrics.registry import Metrics, current_metrics, install_metrics
 from repro.pipeline.config import (
     AdaptivePlan,
@@ -47,6 +49,7 @@ from repro.resilience.quarantine import FailureRecord
 from repro.resilience.retry import RetryPolicy, effective_policy
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer
+from repro.testgen.generator import TestCaseGenerator
 from repro.testgen.strategies import GenerationStrategy
 from repro.trace.tracer import Tracer, install_tracer
 from repro.uarch.core import Core
@@ -211,10 +214,12 @@ class SynthesisPipeline:
         backend runs on the plugins resolved in setup (instances
         included), which forked workers inherit; only the ``workqueue``
         backend's workers rebuild them, so it needs every plugin
-        configured by registry name.  ``processes`` sizes the worker
-        pool (default: the usable CPUs, at most 8), and in an adaptive
-        run how many rounds are in flight on the loop's solve pool;
-        ``shard_size`` is the per-shard test-case count (default 250).
+        configured by registry name.  ``processes`` sizes the run's one
+        worker pool (default: the usable CPUs, at most 8), on which
+        evaluation shards, :meth:`verify` shards and adaptive round
+        solves all run, and in an adaptive run how many rounds are in
+        flight; ``shard_size`` is the per-shard test-case count
+        (default 250).
         """
         self._executor = executor
         if processes is not None:
@@ -263,8 +268,9 @@ class SynthesisPipeline:
     def timeout(self, shard_seconds: Optional[float]) -> "SynthesisPipeline":
         """Per-shard soft deadline for the ``multiprocess`` pool (seconds).
 
-        A shard running past the deadline is abandoned with its pool
-        and rescheduled in a fresh one, consuming one retry attempt
+        A shard running past the deadline is abandoned with its pool's
+        workers and rescheduled on the pool's replacement, consuming
+        one retry attempt
         (see :meth:`retry`; without one, the default policy applies to
         shards, rounds and cells alike).  ``None`` disables.  Only the
         process pool enforces deadlines, even with one worker: the serial
@@ -320,9 +326,9 @@ class SynthesisPipeline:
         """Verification budget: ``None`` checks the synthesized contract
         against the evaluated dataset; a positive count runs directed
         satisfaction testing on fresh test cases; ``0`` skips.  Fresh
-        cases evaluate through the shard loop, on a forked pool of the
-        usable CPUs (at most 8) when they span more than one shard,
-        whatever executor the run uses.
+        cases evaluate through the shard loop, on the run's worker pool
+        (see :meth:`executor`) when they span more than one shard,
+        whatever executor the run's own evaluation uses.
 
         ``seed`` defaults to the generator seed plus one, so directed
         verification never silently replays the synthesis test cases.
@@ -513,6 +519,9 @@ class SynthesisPipeline:
         inherit the installation) emit into the same file.  (Parallel
         campaign cells in one process share the installation; they
         also share one trace file, so the raced value is identical.)
+
+        The run owns one :class:`~repro.forkpool.ForkPool` of
+        ``processes`` workers, forked at its first fan-out.
         """
         tracer = Tracer(self._trace_path, source="pipeline", collector=[])
         previous = install_tracer(tracer) if tracer.enabled else None
@@ -552,17 +561,19 @@ class SynthesisPipeline:
         if config.adaptive is not None:
             fields["adaptive"] = True
         adaptive = None
-        with tracer.span("pipeline", **fields):
+        pool = ForkPool(default_processes(self._processes))
+        with pool, tracer.span("pipeline", **fields):
             if config.adaptive is None:
-                restriction, dataset, synthesis, core, attacker = self._run_oneshot(
-                    tracer, failures
+                restriction, dataset, synthesis, verifier = self._run_oneshot(
+                    tracer, failures, pool
                 )
             else:
-                restriction, adaptive = self._run_adaptive(tracer, failures)
+                restriction, adaptive, verifier = self._run_adaptive(
+                    tracer, failures, pool
+                )
                 dataset, synthesis = adaptive.dataset, adaptive.synthesis
-                core = attacker = None
             with tracer.span("phase", phase="verify"):
-                verification = self._verify(synthesis.contract, dataset, core, attacker)
+                verification = self._verify(synthesis.contract, dataset, verifier)
 
         return PipelineResult(
             core_name=fields["core"],
@@ -579,7 +590,9 @@ class SynthesisPipeline:
             failures=failures,
         )
 
-    def _run_oneshot(self, tracer: Tracer, failures: List[FailureRecord]):
+    def _run_oneshot(
+        self, tracer: Tracer, failures: List[FailureRecord], pool: ForkPool
+    ):
         """The classic fixed-budget setup, evaluate and synthesize
         phases."""
         with tracer.span("phase", phase="setup"):
@@ -587,7 +600,10 @@ class SynthesisPipeline:
             template = self.resolve_template()
             attacker = self.resolve_attacker()
             solver = self.resolve_solver()
+            verifier = self._verify_stack(template, core, attacker, pool)
             executor = self._prepare_evaluate(core, attacker)
+            if executor is not None and executor.worker is not None:
+                pool.inherit(executor.worker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
         with evaluate_span:
@@ -600,9 +616,11 @@ class SynthesisPipeline:
             synthesis = ContractSynthesizer(template, solver).synthesize(
                 dataset, allowed_atom_ids=allowed_atom_ids
             )
-        return restriction, dataset, synthesis, core, attacker
+        return restriction, dataset, synthesis, verifier
 
-    def _run_adaptive(self, tracer: Tracer, failures: List[FailureRecord]):
+    def _run_adaptive(
+        self, tracer: Tracer, failures: List[FailureRecord], pool: ForkPool
+    ):
         """The adaptive setup and evaluate phases: rounds run by
         :class:`~repro.adaptive.AdaptiveLoop` (one ``round`` span each,
         through a child tracer).  Evaluation and synthesis interleave,
@@ -640,6 +658,10 @@ class SynthesisPipeline:
                 on_failure=failures.append,
                 tracer=tracer.child("adaptive"),
             )
+            verifier = self._verify_stack(loop.template, loop.core, loop.attacker, pool)
+            pool.inherit(loop.solver)
+            if loop.executor.worker is not None:
+                pool.inherit(loop.executor.worker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
         with evaluate_span:
@@ -647,29 +669,42 @@ class SynthesisPipeline:
             if self._executor is not None:
                 evaluate_span.add(executor=plugin_name(self._executor))
         tracer.record("phase", adaptive.synthesis.wall_seconds, phase="synthesize")
-        return restriction, adaptive
+        return restriction, adaptive, verifier
+
+    def _verify_stack(
+        self, template: ContractTemplate, core: Core, attacker: Attacker, pool: ForkPool
+    ) -> Optional[ShardEvaluator]:
+        """The stack of directed verification (``verify(n)``, ``n > 0``),
+        built in setup so that ``pool`` inherits it, or ``None``."""
+        if (self.config.verify or 0) <= 0:
+            return None
+        seed = self.config.verify_seed
+        generator = TestCaseGenerator(
+            template, seed=seed if seed is not None else self.config.seed + 1
+        )
+        verifier = ShardEvaluator.from_plugins(core, template, generator, attacker)
+        pool.inherit(verifier)
+        return verifier
 
     def _verify(
         self,
         contract: Contract,
         dataset: EvaluationDataset,
-        core: Optional[Core],
-        attacker: Optional[Attacker],
+        verifier: Optional[ShardEvaluator],
     ) -> Optional[SatisfactionReport]:
         """The verify phase: the contract against its own dataset
-        (``verify`` unset), directed testing on fresh cases (``n > 0``,
-        on ``core``/``attacker`` or freshly resolved ones), or
-        nothing (``0``)."""
-        budget = self.config.verify
-        if budget is None:
+        (``verify`` unset), directed testing on fresh cases on the
+        ``verifier`` stack built in setup (``n > 0``), or nothing
+        (``0``)."""
+        if self.config.verify is None:
             return check_dataset_satisfaction(contract, dataset)
-        if budget <= 0:
+        if verifier is None:
             return None
-        seed = self.config.verify_seed
         return check_contract_satisfaction(
             contract,
-            core or self.resolve_core(),
-            test_cases=budget,
-            seed=seed if seed is not None else self.config.seed + 1,
-            attacker=attacker or self.resolve_attacker(),
+            verifier.evaluator.core,
+            test_cases=self.config.verify,
+            seed=verifier.generator.seed,
+            attacker=verifier.evaluator.attacker,
+            generator=verifier.generator,
         )

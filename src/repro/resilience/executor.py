@@ -8,9 +8,9 @@ adds the fault semantics the inner backends deliberately do not have:
   one attempt for the shard it names; the survivors are re-swept and
   already-yielded shards are never re-evaluated;
 - **soft deadlines** — with ``shard_timeout`` set, the ``multiprocess``
-  sweep abandons its pool when a shard runs past its deadline (a hung
-  worker cannot be interrupted, so the pool is discarded and a fresh
-  one serves the next attempt);
+  sweep abandons its pool's workers when a shard runs past its
+  deadline (a hung worker cannot be interrupted), and the pool's
+  replacement serves the next attempt (see :mod:`repro.forkpool`);
 - **quarantine** — a shard that exhausts its attempts becomes a
   durable :class:`~repro.resilience.quarantine.FailureRecord` (kind
   ``"shard"``) and the run continues without its results;
@@ -81,8 +81,8 @@ class ResilientExecutor(EvaluationExecutor):
         inner = self.inner
         pool_failures = 0
         while pending:
-            # Publish next-attempt numbers before the sweep: the pool
-            # forks after this, so workers inherit them and
+            # Publish next-attempt numbers before the sweep: the inner
+            # backend reads them as it submits each shard, so
             # attempt-dependent fault plans fire consistently.
             injection.set_attempts(
                 {shard: attempts[shard] + 1 for shard in pending}

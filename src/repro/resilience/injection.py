@@ -5,14 +5,15 @@ Production code calls :func:`maybe_inject` at a handful of fixed seams
 plan installed that is a single ``is None`` check, so the seam costs
 nothing in real runs.
 
-The active plan is module-global *on purpose*: the pool backends fork,
-and a forked child inherits this module's state — installing a plan in
-the parent before the pool is built injects it into every worker with
-no extra plumbing, mirroring how a remote worker would receive the
-plan as ``(name, state)``.  :func:`set_attempts` publishes the
-per-shard attempt numbers the same way, so attempt-dependent plans
-("fail twice, then recover") behave identically in-process and across
-forks.
+The active plan is module-global *on purpose*: a run's pool forks
+inside the run, and a forked child inherits this module's state —
+installing a plan before the run injects it into every worker with no
+extra plumbing, mirroring how a remote worker would receive the plan
+as ``(name, state)``.  Attempt numbers change between sweeps of one
+pool, so they travel with each submission instead: executors read the
+:func:`set_attempts` table with :func:`current_attempt` as they submit
+a shard, so attempt-dependent plans ("fail twice, then recover")
+behave identically in-process and in pool workers.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.resilience.faults import FAULT_REGISTRY, FaultPlan
 #: The single active fault plan (``None`` in production runs).
 _ACTIVE: Optional[FaultPlan] = None
 
-#: Next attempt number per shard, published before each sweep so
-#: attempt-dependent plans work across the fork boundary.
+#: Next attempt number per shard, published before each sweep and
+#: read in the parent when a shard is submitted.
 _ATTEMPTS: Dict[Tuple[int, int], int] = {}
 
 
@@ -64,8 +65,6 @@ def maybe_inject(site: str, **context) -> None:
     plan = _ACTIVE
     if plan is None:
         return
-    if site == "shard" and "attempt" not in context:
-        context["attempt"] = current_attempt(context["shard"])
     plan.inject(site, **context)
 
 

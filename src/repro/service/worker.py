@@ -30,7 +30,6 @@ from repro.evaluation.backends.base import ShardEvaluator
 from repro.evaluation.backends.executors import _evaluate_shard
 from repro.metrics.registry import Metrics
 from repro.resilience.errors import ShardExecutionError
-from repro.resilience.injection import set_attempts
 from repro.pipeline.config import task_from_payload
 from repro.service.queue import JobQueue, JobRecord
 from repro.trace import Tracer
@@ -192,15 +191,15 @@ class JobWorker:
 
     def _execute(self, job: JobRecord) -> None:
         shard = tuple(job.shard)
-        # The job's winning-claim count *is* the attempt number; publish
-        # it so attempt-dependent fault plans ("fail once, then recover")
-        # behave identically in-process and across the queue boundary.
-        set_attempts({shard: job.attempts})
         job_started = time.monotonic()
         try:
             with self.tracer.span("execute", job=job.job_id, shard=list(shard)):
                 evaluator = self._evaluator(job.task)
-                _, results = _evaluate_shard(evaluator, shard)
+                # The job's winning-claim count *is* the attempt
+                # number, so attempt-dependent fault plans ("fail once,
+                # then recover") behave identically in-process and
+                # across the queue boundary.
+                _, results = _evaluate_shard(evaluator, shard, job.attempts)
         except ShardExecutionError as error:
             self.busy_seconds += time.monotonic() - job_started
             self.queue.fail(job, error=error.cause, fatal=error.fatal)

@@ -40,7 +40,6 @@ SOLVER_REGISTRY.register(
     description="weighted set-cover heuristic (ablation baseline)",
 )
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult, synthesize
-from repro.synthesis.pool import SolvePool
 from repro.synthesis.metrics import (
     ClassificationCounts,
     evaluate_contract,
@@ -58,7 +57,6 @@ __all__ = [
     "IlpInstance",
     "IlpSolver",
     "ScipyMilpSolver",
-    "SolvePool",
     "SolverResult",
     "SynthesisResult",
     "build_ilp_instance",

@@ -169,10 +169,11 @@ class Tracer:
 
     ``source`` labels the emitting component ("broker", "worker-3",
     "pipeline", ...) on every record, so one file interleaves cleanly.
-    ``collector``, when given, receives every record as a dict at full
-    float precision *in addition to* (or instead of) the file — the
-    pipeline uses it to project :class:`~repro.pipeline.PhaseTimings`
-    from the span stream without a file round-trip.
+    ``collector``, when given, receives every record as a dict, with
+    the file's six-decimal floats, *in addition to* (or instead of) the
+    file — the pipeline uses it to project
+    :class:`~repro.pipeline.PhaseTimings` from the span stream without
+    a file round-trip.
     """
 
     def __init__(
@@ -202,17 +203,17 @@ class Tracer:
     # -- emission ------------------------------------------------------
 
     def _emit(self, record: dict) -> None:
+        # Floats are rounded once, to the microsecond, and the collector
+        # and the file get the same values: timings projected from
+        # either render identically.
+        record = {
+            key: round(value, 6) if type(value) is float else value
+            for key, value in record.items()
+        }
         if self.collector is not None:
             self.collector.append(record)
         if self.path is not None:
-            # Rounded on the wire only: the collector keeps full
-            # precision so span-projected timings match in-process
-            # accumulators exactly.
-            line = {
-                key: round(value, 6) if type(value) is float else value
-                for key, value in record.items()
-            }
-            append_jsonl_line(self.path, line)
+            append_jsonl_line(self.path, record)
 
     def event(self, kind: str, **fields) -> None:
         """Emit one instantaneous event."""

@@ -92,8 +92,9 @@ def check_contract_satisfaction(
     the contract are probed too) and evaluated on the core as one
     dataset, through the shard loop of
     :func:`~repro.evaluation.parallel.evaluate_parallel` on the
-    ``multiprocess`` backend, whose forked workers inherit this call's
-    generator and evaluator.  Every attacker-distinguishable,
+    ``multiprocess`` backend: on the run's pool when the run built a
+    stack over these plugins in setup, else on a pool scoped to this
+    call.  Every attacker-distinguishable,
     contract-indistinguishable case is a violation.  The report counts
     all ``test_cases`` cases and keeps the first ``max_violations``
     violations in test-id order, their witness programs regenerated

@@ -2,7 +2,7 @@
 
 ``AdaptiveLoop`` keeps up to ``processes`` rounds (by default the
 usable CPUs) in flight: it evaluates the next rounds while earlier ones
-solve on a forked solve pool, and settles the rounds in order.  Widths
+solve on the run's forked worker pool, and settles the rounds in order.  Widths
 1, 2 and 3 must agree on everything a run leaves behind — round
 records, dataset, manifest bytes, progress callbacks, ``round`` spans,
 solver counters and the strategy's final state — under every stopping
@@ -17,9 +17,9 @@ import multiprocessing
 import pytest
 
 from repro.adaptive import AdaptiveLoop
-from repro.adaptive import loop as loop_module
 from repro.evaluation.backends import executors as executors_module
 from repro.evaluation.results import EvaluationDataset
+from repro.forkpool import ForkPool
 from repro.metrics.registry import Metrics, install_metrics
 from repro.synthesis.ilp import build_ilp_instance
 from repro.synthesis.solvers import BranchAndBoundSolver
@@ -60,17 +60,17 @@ SCENARIOS = {
 
 
 def _pin_width(monkeypatch, width):
-    """Let the process use ``width`` CPUs, and record the solve pools
-    the loop builds."""
+    """Let the process use ``width`` CPUs, and record the size of every
+    worker pool the loop forks."""
     monkeypatch.setattr(executors_module, "usable_cpus", lambda: width)
     pools = []
-    real = loop_module.SolvePool
+    real = ForkPool._fork
 
-    def spy(solver, workers):
-        pools.append(workers)
-        return real(solver, workers)
+    def spy(pool):
+        pools.append(pool.workers)
+        return real(pool)
 
-    monkeypatch.setattr(loop_module, "SolvePool", spy)
+    monkeypatch.setattr(ForkPool, "_fork", spy)
     return pools
 
 

@@ -460,20 +460,20 @@ def _usable_cpus(monkeypatch, count):
 
 
 def _count_pools(monkeypatch, refuse=False):
-    """Record every process pool the executors construct (or refuse
-    to construct one)."""
-    from repro.evaluation.backends import executors as executors_module
+    """Record the size of every worker pool a run forks (or refuse to
+    fork one)."""
+    from repro.forkpool import ForkPool
 
     pools = []
-    real = executors_module.ProcessPoolExecutor
+    real = ForkPool._fork
 
-    def spy(*args, **kwargs):
+    def spy(pool):
         if refuse:
-            raise AssertionError("the run constructed a process pool")
-        pools.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
+            raise AssertionError("the run forked a process pool")
+        pools.append(pool.workers)
+        return real(pool)
 
-    monkeypatch.setattr(executors_module, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(ForkPool, "_fork", spy)
     return pools
 
 

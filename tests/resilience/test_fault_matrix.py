@@ -277,6 +277,57 @@ class TestFaultMatrix:
         assert not campaign.quarantined_cells
 
 
+class TestDeadPoolWorker:
+    """A pool worker that dies breaks the run's one pool: the sweep's
+    shards are re-swept on its replacement, and an adaptive round solve
+    the break cut off is resubmitted, so the run still ends where a
+    serial run does, with one ``pool`` failure and no worker left."""
+
+    DYING = 250
+
+    @pytest.fixture
+    def dying_worker(self, monkeypatch, tmp_path):
+        """The first pool worker to reach shard ``DYING`` exits."""
+        parent = os.getpid()
+        marker = str(tmp_path / "died")
+        inner = executors_module._evaluate_shard_inner
+
+        def dying(worker, shard, attempt):
+            if os.getpid() != parent and shard[0] == self.DYING:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return inner(worker, shard, attempt)
+
+        monkeypatch.setattr(executors_module, "_evaluate_shard_inner", dying)
+        return marker
+
+    def _assert_survives(self, marker, adaptive):
+        def run(executor, **settings):
+            pipeline = SynthesisPipeline().core("ibex").budget(1000, seed=SEED)
+            if adaptive:
+                pipeline.adaptive("coverage", rounds=4)
+                settings["shard_size"] = 125
+            return pipeline.executor(executor, **settings)
+
+        serial = run("serial").run()
+        pooled = run("multiprocess", processes=2).retry(3).run()
+        assert os.path.exists(marker)
+        assert _fingerprint(pooled) == _fingerprint(serial)
+        assert [record.kind for record in pooled.failures] == ["pool"]
+        assert multiprocessing.active_children() == []
+
+    def test_one_shot_run_resweeps_on_the_replacement(self, dying_worker):
+        self._assert_survives(dying_worker, adaptive=False)
+
+    def test_adaptive_run_keeps_its_solves(self, monkeypatch, dying_worker):
+        monkeypatch.setattr(executors_module, "usable_cpus", lambda: 2)
+        self._assert_survives(dying_worker, adaptive=True)
+
+
 class TestErrorClassification:
     """An error raised inside a shard's evaluation keeps its retry
     class through the shard wrapper, on both executors: a deterministic

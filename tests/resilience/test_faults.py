@@ -70,15 +70,15 @@ class TestInjectionSeam:
 
     def test_attempt_bookkeeping_reaches_the_shard_site(self):
         """``set_attempts`` is how attempt-dependent plans see retry
-        counts across a fork: the seam fills ``attempt`` from the
-        published table when the caller does not pass one."""
+        counts: executors read the published table when they submit a
+        shard and pass the attempt to the seam explicitly."""
         with inject_fault("shard-crash", start_id=10, fail_attempts=1):
             set_attempts({(10, 10): 2})
             assert current_attempt((10, 10)) == 2
             assert current_attempt((0, 10)) == 1  # unpublished → first try
             # Attempt 2 is past fail_attempts=1: the plan stays quiet.
-            maybe_inject("shard", shard=(10, 10))
+            maybe_inject("shard", shard=(10, 10), attempt=current_attempt((10, 10)))
             set_attempts({(10, 10): 1})
             with pytest.raises(InjectedFault):
-                maybe_inject("shard", shard=(10, 10))
+                maybe_inject("shard", shard=(10, 10), attempt=current_attempt((10, 10)))
         assert current_attempt((10, 10)) == 1  # cleared with the plan

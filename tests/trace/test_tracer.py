@@ -81,17 +81,16 @@ class TestEvents:
 
 
 class TestEmission:
-    def test_file_rounds_floats_but_collector_keeps_full_precision(
-        self, tmp_path
-    ):
+    def test_file_and_collector_get_the_same_rounded_floats(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         collector = []
         tracer = Tracer(path, collector=collector)
         value = 0.123456789012345
         tracer.event("x", value=value, flag=True)
-        assert collector[0]["value"] == value
+        assert collector[0]["value"] == 0.123457
         (record,) = _lines(path)
         assert record["value"] == 0.123457
+        assert collector[0]["flag"] is True
         # bools are not floats: ``round`` must never touch them.
         assert record["flag"] is True
 
