@@ -13,19 +13,12 @@ every batched path is pinned byte-identical to them by the equivalence
 suite, so datasets, checkpoint keys, and service job keys are unchanged
 whichever path produced them.
 
-Numpy is the only extra dependency; :func:`available` gates every user
-of the package so environments without it silently keep the scalar
-paths.
+The engine runs on numpy, a declared dependency of the package (the
+synthesis solver imports it too); :func:`supports_core` and
+:data:`BATCH_SAFE_ATTACKERS` decide which evaluations it serves.
 """
 
 from __future__ import annotations
-
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _HAVE_NUMPY = False
 
 #: Attackers whose observations the zero-copy batch views carry
 #: (retirement cycles, total cycles, and published uarch state).
@@ -34,19 +27,12 @@ BATCH_SAFE_ATTACKERS = frozenset(
 )
 
 
-def available() -> bool:
-    """Whether the batched engine can run in this environment."""
-    return _HAVE_NUMPY
-
-
 def supports_core(core) -> bool:
     """Whether ``core`` has a batched timing model.
 
     Dispatch is on *exact* type: subclasses may override timing hooks,
     so they always fall back to the scalar path.
     """
-    if not _HAVE_NUMPY:
-        return False
     from repro.uarch.cva6 import CVA6Core
     from repro.uarch.ibex import IbexCore
 
@@ -70,7 +56,6 @@ def batch_distinguishing_atoms(*args, **kwargs):
 
 __all__ = [
     "BATCH_SAFE_ATTACKERS",
-    "available",
     "batch_distinguishing_atoms",
     "run_batch",
     "supports_core",

@@ -54,8 +54,8 @@ class EvaluationTask:
     worker needs to rebuild its stack.
 
     Plugins travel by registry name (instances cannot cross a machine
-    boundary); ``template_name`` supersedes ``max_distance``.
-    The generation strategy travels as its ``GENERATOR_REGISTRY`` name
+    boundary); ``None`` names the default template and attacker.  The
+    generation strategy travels as its ``GENERATOR_REGISTRY`` name
     plus a JSON snapshot of its feedback state (``None`` for the
     stateless fresh strategy), so adaptive rounds can fan out through
     the same workers as fixed-budget runs.
@@ -63,7 +63,6 @@ class EvaluationTask:
 
     core_name: str
     seed: int
-    max_distance: int = 4
     #: ``True`` runs the fast evaluator, ``False`` the reference oracle.
     use_fastpath: bool = True
     template_name: Optional[str] = None
@@ -106,27 +105,18 @@ class ShardEvaluator:
     An in-process run builds it from its resolved plugins with
     :meth:`from_plugins`, so instance-configured cores, templates,
     attackers and generators evaluate through the same shard loop, and
-    forked pool workers inherit it.  :meth:`from_task` rebuilds it from
-    registry names only where no caller stack exists: in a work-queue
-    worker, for an in-process backend run by name alone (once, before
-    any fork), and on a downgrade from the work queue to serial.
+    forked pool workers inherit it.  A pool knows its stacks by
+    identity: the stack a run's pool inherited in setup is the object
+    the run evaluates on, directed verification's included.
+    :meth:`from_task` rebuilds it from registry names only where no
+    caller stack exists: in a work-queue worker, for an in-process
+    backend run by name alone (once, before any fork), and on a
+    downgrade from the work queue to serial.
     """
 
     def __init__(self, generator, evaluator):
         self.generator = generator
         self.evaluator = evaluator
-
-    def __eq__(self, other) -> bool:
-        # Stacks over the same plugin instances evaluate alike: a pool
-        # worker that inherited one runs the other's shards.
-        return isinstance(other, ShardEvaluator) and self._key() == other._key()
-
-    def _key(self) -> tuple:
-        stack = self.evaluator
-        plugins = (self.generator, stack.core, stack.template, stack.attacker)
-        return tuple(map(id, plugins)) + (stack.use_fastpath,)
-
-    __hash__ = None
 
     @classmethod
     def from_plugins(
@@ -148,17 +138,11 @@ class ShardEvaluator:
         import json
 
         from repro.attacker import ATTACKER_REGISTRY
-        from repro.contracts.riscv_template import (
-            TEMPLATE_REGISTRY,
-            build_riscv_template,
-        )
+        from repro.contracts.riscv_template import TEMPLATE_REGISTRY
         from repro.testgen.strategies import GENERATOR_REGISTRY
         from repro.uarch import CORE_REGISTRY
 
-        if task.template_name is None:
-            template = build_riscv_template(max_distance=task.max_distance)
-        else:
-            template = TEMPLATE_REGISTRY.create(task.template_name)
+        template = TEMPLATE_REGISTRY.create(task.template_name or "riscv-rv32im")
         attacker = (
             ATTACKER_REGISTRY.create(task.attacker_name)
             if task.attacker_name is not None

@@ -54,7 +54,6 @@ def evaluate_parallel(
     seed: int,
     processes: Optional[int] = None,
     shard_size: int = 250,
-    max_distance: int = 4,
     use_fastpath: bool = True,
     template_name: Optional[str] = None,
     attacker_name: Optional[str] = None,
@@ -95,8 +94,7 @@ def evaluate_parallel(
 
     ``template_name`` and ``attacker_name`` are registry names: they
     key the manifest and name the dataset header, and a stack built
-    from the task resolves them; ``template_name`` supersedes
-    ``max_distance``, so passing both is an error.
+    from the task resolves them (``None`` names the defaults).
 
     ``generator_name`` picks the ``GENERATOR_REGISTRY`` strategy a
     stack built from the task runs, ``generator_state`` its JSON
@@ -126,11 +124,6 @@ def evaluate_parallel(
     process-wide tracer installed by the pipeline (fork-inherited into
     pool children).  Tracing never changes results.
     """
-    if template_name is not None and max_distance != 4:
-        raise ValueError(
-            "pass either template_name or max_distance, not both: a "
-            "registered template fixes its own dependency distance"
-        )
     header = dict(
         core_name=core_name,
         template_name=template_name or "riscv-rv32im",
@@ -142,7 +135,6 @@ def evaluate_parallel(
     task = EvaluationTask(
         core_name=core_name,
         seed=seed,
-        max_distance=max_distance,
         use_fastpath=use_fastpath,
         template_name=template_name,
         attacker_name=attacker_name,

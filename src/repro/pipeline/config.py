@@ -470,6 +470,11 @@ def superset_cache_path(cache_path: str, budget: int) -> Optional[str]:
 
 # -- executor tasks and work-queue jobs --------------------------------
 
+#: The dependency distance every task key and job payload carries: a
+#: constant since the template is named, kept so that manifest keys and
+#: job ids stay byte-identical with those already written.
+_KEYED_MAX_DISTANCE = 4
+
 
 def task_identity(task: EvaluationTask) -> dict:
     """The shard-manifest key: every task field that changes a shard's
@@ -484,7 +489,7 @@ def task_identity(task: EvaluationTask) -> dict:
         "template": task.template_name or "riscv-rv32im",
         "attacker": task.attacker_name or "retirement-timing",
         "seed": task.seed,
-        "max_distance": task.max_distance,
+        "max_distance": _KEYED_MAX_DISTANCE,
         "fastpath": bool(task.use_fastpath),
     }
     if task.generator_name != "random":
@@ -501,7 +506,7 @@ def task_to_payload(task: EvaluationTask) -> dict:
     return {
         "core": task.core_name,
         "seed": task.seed,
-        "max_distance": task.max_distance,
+        "max_distance": _KEYED_MAX_DISTANCE,
         "fastpath": bool(task.use_fastpath),
         "template": task.template_name,
         "attacker": task.attacker_name,
@@ -515,7 +520,6 @@ def task_from_payload(payload: dict) -> EvaluationTask:
     return EvaluationTask(
         core_name=payload["core"],
         seed=payload["seed"],
-        max_distance=payload.get("max_distance", 4),
         use_fastpath=bool(payload.get("fastpath", True)),
         template_name=payload.get("template"),
         attacker_name=payload.get("attacker"),

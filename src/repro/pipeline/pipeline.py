@@ -22,6 +22,7 @@ from repro.attacker.base import Attacker
 from repro.contracts.template import Contract, ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
+    MultiprocessExecutor,
     ShardEvaluator,
     ShardProgress,
     bind_executor,
@@ -45,12 +46,12 @@ from repro.pipeline.config import (
     plugin_name,
 )
 from repro.pipeline.result import PhaseTimings, PipelineResult
-from repro.resilience.quarantine import FailureRecord
+from repro.resilience.executor import ResilientExecutor
+from repro.resilience.quarantine import FailureRecord, FailureSink
 from repro.resilience.retry import RetryPolicy, effective_policy
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer
-from repro.testgen.generator import TestCaseGenerator
-from repro.testgen.strategies import GenerationStrategy
+from repro.testgen.strategies import GENERATOR_REGISTRY, GenerationStrategy
 from repro.trace.tracer import Tracer, install_tracer
 from repro.uarch.core import Core
 from repro.verification.checker import (
@@ -257,7 +258,8 @@ class SynthesisPipeline:
         ``PipelineResult.failures`` — and the run continues without
         its results.  Retry settings never enter cache or manifest keys:
         a run that survives faults is byte-identical to a clean one.
-        One-shot runs retry shards, whatever the executor.
+        One-shot runs retry shards, whatever the executor, and so do
+        the fresh cases of :meth:`verify`.
         """
         if policy is None or isinstance(policy, RetryPolicy):
             self._retry = policy
@@ -328,7 +330,12 @@ class SynthesisPipeline:
         satisfaction testing on fresh test cases; ``0`` skips.  Fresh
         cases evaluate through the shard loop, on the run's worker pool
         (see :meth:`executor`) when they span more than one shard,
-        whatever executor the run's own evaluation uses.
+        whatever executor the run's own evaluation uses.  Their shards
+        follow the run's :meth:`retry`/:meth:`timeout` policy; their
+        ``retry``/``shard`` records join ``PipelineResult.failures`` but
+        no quarantine log (it is keyed to the run's own corpus), and a
+        quarantined verify shard's cases leave the report.  Without a
+        policy a failing verify shard fails the run.
 
         ``seed`` defaults to the generator seed plus one, so directed
         verification never silently replays the synthesis test cases.
@@ -573,7 +580,9 @@ class SynthesisPipeline:
                 )
                 dataset, synthesis = adaptive.dataset, adaptive.synthesis
             with tracer.span("phase", phase="verify"):
-                verification = self._verify(synthesis.contract, dataset, verifier)
+                verification = self._verify(
+                    synthesis.contract, dataset, verifier, tracer, failures
+                )
 
         return PipelineResult(
             core_name=fields["core"],
@@ -674,13 +683,14 @@ class SynthesisPipeline:
     def _verify_stack(
         self, template: ContractTemplate, core: Core, attacker: Attacker, pool: ForkPool
     ) -> Optional[ShardEvaluator]:
-        """The stack of directed verification (``verify(n)``, ``n > 0``),
-        built in setup so that ``pool`` inherits it, or ``None``."""
+        """The stack of directed verification (``verify(n)``, ``n > 0``)
+        over the ``random`` strategy, built in setup so that ``pool``
+        inherits it, or ``None``."""
         if (self.config.verify or 0) <= 0:
             return None
         seed = self.config.verify_seed
-        generator = TestCaseGenerator(
-            template, seed=seed if seed is not None else self.config.seed + 1
+        generator = GENERATOR_REGISTRY.create(
+            "random", template, seed=seed if seed is not None else self.config.seed + 1
         )
         verifier = ShardEvaluator.from_plugins(core, template, generator, attacker)
         pool.inherit(verifier)
@@ -691,20 +701,30 @@ class SynthesisPipeline:
         contract: Contract,
         dataset: EvaluationDataset,
         verifier: Optional[ShardEvaluator],
+        tracer: Tracer,
+        failures: List[FailureRecord],
     ) -> Optional[SatisfactionReport]:
         """The verify phase: the contract against its own dataset
         (``verify`` unset), directed testing on fresh cases on the
         ``verifier`` stack built in setup (``n > 0``), or nothing
-        (``0``)."""
+        (``0``).  Verify shards run under the run's retry policy, their
+        records into ``failures`` only (see :meth:`verify`)."""
         if self.config.verify is None:
             return check_dataset_satisfaction(contract, dataset)
         if verifier is None:
             return None
+        executor = MultiprocessExecutor(worker=verifier)
+        policy = effective_policy(self._retry, self._shard_timeout)
+        if policy is not None:
+            executor = ResilientExecutor(
+                executor,
+                policy,
+                shard_timeout=self._shard_timeout,
+                sink=FailureSink(tracer, failures.append),
+            )
         return check_contract_satisfaction(
             contract,
             verifier.evaluator.core,
             test_cases=self.config.verify,
-            seed=verifier.generator.seed,
-            attacker=verifier.evaluator.attacker,
-            generator=verifier.generator,
+            executor=executor,
         )

@@ -65,7 +65,7 @@ class ResilientExecutor(EvaluationExecutor):
         shard_timeout: Optional[float] = None,
         sink: Optional[FailureSink] = None,
     ):
-        super().__init__(inner.processes)
+        super().__init__(inner.processes, inner.worker)
         self.inner = inner
         self.policy = policy
         self.shard_timeout = shard_timeout

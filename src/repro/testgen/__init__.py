@@ -7,21 +7,24 @@ likely to distinguish them.
 
 Generation strategies are plugins: :data:`GENERATOR_REGISTRY` maps
 string keys (``"random"``, ``"mutate"``, ``"coverage"``) to
-:class:`GenerationStrategy` factories, following the same convention
-as the core/attacker/solver registries.  The adaptive synthesis loop
-(:mod:`repro.adaptive`) feeds evaluation results back into a strategy
-between rounds; the classic fixed-budget pipeline is the one-round
-``random`` special case.
+:class:`GenerationStrategy` classes, following the same convention
+as the core/attacker/solver registries; ``random`` is
+:class:`TestCaseGenerator` itself, which the other two build on.  The
+adaptive synthesis loop (:mod:`repro.adaptive`) feeds evaluation
+results back into a strategy between rounds; the classic fixed-budget
+pipeline is the one-round ``random`` special case.
 """
 
 from repro.testgen.testcase import TestCase
-from repro.testgen.generator import GeneratorConfig, TestCaseGenerator
+from repro.testgen.generator import (
+    GenerationStrategy,
+    GeneratorConfig,
+    TestCaseGenerator,
+)
 from repro.testgen.strategies import (
     GENERATOR_REGISTRY,
     CoverageStrategy,
-    GenerationStrategy,
     MutateStrategy,
-    RandomStrategy,
 )
 
 __all__ = [
@@ -30,7 +33,6 @@ __all__ = [
     "GenerationStrategy",
     "GeneratorConfig",
     "MutateStrategy",
-    "RandomStrategy",
     "TestCase",
     "TestCaseGenerator",
 ]

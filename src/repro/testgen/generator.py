@@ -1,4 +1,9 @@
-"""The test-case generation strategy of §IV-B.
+"""The test-case generation interface and the random strategy of §IV-B.
+
+A :class:`GenerationStrategy` builds test cases per test id and may
+steer on evaluation feedback.  :class:`TestCaseGenerator` is the
+paper's strategy, registered as ``random``; the feedback strategies of
+:mod:`repro.testgen.strategies` build on it.
 
 Each test case targets one contract atom and consists of two programs
 built from three parts:
@@ -21,8 +26,9 @@ targeted cases are still perfectly valid.
 from __future__ import annotations
 
 import random
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.contracts.atoms import ContractAtom
 from repro.contracts.template import ContractTemplate
@@ -46,6 +52,9 @@ from repro.testgen.opcodes import (
     mutation_pool,
 )
 from repro.testgen.testcase import TestCase
+
+if TYPE_CHECKING:
+    from repro.evaluation.results import TestCaseResult
 
 _MASK32 = 0xFFFFFFFF
 
@@ -124,11 +133,10 @@ _NOP = _instruction(Opcode.ADDI)
 
 
 def child_rng(seed: int, test_id: int) -> random.Random:
-    """The per-test-id RNG shared by the legacy generator and every
-    ``GENERATOR_REGISTRY`` strategy.  A test case is a function of
-    ``(seed, test_id, strategy state)`` — this single derivation is
-    what makes shard fan-out, budget prefixes, and the random-strategy
-    byte-identity sound, so both call sites must use it."""
+    """The per-test-id RNG of every ``GENERATOR_REGISTRY`` strategy.
+    A test case is a function of ``(seed, test_id, strategy state)`` —
+    this single derivation is what makes shard fan-out, budget prefixes
+    and resumed rounds sound."""
     return random.Random((seed << 24) ^ test_id)
 
 
@@ -152,10 +160,16 @@ class GeneratorConfig:
             raise ValueError("suffix must contain at least one instruction")
 
 
-class TestCaseGenerator:
-    """Generates atom-targeted test cases from a contract template."""
+class GenerationStrategy(ABC):
+    """A test-case generator that may learn from evaluation feedback.
 
-    __test__ = False  # not a pytest test class despite the name
+    Subclasses implement :meth:`generate_case`; the iteration helpers
+    and the feedback/state surface have working defaults (stateless,
+    feedback-ignoring: the ``random`` behavior).
+    """
+
+    #: Registry name of the strategy.
+    name = "abstract"
 
     def __init__(
         self,
@@ -166,21 +180,54 @@ class TestCaseGenerator:
         self.template = template
         self.seed = seed
         self.config = config if config is not None else GeneratorConfig()
-        self._atoms: Tuple[ContractAtom, ...] = template.atoms
+
+    # -- generation (deterministic per test id) ------------------------
+
+    @abstractmethod
+    def generate_case(self, test_id: int) -> TestCase:
+        """Build the test case for ``test_id`` under the current state."""
+
+    def iter_generate(self, count: int, start_id: int = 0) -> Iterator[TestCase]:
+        for offset in range(count):
+            yield self.generate_case(start_id + offset)
 
     def generate(self, count: int, start_id: int = 0) -> List[TestCase]:
         """Generate ``count`` test cases (deterministic in ``seed``)."""
         return list(self.iter_generate(count, start_id))
 
-    def iter_generate(self, count: int, start_id: int = 0) -> Iterable[TestCase]:
-        for offset in range(count):
-            yield self.generate_case(start_id + offset)
+    # -- feedback ------------------------------------------------------
+
+    def observe(self, results: Sequence[TestCaseResult]) -> None:
+        """Ingest one round of evaluation results (default: ignore)."""
+
+    # -- state snapshot (JSON-serializable) ----------------------------
+
+    def state(self) -> dict:
+        """The feedback state as a JSON-serializable dict."""
+        return {}
+
+    def restore(self, state: dict) -> None:
+        """Reload a :meth:`state` snapshot (default: nothing to load)."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "%s(seed=%d)" % (type(self).__name__, self.seed)
+
+
+class TestCaseGenerator(GenerationStrategy):
+    """The ``random`` strategy: atom-targeted test cases from a
+    contract template, feedback ignored, so every round extends the
+    same stream."""
+
+    __test__ = False  # not a pytest test class despite the name
+
+    name = "random"
 
     def generate_case(self, test_id: int) -> TestCase:
         """The random case for ``test_id``: a uniformly drawn target
         atom from the test id's ``child_rng`` stream."""
         rng = child_rng(self.seed, test_id)
-        atom = self._atoms[_below(rng.getrandbits, len(self._atoms))]
+        atoms = self.template.atoms
+        atom = atoms[_below(rng.getrandbits, len(atoms))]
         return self.generate_for_atom(atom, test_id, rng)
 
     def generate_for_atom(

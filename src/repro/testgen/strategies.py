@@ -4,21 +4,25 @@ The §IV-B generator shoots a fixed random budget and hopes it
 distinguishes every contract atom; the evaluator then computes *exact*
 per-case distinguishing sets, which a fixed budget throws away.  A
 :class:`GenerationStrategy` closes the loop: it generates test cases
-per test id exactly like the random generator, but may *observe* the
-evaluation results of earlier rounds and steer later generation.
+per test id, but may *observe* the evaluation results of earlier
+rounds and steer later generation.
 
-Three registered strategies:
+Three registered strategies, one class hierarchy:
 
-- ``random`` — :class:`RandomStrategy`, the unchanged §IV-B generator
-  behind the strategy interface.  Feedback is ignored; one round of
-  ``random`` is byte-identical to the legacy fixed-budget pipeline.
+- ``random`` — :class:`~repro.testgen.generator.TestCaseGenerator`, the
+  §IV-B generator itself.  Feedback is ignored; one round of
+  ``random`` is byte-identical to the fixed-budget pipeline, and
+  directed verification draws its fresh cases from it.
 - ``mutate`` — :class:`MutateStrategy`, mutates known-distinguishing
   cases from earlier rounds (opcode swaps within the shared pools of
   :mod:`repro.testgen.opcodes`, immediate/register re-rolls, initial
-  register perturbations).  Falls back to ``random`` until feedback
-  provides parents.
+  register perturbations).  Generates the ``random`` stream until
+  feedback provides parents.
 - ``coverage`` — :class:`CoverageStrategy`, re-aims the atom-targeting
   weights at atoms with zero or low distinguishing counts so far.
+
+Both feedback strategies subclass ``TestCaseGenerator`` and build each
+case with its atom-targeted :meth:`generate_for_atom`.
 
 Determinism contract: every strategy derives a child RNG from
 ``(seed, test_id)`` and generates **per test id**, so a case depends
@@ -32,17 +36,15 @@ plus state) and resumes them from a round checkpoint.
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from repro.contracts.template import ContractTemplate
 from repro.isa.instructions import Instruction, Opcode, OPCODE_INFO
 from repro.isa.program import Program
 from repro.isa.state import ArchState
 from repro.registry import Registry
 from repro.testgen.generator import (
-    GeneratorConfig,
+    GenerationStrategy,
     TestCaseGenerator,
     _below,
     child_rng,
@@ -50,84 +52,17 @@ from repro.testgen.generator import (
 from repro.testgen.opcodes import SHIFTS_IMM, UPPER, mutation_pool
 from repro.testgen.testcase import TestCase
 
-
-class GenerationStrategy(ABC):
-    """A test-case generator that may learn from evaluation feedback.
-
-    Subclasses implement :meth:`generate_case`; the iteration helpers
-    and the feedback/state surface have working defaults (stateless,
-    feedback-ignoring — the ``random`` behavior).
-    """
-
-    #: Registry name of the strategy.
-    name = "abstract"
-
-    def __init__(
-        self,
-        template: ContractTemplate,
-        seed: int = 0,
-        config: Optional[GeneratorConfig] = None,
-    ):
-        self.template = template
-        self.seed = seed
-        self.config = config if config is not None else GeneratorConfig()
-        #: The §IV-B generator: raw material for every strategy.
-        self._random = TestCaseGenerator(template, seed=seed, config=self.config)
-
-    # -- generation (deterministic per test id) ------------------------
-
-    @abstractmethod
-    def generate_case(self, test_id: int) -> TestCase:
-        """Build the test case for ``test_id`` under the current state."""
-
-    def iter_generate(self, count: int, start_id: int = 0) -> Iterator[TestCase]:
-        for offset in range(count):
-            yield self.generate_case(start_id + offset)
-
-    def generate(self, count: int, start_id: int = 0) -> List[TestCase]:
-        return list(self.iter_generate(count, start_id))
-
-    # -- feedback ------------------------------------------------------
-
-    def observe(self, results: Sequence["TestCaseResultLike"]) -> None:
-        """Ingest one round of evaluation results (default: ignore)."""
-
-    # -- state snapshot (JSON-serializable) ----------------------------
-
-    def state(self) -> dict:
-        """The feedback state as a JSON-serializable dict."""
-        return {}
-
-    def restore(self, state: dict) -> None:
-        """Reload a :meth:`state` snapshot (default: nothing to load)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "%s(seed=%d)" % (type(self).__name__, self.seed)
+__all__ = [
+    "GENERATOR_REGISTRY",
+    "CoverageStrategy",
+    "GenerationStrategy",
+    "MutateStrategy",
+    "TestCaseGenerator",
+    "child_rng",
+]
 
 
-class TestCaseResultLike:
-    """Structural type of one feedback item: anything exposing
-    ``test_id``, ``attacker_distinguishable`` and
-    ``distinguishing_atom_ids`` (i.e.
-    :class:`repro.evaluation.results.TestCaseResult`)."""
-
-    __test__ = False  # not a pytest test class despite the name
-
-
-class RandomStrategy(GenerationStrategy):
-    """The §IV-B fixed-budget generator behind the strategy interface.
-
-    Byte-identical to ``TestCaseGenerator.iter_generate`` for the same
-    seed; feedback is ignored, so every round extends the same stream.
-    """
-
-    name = "random"
-
-    def generate_case(self, test_id: int) -> TestCase:
-        return self._random.generate_case(test_id)
-
-
-class CoverageStrategy(GenerationStrategy):
+class CoverageStrategy(TestCaseGenerator):
     """Aims generation at atoms with low distinguishing counts.
 
     The target atom of each case is drawn with weight
@@ -148,7 +83,7 @@ class CoverageStrategy(GenerationStrategy):
     def generate_case(self, test_id: int) -> TestCase:
         rng = child_rng(self.seed, test_id)
         atom = self._pick_atom(rng)
-        return self._random.generate_for_atom(atom, test_id, rng)
+        return self.generate_for_atom(atom, test_id, rng)
 
     def _pick_atom(self, rng: random.Random):
         if self._cumulative is None:
@@ -190,7 +125,7 @@ MAX_PARENTS = 128
 _MUTATIONS = ("regs", "opcode", "imm", "register")
 
 
-class MutateStrategy(GenerationStrategy):
+class MutateStrategy(TestCaseGenerator):
     """Mutates known-distinguishing cases from earlier rounds.
 
     A mutation picks a parent case and perturbs it at a *shared*
@@ -211,7 +146,7 @@ class MutateStrategy(GenerationStrategy):
 
     def generate_case(self, test_id: int) -> TestCase:
         if not self._parents:
-            return self._random.generate_case(test_id)
+            return super().generate_case(test_id)
         rng = child_rng(self.seed, test_id)
         parent = self._parents[_below(rng.getrandbits, len(self._parents))]
         return self._mutate(parent, test_id, rng)
@@ -365,8 +300,8 @@ def _case_to_dict(case: TestCase) -> dict:
 #: All registered generation strategies, keyed by ``name``.
 GENERATOR_REGISTRY = Registry("generator", "test-case generation strategies")
 GENERATOR_REGISTRY.register(
-    RandomStrategy.name,
-    RandomStrategy,
+    TestCaseGenerator.name,
+    TestCaseGenerator,
     description="the paper's fixed-budget random generator (feedback ignored)",
 )
 GENERATOR_REGISTRY.register(

@@ -2,8 +2,10 @@
 
 :func:`check_dataset_satisfaction` checks a contract against an
 evaluated dataset.  :func:`check_contract_satisfaction` generates fresh
-test cases, evaluates them as one dataset through the shard loop every
-evaluation runs on, and reports through the former.
+test cases with the ``random`` strategy, evaluates them as one dataset
+through the shard loop every evaluation runs on (on the caller's stack
+and failure policy when it passes them), and reports through the
+former.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ from typing import List, Optional, Tuple
 
 from repro.attacker.base import Attacker
 from repro.contracts.template import Contract
-from repro.evaluation.backends import MultiprocessExecutor, ShardEvaluator
+from repro.evaluation.backends import (
+    EvaluationExecutor,
+    MultiprocessExecutor,
+    ShardEvaluator,
+)
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import EvaluationDataset
 from repro.testgen.generator import TestCaseGenerator
@@ -83,39 +89,47 @@ def check_contract_satisfaction(
     seed: int = 0,
     attacker: Optional[Attacker] = None,
     max_violations: int = 25,
-    generator: Optional[TestCaseGenerator] = None,
+    executor: Optional[EvaluationExecutor] = None,
 ) -> SatisfactionReport:
     """Search for violations of ``contract`` on ``core``.
 
-    Test cases are generated with the same atom-targeted strategy used
-    for synthesis (over the contract's *template*, so leaks outside
+    Test cases are generated with the atom-targeted ``random`` strategy
+    used for synthesis (over the contract's *template*, so leaks outside
     the contract are probed too) and evaluated on the core as one
     dataset, through the shard loop of
-    :func:`~repro.evaluation.parallel.evaluate_parallel` on the
-    ``multiprocess`` backend: on the run's pool when the run built a
-    stack over these plugins in setup, else on a pool scoped to this
-    call.  Every attacker-distinguishable,
+    :func:`~repro.evaluation.parallel.evaluate_parallel`.  By default
+    the ``multiprocess`` backend runs them on a stack built here over
+    ``core``, ``attacker`` and a generator of ``seed``, on a pool scoped
+    to this call.  ``executor`` is an in-process backend bound to a
+    stack over the same core and template instead, whose generator
+    fixes the cases (``seed`` and ``attacker`` then go unused): the
+    pipeline passes its verify stack this way, on the run's pool and
+    under the run's retry policy.  Every attacker-distinguishable,
     contract-indistinguishable case is a violation.  The report counts
-    all ``test_cases`` cases and keeps the first ``max_violations``
-    violations in test-id order, their witness programs regenerated
-    from their test ids.
+    the evaluated cases (a quarantined shard's are not) and keeps the
+    first ``max_violations`` violations in test-id order, their witness
+    programs regenerated from their test ids.
     """
     template = contract.template
-    if generator is None:
+    if executor is None:
         generator = TestCaseGenerator(template, seed=seed)
-    worker = ShardEvaluator.from_plugins(core, template, generator, attacker)
+        executor = MultiprocessExecutor(
+            worker=ShardEvaluator.from_plugins(core, template, generator, attacker)
+        )
+    stack = executor.worker
     dataset = evaluate_parallel(
         core_name=core.name,
         count=test_cases,
-        seed=seed,
+        seed=stack.generator.seed,
         template_name=template.name,
-        attacker_name=worker.evaluator.attacker.name,
-        executor=MultiprocessExecutor(worker=worker),
+        attacker_name=stack.evaluator.attacker.name,
+        executor=executor,
     )
     report = check_dataset_satisfaction(contract, dataset)
     report.violations = report.violations[: max(1, max_violations)]
     for violation in report.violations:
-        violation.test_case = generator.generate_case(violation.test_case.test_id)
+        test_id = violation.test_case.test_id
+        violation.test_case = stack.generator.generate_case(test_id)
     return report
 
 

@@ -276,7 +276,7 @@ class TestDatasetCache:
         original = pipeline_module.check_contract_satisfaction
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["seed"])
+            seen.append(kwargs["executor"].worker.generator.seed)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "check_contract_satisfaction", spy)

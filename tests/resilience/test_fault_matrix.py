@@ -170,13 +170,13 @@ class TestFaultMatrix:
 
     def test_verify_shard_error_names_its_shard(self, monkeypatch):
         """Directed verification evaluates its fresh cases on a forked
-        pool through the same shard loop, with no retry policy: one
-        failed attempt of a verify shard raises, naming that shard,
-        although the run's own shards retry.  No worker outlives it."""
+        pool through the same shard loop.  Without a retry policy one
+        failed attempt of a verify shard raises, naming that shard, as
+        an evaluation shard's does.  No worker outlives it."""
         monkeypatch.setattr(executors_module, "usable_cpus", lambda: 2)
         with inject_fault("worker-error", start_id=500, fail_attempts=1):
             with pytest.raises(ShardExecutionError) as caught:
-                _pipeline().retry(3).verify(1000).run()
+                _pipeline().verify(1000).run()
         assert caught.value.shard == (500, 250)
         assert isinstance(caught.value.__cause__, RuntimeError)
         assert "injected evaluation failure" in str(caught.value.__cause__)
@@ -275,6 +275,44 @@ class TestFaultMatrix:
         assert campaign.outcomes[0].atom_ids == reference[1]
         assert [record.kind for record in campaign.failures] == ["retry"]
         assert not campaign.quarantined_cells
+
+
+def _verified_pipeline():
+    """500 cases evaluate in shards 0 and 250; 1,000 fresh cases verify
+    in shards 0 to 750, so only a verify shard starts at 750."""
+    return SynthesisPipeline().core("ibex").budget(500, seed=SEED).verify(1000)
+
+
+class TestVerifyFailurePolicy:
+    """Verify shards follow the run's retry policy, and their records
+    reach the run's failures."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        result = _verified_pipeline().run()
+        return _fingerprint(result), result.verification
+
+    def test_a_failing_attempt_is_retried_to_the_clean_report(self, clean):
+        with inject_fault("shard-crash", start_id=750, fail_attempts=1):
+            result = _verified_pipeline().retry(2).run()
+        assert (_fingerprint(result), result.verification) == clean
+        assert [record.kind for record in result.failures] == ["retry"]
+        assert result.failures[0].unit == {"start_id": 750, "count": 250}
+        assert multiprocessing.active_children() == []
+
+    def test_an_exhausted_shard_leaves_the_report_and_no_log(self, clean, tmp_path):
+        pipeline = _verified_pipeline().retry(2).cache_dir(str(tmp_path))
+        with inject_fault("shard-crash", start_id=750, fail_attempts=ALWAYS):
+            result = pipeline.run()
+        assert _fingerprint(result) == clean[0]
+        assert result.verification.test_cases == 750
+        assert [record.kind for record in result.failures] == ["retry", "shard"]
+        assert result.failures[-1].unit == {"start_id": 750, "count": 250}
+        assert result.timings.shards_quarantined == 0
+        # The quarantine log is keyed to the run's corpus: verify
+        # records stay out of it.
+        assert not os.path.exists(pipeline.quarantine_path())
+        assert multiprocessing.active_children() == []
 
 
 class TestDeadPoolWorker:

@@ -17,10 +17,13 @@ import pytest
 
 from repro.adaptive import AdaptiveLoop
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.evaluation.backends import ShardEvaluator
+from repro.contracts.riscv_template import build_riscv_template
+from repro.contracts.template import Contract
 from repro.evaluation.backends import executors as executors_module
 from repro.forkpool import ForkPool, current_pool
 from repro.pipeline import SynthesisPipeline
+from repro.uarch import CORE_REGISTRY
+from repro.verification import check_contract_satisfaction
 
 #: The live-thread count at every fork while a test records.
 _FORKS = []
@@ -94,6 +97,43 @@ class TestOneShotRuns:
         _assert_one_pool(threads, pools, 3)
         assert pools == [3]
 
+    def test_verify_shards_run_on_the_stack_the_pool_inherited(
+        self, forks, monkeypatch
+    ):
+        """The verify stack built in setup is the very object the run's
+        one pool inherited, and its shards are submitted with it."""
+        threads, pools = forks(2)
+        submitted = []
+        submit = ForkPool.submit
+
+        def spy(pool, fn, target, *args):
+            submitted.append((pool, target))
+            return submit(pool, fn, target, *args)
+
+        monkeypatch.setattr(ForkPool, "submit", spy)
+        result = (
+            SynthesisPipeline().core("ibex").budget(500, seed=4).verify(600).run()
+        )
+        assert result.verification.test_cases == 600
+        _assert_one_pool(threads, pools, 2)
+        assert len({id(pool) for pool, _target in submitted}) == 1
+        # Two evaluation shards (seed 4), three verify shards (seed 5).
+        seeds = sorted(target.generator.seed for _pool, target in submitted)
+        assert seeds == [4, 4, 5, 5, 5]
+        for pool, target in submitted:
+            assert any(target is inherited for inherited in pool.targets)
+
+
+def test_a_direct_check_gets_a_pool_scoped_to_the_call(forks):
+    threads, pools = forks(2)
+    template = build_riscv_template()
+    report = check_contract_satisfaction(
+        Contract(template, []), CORE_REGISTRY.create("ibex"), test_cases=600, seed=3
+    )
+    assert report.test_cases == 600
+    _assert_one_pool(threads, pools, 2)
+    assert pools == [2]
+
 
 class TestAdaptiveRuns:
     @pytest.mark.parametrize("executor", ["serial", "multiprocess"])
@@ -166,30 +206,6 @@ class TestForkPool:
                 pool.submit(_die, target).result()
             assert pool.submit(_pid, target).result() != first
         assert multiprocessing.active_children() == []
-
-    def test_a_stack_over_the_same_plugins_is_the_same_stack(self):
-        """Directed verification builds its stack anew over the plugins
-        the run built in setup; the run's pool must recognise it."""
-        from repro.contracts.riscv_template import build_riscv_template
-        from repro.testgen.generator import TestCaseGenerator
-        from repro.uarch import CORE_REGISTRY
-
-        template = build_riscv_template()
-        core = CORE_REGISTRY.create("ibex")
-        generator = TestCaseGenerator(template, seed=1)
-        built = ShardEvaluator.from_plugins(core, template, generator)
-        same = ShardEvaluator.from_plugins(
-            core, template, generator, attacker=built.evaluator.attacker
-        )
-        other = ShardEvaluator.from_plugins(
-            core,
-            template,
-            TestCaseGenerator(template, seed=1),
-            attacker=built.evaluator.attacker,
-        )
-        with ForkPool(1, [built]):
-            assert current_pool(same) is not None
-            assert current_pool(other) is None
 
 
 def test_adaptive_loop_outside_a_run_owns_its_pool(forks):

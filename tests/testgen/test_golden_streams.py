@@ -24,7 +24,6 @@ from repro.contracts.riscv_template import TEMPLATE_REGISTRY
 from repro.testgen import (
     CoverageStrategy,
     MutateStrategy,
-    RandomStrategy,
     TestCaseGenerator,
 )
 from repro.testgen.generator import child_rng
@@ -104,7 +103,7 @@ def atom_stream_digest(template_name: str) -> str:
 
 
 def random_stream_digest(seed: int) -> str:
-    strategy = RandomStrategy(TEMPLATE_REGISTRY.create("riscv-rv32im"), seed=seed)
+    strategy = TestCaseGenerator(TEMPLATE_REGISTRY.create("riscv-rv32im"), seed=seed)
     return _digest(strategy.iter_generate(2000))
 
 

@@ -17,7 +17,6 @@ from repro.testgen import (
     GENERATOR_REGISTRY,
     CoverageStrategy,
     MutateStrategy,
-    RandomStrategy,
     TestCaseGenerator,
 )
 from repro.testgen.opcodes import MUTATION_POOLS, mutation_pool
@@ -63,22 +62,24 @@ class TestRegistry:
 
 
 class TestRandomStrategy:
-    def test_byte_identical_to_legacy_generator(self, template):
-        """`random` is the §IV-B generator behind the new interface —
-        pinned so the adaptive surface cannot drift from the paper's
-        fixed-budget corpus."""
-        legacy = TestCaseGenerator(template, seed=11).generate(30)
-        strategy = RandomStrategy(template, seed=11).generate(30)
-        assert all(_same_case(a, b) for a, b in zip(legacy, strategy))
+    def test_random_is_the_paper_generator(self, template):
+        """`random` is the §IV-B generator itself, and the feedback
+        strategies build on it, so the adaptive surface cannot drift
+        from the paper's fixed-budget corpus."""
+        strategy = GENERATOR_REGISTRY.create("random", template, seed=11)
+        assert type(strategy) is TestCaseGenerator
+        assert GENERATOR_REGISTRY.get("random") is TestCaseGenerator
+        assert issubclass(CoverageStrategy, TestCaseGenerator)
+        assert issubclass(MutateStrategy, TestCaseGenerator)
 
     def test_start_id_slices_the_same_stream(self, template):
-        strategy = RandomStrategy(template, seed=4)
+        strategy = TestCaseGenerator(template, seed=4)
         whole = strategy.generate(20)
         tail = strategy.generate(5, start_id=15)
         assert all(_same_case(a, b) for a, b in zip(whole[15:], tail))
 
     def test_observe_is_a_no_op(self, template):
-        strategy = RandomStrategy(template, seed=4)
+        strategy = TestCaseGenerator(template, seed=4)
         before = strategy.generate(5)
         strategy.observe(_evaluate(template, before))
         assert strategy.state() == {}
