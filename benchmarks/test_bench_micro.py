@@ -260,6 +260,22 @@ _ADAPTIVE_BATCH = 60
 _ADAPTIVE_PATIENCE = 3
 
 
+def _adaptive_loop():
+    """The pinned coverage-guided loop, run to convergence."""
+    from repro.adaptive import AdaptiveLoop, ContractStableRule
+    from repro.pipeline.config import AdaptivePlan, PipelineConfig
+
+    stop = ContractStableRule(patience=_ADAPTIVE_PATIENCE)
+    config = PipelineConfig(
+        template=_ADAPTIVE_TEMPLATE,
+        generator="coverage",
+        seed=_ADAPTIVE_SEED,
+        adaptive=AdaptivePlan(_ADAPTIVE_ROUNDS, _ADAPTIVE_BATCH, stop),
+        **_ADAPTIVE_SCENARIO,
+    )
+    return AdaptiveLoop(config)
+
+
 def test_bench_adaptive_convergence(benchmark):
     """The coverage-guided loop run to convergence — paired with
     ``test_bench_adaptive_convergence_reference`` (the fixed-budget run
@@ -268,18 +284,9 @@ def test_bench_adaptive_convergence(benchmark):
     time additionally carries the per-round solver overhead, so the
     paired "speedup" may sit below 1.0 at this tiny scale where
     simulation is cheap."""
-    from repro.adaptive import AdaptiveLoop, ContractStableRule
 
     def run_loop():
-        return AdaptiveLoop(
-            template=_ADAPTIVE_TEMPLATE,
-            generator="coverage",
-            rounds=_ADAPTIVE_ROUNDS,
-            batch=_ADAPTIVE_BATCH,
-            seed=_ADAPTIVE_SEED,
-            stop=ContractStableRule(patience=_ADAPTIVE_PATIENCE),
-            **_ADAPTIVE_SCENARIO,
-        ).run()
+        return _adaptive_loop().run()
 
     result = benchmark(run_loop)
     benchmark.extra_info["cases_to_converge"] = result.total_cases
@@ -308,18 +315,9 @@ def test_bench_adaptive_convergence_reference(benchmark):
 def test_bench_adaptive_matches_fixed_with_fewer_cases():
     """Not a benchmark: pins the pairing of the two benchmarks above —
     same contract, measurably fewer evaluated cases."""
-    from repro.adaptive import AdaptiveLoop, ContractStableRule
     from repro.pipeline import SynthesisPipeline
 
-    adaptive = AdaptiveLoop(
-        template=_ADAPTIVE_TEMPLATE,
-        generator="coverage",
-        rounds=_ADAPTIVE_ROUNDS,
-        batch=_ADAPTIVE_BATCH,
-        seed=_ADAPTIVE_SEED,
-        stop=ContractStableRule(patience=_ADAPTIVE_PATIENCE),
-        **_ADAPTIVE_SCENARIO,
-    ).run()
+    adaptive = _adaptive_loop().run()
     fixed = (
         SynthesisPipeline()
         .core(_ADAPTIVE_SCENARIO["core"])
@@ -333,18 +331,23 @@ def test_bench_adaptive_matches_fixed_with_fewer_cases():
     assert adaptive.total_cases < len(fixed.dataset)
 
 
-#: The pinned round-pipeline corpus: the ``AdaptiveLoop`` defaults
-#: (ibex, ``riscv-rv32im``, ``coverage``, 8 rounds of 250 cases, the
-#: ``ibex-adaptive-8x250`` e2ebench workload) at generator seed 7,
-#: whose eight ILPs take comparable time, so there are solves to
-#: overlap.
+#: The pinned round-pipeline corpus: ibex, ``riscv-rv32im``,
+#: ``coverage``, 8 rounds of 250 cases (the ``ibex-adaptive-8x250``
+#: e2ebench workload) at generator seed 7, whose eight ILPs take
+#: comparable time, so there are solves to overlap.
 _PIPELINE_SEED = 7
 
 
 def _run_round_pipeline(processes):
     from repro.adaptive import AdaptiveLoop
+    from repro.pipeline.config import AdaptivePlan, PipelineConfig
 
-    result = AdaptiveLoop(seed=_PIPELINE_SEED, processes=processes).run()
+    config = PipelineConfig(
+        generator="coverage",
+        seed=_PIPELINE_SEED,
+        adaptive=AdaptivePlan(rounds=8, batch=250),
+    )
+    result = AdaptiveLoop(config, processes=processes).run()
     assert result.total_cases == 2000
     return result
 

@@ -9,9 +9,13 @@ dataset, so its contract never depends on an earlier round's), pluggable
 :data:`STOPPING_REGISTRY` convergence rules, and round-granularity
 checkpointing via :class:`AdaptiveManifest`.
 
-Front-end surface: ``SynthesisPipeline.adaptive(generator=...,
-rounds=..., batch=..., stop=...)``; campaign grids sweep strategies
-through the ``generators`` axis of ``CampaignSpec``.
+The loop runs one :class:`~repro.pipeline.config.PipelineConfig` with
+``adaptive`` set to an :class:`~repro.pipeline.config.AdaptivePlan`
+(rounds, batch, stopping rules); its keywords are runtime plumbing
+only.  Front-end surface: ``SynthesisPipeline.adaptive(generator=...,
+rounds=..., batch=..., stop=...)``, whose ``run()`` hands the loop its
+own configuration; campaign grids sweep strategies through the
+``generators`` axis of ``CampaignSpec``.
 """
 
 from repro.adaptive.loop import AdaptiveLoop, AdaptiveResult, RoundRecord

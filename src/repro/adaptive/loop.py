@@ -1,6 +1,9 @@
 """The adaptive synthesis loop: generate → evaluate → steer.
 
 :class:`AdaptiveLoop` wraps the existing pipeline phases in rounds.
+It runs one :class:`~repro.pipeline.config.PipelineConfig` whose
+``adaptive`` plan fixes the rounds, the batch and the stopping rules;
+an adaptive :meth:`SynthesisPipeline.run` hands it the run's own.
 Each round generates ``batch`` test cases through a
 ``GENERATOR_REGISTRY`` strategy and evaluates them as one window of
 :func:`~repro.evaluation.parallel.evaluate_parallel`, by default on the
@@ -47,6 +50,7 @@ fixed-budget pipeline — the adaptive loop strictly generalizes it.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -56,12 +60,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive.manifest import AdaptiveManifest
-from repro.adaptive.stopping import AdaptiveState, StoppingRule, resolve_stopping_rules
+from repro.adaptive.stopping import AdaptiveState, resolve_stopping_rules
 from repro.resilience.injection import maybe_inject
 from repro.resilience.quarantine import FailureRecord, FailureSink
 from repro.resilience.retry import RetryPolicy, effective_policy, retry_unit
-from repro.attacker.base import Attacker
-from repro.contracts.template import ContractTemplate
 from repro.evaluation.backends import (
     EvaluationExecutor,
     ShardEvaluator,
@@ -75,9 +77,7 @@ from repro.forkpool import ForkPool, current_pool, result
 from repro.pipeline.config import PipelineConfig
 from repro.synthesis.solvers import IlpSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, SynthesisResult
-from repro.testgen.strategies import GenerationStrategy
 from repro.trace.tracer import Tracer
-from repro.uarch.core import Core
 
 #: Optional per-round progress callback.
 RoundCallback = Callable[["RoundRecord"], None]
@@ -244,47 +244,55 @@ class _PooledSolver(IlpSolver):
     """``solver``'s solves in ``pool``'s workers, so that round threads
     solve at once, each HiGHS outside this address space.  A solve a
     pool break cut off is resubmitted once (solves are pure), unless
-    the loop :attr:`stopped` and abandoned it."""
+    the loop has stopped (:meth:`stop`) and abandoned it."""
 
     def __init__(self, pool: ForkPool, solver: IlpSolver):
         self.pool = pool
         self.solver = solver
         self.name = solver.name
         self.stopped = False
+        self._lock = threading.Lock()
 
     def solve(self, instance):
         try:
-            return result(self.pool.submit(_solve, self.solver, instance))
+            return result(self._submit(instance))
         except (BrokenProcessPool, CancelledError):
             if self.stopped:
                 raise
-            return result(self.pool.submit(_solve, self.solver, instance))
+            return result(self._submit(instance))
+
+    def _submit(self, instance) -> Future:
+        with self._lock:
+            if self.stopped:
+                raise CancelledError()
+            return self.pool.submit(_solve, self.solver, instance)
+
+    def stop(self) -> None:
+        """Abandon every solve: terminate the pool's workers now, and
+        submit no solve after them, which would fork the pool again."""
+        with self._lock:
+            self.stopped = True
+            self.pool.close()
 
 
 class AdaptiveLoop:
     """Coverage-guided synthesis: rounds of generate → evaluate → steer.
 
-    Plugins are accepted as registry names or instances.  Every
-    in-process executor (``serial`` by default) runs the rounds over
-    the loop's own plugin instances; the ``workqueue`` backend and
-    manifest checkpointing require *names* (its workers and checkpoint
-    keys rebuild plugins by name, the same rule as the pipeline's).
+    ``config`` is a :class:`~repro.pipeline.config.PipelineConfig` with
+    ``adaptive`` set: it fixes every axis of the run, the round plan
+    (:meth:`~repro.pipeline.config.PipelineConfig.round_plan`) and the
+    stopping rules included, and the loop resolves its plugins from it
+    once (the template through the config's memo).  The keywords are
+    runtime plumbing that never changes a result.  Every in-process
+    executor (``serial`` by default) runs the rounds over the loop's
+    own plugin instances; the ``workqueue`` backend and manifest
+    checkpointing require *names* (its workers and checkpoint keys
+    rebuild plugins by name, the same rule as the pipeline's).
     """
 
     def __init__(
         self,
-        core: Union[str, Core] = "ibex",
-        template: Union[str, ContractTemplate] = "riscv-rv32im",
-        attacker: Union[str, Attacker] = "retirement-timing",
-        solver: Union[str, IlpSolver] = "scipy-milp",
-        generator: Union[str, GenerationStrategy] = "coverage",
-        rounds: int = 8,
-        batch: int = 250,
-        stop: Union[None, str, StoppingRule, Sequence] = "contract-stable",
-        seed: int = 0,
-        allowed_atom_ids=None,
-        restriction: Optional[str] = None,
-        use_fastpath: bool = True,
+        config: PipelineConfig,
         executor: Union[None, str, EvaluationExecutor] = None,
         processes: Optional[int] = None,
         shard_size: int = 250,
@@ -296,36 +304,27 @@ class AdaptiveLoop:
         on_failure: Optional[Callable[[FailureRecord], None]] = None,
         tracer: Optional[Tracer] = None,
     ):
-        if rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
-        self.config = PipelineConfig(
-            core=core,
-            attacker=attacker,
-            template=template,
-            solver=solver,
-            generator=generator,
-            seed=seed,
-            fastpath=use_fastpath,
-        )
+        if config.adaptive is None:
+            raise ValueError(
+                "AdaptiveLoop runs an adaptive configuration: "
+                "set config.adaptive to an AdaptivePlan"
+            )
+        self.config = config
         #: The backend every round runs on.
         self.executor = bind_executor(executor or "serial")
         if self.executor.external:
-            self.config.require_names("executor")
-        self.generator_name = self.config.name("generator")
-        self.core = self.config.resolve_core()
-        self.template = self.config.resolve_template()
-        self.attacker = self.config.resolve_attacker()
-        self.solver = self.config.resolve_solver()
-        self.strategy = self.config.resolve_generator(self.template)
-        self.rounds = rounds
-        self.batch = batch
-        self.rules = resolve_stopping_rules(stop)
-        self.allowed_atom_ids = (
-            frozenset(allowed_atom_ids) if allowed_atom_ids is not None else None
+            config.require_names("executor")
+        self.generator_name = config.name("generator")
+        self.core = config.resolve_core()
+        self.template = config.resolve_template()
+        self.attacker = config.resolve_attacker()
+        self.solver = config.resolve_solver()
+        self.strategy = config.resolve_generator(self.template)
+        self.rounds, self.batch = config.round_plan()
+        self.rules = resolve_stopping_rules(config.adaptive.stop)
+        self.restriction, self.allowed_atom_ids = config.resolve_restriction(
+            self.template
         )
-        self.restriction = restriction
         if not self.executor.external and self.executor.worker is None:
             # This loop's live strategy and evaluator.
             self.executor.worker = ShardEvaluator.from_plugins(
@@ -333,7 +332,7 @@ class AdaptiveLoop:
                 self.template,
                 self.strategy,
                 attacker=self.attacker,
-                use_fastpath=self.config.fastpath,
+                use_fastpath=config.fastpath,
             )
         self.processes = processes
         self.shard_size = shard_size
@@ -356,7 +355,7 @@ class AdaptiveLoop:
     def manifest_key(self) -> dict:
         """The round-manifest key (see
         :meth:`~repro.pipeline.config.PipelineConfig.round_manifest_key`)."""
-        return self.config.round_manifest_key(self.batch, self.restriction)
+        return self.config.round_manifest_key()
 
     @property
     def targetable_atom_ids(self) -> frozenset:
@@ -532,8 +531,7 @@ class AdaptiveLoop:
             if threads is not None:
                 if not all(entry.synthesis.done() for entry in pending):
                     # Solves still running are abandoned, not waited for.
-                    solver.stopped = True
-                    pool.close()
+                    solver.stop()
                 threads.shutdown(cancel_futures=True)
             own.close()
         if pending:

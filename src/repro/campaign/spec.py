@@ -38,7 +38,7 @@ from typing import (
 
 from repro.evaluation.backends.base import EvaluationExecutor
 from repro.pipeline import SynthesisPipeline
-from repro.pipeline.config import PipelineConfig, cell_identity, derive_round_plan
+from repro.pipeline.config import PipelineConfig, cell_identity
 
 #: The sweep axes, in expansion (and display) order.
 AXES = (
@@ -146,22 +146,6 @@ class CampaignCell:
         Cells in one group share test cases, so a cached dataset of a
         larger budget serves any smaller budget by prefix."""
         return PipelineConfig.from_cell(self).dataset_group()
-
-    def effective_rounds(self) -> Optional[int]:
-        """The round budget actually run: ``adaptive_rounds``, clamped
-        so the derived-batch case ceiling (``rounds * batch``) never
-        exceeds the cell budget (an explicit ``batch`` is the user's
-        own ceiling and is respected as-is)."""
-        if self.adaptive_rounds is None:
-            return None
-        return derive_round_plan(self.adaptive_rounds, self.batch, self.budget)[0]
-
-    def effective_batch(self) -> Optional[int]:
-        """The per-round batch of an adaptive cell: explicit ``batch``,
-        or the cell budget split evenly across the effective rounds."""
-        if self.adaptive_rounds is None:
-            return self.batch
-        return derive_round_plan(self.adaptive_rounds, self.batch, self.budget)[1]
 
     def pipeline(
         self,

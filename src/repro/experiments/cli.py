@@ -212,13 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = _flags(cached, pipeline, backend, trace)
     grid.add_argument(
         "--adaptive-rounds",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="evaluate in an adaptive loop of up to N rounds",
     )
     grid.add_argument(
         "--batch",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="test cases per adaptive round (default: --count split evenly)",
     )

@@ -32,7 +32,7 @@ Builder surface
 ``.restrict(name_or_families)`` template restriction (default: none)
 ``.budget(count, seed)``        test-case budget and generator seed
 ``.generator(name_or_inst)``    generation strategy (GENERATOR_REGISTRY)
-``.adaptive(...)``              coverage-guided rounds (repro.adaptive)
+``.adaptive(...)``              ``AdaptivePlan`` rounds run by ``AdaptiveLoop``
 ``.fastpath(enabled)``          fast evaluator (default) or ``False`` oracle
 ``.cache_dir(path)``            dataset cache directory (default: off)
 ``.verify(count, seed)``        verification budget (default: dataset check)

@@ -93,24 +93,6 @@ def plugin_name(value) -> str:
     return value if isinstance(value, str) else value.name
 
 
-def derive_round_plan(
-    rounds: int, batch: Optional[int], budget: int
-) -> Tuple[int, int]:
-    """The adaptive ``(rounds, batch)`` actually run: an explicit
-    ``batch`` is taken as given (its ceiling is ``rounds * batch``); a
-    derived batch splits ``budget`` evenly across the rounds, clamping
-    the round count so the ceiling never exceeds the budget."""
-    if batch is not None:
-        return rounds, batch
-    if budget < 1:
-        raise ValueError(
-            "adaptive mode derives its per-round batch from the budget: "
-            "configure a positive budget or pass an explicit batch"
-        )
-    rounds = min(rounds, budget)
-    return rounds, max(1, budget // rounds)
-
-
 @dataclass(frozen=True)
 class AdaptivePlan:
     """The adaptive settings as configured; the batch actually run
@@ -119,6 +101,12 @@ class AdaptivePlan:
     rounds: int = 8
     batch: Optional[int] = None
     stop: StopLike = "contract-stable"
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ValueError("rounds must be at least 1")
+        if self.batch is not None and self.batch < 1:
+            raise ValueError("batch must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -201,8 +189,21 @@ class PipelineConfig:
         return restriction_label(families), template.ids_by_family(families)
 
     def round_plan(self) -> Tuple[int, int]:
-        """The adaptive ``(rounds, batch)`` actually run."""
-        return derive_round_plan(self.adaptive.rounds, self.adaptive.batch, self.budget)
+        """The adaptive ``(rounds, batch)`` actually run: an explicit
+        batch is taken as given (its ceiling is ``rounds * batch``); a
+        derived batch splits the budget evenly across the rounds,
+        clamping the round count so the ceiling never exceeds the
+        budget."""
+        rounds, batch = self.adaptive.rounds, self.adaptive.batch
+        if batch is not None:
+            return rounds, batch
+        if self.budget < 1:
+            raise ValueError(
+                "adaptive mode derives its per-round batch from the budget: "
+                "configure a positive budget or pass an explicit batch"
+            )
+        rounds = min(rounds, self.budget)
+        return rounds, max(1, self.budget // rounds)
 
     def _unnamed(self, purpose: str) -> List[str]:
         unnamed = []
@@ -272,15 +273,15 @@ class PipelineConfig:
         generator = stream["generator_name"]
         ref = "" if self.fastpath else "-ref"
         if self.adaptive is not None:
-            label, _allowed = self.resolve_restriction(template)
-            restriction = "-r%s" % label if label else ""
+            key = self.round_manifest_key()
+            restriction = "-r%s" % key["restriction"] if key["restriction"] else ""
             name = "%s-g%s-%s%s-seed%d-b%d%s" % (
                 prefix,
-                generator,
-                self.name("solver"),
+                key["generator"],
+                key["solver"],
                 restriction,
-                self.seed,
-                self.round_plan()[1],
+                key["seed"],
+                key["batch"],
                 ref,
             )
             return os.path.join(cache_dir, name)
@@ -337,20 +338,22 @@ class PipelineConfig:
             )
         return stem + QUARANTINE_SUFFIX if stem is not None else None
 
-    def round_manifest_key(self, batch: int, restriction: Optional[str]) -> dict:
+    def round_manifest_key(self) -> dict:
         """The adaptive round-manifest key: everything that changes a
-        round's results or steering, for the loop's ``batch`` and
-        restriction label.  The round budget is absent, so extending
-        ``rounds`` resumes instead of restarting."""
+        round's results or steering, the batch actually run and the
+        restriction label included.  The round budget is absent, so
+        extending ``rounds`` resumes instead of restarting."""
         stream = self.stream_key()
+        template = self.resolve_template()
+        restriction, _allowed = self.resolve_restriction(template)
         return {
             "core": stream["core_name"],
             "template": stream["template_name"],
-            "template_digest": template_digest(self.resolve_template()),
+            "template_digest": template_digest(template),
             "attacker": stream["attacker_name"],
             "seed": self.seed,
             "generator": stream["generator_name"],
-            "batch": batch,
+            "batch": self.round_plan()[1],
             "fastpath": self.fastpath,
             "solver": self.name("solver"),
             "restriction": restriction,

@@ -168,12 +168,12 @@ class SynthesisPipeline:
         """Run the evaluation phase as an adaptive generate → evaluate
         → steer loop instead of one fixed-budget shot.
 
-        ``rounds`` bounds the loop; ``batch`` sizes each round, and
-        defaults to the :meth:`budget` count split evenly across the
-        rounds — so the configured budget stays the total case ceiling
-        on both the classic and the adaptive path (with an *explicit*
-        batch the ceiling is ``rounds * batch`` instead).  ``stop`` is
-        a ``STOPPING_REGISTRY`` name, a
+        ``rounds`` (at least 1) bounds the loop; ``batch`` (at least 1)
+        sizes each round, and defaults to the :meth:`budget` count split
+        evenly across the rounds — so the configured budget stays the
+        total case ceiling on both the classic and the adaptive path
+        (with an *explicit* batch the ceiling is ``rounds * batch``
+        instead).  ``stop`` is a ``STOPPING_REGISTRY`` name, a
         :class:`~repro.adaptive.StoppingRule`, or a sequence of either
         — the loop also always stops when the round budget is
         exhausted.  ``generator`` defaults to the strategy configured
@@ -332,10 +332,11 @@ class SynthesisPipeline:
         (see :meth:`executor`) when they span more than one shard,
         whatever executor the run's own evaluation uses.  Their shards
         follow the run's :meth:`retry`/:meth:`timeout` policy; their
-        ``retry``/``shard`` records join ``PipelineResult.failures`` but
-        no quarantine log (it is keyed to the run's own corpus), and a
-        quarantined verify shard's cases leave the report.  Without a
-        policy a failing verify shard fails the run.
+        records join ``PipelineResult.failures``, with ``"phase":
+        "verify"`` on their unit, but no quarantine log (it is keyed to
+        the run's own corpus), and a quarantined verify shard's cases
+        leave the report, not the dataset.  Without a policy a failing
+        verify shard fails the run.
 
         ``seed`` defaults to the generator seed plus one, so directed
         verification never silently replays the synthesis test cases.
@@ -639,24 +640,9 @@ class SynthesisPipeline:
         # Imported here: the loop imports repro.pipeline.config.
         from repro.adaptive.loop import AdaptiveLoop
 
-        config = self.config
         with tracer.span("phase", phase="setup"):
-            template = self.resolve_template()
-            restriction, allowed_atom_ids = self.resolve_restriction(template)
-            rounds, batch = config.round_plan()
             loop = AdaptiveLoop(
-                core=config.core,
-                template=config.template,
-                attacker=config.attacker,
-                solver=config.solver,
-                generator=config.generator,
-                rounds=rounds,
-                batch=batch,
-                stop=config.adaptive.stop,
-                seed=config.seed,
-                allowed_atom_ids=allowed_atom_ids,
-                restriction=restriction,
-                use_fastpath=config.fastpath,
+                self.config,
                 executor=self._executor,
                 processes=self._processes,
                 shard_size=self._shard_size,
@@ -678,7 +664,7 @@ class SynthesisPipeline:
             if self._executor is not None:
                 evaluate_span.add(executor=plugin_name(self._executor))
         tracer.record("phase", adaptive.synthesis.wall_seconds, phase="synthesize")
-        return restriction, adaptive, verifier
+        return loop.restriction, adaptive, verifier
 
     def _verify_stack(
         self, template: ContractTemplate, core: Core, attacker: Attacker, pool: ForkPool
@@ -708,7 +694,8 @@ class SynthesisPipeline:
         (``verify`` unset), directed testing on fresh cases on the
         ``verifier`` stack built in setup (``n > 0``), or nothing
         (``0``).  Verify shards run under the run's retry policy, their
-        records into ``failures`` only (see :meth:`verify`)."""
+        records, tagged with the phase, into ``failures`` only (see
+        :meth:`verify`)."""
         if self.config.verify is None:
             return check_dataset_satisfaction(contract, dataset)
         if verifier is None:
@@ -720,7 +707,7 @@ class SynthesisPipeline:
                 executor,
                 policy,
                 shard_timeout=self._shard_timeout,
-                sink=FailureSink(tracer, failures.append),
+                sink=FailureSink(tracer, failures.append, phase="verify"),
             )
         return check_contract_satisfaction(
             contract,

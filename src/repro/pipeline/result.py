@@ -159,8 +159,17 @@ class PipelineResult:
 
     @property
     def quarantined_shards(self) -> List[FailureRecord]:
-        """The shards that exhausted retries and were quarantined."""
-        return [record for record in self.failures if record.kind == "shard"]
+        """The evaluation shards that exhausted retries and were
+        quarantined: the dataset is missing their results."""
+        return self._quarantined(None)
+
+    def _quarantined(self, phase: Optional[str]) -> List[FailureRecord]:
+        """The quarantined shards of ``phase`` (``None``: evaluation)."""
+        return [
+            record
+            for record in self.failures
+            if record.kind == "shard" and record.unit.get("phase") == phase
+        ]
 
     @property
     def contract(self) -> Contract:
@@ -212,18 +221,24 @@ class PipelineResult:
             )
         if self.adaptive is not None:
             lines.append(self.adaptive.render())
-        quarantined = self.quarantined_shards
-        if quarantined:
-            lines.append(
-                "quarantined: %d shard(s) dropped after exhausting retries (%s)"
-                % (
-                    len(quarantined),
-                    ", ".join(
-                        "start_id=%s" % record.unit.get("start_id")
-                        for record in quarantined
-                    ),
+        for phase, label, dropped in (
+            (None, "quarantined", "the dataset"),
+            ("verify", "verify quarantined", "the verification report"),
+        ):
+            quarantined = self._quarantined(phase)
+            if quarantined:
+                lines.append(
+                    "%s: %d shard(s) dropped from %s after exhausting retries (%s)"
+                    % (
+                        label,
+                        len(quarantined),
+                        dropped,
+                        ", ".join(
+                            "start_id=%s" % record.unit.get("start_id")
+                            for record in quarantined
+                        ),
+                    )
                 )
-            )
         lines.append("timings: %s" % self.timings.render())
         return "\n".join(lines)
 

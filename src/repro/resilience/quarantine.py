@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.checkpoint import JsonlCheckpoint
@@ -116,6 +116,8 @@ class FailureSink:
     at once, so a foreign key is refused before any work starts; a
     missing one is created at the first durable record, so a clean run
     leaves no file.  Appends hold a lock: campaign cells run on threads.
+    With ``phase`` set, every record's unit carries it as ``"phase"``,
+    so a run's verify failures stay apart from its evaluation's.
     """
 
     def __init__(
@@ -124,11 +126,13 @@ class FailureSink:
         callback: Optional[Callable[[FailureRecord], None]] = None,
         log_path: Optional[str] = None,
         log_key: Optional[dict] = None,
+        phase: Optional[str] = None,
     ):
         self.tracer = tracer
         self.callback = callback
         self.log_path = log_path
         self.log_key = log_key
+        self.phase = phase
         self._lock = threading.Lock()
         self._log: Optional[FailureLog] = None
         if log_path is not None and os.path.exists(log_path):
@@ -136,6 +140,8 @@ class FailureSink:
 
     def emit(self, record: FailureRecord, durable: bool = False) -> None:
         """Count, trace, log (if ``durable``) and hand on ``record``."""
+        if self.phase is not None:
+            record = replace(record, unit=dict(record.unit, phase=self.phase))
         current_metrics().counter(_COUNTERS[record.kind]).inc()
         if self.tracer is not None:
             self.tracer.event(

@@ -52,6 +52,7 @@ from repro.pipeline.config import (  # noqa: F401 - task_from_payload re-exporte
     task_from_payload,
     task_to_payload,
 )
+from repro.trace.tracer import read_trace
 
 QUEUE_VERSION = 1
 
@@ -158,28 +159,13 @@ class JobQueue:
         append_jsonl_line(self.log_path, event, durable=self.durable)
 
     def _events(self) -> List[dict]:
-        try:
-            with open(self.log_path, "rb") as stream:
-                content = stream.read().decode("utf-8")
-        except FileNotFoundError:
-            return []
-        events = []
-        for line in content.splitlines():
-            if not line.strip():
-                # Blank line: two appenders both terminated the same
-                # torn tail (see :func:`append_jsonl_line`).
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                # A torn fragment — final (writer died mid-append and
-                # nobody wrote since) or mid-file (a later appender
-                # terminated it).  Skipping is safe because every event
-                # is confirmed or reissued: claims are verified by
-                # re-reading the fold, expired leases are requeued, a
-                # lost ``done`` re-executes idempotently, and a lost
-                # ``enqueue`` is re-emitted by the next broker pass.
-                continue
+        # Blank lines and torn fragments are skipped (a missing log has
+        # no events).  Skipping is safe because every event is confirmed
+        # or reissued: claims are verified by re-reading the fold,
+        # expired leases are requeued, a lost ``done`` re-executes
+        # idempotently, and a lost ``enqueue`` is re-emitted by the next
+        # broker pass.
+        events = read_trace(self.log_path)
         if events and events[0].get("event") == "init":
             if events[0].get("version") != QUEUE_VERSION:
                 raise ValueError(

@@ -19,6 +19,7 @@ from repro.adaptive import (
     resolve_stopping_rules,
 )
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 
 pytestmark = pytest.mark.adaptive
 
@@ -28,6 +29,13 @@ ATTACKER = "cache-state"
 TEMPLATE = "riscv-mem"
 SEED = 7
 FIXED_BUDGET = 1200
+
+
+def _config(generator, plan, **axes):
+    """The pinned scenario under ``generator`` and the round ``plan``."""
+    settings = dict(core=CORE, template=TEMPLATE, attacker=ATTACKER, seed=SEED)
+    settings.update(axes)
+    return PipelineConfig(generator=generator, adaptive=plan, **settings)
 
 
 def _fixed_contract():
@@ -48,16 +56,7 @@ class TestConvergence:
     def test_coverage_strategy_matches_fixed_budget_with_fewer_cases(self):
         fixed_atoms, fixed = _fixed_contract()
         assert len(fixed.dataset) == FIXED_BUDGET
-        loop = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=12,
-            batch=100,
-            seed=SEED,
-        )
-        adaptive = loop.run()
+        adaptive = AdaptiveLoop(_config("coverage", AdaptivePlan(12, 100))).run()
         assert tuple(sorted(adaptive.contract.atom_ids)) == fixed_atoms
         # Measurably fewer: the loop stopped well before the fixed
         # budget (its own ceiling would have been 1200 as well).
@@ -68,15 +67,7 @@ class TestConvergence:
         """`random` rounds are prefixes of the fixed corpus, so the
         stable contract equals the fixed-budget one by saturation."""
         fixed_atoms, _fixed = _fixed_contract()
-        adaptive = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="random",
-            rounds=12,
-            batch=100,
-            seed=SEED,
-        ).run()
+        adaptive = AdaptiveLoop(_config("random", AdaptivePlan(12, 100))).run()
         assert tuple(sorted(adaptive.contract.atom_ids)) == fixed_atoms
         assert adaptive.total_cases < FIXED_BUDGET
 
@@ -116,18 +107,9 @@ class TestLegacyEquivalence:
     def test_executor_rounds_match_in_process_rounds(self):
         """Round evaluation through the serial executor backend equals
         the in-process path (workers rebuild the strategy by name)."""
-        kwargs = dict(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=3,
-            batch=60,
-            stop="budget",
-            seed=3,
-        )
-        in_process = AdaptiveLoop(**kwargs).run()
-        sharded = AdaptiveLoop(executor="serial", shard_size=25, **kwargs).run()
+        config = _config("coverage", AdaptivePlan(3, 60, "budget"), seed=3)
+        in_process = AdaptiveLoop(config).run()
+        sharded = AdaptiveLoop(config, executor="serial", shard_size=25).run()
         assert len(sharded.dataset) == len(in_process.dataset)
         for a, b in zip(sharded.dataset, in_process.dataset):
             assert a.test_id == b.test_id
@@ -158,16 +140,7 @@ class TestOneOrchestrationPath:
             return evaluate_batch(evaluator, test_cases)
 
         monkeypatch.setattr(TestCaseEvaluator, "evaluate_batch", counted)
-        result = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=3,
-            batch=70,
-            stop="budget",
-            seed=SEED,
-        ).run()
+        result = AdaptiveLoop(_config("coverage", AdaptivePlan(3, 70, "budget"))).run()
         assert result.rounds_run == 3
         assert batches == [70, 70, 70]
 
@@ -175,16 +148,8 @@ class TestOneOrchestrationPath:
         from repro.uarch.ibex import IbexConfig, IbexCore
 
         def run(core):
-            return AdaptiveLoop(
-                core=core,
-                template=TEMPLATE,
-                attacker=ATTACKER,
-                generator="coverage",
-                rounds=3,
-                batch=60,
-                stop="budget",
-                seed=SEED,
-            ).run()
+            plan = AdaptivePlan(3, 60, "budget")
+            return AdaptiveLoop(_config("coverage", plan, core=core)).run()
 
         named = run(CORE)
         instance = run(IbexCore(IbexConfig(dcache=True)))
@@ -201,17 +166,9 @@ class TestOneOrchestrationPath:
         from repro.uarch.ibex import IbexConfig, IbexCore
 
         def run(core, **kwargs):
+            plan = AdaptivePlan(3, 60, "budget")
             return AdaptiveLoop(
-                core=core,
-                template=TEMPLATE,
-                attacker=ATTACKER,
-                generator="coverage",
-                rounds=3,
-                batch=60,
-                stop="budget",
-                seed=SEED,
-                shard_size=30,
-                **kwargs,
+                _config("coverage", plan, core=core), shard_size=30, **kwargs
             ).run()
 
         def refuse(task):
@@ -271,31 +228,14 @@ class TestStoppingRules:
             resolve_stopping_rules([42])
 
     def test_budget_rule_exhausts_all_rounds(self):
-        result = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=4,
-            batch=40,
-            stop="budget",
-            seed=SEED,
-        ).run()
+        result = AdaptiveLoop(_config("coverage", AdaptivePlan(4, 40, "budget"))).run()
         assert result.rounds_run == 4
         assert result.stop_reason == "budget-exhausted"
 
     def test_full_coverage_stops_the_pinned_scenario(self):
         """Every riscv-mem atom is distinguished within a few rounds."""
-        result = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=12,
-            batch=100,
-            stop="full-coverage",
-            seed=SEED,
-        ).run()
+        plan = AdaptivePlan(12, 100, "full-coverage")
+        result = AdaptiveLoop(_config("coverage", plan)).run()
         assert result.stop_reason.startswith("full atom coverage")
         assert result.records[-1].atom_coverage == 1.0
         assert result.rounds_run < 12
@@ -303,16 +243,7 @@ class TestStoppingRules:
 
 class TestRoundRecords:
     def test_records_are_cumulative_and_monotonic(self):
-        result = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=4,
-            batch=50,
-            stop="budget",
-            seed=SEED,
-        ).run()
+        result = AdaptiveLoop(_config("coverage", AdaptivePlan(4, 50, "budget"))).run()
         cumulative = [record.cumulative_cases for record in result.records]
         assert cumulative == [50, 100, 150, 200]
         coverage = [record.atom_coverage for record in result.records]
@@ -321,16 +252,7 @@ class TestRoundRecords:
         assert result.records[-1].stop_reason == "budget-exhausted"
 
     def test_curves_track_records(self):
-        result = AdaptiveLoop(
-            core=CORE,
-            template=TEMPLATE,
-            attacker=ATTACKER,
-            generator="coverage",
-            rounds=3,
-            batch=40,
-            stop="budget",
-            seed=SEED,
-        ).run()
+        result = AdaptiveLoop(_config("coverage", AdaptivePlan(3, 40, "budget"))).run()
         by_label = {series.label: series for series in result.curves()}
         assert set(by_label) == {
             "atom-coverage",

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.adaptive import AdaptiveKeyError, AdaptiveLoop, AdaptiveManifest
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 
 pytestmark = pytest.mark.adaptive
 
@@ -15,20 +16,13 @@ TEMPLATE = "riscv-mem"
 SEED = 5
 
 
-def _loop(path, **overrides):
+def _loop(path, rounds=4, batch=40, stop="budget", progress=None, **axes):
     settings = dict(
-        core=CORE,
-        template=TEMPLATE,
-        attacker=ATTACKER,
-        generator="coverage",
-        rounds=4,
-        batch=40,
-        stop="budget",
-        seed=SEED,
-        manifest_path=str(path),
+        core=CORE, template=TEMPLATE, attacker=ATTACKER, generator="coverage", seed=SEED
     )
-    settings.update(overrides)
-    return AdaptiveLoop(**settings)
+    settings.update(axes)
+    config = PipelineConfig(adaptive=AdaptivePlan(rounds, batch, stop), **settings)
+    return AdaptiveLoop(config, manifest_path=str(path), progress=progress)
 
 
 class TestResume:

@@ -21,6 +21,7 @@ from repro.evaluation.backends import executors as executors_module
 from repro.evaluation.results import EvaluationDataset
 from repro.forkpool import ForkPool
 from repro.metrics.registry import Metrics, install_metrics
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 from repro.synthesis.ilp import build_ilp_instance
 from repro.synthesis.solvers import BranchAndBoundSolver
 from repro.trace import Tracer
@@ -59,6 +60,14 @@ SCENARIOS = {
 }
 
 
+def _config(rounds, batch, stop, **axes):
+    """A scenario's configuration: its plan, on the ibex-dcache axes
+    unless it names its own."""
+    return PipelineConfig(
+        adaptive=AdaptivePlan(rounds, batch, stop), **dict(_DCACHE, **axes)
+    )
+
+
 def _pin_width(monkeypatch, width):
     """Let the process use ``width`` CPUs, and record the size of every
     worker pool the loop forks."""
@@ -85,10 +94,10 @@ def _outcome(monkeypatch, tmp_path, width, settings):
     manifest = tmp_path / ("rounds-%d.jsonl" % width)
     try:
         loop = AdaptiveLoop(
+            _config(**settings),
             manifest_path=str(manifest),
             progress=progress.append,
             tracer=tracer,
-            **dict(_DCACHE, **settings),
         )
         result = loop.run()
     finally:
@@ -139,8 +148,8 @@ def test_every_width_matches_the_serial_loop(monkeypatch, tmp_path, rule):
 def test_width_follows_processes_and_the_rounds_left(monkeypatch):
     pools = _pin_width(monkeypatch, 8)
     settings = dict(generator="coverage", batch=20, stop="budget", seed=7)
-    AdaptiveLoop(rounds=3, **dict(_DCACHE, **settings)).run()
-    AdaptiveLoop(rounds=4, processes=2, **dict(_DCACHE, **settings)).run()
-    AdaptiveLoop(rounds=1, **dict(_DCACHE, **settings)).run()
+    AdaptiveLoop(_config(rounds=3, **settings)).run()
+    AdaptiveLoop(_config(rounds=4, **settings), processes=2).run()
+    AdaptiveLoop(_config(rounds=1, **settings)).run()
     assert pools == [3, 2]
     assert multiprocessing.active_children() == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign import CampaignCell, CampaignSpec, filter_cells
-from repro.pipeline.config import AdaptivePlan
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 
 
 def _cell(**overrides):
@@ -18,6 +18,11 @@ def _cell(**overrides):
     )
     defaults.update(overrides)
     return CampaignCell(**defaults)
+
+
+def _plan(**overrides):
+    """The ``(rounds, batch)`` an adaptive cell runs."""
+    return PipelineConfig.from_cell(_cell(**overrides)).round_plan()
 
 
 class TestExpansion:
@@ -174,7 +179,7 @@ class TestGeneratorAxis:
         # A derived batch needs a positive budget ceiling.
         with pytest.raises(ValueError, match="positive"):
             CampaignSpec(name="g", adaptive_rounds=2, budgets=(0,)).expand()
-        assert _cell(adaptive_rounds=2, budget=0, batch=5).effective_batch() == 5
+        assert _plan(adaptive_rounds=2, budget=0, batch=5)[1] == 5
 
 
 class TestValidation:
@@ -252,21 +257,21 @@ class TestCells:
         assert _cell().dataset_group() != _cell(adaptive_rounds=4).dataset_group()
 
     def test_effective_batch_splits_the_budget(self):
-        assert _cell().effective_batch() is None
-        assert _cell(adaptive_rounds=4, budget=100).effective_batch() == 25
-        assert _cell(adaptive_rounds=4, budget=100, batch=10).effective_batch() == 10
-        assert _cell(adaptive_rounds=7, budget=3).effective_batch() == 1
+        assert PipelineConfig.from_cell(_cell()).adaptive is None
+        assert _plan(adaptive_rounds=4, budget=100)[1] == 25
+        assert _plan(adaptive_rounds=4, budget=100, batch=10)[1] == 10
+        assert _plan(adaptive_rounds=7, budget=3)[1] == 1
 
     def test_effective_rounds_respect_the_budget_ceiling(self):
         """A derived batch never lets rounds * batch exceed the cell
         budget — tiny budgets clamp the round count instead."""
-        assert _cell().effective_rounds() is None
-        assert _cell(adaptive_rounds=4, budget=100).effective_rounds() == 4
-        small = _cell(adaptive_rounds=7, budget=3)
-        assert small.effective_rounds() == 3
-        assert small.effective_rounds() * small.effective_batch() <= small.budget
+        assert PipelineConfig.from_cell(_cell()).adaptive is None
+        assert _plan(adaptive_rounds=4, budget=100)[0] == 4
+        rounds, batch = _plan(adaptive_rounds=7, budget=3)
+        assert rounds == 3
+        assert rounds * batch <= 3
         # An explicit batch is the user's own ceiling.
-        assert _cell(adaptive_rounds=7, budget=3, batch=2).effective_rounds() == 7
+        assert _plan(adaptive_rounds=7, budget=3, batch=2)[0] == 7
 
     def test_filter_cells_matches_axis_strings(self):
         cells = CampaignSpec(

@@ -24,6 +24,7 @@ from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import TestCaseResult
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 from repro.service.queue import JobQueue
 from repro.service.worker import JobWorker
 from repro.testgen.generator import TestCaseGenerator
@@ -103,17 +104,17 @@ class TestGoldenBytes:
 
     def test_adaptive_round_entry(self, tmp_path):
         path = tmp_path / "rounds.jsonl"
+        config = PipelineConfig(
+            generator="coverage", adaptive=AdaptivePlan(1, len(RESULTS))
+        )
         loop = AdaptiveLoop(
-            rounds=1,
-            batch=len(RESULTS),
+            config,
             executor=SerialExecutor(worker=_stub()),
             manifest_path=str(path),
         )
         assert list(loop.run().dataset) == RESULTS
         assert _lines(path)[1:] == [ROUND_LINE]
-        replayed = AdaptiveLoop(
-            rounds=1, batch=len(RESULTS), manifest_path=str(path)
-        ).run()
+        replayed = AdaptiveLoop(config, manifest_path=str(path)).run()
         assert replayed.resumed_rounds == 1
         assert list(replayed.dataset) == RESULTS
 

@@ -114,10 +114,7 @@ class TestStoreKey:
 
     def test_cell_pipeline_runs_the_derived_round_plan(self):
         cell = _store_cell(**STORE_CELLS["adaptive-budget-below-rounds"])
-        assert cell.pipeline().config.round_plan() == (
-            cell.effective_rounds(),
-            cell.effective_batch(),
-        ) == (5, 1)
+        assert cell.pipeline().config.round_plan() == (5, 1)
 
     def test_adaptive_cell_run_is_found_in_the_store(self, tmp_path):
         store = ContractStore(str(tmp_path / "store"))
@@ -148,24 +145,35 @@ class TestOneStreamKey:
         assert "/patched-core-" in config.cache_path("cache")
         assert config.dataset_group()[0] == "patched-core"
         assert _task(config).identity()["core"] == "patched-core"
-        assert config.round_manifest_key(10, None)["core"] == "patched-core"
         adaptive = config.evolve(adaptive=AdaptivePlan(rounds=2))
+        assert adaptive.round_manifest_key()["core"] == "patched-core"
         assert "/patched-core-" in adaptive.manifest_path("cache", True)
 
     def test_loop_and_pipeline_share_the_round_key(self):
-        config = PipelineConfig(generator="coverage", seed=3, budget=60)
-        loop = AdaptiveLoop(generator="coverage", seed=3, batch=20)
-        assert loop.manifest_key() == config.round_manifest_key(20, None)
+        config = PipelineConfig(
+            generator="coverage", seed=3, budget=60, adaptive=AdaptivePlan(rounds=3)
+        )
+        loop = AdaptiveLoop(config)
+        assert (loop.rounds, loop.batch) == config.round_plan() == (3, 20)
+        assert loop.manifest_key() == config.round_manifest_key()
+        stem = config.manifest_path("cache", True)[: -len(".rounds.jsonl")]
+        assert stem.endswith("-gcoverage-scipy-milp-seed3-b20")
 
     def test_template_is_built_once_per_configuration(self, monkeypatch):
         built = []
-        create = TEMPLATE_REGISTRY.create
+        for registry in (
+            TEMPLATE_REGISTRY,
+            CORE_REGISTRY,
+            ATTACKER_REGISTRY,
+            SOLVER_REGISTRY,
+            GENERATOR_REGISTRY,
+        ):
 
-        def counting(name, *args, **kwargs):
-            built.append(name)
-            return create(name, *args, **kwargs)
+            def counting(name, *args, _create=registry.create, **kwargs):
+                built.append(name)
+                return _create(name, *args, **kwargs)
 
-        monkeypatch.setattr(TEMPLATE_REGISTRY, "create", counting)
+            monkeypatch.setattr(registry, "create", counting)
         pipeline = SynthesisPipeline().cache_dir("cache").resume()
         pipeline.resolve_template()
         pipeline.budget(50, seed=2).retry(2)
@@ -173,6 +181,42 @@ class TestOneStreamKey:
         assert built == ["riscv-rv32im"]
         pipeline.template("riscv-mem").cache_path()
         assert built == ["riscv-rv32im", "riscv-mem"]
+        # An adaptive run hands its own configuration to the loop, so it
+        # builds each of its plugins once.
+        built.clear()
+        adaptive = SynthesisPipeline().budget(40, seed=1).adaptive("coverage", rounds=2)
+        adaptive.executor("serial", processes=1).run()
+        assert sorted(built) == [
+            "coverage",
+            "ibex",
+            "retirement-timing",
+            "riscv-rv32im",
+            "scipy-milp",
+        ]
+
+
+class TestAdaptivePlan:
+    @pytest.mark.parametrize(
+        "plan", [dict(rounds=0), dict(rounds=-1), dict(batch=0), dict(batch=-5)]
+    )
+    def test_rounds_and_batch_must_be_positive(self, plan):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            AdaptivePlan(**plan)
+
+    def test_the_builder_rejects_zero_rounds(self):
+        pipeline = SynthesisPipeline().budget(100)
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            pipeline.adaptive("coverage", rounds=0)
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            pipeline.adaptive("coverage", batch=0)
+
+    def test_a_campaign_cell_of_zero_rounds_is_rejected(self):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            PipelineConfig.from_cell(_store_cell(budget=10, adaptive_rounds=0))
+
+    def test_the_loop_runs_only_an_adaptive_configuration(self):
+        with pytest.raises(ValueError, match="config.adaptive"):
+            AdaptiveLoop(PipelineConfig())
 
 
 # -- property: one stream, one cache-file stem -------------------------

@@ -17,6 +17,7 @@ from repro.campaign.spec import CampaignCell
 from repro.contracts.riscv_template import build_riscv_template
 from repro.evaluation.backends.base import EvaluationTask
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 from repro.service.queue import job_id_for
 
 pytestmark = pytest.mark.pipeline
@@ -155,9 +156,12 @@ def _key(name, column, monkeypatch):
     if column == "manifest_key":
         if axes["adaptive_rounds"] is not None:
             return _observe_loop(_pipeline(axes), monkeypatch).manifest_key()
-        return AdaptiveLoop(
-            template=_template(axes), generator=axes["generator"]
-        ).manifest_key()
+        config = PipelineConfig(
+            template=_template(axes),
+            generator=axes["generator"],
+            adaptive=AdaptivePlan(batch=250),
+        )
+        return AdaptiveLoop(config).manifest_key()
     if column == "task_identity":
         return _task(axes).identity()
     if column == "job_id":

@@ -22,6 +22,7 @@ from repro.campaign import runner as runner_module
 from repro.evaluation.backends import ShardEvaluator
 from repro.evaluation.backends import executors as executors_module
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 from repro.resilience import (
     ALWAYS,
     RetryPolicy,
@@ -277,6 +278,10 @@ class TestFaultMatrix:
         assert not campaign.quarantined_cells
 
 
+#: The unit of the one shard only a verified pipeline's verify phase has.
+VERIFY_SHARD = {"start_id": 750, "count": 250, "phase": "verify"}
+
+
 def _verified_pipeline():
     """500 cases evaluate in shards 0 and 250; 1,000 fresh cases verify
     in shards 0 to 750, so only a verify shard starts at 750."""
@@ -297,7 +302,7 @@ class TestVerifyFailurePolicy:
             result = _verified_pipeline().retry(2).run()
         assert (_fingerprint(result), result.verification) == clean
         assert [record.kind for record in result.failures] == ["retry"]
-        assert result.failures[0].unit == {"start_id": 750, "count": 250}
+        assert result.failures[0].unit == VERIFY_SHARD
         assert multiprocessing.active_children() == []
 
     def test_an_exhausted_shard_leaves_the_report_and_no_log(self, clean, tmp_path):
@@ -307,12 +312,30 @@ class TestVerifyFailurePolicy:
         assert _fingerprint(result) == clean[0]
         assert result.verification.test_cases == 750
         assert [record.kind for record in result.failures] == ["retry", "shard"]
-        assert result.failures[-1].unit == {"start_id": 750, "count": 250}
+        assert result.failures[-1].unit == VERIFY_SHARD
         assert result.timings.shards_quarantined == 0
         # The quarantine log is keyed to the run's corpus: verify
         # records stay out of it.
         assert not os.path.exists(pipeline.quarantine_path())
         assert multiprocessing.active_children() == []
+
+    def test_an_exhausted_verify_shard_is_no_dataset_hole(self, tmp_path):
+        """The result and the trace report a quarantined verify shard as
+        missing from the report, apart from the evaluation shards the
+        dataset lacks."""
+        trace = str(tmp_path / "trace.jsonl")
+        with inject_fault("shard-crash", start_id=750, fail_attempts=ALWAYS):
+            result = _verified_pipeline().retry(2).trace(trace).run()
+        assert len(result.dataset) == 500
+        events = [r for r in read_trace(trace) if r["kind"] == "failure"]
+        assert [event["unit"] for event in events] == [VERIFY_SHARD] * 2
+        assert result.quarantined_shards == []
+        lines = result.render().splitlines()
+        assert not [line for line in lines if line.startswith("quarantined:")]
+        assert (
+            "verify quarantined: 1 shard(s) dropped from the verification "
+            "report after exhausting retries (start_id=750)"
+        ) in lines
 
 
 class TestDeadPoolWorker:
@@ -548,13 +571,14 @@ class TestRoundPipelineFailures:
     BATCH = 20
     FAILING = 2
 
-    def _run(self, tmp_path, width, **settings):
-        """A 4-round run at ``width``; returns the rounds reported and
-        checkpointed, and the result (``None`` when ``run()`` raised,
-        with the error in the second slot)."""
+    def _run(self, tmp_path, width, retry=None, **settings):
+        """A 4-round run at ``width``, unless ``settings`` override its
+        axes or plan; returns the rounds reported and checkpointed, and
+        the result (``None`` when ``run()`` raised, with the error in
+        the second slot)."""
         progress = []
         manifest = tmp_path / ("rounds-%d.jsonl" % width)
-        loop_settings = dict(
+        axes = dict(
             core="ibex",
             template="riscv-rv32im",
             attacker="retirement-timing",
@@ -563,14 +587,18 @@ class TestRoundPipelineFailures:
             batch=self.BATCH,
             stop="budget",
             seed=SEED,
-            processes=width,
-            manifest_path=str(manifest),
-            progress=progress.append,
         )
-        loop_settings.update(settings)
+        axes.update(settings)
+        plan = AdaptivePlan(axes.pop("rounds"), axes.pop("batch"), axes.pop("stop"))
         error = result = None
         try:
-            result = AdaptiveLoop(**loop_settings).run()
+            result = AdaptiveLoop(
+                PipelineConfig(adaptive=plan, **axes),
+                processes=width,
+                manifest_path=str(manifest),
+                progress=progress.append,
+                retry=retry,
+            ).run()
         except Exception as raised:
             error = raised
         assert multiprocessing.active_children() == []

@@ -11,6 +11,7 @@ worker outlives the run.
 import multiprocessing
 import os
 import threading
+from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -22,6 +23,7 @@ from repro.contracts.template import Contract
 from repro.evaluation.backends import executors as executors_module
 from repro.forkpool import ForkPool, current_pool
 from repro.pipeline import SynthesisPipeline
+from repro.pipeline.config import AdaptivePlan, PipelineConfig
 from repro.uarch import CORE_REGISTRY
 from repro.verification import check_contract_satisfaction
 
@@ -210,8 +212,23 @@ class TestForkPool:
 
 def test_adaptive_loop_outside_a_run_owns_its_pool(forks):
     threads, pools = forks(8)
-    AdaptiveLoop(
-        core="ibex", generator="coverage", rounds=3, batch=20, stop="budget"
-    ).run()
+    plan = AdaptivePlan(rounds=3, batch=20, stop="budget")
+    AdaptiveLoop(PipelineConfig(generator="coverage", adaptive=plan)).run()
     _assert_one_pool(threads, pools, 3)
     assert pools == [3]
+
+
+def test_a_solve_after_the_loop_stopped_forks_no_pool(forks):
+    """A round thread that reaches the solve pool after the loop stopped
+    and closed it is cancelled instead of forking the pool again."""
+    from repro.adaptive.loop import _PooledSolver
+    from repro.synthesis.solvers import BranchAndBoundSolver
+
+    _threads, pools = forks(2)
+    solver = BranchAndBoundSolver()
+    with ForkPool(1, [solver]) as pool:
+        pooled = _PooledSolver(pool, solver)
+        pooled.stop()
+        with pytest.raises(CancelledError):
+            pooled.solve(None)
+    assert pools == []
