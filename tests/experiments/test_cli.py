@@ -561,6 +561,7 @@ def test_parser_rejects_non_positive_pool_sizes(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.pipeline
 @pytest.mark.parametrize("flag", ["--adaptive-rounds", "--batch"])
 def test_parser_rejects_an_empty_round_plan(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:

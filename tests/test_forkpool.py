@@ -218,6 +218,7 @@ def test_adaptive_loop_outside_a_run_owns_its_pool(forks):
     assert pools == [3]
 
 
+@pytest.mark.adaptive
 def test_a_solve_after_the_loop_stopped_forks_no_pool(forks):
     """A round thread that reaches the solve pool after the loop stopped
     and closed it is cancelled instead of forking the pool again."""
