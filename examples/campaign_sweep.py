@@ -12,7 +12,7 @@ to a JSONL manifest.  The equivalent from the command line::
     repro-synthesize campaign run \\
         --core ibex,ibex-dcache --attacker retirement-timing,cache-state \\
         --budgets 200,400 --solver greedy --verify 0 \\
-        --campaign-name sweep --max-parallel-cells 2
+        --campaign-name sweep
     repro-synthesize campaign status --resume \\
         --core ibex,ibex-dcache --attacker retirement-timing,cache-state \\
         --budgets 200,400 --solver greedy --verify 0 --campaign-name sweep

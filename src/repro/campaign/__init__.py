@@ -16,7 +16,7 @@ unit of work::
         exclude=[{"core": "ibex", "attacker": "cache-state"}],
         verify=0,
     )
-    result = run_campaign(spec, results_dir="results", max_parallel_cells=2)
+    result = run_campaign(spec, results_dir="results")
     print(result.render())                      # cross-config comparison table
 
 Layer map:
@@ -25,9 +25,10 @@ Layer map:
   :class:`CampaignCell`: the declarative grid and its expansion
   (overrides, excludes, registry validation).
 - :mod:`~repro.campaign.runner` — :class:`CampaignRunner` /
-  :func:`run_campaign`: execution with cross-cell dataset-cache reuse
-  (exact key *and* prefix-of-larger-budget), concurrent cells under a
-  per-campaign process budget, and cell-granularity resumption.
+  :func:`run_campaign`: cells run one at a time, largest budget first
+  within each dataset group, so the pipeline's dataset cache serves
+  siblings (exact key *and* prefix-of-larger-budget), with
+  cell-granularity resumption.
 - :mod:`~repro.campaign.manifest` — :class:`CampaignManifest`: the
   JSONL checkpoint (same :mod:`repro.checkpoint` mechanics as the
   evaluation shard manifest).

@@ -56,9 +56,9 @@ class CellOutcome:
     timings: Dict[str, float]
     #: The cell's dataset came from the pipeline cache.
     cache_hit: bool
-    #: The dataset was provisioned by an earlier cell of this campaign
-    #: (exact cache key or prefix of a larger cached budget) — the
-    #: cell performed zero generation work.
+    #: A campaign cell's run loaded its dataset from the cache (exact
+    #: key or prefix of a larger cached budget) — the cell performed
+    #: zero generation work.
     dataset_reused: bool
     #: The outcome came from the campaign manifest, not this run.
     resumed: bool = False
@@ -262,9 +262,6 @@ class CampaignResult:
                 verified = "skipped"
             else:
                 verified = "yes" if outcome.satisfied else "VIOLATED"
-            # "fresh" includes cells whose run() hit a cache entry the
-            # cell's own provisioning just wrote — the generation work
-            # still happened in this cell.
             if outcome.resumed:
                 dataset = "resumed"
             elif outcome.dataset_reused:

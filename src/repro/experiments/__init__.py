@@ -7,7 +7,7 @@ cases on a 128-thread Threadripper; shapes saturate far earlier).
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_core, evaluate_dataset, experiment_pipeline
+from repro.experiments.runner import experiment_pipeline
 from repro.experiments.fig2 import Fig2Result, run_fig2
 from repro.experiments.fig3 import Fig3Result, run_fig3
 from repro.experiments.contract_tables import (
@@ -23,8 +23,6 @@ __all__ = [
     "Fig2Result",
     "Fig3Result",
     "Table3Result",
-    "build_core",
-    "evaluate_dataset",
     "experiment_pipeline",
     "run_fig2",
     "run_fig3",

@@ -18,15 +18,14 @@ resumable grid of them.  Both take the plugin flags (``--core``,
 ``--attacker``, ``--solver``, ``--template``, ``--restrict``,
 ``--generator``), the budget (``--count``, ``--seed``, ``--verify``),
 the adaptive, resume, retry and executor flags, and ``--trace``.
-``campaign`` adds ``--campaign-name``, ``--budgets``, ``--seeds``,
-``--max-parallel-cells`` and ``--filter``, and takes comma-separated
-lists on every plugin flag::
+``campaign`` adds ``--campaign-name``, ``--budgets``, ``--seeds`` and
+``--filter``, and takes comma-separated lists on every plugin flag::
 
     repro-synthesize run --core cva6 --attacker cache-state --count 500
     repro-synthesize run --executor multiprocess --resume --count 100000
     repro-synthesize run --generator coverage --adaptive-rounds 8 --batch 250
     repro-synthesize campaign run --core ibex,cva6 --budgets 500,2000
-    repro-synthesize campaign run --resume --max-parallel-cells 4
+    repro-synthesize campaign run --resume --filter core=ibex
     repro-synthesize campaign status --core ibex,cva6 --budgets 500,2000
 
 The contract service (see README "Running the contract service"):
@@ -175,21 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=_positive_int,
         metavar="N",
-        help="worker processes, shared by concurrently running cells",
+        help="size of each run's worker pool (default: usable CPUs, at most 8)",
     )
     backend.add_argument(
         "--shard-size",
         type=_positive_int,
         metavar="N",
         help="test cases per evaluation shard (default: 250)",
-    )
-    cells = _flags()
-    cells.add_argument(
-        "--max-parallel-cells",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cells executed concurrently (default: 1)",
     )
     polling = _flags()
     polling.add_argument(
@@ -272,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign = command(
         "campaign",
         _run_campaign,
-        [grid, lists, cells],
+        [grid, lists],
         "run or inspect a resumable configuration grid",
     )
     campaign.add_argument("action", nargs="?", choices=("run", "status", "report"))
@@ -313,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = command(
         "serve",
         _run_serve,
-        [service_root, backend, cells, polling, trace],
+        [service_root, backend, polling, trace],
         "run the contract-service broker loop",
     )
     serve.add_argument(
@@ -500,9 +491,8 @@ def _campaign_runner(arguments):
         results_dir=arguments.results_dir,
         cache=not arguments.no_cache,
         executor=_effective_cli_executor(arguments),
-        process_budget=arguments.processes,
+        processes=arguments.processes,
         shard_size=arguments.shard_size,
-        max_parallel_cells=arguments.max_parallel_cells,
         manifest=arguments.resume if isinstance(arguments.resume, str) else True,
         resume=arguments.resume is not None,
         filters=_parse_filters(arguments.filters),
@@ -631,9 +621,8 @@ def _run_serve(arguments) -> int:
     service = ContractService(
         store,
         executor=executor or "serial",
-        process_budget=arguments.processes,
+        processes=arguments.processes,
         shard_size=arguments.shard_size,
-        max_parallel_cells=arguments.max_parallel_cells,
         tracer=tracer,
     )
     server = ContractServer(

@@ -10,9 +10,9 @@ are first discovered (the contract must cover them with coarse atoms
 until finer ones are available).
 
 The (restriction x prefix) sweep is a :class:`CampaignSpec`: one cell
-per grid point, all cells sharing one dataset stream, so the campaign
-runner evaluates the largest budget once and serves every smaller
-prefix from it.  Test cases are generated per test id, which makes a
+per grid point, all cells sharing one dataset stream, so the largest
+budget is evaluated once and every smaller cell's pipeline takes its
+prefix from the dataset cache.  Test cases are generated per test id, which makes a
 budget-``n`` cell's dataset byte-identical to ``prefix(n)`` of the
 full synthesis set — the campaign path reproduces the pre-campaign
 driver output exactly.
@@ -25,10 +25,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.contracts.riscv_template import cumulative_family_sets, restriction_label
+from repro.contracts.riscv_template import (
+    build_riscv_template,
+    cumulative_family_sets,
+    restriction_label,
+)
 from repro.contracts.template import Contract
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import experiment_pipeline, shared_template
+from repro.experiments.runner import experiment_pipeline
 from repro.reporting.curves import Series, render_ascii_chart, write_csv
 from repro.synthesis.metrics import evaluate_contract
 
@@ -92,7 +96,7 @@ def run_fig2(
         config.evaluation_test_cases, config.evaluation_seed,
     ).evaluate()
 
-    template = shared_template()
+    template = build_riscv_template()
     prefixes = config.synthesis_prefixes()
     series: List[Series] = []
     for restriction in spec.restrictions:

@@ -8,8 +8,8 @@ flattens (the paper: flat after ~15k cases, final value 99.93%).
 
 Like Figure 2, the prefix sweep is a :class:`CampaignSpec` — one cell
 per synthesis budget, unrestricted template — and all cells share one
-dataset stream, so the campaign runner evaluates the largest budget
-once and derives the rest by prefix.
+dataset stream, so the largest budget is evaluated once and the rest
+are derived from the dataset cache by prefix.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.campaign import CampaignRunner, CampaignSpec
+from repro.contracts.riscv_template import build_riscv_template
 from repro.contracts.template import Contract
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import experiment_pipeline, shared_template
+from repro.experiments.runner import experiment_pipeline
 from repro.reporting.curves import Series, render_ascii_chart, write_csv
 from repro.synthesis.metrics import evaluate_contract
 
@@ -88,7 +89,7 @@ def run_fig3(
         config.evaluation_test_cases, config.evaluation_seed,
     ).evaluate()
 
-    template = shared_template()
+    template = build_riscv_template()
     prefixes = config.sensitivity_prefixes()
     points: List[Tuple[float, Optional[float]]] = []
     for prefix in prefixes:

@@ -44,6 +44,7 @@ from repro.pipeline.config import (
     StopLike,
     TemplateLike,
     plugin_name,
+    superset_cache_path,
 )
 from repro.pipeline.result import PhaseTimings, PipelineResult
 from repro.resilience.executor import ResilientExecutor
@@ -196,7 +197,13 @@ class SynthesisPipeline:
         return self._set(fastpath=enabled)
 
     def cache_dir(self, directory: Optional[str]) -> "SynthesisPipeline":
-        """Cache evaluated datasets under ``directory`` (``None`` off)."""
+        """Cache evaluated datasets under ``directory`` (``None`` off).
+
+        A run whose exact dataset is not cached but whose stream is,
+        at a larger budget, takes that dataset's prefix (test cases are
+        generated per test id, so ``dataset(n).prefix(m) ==
+        dataset(m)``), saves it under its own key and evaluates
+        nothing."""
         self._cache_dir = directory
         return self
 
@@ -377,8 +384,21 @@ class SynthesisPipeline:
         """The dataset cache file for this configuration, or ``None``
         (no :meth:`cache_dir`, an adaptive run, or an instance-configured
         core, attacker or generator; see
-        :meth:`~repro.pipeline.config.PipelineConfig.cache_path`)."""
+        :meth:`~repro.pipeline.config.PipelineConfig.cache_path`).  A
+        run writes it after evaluating, or after deriving it as a
+        prefix of a larger cached budget."""
         return self.config.cache_path(self._cache_dir)
+
+    def _cached_source(self) -> Optional[str]:
+        """The cached dataset the run loads instead of evaluating: its
+        own cache file, else the smallest cached larger budget of the
+        same stream, else ``None``."""
+        cache_path = self.cache_path()
+        if cache_path is None:
+            return None
+        if os.path.exists(cache_path):
+            return cache_path
+        return superset_cache_path(cache_path, self.config.budget)
 
     def manifest_path(self) -> Optional[str]:
         """The checkpoint file the run uses, or ``None`` when
@@ -402,8 +422,9 @@ class SynthesisPipeline:
     def _prepare_evaluate(
         self, core: Optional[Core] = None, attacker: Optional[Attacker] = None
     ) -> Optional[EvaluationExecutor]:
-        """Set up the one-shot evaluate phase: ``None`` on a cache hit,
-        else a copy of the configured backend to run.
+        """Set up the one-shot evaluate phase: ``None`` on a cache hit
+        (see :meth:`_cached_source`), else a copy of the configured
+        backend to run.
 
         Unless an in-process backend instance brought its own stack,
         this builds the generator and evaluator (template fast-path
@@ -412,8 +433,7 @@ class SynthesisPipeline:
         the serial shard loop runs on it in this process.  An external
         backend (the work queue) gets no stack: its workers rebuild
         theirs from registry names."""
-        cache_path = self.cache_path()
-        if cache_path is not None and os.path.exists(cache_path):
+        if self._cached_source() is not None:
             return None
         executor = bind_executor(self._executor or "multiprocess", self._processes)
         if executor.external:
@@ -436,7 +456,8 @@ class SynthesisPipeline:
         failures: List[FailureRecord],
         tracer: Optional[Tracer],
     ) -> EvaluationDataset:
-        """The evaluate phase: a cache load, or the shard loop of
+        """The evaluate phase: a cache load (a larger cached budget's
+        prefix is saved under the run's own key), or the shard loop of
         ``executor`` (fan-out, checkpointing, retry/quarantine,
         per-shard progress).
 
@@ -453,7 +474,13 @@ class SynthesisPipeline:
             ).inc()
         if executor is None:
             stats["cache_hit"] = True
-            return EvaluationDataset.load(cache_path)
+            source = self._cached_source()
+            dataset = EvaluationDataset.load(source)
+            if source != cache_path:
+                dataset = dataset.prefix(self.config.budget)
+                dataset.save(cache_path)
+                current_metrics().counter("dataset.prefix.derived").inc()
+            return dataset
         counters = {"total": 0, "resumed": 0}
 
         def on_shard(event: ShardProgress) -> None:
@@ -524,9 +551,7 @@ class SynthesisPipeline:
         file-backed tracer is also installed process-wide for the
         duration of the run so ``@trace_step``/``@profile_step``
         decorated internals (and forked executor workers, which
-        inherit the installation) emit into the same file.  (Parallel
-        campaign cells in one process share the installation; they
-        also share one trace file, so the raced value is identical.)
+        inherit the installation) emit into the same file.
 
         The run owns one :class:`~repro.forkpool.ForkPool` of
         ``processes`` workers, forked at its first fan-out.

@@ -21,9 +21,9 @@ Three cooperating layers:
     results back through the normal executor interface — byte-identical
     to the serial executor.
 :mod:`repro.service.store` / :mod:`repro.service.service`
-    The persistent contract store (keyed like the dataset cache, with
-    campaign prefix-derivation so smaller budgets are served from
-    larger cached datasets) and the :class:`ContractService` request
+    The persistent contract store (keyed like the dataset cache, whose
+    prefix derivation serves smaller budgets from larger cached
+    datasets) and the :class:`ContractService` request
     API plus the file-based ``serve`` / ``submit`` / ``status``
     front-end.
 """

@@ -13,8 +13,9 @@ campaign cells when it cannot:
   to whatever workers are draining the queue — and the finished
   outcomes are stored before the ticket is issued;
 - a request whose budget is *smaller* than a stored sibling's schedules
-  the cell but evaluates nothing: the runner's prefix-derivation serves
-  the dataset from the store's cache, so ``jobs_enqueued`` stays zero.
+  the cell but evaluates nothing: the cell's pipeline derives the
+  dataset as a prefix of the larger one in the store's cache, so
+  ``jobs_enqueued`` stays zero.
 
 :class:`ContractServer` is the file-based front-end behind the
 ``serve`` / ``submit`` / ``status`` CLI: requests are JSON files
@@ -200,9 +201,8 @@ class ContractService:
         self,
         store: ContractStore,
         executor: Union[None, str, EvaluationExecutor] = None,
-        process_budget: Optional[int] = None,
+        processes: Optional[int] = None,
         shard_size: Optional[int] = None,
-        max_parallel_cells: int = 1,
         tracer: Optional[Tracer] = None,
     ):
         self.store = store
@@ -211,9 +211,8 @@ class ContractService:
         #: :class:`~repro.service.WorkQueueExecutor` for the
         #: distributed service).
         self.executor = executor if executor is not None else "serial"
-        self.process_budget = process_budget
+        self.processes = processes
         self.shard_size = shard_size
-        self.max_parallel_cells = max_parallel_cells
         self.tracer = (tracer or Tracer(None)).child("service")
 
     def request(self, request: ContractRequest) -> ServiceTicket:
@@ -273,9 +272,8 @@ class ContractService:
             run_spec,
             results_dir=self.store.root,
             executor=self.executor,
-            process_budget=self.process_budget,
+            processes=self.processes,
             shard_size=self.shard_size,
-            max_parallel_cells=self.max_parallel_cells,
             # The store is the durable layer; the runner's own manifest
             # would duplicate it per request name.
             manifest=False,

@@ -18,9 +18,9 @@ the same name misses instead of serving a stale contract (the
 campaign-manifest rule).
 
 ``datasets_dir`` doubles as the pipeline dataset cache, which is what
-makes *misses* cheap too: the campaign layer's prefix-derivation works
-directly against it, so a smaller-budget request whose dataset is a
-prefix of a larger cached corpus schedules zero evaluation work.
+makes *misses* cheap too: a pipeline derives a smaller budget's
+dataset as a prefix of a larger cached corpus of the same stream, so
+such a request schedules zero evaluation work.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ These are the ``campaign``-marked CI smoke suite
 """
 
 import os
-import time
 
 import pytest
 
 import repro.pipeline.pipeline as pipeline_module
 from repro.campaign import CampaignRunner, CampaignSpec, run_campaign
+from repro.metrics.runs import load_runs
 from repro.pipeline import SynthesisPipeline
+from repro.trace.tracer import read_trace
 
 pytestmark = pytest.mark.campaign
 
@@ -117,70 +118,6 @@ class TestGridExecution:
         resumed = run_campaign(spec, results_dir=str(tmp_path))
         assert resumed.resumed_count == 2
 
-    def test_parallel_cells_match_serial(self, tmp_path):
-        spec = _spec(
-            cores=("ibex", "ibex-dcache"), budgets=(15, 30), solvers=("greedy",)
-        )
-        serial = run_campaign(
-            spec, results_dir=str(tmp_path / "serial"), max_parallel_cells=1
-        )
-        parallel = run_campaign(
-            spec, results_dir=str(tmp_path / "parallel"), max_parallel_cells=4
-        )
-        assert [o.atom_ids for o in serial.outcomes] == [
-            o.atom_ids for o in parallel.outcomes
-        ]
-
-    @pytest.mark.parametrize(
-        "parallel, budget, expected",
-        [(1, None, {None}), (2, None, {2}), (3, None, {1}), (2, 6, {3})],
-    )
-    def test_concurrent_cells_split_the_usable_cpus(
-        self, tmp_path, monkeypatch, parallel, budget, expected
-    ):
-        """Without a process budget, concurrent cells share the CPUs
-        the process may use instead of each forking a full-size pool."""
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
-        )
-        sizes = []
-        original = CampaignRunner.cell_pipeline
-
-        def recording(runner, cell, processes=None):
-            sizes.append(processes)
-            return original(runner, cell, processes=processes)
-
-        monkeypatch.setattr(CampaignRunner, "cell_pipeline", recording)
-        run_campaign(
-            _spec(cores=("ibex", "ibex-dcache", "cva6"), budgets=(10,)),
-            results_dir=str(tmp_path),
-            max_parallel_cells=parallel,
-            process_budget=budget,
-        )
-        assert set(sizes) == expected
-
-    def test_concurrent_cells_size_the_default_pool(self, tmp_path, monkeypatch):
-        """Without an executor, each concurrent cell's default pool
-        gets its share of the usable CPUs and the runner's shard size."""
-        import repro.campaign.runner as runner_module
-
-        monkeypatch.setattr(runner_module, "usable_cpus", lambda: 4)
-        sizes = []
-        original = pipeline_module.evaluate_parallel
-
-        def recording(**kwargs):
-            sizes.append((kwargs["executor"].processes, kwargs["shard_size"]))
-            return original(**kwargs)
-
-        monkeypatch.setattr(pipeline_module, "evaluate_parallel", recording)
-        run_campaign(
-            _spec(cores=("ibex", "ibex-dcache")),
-            results_dir=str(tmp_path),
-            max_parallel_cells=2,
-            shard_size=10,
-        )
-        assert sizes == [(2, 10), (2, 10)]
-
     def test_filters_restrict_the_plan(self, tmp_path):
         runner = CampaignRunner(
             _spec(cores=("ibex", "ibex-dcache"), budgets=(10, 20)),
@@ -223,65 +160,6 @@ class TestKillResume:
         assert [o.atom_ids for o in resumed.outcomes] == [
             o.atom_ids for o in fresh.outcomes
         ]
-
-    def test_parallel_campaign_checkpoints_cells_as_they_complete(self, tmp_path):
-        """With max_parallel_cells > 1, every cell handled before the
-        kill is in the manifest — a parallel campaign must not defer
-        checkpointing to the end of the run."""
-        spec = _spec(cores=("ibex", "ibex-dcache"), budgets=(10, 20))
-
-        class Killed(Exception):
-            pass
-
-        def kill_after_two(event):
-            if event.completed_cells == 2:
-                raise Killed()
-
-        with pytest.raises(Killed):
-            run_campaign(
-                spec,
-                results_dir=str(tmp_path),
-                max_parallel_cells=2,
-                progress=kill_after_two,
-            )
-        status = CampaignRunner(spec, results_dir=str(tmp_path)).status()
-        assert len(status.completed) >= 2
-
-        events = []
-        resumed = run_campaign(
-            spec,
-            results_dir=str(tmp_path),
-            max_parallel_cells=2,
-            progress=events.append,
-        )
-        assert sum(1 for event in events if event.resumed) >= 2
-        fresh = run_campaign(spec, results_dir=str(tmp_path / "fresh"))
-        assert [o.atom_ids for o in resumed.outcomes] == [
-            o.atom_ids for o in fresh.outcomes
-        ]
-
-    def test_parallel_cell_failure_keeps_completed_siblings(
-        self, tmp_path, monkeypatch
-    ):
-        """A failing cell re-raises, but siblings that finished before
-        it stay checkpointed."""
-        spec = _spec(cores=("ibex", "ibex-dcache"), budgets=(10,))
-        runner = CampaignRunner(
-            spec, results_dir=str(tmp_path), max_parallel_cells=2
-        )
-        original = runner._execute
-
-        def flaky(cell, concurrent, group_max):
-            if cell.core == "ibex-dcache":
-                time.sleep(0.2)  # let the sibling finish first
-                raise RuntimeError("boom")
-            return original(cell, concurrent, group_max)
-
-        monkeypatch.setattr(runner, "_execute", flaky)
-        with pytest.raises(RuntimeError, match="boom"):
-            runner.run()
-        status = CampaignRunner(spec, results_dir=str(tmp_path)).status()
-        assert [cell.core for cell in status.completed] == ["ibex"]
 
     def test_resume_false_reexecutes_every_cell(self, tmp_path):
         spec = _spec(budgets=(10, 20))
@@ -349,46 +227,40 @@ class TestDatasetReuse:
         fresh = SynthesisPipeline().core("ibex").budget(20, 0).evaluate()
         assert derived == fresh.to_json()
 
-    def test_small_budget_provisioning_first_still_generates_group_max(
-        self, tmp_path, monkeypatch
-    ):
-        """Under parallel scheduling a small-budget cell can win the
-        group lock before its larger sibling; provisioning must then
-        evaluate the group's largest *pending* budget once (serving
-        itself a prefix) rather than generating the small corpus and
-        forcing the sibling to regenerate from scratch."""
-        counter = _GeneratorCounter(monkeypatch)
-        spec = _spec(budgets=(40, 20))
-        runner = CampaignRunner(spec, results_dir=str(tmp_path))
-        small = next(cell for cell in runner.cells() if cell.budget == 20)
-        big = next(cell for cell in runner.cells() if cell.budget == 40)
-        group_max = {small.dataset_group(): 40}
+    def test_generating_cell_reports_its_own_evaluation(self, tmp_path):
+        """The cell that generates its group's corpus evaluates it inside
+        its own run: its outcome is no cache hit, and its evaluation is
+        most of its ``cell`` span.  The smaller sibling loads a prefix."""
+        trace = str(tmp_path / "trace.jsonl")
+        spec = _spec(budgets=(3000, 1000), trace_path=trace)
+        result = run_campaign(spec, results_dir=str(tmp_path))
+        big, small = result.outcome(budget=3000), result.outcome(budget=1000)
+        assert not big.cache_hit and not big.dataset_reused
+        assert small.cache_hit and small.dataset_reused
+        records = read_trace(trace)
+        spans = {
+            record["cell"]: record["seconds"]
+            for record in records
+            if record["kind"] == "cell" and "seconds" in record
+        }
+        span = spans[big.cell.label()]
+        assert big.timings["evaluation"] >= 0.5 * span
+        assert big.timings["total"] >= 0.8 * span
+        metrics = [record for record in records if record["kind"] == "metric"]
+        counters = metrics[-1]["counters"]
+        assert counters["dataset.cache.misses"] == 1
+        assert counters["dataset.cache.hits"] == 1
+        assert counters["dataset.prefix.derived"] == 1
 
-        # Simulate the race: the small cell provisions first.
-        reused = runner._provision_dataset(
-            runner.cell_pipeline(small), small, group_max
-        )
-        assert not reused  # the small cell did the (group-max) work
-        assert counter.count == 1
-        # Both cache entries now exist; the big cell does nothing new.
-        assert runner._provision_dataset(runner.cell_pipeline(big), big, group_max)
-        assert counter.count == 1
-        with open(runner.cell_pipeline(small).cache_path()) as stream:
-            derived = stream.read()
-        fresh = SynthesisPipeline().core("ibex").budget(20, 0).evaluate()
-        assert derived == fresh.to_json()
-
-    def test_parallel_prefix_reuse_generates_once(self, tmp_path, monkeypatch):
-        """The end-to-end invariant: however the scheduler interleaves
-        a (40, 20) group with max_parallel_cells=2, exactly one corpus
-        is generated."""
-        counter = _GeneratorCounter(monkeypatch)
-        spec = _spec(budgets=(40, 20))
-        result = run_campaign(
-            spec, results_dir=str(tmp_path), max_parallel_cells=2
-        )
-        assert counter.count == 1
-        assert result.outcome(budget=20).test_cases == 20
+    def test_run_history_records_each_cells_total(self, tmp_path):
+        """The campaign's run-history record gives each executed cell
+        its own wall time, not a sum over overlapping phases."""
+        result = run_campaign(_spec(budgets=(40, 20)), results_dir=str(tmp_path))
+        phases = load_runs(str(tmp_path))[-1]["phases"]
+        assert phases == {
+            "cell:%s" % outcome.cell.label(): round(outcome.timings["total"], 6)
+            for outcome in result.outcomes
+        }
 
     def test_cache_off_disables_reuse(self, tmp_path, monkeypatch):
         counter = _GeneratorCounter(monkeypatch)

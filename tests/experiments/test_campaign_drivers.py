@@ -6,11 +6,11 @@ import os
 
 import pytest
 
-from repro.contracts.riscv_template import cumulative_family_sets
+from repro.contracts.riscv_template import build_riscv_template, cumulative_family_sets
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig2 import fig2_campaign, run_fig2
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.runner import experiment_pipeline, shared_template
+from repro.experiments.runner import experiment_pipeline
 from repro.experiments.table3 import run_table3
 from repro.synthesis.metrics import evaluate_contract
 
@@ -20,7 +20,7 @@ pytestmark = pytest.mark.campaign
 def _legacy_fig2_points(config, core_name="ibex"):
     """The pre-campaign Figure 2 computation, replicated verbatim:
     evaluate one full synthesis set, synthesize from its prefixes."""
-    template = shared_template()
+    template = build_riscv_template()
     synthesis_pipeline = experiment_pipeline(
         config, core_name, template,
         config.synthesis_test_cases, config.synthesis_seed,

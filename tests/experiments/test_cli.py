@@ -235,8 +235,6 @@ def test_parser_accepts_campaign_flags():
             "0,1",
             "--campaign-name",
             "sweep",
-            "--max-parallel-cells",
-            "3",
             "--filter",
             "core=ibex",
             "--filter",
@@ -249,10 +247,22 @@ def test_parser_accepts_campaign_flags():
     assert arguments.budgets == "100,200"
     assert arguments.seeds == "0,1"
     assert arguments.campaign_name == "sweep"
-    assert arguments.max_parallel_cells == 3
     assert arguments.filters == ["core=ibex", "budget=100"]
     # The action defaults to None (campaign treats that as 'run').
     assert parser.parse_args(["campaign"]).action is None
+
+
+@pytest.mark.campaign
+@pytest.mark.parametrize(
+    "argv", [["campaign", "run"], ["serve", "--service-root", "service"]]
+)
+def test_cells_run_one_at_a_time_without_a_concurrency_flag(argv, capsys):
+    """Campaign cells run one at a time: neither ``campaign`` nor
+    ``serve`` takes a concurrent-cells flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        _build_parser().parse_args(argv + ["--max-parallel-cells", "2"])
+    assert exit_info.value.code == 2
+    assert "--max-parallel-cells" in capsys.readouterr().err
 
 
 @pytest.mark.pipeline

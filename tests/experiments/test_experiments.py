@@ -9,12 +9,13 @@ import os
 
 import pytest
 
+from repro.contracts.riscv_template import build_riscv_template
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.contract_tables import run_table1, run_table2
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.runner import build_core, evaluate_dataset, shared_template
 from repro.experiments.table3 import run_table3
+from repro.pipeline import SynthesisPipeline
 
 
 @pytest.fixture()
@@ -28,26 +29,41 @@ def config(tmp_path):
     )
 
 
+def _evaluate(count, cache_dir=None, attacker="retirement-timing"):
+    """Evaluate ``count`` ibex cases of seed 7 on the experiments'
+    template instance; returns ``(dataset, evaluator)``."""
+    return (
+        SynthesisPipeline()
+        .core("ibex")
+        .attacker(attacker)
+        .template(build_riscv_template())
+        .budget(count, 7)
+        .cache_dir(cache_dir)
+        .evaluate_with_stats()
+    )
+
+
 class TestRunner:
     def test_build_core(self):
+        def build_core(name):
+            return SynthesisPipeline().core(name).resolve_core()
+
         assert build_core("ibex").name == "ibex"
         assert build_core("cva6").name == "cva6"
         with pytest.raises(ValueError):
             build_core("rocket")
 
     def test_evaluate_dataset_caches(self, tmp_path):
-        template = shared_template()
         cache = str(tmp_path)
-        first, evaluator = evaluate_dataset("ibex", template, 30, 7, cache)
+        first, evaluator = _evaluate(30, cache)
         assert evaluator is not None
-        second, evaluator_2 = evaluate_dataset("ibex", template, 30, 7, cache)
+        second, evaluator_2 = _evaluate(30, cache)
         assert evaluator_2 is None  # cache hit
         assert [r.test_id for r in first] == [r.test_id for r in second]
         assert len(os.listdir(cache)) == 1
 
     def test_no_cache_dir(self):
-        template = shared_template()
-        dataset, evaluator = evaluate_dataset("ibex", template, 10, 7, None)
+        dataset, evaluator = _evaluate(10)
         assert len(dataset) == 10
         assert evaluator is not None
 
@@ -57,7 +73,6 @@ class TestRunner:
         'riscv-rv32im') must not be swapped for the registry default.
         In-process executors run on the instance itself; the work
         queue, whose workers rebuild plugins by name, refuses it."""
-        from repro.contracts.riscv_template import build_riscv_template
         from repro.experiments.runner import experiment_pipeline
 
         bespoke = build_riscv_template(max_distance=8)
@@ -84,14 +99,9 @@ class TestRunner:
         """Regression: the cache key must include the attacker, so a
         dataset evaluated under one attacker is never served for
         another."""
-        template = shared_template()
         cache = str(tmp_path)
-        timing, _ = evaluate_dataset(
-            "ibex", template, 20, 7, cache, attacker="retirement-timing"
-        )
-        total, evaluator = evaluate_dataset(
-            "ibex", template, 20, 7, cache, attacker="total-time"
-        )
+        timing, _ = _evaluate(20, cache, attacker="retirement-timing")
+        total, evaluator = _evaluate(20, cache, attacker="total-time")
         assert evaluator is not None  # fresh evaluation, not a stale hit
         assert len(os.listdir(cache)) == 2
         assert timing.attacker_name == "retirement-timing"

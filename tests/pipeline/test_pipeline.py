@@ -8,11 +8,13 @@ import os
 
 import pytest
 
+import repro.pipeline.pipeline as pipeline_module
 from repro.contracts.atoms import LeakageFamily
 from repro.contracts.riscv_template import build_riscv_template
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.pipeline import SynthesisPipeline
 from repro.testgen.generator import TestCaseGenerator
+from repro.trace.tracer import read_trace
 from repro.uarch.ibex import IbexCore
 
 pytestmark = pytest.mark.pipeline
@@ -23,8 +25,7 @@ SEED = 9
 
 def legacy_evaluate(count=BUDGET, seed=SEED):
     """The pre-pipeline evaluation path, verbatim: explicit generator,
-    evaluator, and core construction (what runner.evaluate_dataset did
-    before it became a pipeline wrapper)."""
+    evaluator, and core construction."""
     template = build_riscv_template()
     generator = TestCaseGenerator(template, seed=seed)
     evaluator = TestCaseEvaluator(IbexCore(), template)
@@ -68,11 +69,13 @@ class TestEndToEnd:
         )
         assert pipeline_dataset.to_json() == legacy_evaluate().to_json()
 
-    def test_runner_evaluate_dataset_byte_identical(self):
-        from repro.experiments.runner import evaluate_dataset, shared_template
-
-        dataset, evaluator = evaluate_dataset(
-            "ibex", shared_template(), BUDGET, SEED
+    def test_template_instance_evaluates_byte_identical(self):
+        dataset, evaluator = (
+            SynthesisPipeline()
+            .core("ibex")
+            .template(build_riscv_template())
+            .budget(BUDGET, SEED)
+            .evaluate_with_stats()
         )
         assert evaluator is not None
         assert dataset.to_json() == legacy_evaluate().to_json()
@@ -282,6 +285,59 @@ class TestDatasetCache:
         monkeypatch.setattr(pipeline_module, "check_contract_satisfaction", spy)
         SynthesisPipeline().core("ibex").budget(20, seed=9).verify(10).run()
         assert seen == [10]  # synthesis seed 9 + 1, not 0 and not 9
+
+    def test_smaller_budget_is_served_as_a_cached_prefix(
+        self, tmp_path, monkeypatch
+    ):
+        """A run whose exact dataset is not cached, but whose stream is
+        at a larger budget, takes that dataset's prefix: it evaluates no
+        shard and caches bytes equal to a fresh evaluation."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        trace = str(tmp_path / "trace.jsonl")
+
+        def pipeline(budget):
+            return (
+                SynthesisPipeline()
+                .core("ibex")
+                .budget(budget, seed=3)
+                .solver("greedy")
+                .verify(0)
+                .cache_dir(str(cache))
+            )
+
+        fresh = SynthesisPipeline().core("ibex").budget(1000, seed=3).evaluate()
+        pipeline(3000).evaluate()
+
+        def refuse(**_kwargs):
+            raise AssertionError("a cached prefix evaluated a shard")
+
+        monkeypatch.setattr(pipeline_module, "evaluate_parallel", refuse)
+        small = pipeline(1000).trace(trace)
+        result = small.run()
+        assert result.timings.cache_hit
+        assert len(result.dataset) == 1000
+        with open(small.cache_path()) as stream:
+            assert stream.read() == fresh.to_json()
+        assert sorted(os.listdir(cache)) == [
+            os.path.basename(small.cache_path()),
+            os.path.basename(pipeline(3000).cache_path()),
+        ]
+        records = read_trace(trace)
+        metrics = [record for record in records if record["kind"] == "metric"]
+        counters = metrics[-1]["counters"]
+        assert counters["dataset.cache.hits"] == 1
+        assert counters["dataset.prefix.derived"] == 1
+        # The run's own file now exists: a re-run loads it directly.
+        assert pipeline(1000).run().timings.cache_hit
+
+    def test_no_cache_dir_never_searches_for_a_superset(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("searched for a cached superset")
+
+        monkeypatch.setattr(pipeline_module, "superset_cache_path", refuse)
+        result = SynthesisPipeline().core("ibex").budget(20, seed=3).verify(0).run()
+        assert not result.timings.cache_hit
 
     def test_run_uses_cache(self, tmp_path):
         pipeline = (

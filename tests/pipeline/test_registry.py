@@ -11,6 +11,7 @@ from repro.contracts.riscv_template import (
     TEMPLATE_REGISTRY,
 )
 from repro.contracts.template import ContractTemplate
+from repro.pipeline import SynthesisPipeline
 from repro.registry import Registry
 from repro.synthesis import SOLVER_REGISTRY
 from repro.synthesis.solvers import IlpSolver
@@ -120,7 +121,8 @@ class TestBuiltinRegistries:
         )
 
     def test_build_core_goes_through_registry(self):
-        from repro.experiments.runner import build_core
+        def build_core(name):
+            return SynthesisPipeline().core(name).resolve_core()
 
         assert build_core("ibex").name == "ibex"
         with pytest.raises(ValueError) as excinfo:

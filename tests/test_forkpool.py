@@ -174,6 +174,25 @@ class TestCampaigns:
         assert threads == [1] * 4
         assert multiprocessing.active_children() == []
 
+    def test_a_cached_prefix_cell_forks_nothing(self, forks, tmp_path):
+        """Cells run one at a time in the calling thread: the generating
+        cell forks its run's pool, and its smaller sibling, served from
+        the dataset cache, forks none."""
+        threads, pools = forks(2)
+        spec = CampaignSpec(
+            name="prefix",
+            cores=("ibex",),
+            solvers=("greedy",),
+            budgets=(40, 60),
+            verify=0,
+        )
+        runner = CampaignRunner(spec, results_dir=str(tmp_path), shard_size=20)
+        outcomes = runner.run().outcomes
+        assert [outcome.cache_hit for outcome in outcomes] == [True, False]
+        assert pools == [2]
+        assert threads == [1] * 2
+        assert multiprocessing.active_children() == []
+
 
 def _pid(_target):
     return os.getpid()
