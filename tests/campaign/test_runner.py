@@ -118,6 +118,36 @@ class TestGridExecution:
         resumed = run_campaign(spec, results_dir=str(tmp_path))
         assert resumed.resumed_count == 2
 
+    @pytest.mark.parametrize("processes, expected", [(None, 4), (1, 1), (3, 3)])
+    def test_every_cell_gets_the_run_processes(
+        self, tmp_path, monkeypatch, processes, expected
+    ):
+        """Cells run one at a time, so each cell's pool gets the run's
+        whole ``processes`` setting (default: the usable CPUs), not a
+        share of it."""
+        import repro.evaluation.backends.executors as executors_module
+
+        monkeypatch.setattr(executors_module, "usable_cpus", lambda: 4)
+        sizes = []
+        original = pipeline_module.ForkPool
+
+        def recording(workers, *args, **kwargs):
+            sizes.append(workers)
+            return original(workers, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "ForkPool", recording)
+        run_campaign(
+            _spec(cores=("ibex", "ibex-dcache"), budgets=(10,)),
+            results_dir=str(tmp_path),
+            processes=processes,
+        )
+        assert sizes == [expected, expected]
+
+    @pytest.mark.parametrize("processes", [0, -1])
+    def test_processes_below_one_is_rejected(self, tmp_path, processes):
+        with pytest.raises(ValueError, match="processes must be at least 1"):
+            CampaignRunner(_spec(), results_dir=str(tmp_path), processes=processes)
+
     def test_filters_restrict_the_plan(self, tmp_path):
         runner = CampaignRunner(
             _spec(cores=("ibex", "ibex-dcache"), budgets=(10, 20)),
@@ -160,6 +190,27 @@ class TestKillResume:
         assert [o.atom_ids for o in resumed.outcomes] == [
             o.atom_ids for o in fresh.outcomes
         ]
+
+    def test_cell_failure_keeps_completed_cells(self, tmp_path, monkeypatch):
+        """A cell that raises out of its run stops the campaign, but the
+        cells completed before it stay checkpointed for the resume."""
+        spec = _spec(budgets=(20, 40))  # runs the 40-case cell first
+        runner = CampaignRunner(spec, results_dir=str(tmp_path))
+        original = runner._execute
+
+        def flaky(cell):
+            if cell.budget == 20:
+                raise RuntimeError("boom")
+            return original(cell)
+
+        monkeypatch.setattr(runner, "_execute", flaky)
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run()
+        status = CampaignRunner(spec, results_dir=str(tmp_path)).status()
+        assert [cell.budget for cell in status.completed] == [40]
+        assert [cell.budget for cell in status.pending] == [20]
+        resumed = run_campaign(spec, results_dir=str(tmp_path))
+        assert resumed.resumed_count == 1
 
     def test_resume_false_reexecutes_every_cell(self, tmp_path):
         spec = _spec(budgets=(10, 20))
@@ -226,6 +277,25 @@ class TestDatasetReuse:
             derived = stream.read()
         fresh = SynthesisPipeline().core("ibex").budget(20, 0).evaluate()
         assert derived == fresh.to_json()
+
+    def test_smaller_budget_listed_first_still_generates_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Cells run largest budget first within a dataset group, so a
+        plan that lists the small budget first still generates one
+        corpus, and the small cell takes its prefix."""
+        counter = _GeneratorCounter(monkeypatch)
+        events = []
+        result = run_campaign(
+            _spec(budgets=(20, 40)),
+            results_dir=str(tmp_path),
+            progress=events.append,
+        )
+        assert counter.count == 1
+        assert [event.cell.budget for event in events] == [40, 20]
+        assert [o.cell.budget for o in result.outcomes] == [20, 40]
+        assert result.outcome(budget=20).dataset_reused
+        assert not result.outcome(budget=40).dataset_reused
 
     def test_generating_cell_reports_its_own_evaluation(self, tmp_path):
         """The cell that generates its group's corpus evaluates it inside
