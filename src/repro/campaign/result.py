@@ -56,9 +56,9 @@ class CellOutcome:
     timings: Dict[str, float]
     #: The cell's dataset came from the pipeline cache.
     cache_hit: bool
-    #: A campaign cell's run loaded its dataset from the cache (exact
-    #: key or prefix of a larger cached budget) — the cell performed
-    #: zero generation work.
+    #: The run loaded its dataset from the cache (exact key or prefix
+    #: of a larger cached budget) and performed zero generation work.
+    #: The same fact as ``cache_hit``, kept as its own manifest field.
     dataset_reused: bool
     #: The outcome came from the campaign manifest, not this run.
     resumed: bool = False
@@ -83,7 +83,7 @@ class CellOutcome:
 
     @staticmethod
     def from_pipeline_result(
-        cell: CampaignCell, result: PipelineResult, dataset_reused: bool = False
+        cell: CampaignCell, result: PipelineResult
     ) -> "CellOutcome":
         timings = result.timings
         return CellOutcome(
@@ -105,7 +105,7 @@ class CellOutcome:
                 "total": timings.total_seconds,
             },
             cache_hit=timings.cache_hit,
-            dataset_reused=dataset_reused,
+            dataset_reused=timings.cache_hit,
             template_digest=template_digest(result.contract.template),
             failures=tuple(result.failures),
         )

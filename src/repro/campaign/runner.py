@@ -326,9 +326,7 @@ class CampaignRunner:
             result = self._execute(cell)
             if result is None:  # quarantined: the campaign goes on
                 continue
-            outcome = CellOutcome.from_pipeline_result(
-                cell, result, dataset_reused=result.timings.cache_hit
-            )
+            outcome = CellOutcome.from_pipeline_result(cell, result)
             if manifest is not None:
                 manifest.append_cell(outcome)
             outcomes[cell.key()] = outcome

@@ -38,12 +38,16 @@ class HighsResult(NamedTuple):
 
     ``status`` is ``milp``'s: 0 optimal, 1 time or iteration limit,
     2 infeasible, 3 unbounded, 4 anything else.  ``x`` and ``fun`` are
-    ``None`` when HiGHS has no solution to report.
+    ``None`` when HiGHS has no solution to report.  ``row_dual`` holds
+    an LP's row duals in HiGHS's sign (``c − Aᵀy`` are the reduced
+    costs), and is ``None`` when HiGHS has no valid duals (an integer
+    program) or on the ``milp`` path, which does not return them.
     """
 
     status: int
     x: Optional[np.ndarray]
     fun: Optional[float]
+    row_dual: Optional[np.ndarray] = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,8 +92,13 @@ def solve(c, integrality, start, index, value, row_lower, row_upper, options):
 
     ``A`` is given column-wise (``start``, ``index``, ``value``) with
     row indices sorted inside each column, as ``csc_array`` stores it.
-    ``options`` uses ``milp``'s names; only ``time_limit``,
-    ``mip_rel_gap`` and ``presolve`` (a bool) are passed on.
+    ``options`` uses ``milp``'s names for ``time_limit``,
+    ``mip_rel_gap`` and ``presolve`` (a bool); HiGHS's own ``solver``
+    (``"pdlp"`` picks its first-order LP solver) and ``output_flag``
+    are passed on as well.  Set ``output_flag=False`` with PDLP:
+    cuPDLP-C writes to file descriptor 1 otherwise.  The ``milp`` path
+    cannot pass those two and drops them, so it always runs HiGHS's
+    default LP solver.
     """
     binding = load_binding()
     if binding is None:
@@ -148,8 +157,11 @@ def solve(c, integrality, start, index, value, row_lower, row_upper, options):
     )
     if not solved:
         return HighsResult(_status(binding, status), None, None)
-    x = np.array(highs.getSolution().col_value)
-    return HighsResult(_status(binding, status), x, fun)
+    solution = highs.getSolution()
+    row_dual = np.array(solution.row_dual) if solution.dual_valid else None
+    return HighsResult(
+        _status(binding, status), np.array(solution.col_value), fun, row_dual
+    )
 
 
 def _status(binding, model_status) -> int:
@@ -176,6 +188,10 @@ def milp_solve(c, integrality, start, index, value, row_lower, row_upper, option
         integrality=integrality,
         bounds=Bounds(0.0, 1.0),
         constraints=LinearConstraint(matrix, row_lower, row_upper),
-        options=dict(options),
+        options={
+            key: option
+            for key, option in options.items()
+            if key not in ("solver", "output_flag")
+        },
     )
     return HighsResult(result.status, result.x, result.fun)

@@ -122,6 +122,27 @@ class TestPipelineIntegration:
 
         assert os.listdir(store.datasets_dir)
 
+    def test_store_records_a_run_served_from_the_dataset_cache(self, tmp_path):
+        """``dataset_reused`` is the run's own cache hit, on the store
+        path as on a campaign cell."""
+        first = ContractStore(str(tmp_path / "first"))
+        SynthesisPipeline().budget(30, seed=2).solver("greedy").store(first).run()
+        cell = _cell(budget=30, seed=2, verify=None)
+        assert not first.get(cell).dataset_reused
+
+        second = ContractStore(str(tmp_path / "second"))
+        result = (
+            SynthesisPipeline()
+            .budget(30, seed=2)
+            .solver("greedy")
+            .cache_dir(first.datasets_dir)
+            .store(second)
+            .run()
+        )
+        assert result.timings.cache_hit
+        assert second.get(cell).dataset_reused
+        assert ContractStore(str(tmp_path / "second")).get(cell).dataset_reused
+
     def test_store_requires_name_addressed_plugins(self, tmp_path):
         from repro.uarch.ibex import IbexCore
 
