@@ -96,9 +96,7 @@ def solve(c, integrality, start, index, value, row_lower, row_upper, options):
     ``mip_rel_gap`` and ``presolve`` (a bool); HiGHS's own ``solver``
     (``"pdlp"`` picks its first-order LP solver) and ``output_flag``
     are passed on as well.  Set ``output_flag=False`` with PDLP:
-    cuPDLP-C writes to file descriptor 1 otherwise.  The ``milp`` path
-    cannot pass those two and drops them, so it always runs HiGHS's
-    default LP solver.
+    cuPDLP-C writes to file descriptor 1 otherwise.
     """
     binding = load_binding()
     if binding is None:
@@ -188,10 +186,6 @@ def milp_solve(c, integrality, start, index, value, row_lower, row_upper, option
         integrality=integrality,
         bounds=Bounds(0.0, 1.0),
         constraints=LinearConstraint(matrix, row_lower, row_upper),
-        options={
-            key: option
-            for key, option in options.items()
-            if key not in ("solver", "output_flag")
-        },
+        options=dict(options),
     )
     return HighsResult(result.status, result.x, result.fun)

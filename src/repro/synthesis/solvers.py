@@ -119,15 +119,18 @@ DUAL_BITS = 20
 #: Formulations with at least this many rows solve their LP relaxation
 #: with HiGHS's first-order PDLP solver first (see
 #: :class:`ScipyMilpSolver`).  Measured on a 2-vCPU x86_64 host with
-#: HiGHS 1.12: the one-shot 12k LPs (25–26k rows) took 0.36–0.65 s on
-#: PDLP against 0.50–1.34 s on dual simplex, at the same integral
-#: point, over 10 seeds.  Adaptive rounds (at most about 4.2k rows) were
-#: up to 2.9× slower on PDLP over 14 round LPs, and one 1,998-row round
-#: came back fractional where simplex's vertex was integral.
+#: HiGHS 1.12, as whole solves on both paths of prefixes of 2,000 to
+#: 12,000 cases of 12 ``ibex-rv32im-12k`` oracle corpora, 132 pairs:
+#: below 5k rows the PDLP path was 23 % slower in total (5 of 14 solves
+#: fell back to simplex); from 5k to 10k rows 6–7 % faster (10 of 57
+#: fell back, and one at 7,264 rows broke a tie differently); from 10k
+#: to 15k rows 24 % faster (2 of 25 fell back); from 15k to 27k rows
+#: 40 % faster (none fell back).  The cut-off keeps PDLP where it saves
+#: 20 % or more and moved no tie.  Adaptive rounds (at most 4,692 rows
+#: over the 120 ``ibex-adaptive-8x250`` oracle corpora) and
+#: ``cva6-mem-24k`` (67–110 rows over its 50 oracle corpora) stay on
+#: simplex.
 PDLP_MIN_ROWS = 10_000
-
-#: An atom variable of a PDLP point must be this close to 0 or 1.
-PDLP_INTEGRALITY_TOLERANCE = 1e-6
 
 
 def lp_lower_bound(problem, row_dual) -> Fraction:
@@ -220,27 +223,27 @@ class ScipyMilpSolver(IlpSolver):
     below ``⌈bound − tol⌉``, where ``tol`` is the bound times
     :data:`LP_BOUND_TOLERANCE`.  A selection at or under that value is
     a proven optimum and is returned without branch and cut
-    (``stats["lp_certificate"]`` is 1.0).  At 12k cases the relaxation
-    is usually integral, so this is the common path.
+    (``stats["lp_certificate"]`` is 1.0, as for an accepted PDLP point
+    below).  At 12k cases the relaxation is usually integral, so this is
+    the common path.
 
     The simplex bound above is HiGHS's reported objective, trusted to
     its tolerance.  The exact bound of :func:`lp_lower_bound` from the
     relaxation's row duals needs no such trust; it is reported as
-    ``stats["lp_bound"]`` (forced constant included), and
-    ``stats["certified"]`` is 1.0 when the returned selection's
-    objective is at most its ceiling.  A result that branch and cut
-    proved stays ``optimal`` but uncertified.
+    ``stats["lp_bound"]`` (forced constant included), so a selection
+    whose objective is at most its ceiling can be checked optimal
+    without trusting HiGHS.
 
     A formulation of at least :data:`PDLP_MIN_ROWS` rows solves its
     relaxation on HiGHS's PDLP first.  PDLP's objective is a primal
-    value within its tolerance, not a bound, so its point is accepted
-    only when every atom variable lies within
-    :data:`PDLP_INTEGRALITY_TOLERANCE` of 0 or 1, the rounded selection
-    covers every row, and its exact objective is at most the ceiling of
-    the exact bound from PDLP's duals: then it is certified.  Otherwise
-    the relaxation is solved again on dual simplex, exactly as above
-    (``stats["lp_fallback"]`` is 1.0).  Without SciPy's HiGHS binding no
-    duals are available, so neither PDLP nor the exact bound runs.
+    value within its tolerance, not a bound, so its point, rounded as
+    above, is accepted only when the rounded selection covers every row
+    and its exact objective is at most the ceiling of the exact bound
+    from PDLP's duals.  That proves it optimal however far from
+    integral the point was.  Otherwise the relaxation is solved again
+    on dual simplex, exactly as above (``stats["lp_fallback"]`` is
+    1.0).  Without SciPy's HiGHS binding no duals are available, so
+    neither PDLP nor the exact bound runs.
 
     Otherwise HiGHS solves the integer program with a zero MIP gap,
     because its default relative gap could stop short of the
@@ -400,30 +403,24 @@ class ScipyMilpSolver(IlpSolver):
 
         # The LP relaxation first: a rounded point that reaches its
         # bound is a proven optimum (see the class docstring).  A large
-        # one goes to PDLP first, and its point counts only when it is
-        # integral and the exact bound from its duals proves it.
+        # one goes to PDLP first, and its rounded point counts only when
+        # the exact bound from its duals proves it.
         selected = None
-        certified = False
         zeros = np.zeros(variable_count)
         if row_count >= PDLP_MIN_ROWS and highs.load_binding() is not None:
             first_order = solve_in_budget(zeros, solver="pdlp", output_flag=False)
-            candidate = None
             if first_order is not None and first_order.row_dual is not None:
-                atoms = first_order.x[:atom_count]
-                distance = np.minimum(np.abs(atoms), np.abs(atoms - 1.0))
-                if np.all(distance <= PDLP_INTEGRALITY_TOLERANCE):
-                    candidate = rounded_selection(first_order.x)
-            if candidate is not None:
-                rounded, objective = candidate
-                if objective <= math.ceil(exact_bound(first_order)):
-                    selected, certified = rounded, True
+                candidate = rounded_selection(first_order.x)
+                if candidate is not None:
+                    rounded, objective = candidate
+                    if objective <= math.ceil(exact_bound(first_order)):
+                        selected = rounded
             stats["lp_fallback"] = float(selected is None)
         if selected is None:
             relaxation = solve_in_budget(zeros)
             if relaxation is not None and relaxation.status == 0:
-                exact = None
                 if relaxation.row_dual is not None:
-                    exact = exact_bound(relaxation)
+                    exact_bound(relaxation)  # reported only
                 candidate = rounded_selection(relaxation.x)
                 if candidate is not None:
                     rounded, objective = candidate
@@ -431,10 +428,8 @@ class ScipyMilpSolver(IlpSolver):
                     tolerance = LP_BOUND_TOLERANCE * max(1.0, abs(bound))
                     if objective <= math.ceil(bound - tolerance):
                         selected = rounded
-                        certified = exact is not None and objective <= math.ceil(exact)
         optimal = selected is not None
         stats["lp_certificate"] = float(optimal)
-        stats["certified"] = float(certified)
         if selected is None:
             result = solve_in_budget(
                 np.ones(variable_count), mip_rel_gap=0.0, presolve=False

@@ -95,17 +95,15 @@ class ContractSynthesizer:
 
     def count(self, synthesis: SynthesisResult) -> None:
         """Count one synthesis in the run's metrics: a cold solve,
-        whether the LP certificate proved it, whether the exact LP bound
-        certified it, and whether a PDLP relaxation fell back to
-        simplex; plus the formulation's size and the rows each ILP
-        reduction removed.  :meth:`synthesize` calls it for every result
-        it returns."""
+        whether the LP certificate proved it and whether a PDLP
+        relaxation fell back to simplex; plus the formulation's size and
+        the rows each ILP reduction removed.  :meth:`synthesize` calls
+        it for every result it returns."""
         metrics = current_metrics()
         stats = synthesis.solver_result.stats
         metrics.counter("solver.cold_solves").inc()
         for stat, counter in (
             ("lp_certificate", "solver.lp_certificates"),
-            ("certified", "solver.certified"),
             ("lp_fallback", "solver.lp_fallbacks"),
         ):
             if stats.get(stat):
