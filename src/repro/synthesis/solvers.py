@@ -42,9 +42,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.synthesis import highs
 from repro.synthesis.ilp import (
     IlpInstance,
-    SubsetIndex,
     atom_masks,
     largest_proper_subsets,
+    popcounts,
+    subset_pairs,
+    unpack_bits,
 )
 
 
@@ -212,8 +214,14 @@ class ScipyMilpSolver(IlpSolver):
     - *Nested* FP sets are chained: a set ``F`` whose largest proper
       subset among the remaining FP sets is ``P`` (ties to the first
       such set) gets the row ``c_P ≤ c_F`` plus ``s_A ≤ c_F`` only for
-      ``A ∈ F \\ P``.  The forced sets and the parents ``P`` are both
-      found on a :class:`~repro.synthesis.ilp.SubsetIndex`.
+      ``A ∈ F \\ P``.
+
+    The formulation is built on the instance's packed rows
+    (:meth:`~repro.synthesis.ilp.IlpInstance.packed`), in the instance's
+    canonical row order: the forced sets and the parents ``P`` are both
+    found by :func:`~repro.synthesis.ilp.subset_pairs`, and the row and
+    column indices come from the set bits, so HiGHS receives the same
+    arrays whatever the order of the results.
 
     The LP relaxation of that formulation is solved first.  Its atom
     variables are rounded at 0.5.  When the rounded selection covers
@@ -271,55 +279,43 @@ class ScipyMilpSolver(IlpSolver):
             return SolverResult(frozenset(), 0, self.name, optimal=True)
 
         atom_ids = instance.candidate_atom_ids
-        atom_index = {atom_id: index for index, atom_id in enumerate(atom_ids)}
         atom_count = len(atom_ids)
         fp_scale = float(atom_count + 1)
         stats = {
             "rows.%s" % name: count for name, count in instance.reduced_rows.items()
         }
-        stats.update({"rows.forced": 0, "rows.folded": 0, "rows.chained": 0})
 
         # Objective FP·(n+1) + |S|: 1 per atom, fp_scale per false positive.
         atom_objective = np.ones(atom_count)
-        forced_weight = 0
-        covers = SubsetIndex(instance.cover_sets)
-        modelled_sets: List[FrozenSet[int]] = []
-        modelled_weights: List[float] = []
-        for atoms, weight in instance.fp_sets:
-            if next(covers.subsets(atoms), None) is not None:
-                stats["rows.forced"] += len(atoms)
-                forced_weight += weight
-            elif len(atoms) == 1:
-                (atom_id,) = atoms
-                atom_objective[atom_index[atom_id]] += fp_scale * weight
-                stats["rows.folded"] += 1
-            else:
-                modelled_sets.append(atoms)
-                modelled_weights.append(fp_scale * weight)
+        packed = instance.packed()
+        fp_rows, fp_weights = packed.fp, packed.fp_weights
+        fp_sizes = popcounts(fp_rows)
+        forced = np.zeros(len(fp_rows), dtype=bool)
+        forced[subset_pairs(fp_rows, packed.cover)[0]] = True
+        stats["rows.forced"] = int(fp_sizes[forced].sum())
+        forced_weight = int(fp_weights[forced].sum())
+        folded = ~forced & (fp_sizes == 1)
+        _rows, folded_atoms = unpack_bits(fp_rows[folded])
+        atom_objective[folded_atoms] += fp_scale * fp_weights[folded]
+        stats["rows.folded"] = int(folded.sum())
+        modelled = ~forced & (fp_sizes > 1)
+        modelled_sets = fp_rows[modelled]
+        modelled_weights = fp_scale * fp_weights[modelled]
 
         fp_count = len(modelled_sets)
-        incidence = np.zeros((fp_count, atom_count), dtype=bool)
-        for position, atoms in enumerate(modelled_sets):
-            incidence[position, [atom_index[atom_id] for atom_id in atoms]] = True
-        parents = np.array(largest_proper_subsets(modelled_sets), dtype=int)
+        parents = largest_proper_subsets(modelled_sets)
         chained = parents >= 0
-        own = incidence.copy()
-        own[chained] &= ~incidence[parents[chained]]
-        stats["rows.chained"] = (
-            int(incidence.sum()) - int(own.sum()) - int(chained.sum())
+        own = modelled_sets.copy()
+        own[chained] &= ~modelled_sets[parents[chained]]
+        stats["rows.chained"] = int(
+            fp_sizes[modelled].sum() - popcounts(own).sum() - chained.sum()
         )
 
         # Rows: cover sets (sum s_A >= 1), then s_A - c_F <= 0, then
         # c_P - c_F <= 0.  Columns: atoms, then one c_F per modelled set.
-        cover_rows, cover_cols = zip(
-            *(
-                (row, atom_index[atom_id])
-                for row, atoms in enumerate(instance.cover_sets)
-                for atom_id in atoms
-            )
-        )
+        cover_rows, cover_cols = unpack_bits(packed.cover)
         cover_count = len(instance.cover_sets)
-        own_sets, own_atoms = np.nonzero(own)
+        own_sets, own_atoms = unpack_bits(own)
         link_rows = cover_count + np.arange(len(own_sets))
         chain_sets = np.flatnonzero(chained)
         chain_rows = cover_count + len(own_sets) + np.arange(len(chain_sets))

@@ -63,11 +63,6 @@ class ContractSynthesizer:
         self.template = template
         self.solver = solver if solver is not None else ScipyMilpSolver()
 
-    # Profiled (end-only span records, via the process-wide tracer the
-    # pipeline installs): the ILP solve is the phase Table III shows
-    # dominating at scale, so its per-call durations are worth having
-    # in every trace file without begin-record overhead.
-    @profile_step("ilp-solve")
     def synthesize(
         self,
         dataset: EvaluationDataset,
@@ -79,8 +74,8 @@ class ContractSynthesizer:
         IL+RL+ML base families); atom ids refer to ``self.template``.
         """
         start = time.perf_counter()
-        instance = build_ilp_instance(dataset, allowed_atom_ids)
-        solver_result = self.solver.solve(instance)
+        instance = self._build(dataset, allowed_atom_ids)
+        solver_result = self._solve(instance)
         synthesis = SynthesisResult(
             contract=Contract(self.template, solver_result.selected_atom_ids),
             solver_result=solver_result,
@@ -92,6 +87,21 @@ class ContractSynthesizer:
         )
         self.count(synthesis)
         return synthesis
+
+    # Profiled (end-only span records, via the process-wide tracer the
+    # pipeline installs): the instance build and the solve are the
+    # synthesis phase Table III shows dominating at scale, so their
+    # per-call durations are worth having in every trace file without
+    # begin-record overhead.
+    @profile_step("ilp-build")
+    def _build(
+        self, dataset: EvaluationDataset, allowed_atom_ids: Optional[Iterable[int]]
+    ) -> IlpInstance:
+        return build_ilp_instance(dataset, allowed_atom_ids)
+
+    @profile_step("ilp-solve")
+    def _solve(self, instance: IlpInstance) -> SolverResult:
+        return self.solver.solve(instance)
 
     def count(self, synthesis: SynthesisResult) -> None:
         """Count one synthesis in the run's metrics: a cold solve,

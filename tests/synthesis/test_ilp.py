@@ -1,18 +1,25 @@
 """Tests for ILP-instance construction and its reductions."""
 
+import random
 from collections import Counter
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
+from repro.synthesis import highs, ilp
 from repro.synthesis.ilp import build_ilp_instance as _build_ilp_instance
 from repro.synthesis.ilp import (
-    SubsetIndex,
-    drop_subsumed_cover_sets,
-    eliminate_dominated_atoms,
+    IlpInstance,
     largest_proper_subsets,
+    pack_bits,
+    subset_pairs,
     undominated_atoms,
+    unpack_bits,
 )
+from repro.synthesis.solvers import ScipyMilpSolver
 
 
 def build_ilp_instance(dataset, allowed_atom_ids=None):
@@ -34,13 +41,13 @@ def test_candidates_limited_to_cover_atoms():
     dataset = make_dataset(
         [
             (0, True, {1, 2}),
-            (1, False, {2, 3}),   # atom 3 appears only here
+            (1, False, {2, 3}),  # atom 3 appears only here
         ]
     )
     instance = build_ilp_instance(dataset)
     assert instance.candidate_atom_ids == (1, 2)
     assert instance.cover_sets == (frozenset({1, 2}),)
-    assert instance.fp_sets == ((frozenset({2}),  1),)
+    assert instance.fp_sets == ((frozenset({2}), 1),)
 
 
 def test_duplicate_cover_sets_merged():
@@ -73,7 +80,7 @@ def test_duplicate_fp_sets_weighted():
 def test_uncoverable_cases_reported():
     dataset = make_dataset(
         [
-            (0, True, set()),       # no distinguishing atoms at all
+            (0, True, set()),  # no distinguishing atoms at all
             (1, True, {5}),
         ]
     )
@@ -101,7 +108,7 @@ def test_indist_cases_outside_candidates_dropped():
     dataset = make_dataset(
         [
             (0, True, {1}),
-            (1, False, {7, 8}),   # intersects no candidate
+            (1, False, {7, 8}),  # intersects no candidate
         ]
     )
     instance = build_ilp_instance(dataset)
@@ -151,16 +158,14 @@ def test_empty_dataset():
 class TestDominanceReduction:
     def test_identical_signatures_deduplicated(self):
         dataset = make_dataset([(0, True, {1, 2}), (1, False, {1, 2})])
-        instance = eliminate_dominated_atoms(build_ilp_instance(dataset))
+        instance = _build_ilp_instance(dataset)
         assert instance.candidate_atom_ids == (1,)
         assert instance.cover_sets == (frozenset({1}),)
 
     def test_strictly_dominated_atom_removed(self):
         # Atom 1 covers the same constraint as atom 2 with fewer FPs.
-        dataset = make_dataset(
-            [(0, True, {1, 2}), (1, False, {2})]
-        )
-        instance = eliminate_dominated_atoms(build_ilp_instance(dataset))
+        dataset = make_dataset([(0, True, {1, 2}), (1, False, {2})])
+        instance = _build_ilp_instance(dataset)
         assert instance.candidate_atom_ids == (1,)
         assert instance.fp_sets == ()  # atom 2's FP set lost its atoms
 
@@ -173,12 +178,10 @@ class TestDominanceReduction:
                 (2, False, {5}),
             ]
         )
-        instance = eliminate_dominated_atoms(build_ilp_instance(dataset))
+        instance = _build_ilp_instance(dataset)
         assert instance.candidate_atom_ids == (1, 2, 5)
 
     def test_reduction_preserves_optimum(self):
-        import random
-
         from repro.synthesis.solvers import BranchAndBoundSolver
 
         rng = random.Random(5)
@@ -193,7 +196,7 @@ class TestDominanceReduction:
             )
         dataset = make_dataset(entries)
         raw = build_ilp_instance(dataset)
-        reduced = eliminate_dominated_atoms(raw)
+        reduced = _build_ilp_instance(dataset)
         assert set(reduced.candidate_atom_ids) <= set(raw.candidate_atom_ids)
         solver = BranchAndBoundSolver()
         assert (
@@ -238,8 +241,6 @@ class TestCoverSubsumption:
                 (3, False, {2}),
             ]
         )
-        raw = build_ilp_instance(dataset)
-        assert eliminate_dominated_atoms(raw).candidate_atom_ids == (1,)
         instance = _build_ilp_instance(dataset)
         assert instance.cover_sets == (frozenset({1}),)
         assert instance.cover_test_ids == ((0, 1),)
@@ -264,27 +265,88 @@ class TestCoverSubsumption:
         assert instance.candidate_atom_ids == (1, 2, 3)
 
 
-#: Families over few atoms, so sets overlap, nest and tie in size.
-_atom_sets = st.frozensets(st.integers(0, 7), min_size=1, max_size=5)
+#: The largest atom id of the ``riscv-rv32im`` template (892 atoms).
+TEMPLATE_MAX_ATOM = 891
+
+#: Atom ids on both sides of the 64-bit word boundaries, and the last.
+_EDGE_ATOMS = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 830, 831, 832, 890)
+_EDGE_ATOMS += (TEMPLATE_MAX_ATOM,)
+
+#: Few atoms, so that sets overlap, nest and tie in size.
+_atom_ids = st.one_of(st.integers(0, 7), st.sampled_from(_EDGE_ATOMS))
+_atom_sets = st.frozensets(_atom_ids, min_size=1, max_size=5)
 _families = st.lists(_atom_sets, max_size=30)
 
 
-class TestSubsetIndex:
-    @settings(max_examples=200, deadline=None)
-    @given(_families, st.lists(st.frozensets(st.integers(0, 7)), max_size=10))
-    def test_subsets_match_brute_force(self, sets, queries):
-        index = SubsetIndex(sets)
-        for atoms in sets + queries:
-            found = list(index.subsets(atoms))
-            assert len(found) == len(set(found))
-            expected = {
-                position for position, other in enumerate(sets) if other <= atoms
-            }
-            assert set(found) == expected
+def pack(sets, words=None):
+    """Packed rows of ``sets`` over atom ids."""
+    sets = list(sets)
+    if words is None:
+        words = TEMPLATE_MAX_ATOM // 64 + 1
+    rows = np.repeat(np.arange(len(sets)), [len(atoms) for atoms in sets])
+    bits = [atom_id for atoms in sets for atom_id in atoms]
+    return pack_bits(rows, bits, len(sets), words)
+
+
+#: Subset queries check a few pairs at a time, or the default number.
+_pair_chunks = st.sampled_from([1, 3, ilp.PAIR_CHUNK])
+
+
+def pair_chunk(chunk):
+    return mock.patch.object(ilp, "PAIR_CHUNK", chunk)
+
+
+class TestPackedRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.frozensets(_atom_ids, max_size=6), max_size=20))
+    def test_pack_round_trip(self, sets):
+        rows, bits = unpack_bits(pack(sets))
+        unpacked = [frozenset(bits[rows == row].tolist()) for row in range(len(sets))]
+        assert unpacked == sets
+        assert list(rows) == sorted(rows)
+        assert ilp.popcounts(pack(sets)).tolist() == [len(atoms) for atoms in sets]
 
     @settings(max_examples=200, deadline=None)
-    @given(_families, st.booleans())
-    def test_largest_proper_subsets_match_brute_force(self, sets, distinct):
+    @given(st.lists(_atom_sets, max_size=30))
+    def test_canonical_groups_sort_by_atom_ids(self, sets):
+        distinct, position = ilp._canonical_groups(pack(sets))
+        rows, bits = unpack_bits(distinct)
+        grouped = [
+            frozenset(bits[rows == row].tolist()) for row in range(len(distinct))
+        ]
+        assert grouped == sorted(set(sets), key=sorted)
+        assert [grouped[index] for index in position] == sets
+
+
+class TestSubsetQuery:
+    @settings(max_examples=100, deadline=None)
+    @given(_families, st.lists(st.frozensets(_atom_ids), max_size=10), _pair_chunks)
+    def test_subset_pairs_match_brute_force(self, sets, queries, chunk):
+        queries = sets + queries
+        with pair_chunk(chunk):
+            found_queries, found_sets = subset_pairs(pack(queries), pack(sets))
+        found = list(zip(found_queries.tolist(), found_sets.tolist()))
+        assert len(found) == len(set(found))
+        assert found_queries.tolist() == sorted(found_queries.tolist())
+        expected = {
+            (query, position)
+            for query, atoms in enumerate(queries)
+            for position, other in enumerate(sets)
+            if other <= atoms
+        }
+        assert set(found) == expected
+
+    def test_empty_rows(self):
+        one = pack([frozenset({1})])
+        for queries, stored in ((pack([frozenset()]), one), (one, pack([]))):
+            found_queries, found_stored = subset_pairs(queries, stored)
+            assert len(found_queries) == len(found_stored) == 0
+        with pytest.raises(ValueError):
+            subset_pairs(one, pack([frozenset()]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_families, st.booleans(), _pair_chunks)
+    def test_largest_proper_subsets_match_brute_force(self, sets, distinct, chunk):
         if distinct:
             sets = list(dict.fromkeys(sets))
         expected = []
@@ -295,7 +357,8 @@ class TestSubsetIndex:
                 if other < atoms
             ]
             expected.append(min(subsets)[1] if subsets else -1)
-        assert largest_proper_subsets(sets) == expected
+        with pair_chunk(chunk):
+            assert largest_proper_subsets(pack(sets)).tolist() == expected
 
 
 #: Un-reduced instances of random datasets (test ids 0, 1, ...).
@@ -327,24 +390,31 @@ def test_dominance_keeps_the_maximal_signatures(instance):
             for cover_a, fp_a in signatures
         )
     }
-    assert undominated_atoms(instance) == expected
+    packed = instance.packed()
+    _row, kept = unpack_bits(undominated_atoms(packed.cover, packed.fp)[None, :])
+    assert {instance.candidate_atom_ids[position] for position in kept} == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_atom_sets, max_size=30, unique=True))
 def test_subsumed_cover_ids_land_in_a_kept_subset(cover_sets):
-    # Row ``i`` holds test ids ``2i`` and ``2i + 1``.
-    rows = [
-        (atoms, 1, (2 * position, 2 * position + 1))
+    # Row ``i`` holds test ids ``2i`` and ``2i + 1``.  Every atom has a
+    # false positive of its own, so no atom dominates another and only
+    # subsumption drops cover rows.
+    entries = [
+        (2 * position + offset, True, atoms)
         for position, atoms in enumerate(cover_sets)
+        for offset in (0, 1)
     ]
-    kept = drop_subsumed_cover_sets(rows)
+    atoms = sorted(frozenset().union(*cover_sets))
+    entries += [(-1 - atom_id, False, {atom_id}) for atom_id in atoms]
+    instance = _build_ilp_instance(make_dataset(entries))
     minimal = {
         atoms for atoms in cover_sets if not any(other < atoms for other in cover_sets)
     }
-    assert {atoms for atoms, _count, _ids in kept} == minimal
+    assert set(instance.cover_sets) == minimal
     home = Counter()
-    for atoms, _count, ids in kept:
+    for atoms, ids in zip(instance.cover_sets, instance.cover_test_ids):
         for test_id in ids:
             home[test_id] += 1
             assert atoms <= cover_sets[test_id // 2]
@@ -362,8 +432,201 @@ def test_every_covered_case_lands_in_one_row_of_its_own_atoms(raw):
         for atoms, ids in zip(raw.cover_sets, raw.cover_test_ids)
         for test_id in ids
     }
-    reduced = eliminate_dominated_atoms(raw)
+    entries = [
+        (test_id, True, atoms)
+        for atoms, ids in zip(raw.cover_sets, raw.cover_test_ids)
+        for test_id in ids
+    ]
+    entries += [
+        (test_id, False, atoms)
+        for (atoms, _weight), ids in zip(raw.fp_sets, raw.fp_test_ids)
+        for test_id in ids
+    ]
+    reduced = _build_ilp_instance(make_dataset(entries))
     home = Counter(test_id for ids in reduced.cover_test_ids for test_id in ids)
     assert home.keys() == atoms_of.keys() and set(home.values()) <= {1}
     for atoms, ids in zip(reduced.cover_sets, reduced.cover_test_ids):
         assert all(atoms <= atoms_of[test_id] for test_id in ids)
+
+
+def reference_instance(dataset, allowed_atom_ids=None, reduce_dominated=True):
+    """:func:`build_ilp_instance` on frozensets, by brute force: every
+    reduction of the module docstring as an all-pairs scan."""
+    canonical = sorted
+    allowed = None if allowed_atom_ids is None else frozenset(allowed_atom_ids)
+    cover_groups, uncoverable = {}, []
+    for result in dataset.distinguishable:
+        atoms = result.distinguishing_atom_ids
+        if allowed is not None:
+            atoms &= allowed
+        if atoms:
+            cover_groups.setdefault(atoms, []).append(result.test_id)
+        else:
+            uncoverable.append(result.test_id)
+    candidates = frozenset().union(*cover_groups)
+    fp_groups = {}
+    for result in dataset.indistinguishable:
+        atoms = result.distinguishing_atom_ids & candidates
+        if atoms:
+            fp_groups.setdefault(atoms, []).append(result.test_id)
+    cover_rows = sorted(cover_groups, key=canonical)
+    fp_rows = sorted(fp_groups, key=canonical)
+    if not reduce_dominated:
+        return IlpInstance(
+            candidate_atom_ids=tuple(sorted(candidates)),
+            cover_sets=tuple(cover_rows),
+            fp_sets=tuple((atoms, len(fp_groups[atoms])) for atoms in fp_rows),
+            uncoverable_test_ids=tuple(sorted(uncoverable)),
+            cover_test_ids=tuple(tuple(cover_groups[atoms]) for atoms in cover_rows),
+            fp_test_ids=tuple(tuple(fp_groups[atoms]) for atoms in fp_rows),
+        )
+
+    # 4. The smallest atom of each maximal signature.
+    representative = {}
+    for atom_id in sorted(candidates):
+        signature = (
+            frozenset(row for row, atoms in enumerate(cover_rows) if atom_id in atoms),
+            frozenset(row for row, atoms in enumerate(fp_rows) if atom_id in atoms),
+        )
+        representative.setdefault(signature, atom_id)
+    kept = {
+        atom_id
+        for (cover_b, fp_b), atom_id in representative.items()
+        if not any(
+            (cover_a, fp_a) != (cover_b, fp_b) and cover_b <= cover_a and fp_a <= fp_b
+            for cover_a, fp_a in representative
+        )
+    }
+    # 5. Merge the cover rows.
+    merged = {}
+    for atoms in cover_rows:
+        merged.setdefault(atoms & kept, []).extend(cover_groups[atoms])
+    rows = sorted(merged, key=canonical)
+    merged_rows = len(cover_rows) - len(rows)
+    # 6. Largest proper subset, the first of equal size; ids to the root.
+    parents = [
+        max(
+            (j for j, other in enumerate(rows) if other < atoms),
+            key=lambda j: (len(rows[j]), -j),
+            default=-1,
+        )
+        for atoms in rows
+    ]
+    ids_of = {i: [] for i, parent in enumerate(parents) if parent < 0}
+    for i, atoms in enumerate(rows):
+        root = i
+        while parents[root] >= 0:
+            root = parents[root]
+        ids_of[root].extend(merged[atoms])
+    subsumed_rows = len(rows) - len(ids_of)
+    left = frozenset().union(*(rows[i] for i in ids_of))
+    # 7. and 5. on the FP rows.
+    fp_merged = {}
+    for atoms in fp_rows:
+        subsumed_rows += len(atoms & kept) - len(atoms & left)
+        if atoms & left:
+            fp_merged.setdefault(atoms & left, []).extend(fp_groups[atoms])
+    merged_rows += sum(len(atoms & left) for atoms in fp_rows)
+    merged_rows -= sum(map(len, fp_merged))
+    fp_kept = sorted(fp_merged, key=canonical)
+    return IlpInstance(
+        candidate_atom_ids=tuple(sorted(left)),
+        cover_sets=tuple(rows[i] for i in sorted(ids_of)),
+        fp_sets=tuple((atoms, len(fp_merged[atoms])) for atoms in fp_kept),
+        uncoverable_test_ids=tuple(sorted(uncoverable)),
+        cover_test_ids=tuple(tuple(sorted(ids_of[i])) for i in sorted(ids_of)),
+        fp_test_ids=tuple(tuple(sorted(fp_merged[atoms])) for atoms in fp_kept),
+        reduced_rows={"merged": merged_rows, "subsumed": subsumed_rows},
+    )
+
+
+class _Formulated(Exception):
+    """Raised in place of the first HiGHS solve, once it is recorded."""
+
+
+def problem_arrays(instance):
+    """The arrays :class:`ScipyMilpSolver` hands to HiGHS first for
+    ``instance``, or ``None`` when it has no cover rows."""
+    recorded = {}
+
+    def record(**kwargs):
+        recorded.update(kwargs)
+        raise _Formulated
+
+    with mock.patch.object(highs, "solve", record):
+        try:
+            ScipyMilpSolver(time_limit=None).solve(instance)
+        except _Formulated:
+            pass
+    keys = ("c", "start", "index", "value", "row_lower", "row_upper")
+    return {key: recorded[key].tolist() for key in keys} if recorded else None
+
+
+def assert_matches_reference(dataset, allowed=None):
+    for reduce_dominated in (False, True):
+        built = _build_ilp_instance(dataset, allowed, reduce_dominated)
+        reference = reference_instance(dataset, allowed, reduce_dominated)
+        assert built == reference
+        # ``reference`` has no packed rows: the solver packs its atom sets.
+        assert problem_arrays(built) == problem_arrays(reference)
+
+
+@st.composite
+def _datasets(draw):
+    """Results in shuffled order, over atoms across the word boundaries:
+    mixed, all indistinguishable, or all with empty atom sets."""
+    kind = draw(st.sampled_from(["mixed", "indistinguishable", "empty"]))
+    entries = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.frozensets(_atom_ids, max_size=6)),
+            max_size=40,
+        )
+    )
+    if kind == "indistinguishable":
+        entries = [(False, atoms) for _dist, atoms in entries]
+    elif kind == "empty":
+        entries = [(dist, frozenset()) for dist, _atoms in entries]
+    test_ids = draw(st.permutations(range(len(entries))))
+    return make_dataset(
+        [(test_id, dist, atoms) for test_id, (dist, atoms) in zip(test_ids, entries)]
+    )
+
+
+_allowed = st.one_of(
+    st.none(), st.frozensets(_atom_ids), st.frozensets(st.integers(0, 1000))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_datasets(), _allowed, _pair_chunks)
+def test_packed_builder_matches_the_frozenset_reference(dataset, allowed, chunk):
+    """The instance, and the arrays HiGHS receives, equal those of a
+    brute-force frozenset builder, over any subset-query chunking."""
+    with pair_chunk(chunk):
+        assert_matches_reference(dataset, allowed)
+
+
+def test_large_corpus_matches_the_frozenset_reference():
+    """A corpus whose subset queries span several chunks of pairs: many
+    FP sets over a few dozen atoms, so their buckets are large."""
+    rng = random.Random(3)
+    hot = rng.sample(range(TEMPLATE_MAX_ATOM + 1), 48)
+    entries = []
+    for test_id in range(4000):
+        if rng.random() < 0.2:
+            atoms = rng.sample(range(TEMPLATE_MAX_ATOM + 1), rng.randint(0, 30))
+            entries.append((test_id, True, set(atoms + hot[: rng.randint(0, 3)])))
+        else:
+            entries.append((test_id, False, set(rng.sample(hot, rng.randint(1, 9)))))
+    dataset = make_dataset(entries)
+    checks = []
+    contained = ilp._contained
+
+    def counted(*args):
+        checks.append(len(args[1]))
+        return contained(*args)
+
+    with mock.patch.object(ilp, "_contained", counted):
+        assert_matches_reference(dataset)
+    assert max(checks) <= 2 * ilp.PAIR_CHUNK
+    assert sum(check >= ilp.PAIR_CHUNK // 2 for check in checks) >= 3

@@ -14,7 +14,7 @@ from repro.synthesis.metrics import (
 from repro.synthesis.ranking import format_ranking, rank_atoms_by_false_positives
 from repro.synthesis.solvers import BranchAndBoundSolver
 from repro.synthesis.synthesizer import ContractSynthesizer, synthesize
-from repro.trace import Tracer
+from repro.trace import Tracer, install_tracer
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,17 @@ class TestSynthesizer:
             assert histogram.snapshot()["total"] == stats["rows." + name]
         assert metrics.histogram("solver.rows.subsumed").snapshot()["total"] == 2
         assert metrics.histogram("solver.constraints").snapshot()["count"] == 1
+
+    def test_build_and_solve_are_separate_spans(self, template):
+        dataset = make_dataset([(True, {1, 2}), (False, {2})])
+        records = []
+        previous = install_tracer(Tracer(None, collector=records))
+        try:
+            ContractSynthesizer(template).synthesize(dataset)
+        finally:
+            install_tracer(previous)
+        assert [record["kind"] for record in records] == ["ilp-build", "ilp-solve"]
+        assert all(record["ok"] and record["seconds"] >= 0 for record in records)
 
     def test_lp_certificates_counted(self, template, tmp_path):
         # An integral relaxation (certified) and an odd triangle (MILP).
