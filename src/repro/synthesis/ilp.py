@@ -18,15 +18,16 @@ Representation
     ``i // 64`` standing for atom ``i`` (:func:`pack_bits`).  The
     builder packs each result's set once and stays on packed rows to
     the end; only the instance's own atom sets are built as frozensets.
-    Equal rows are grouped with ``np.unique`` on their bytes.  The rows
-    an instance keeps are grouped on keys whose byte order is the
-    *canonical order*, the lexicographic order of the rows' sorted atom
-    ids, so the instance's rows, and the formulation built from them,
-    do not depend on the order of the results.  Every subset question
-    is one vectorized query, :func:`subset_pairs`, which files each
-    stored row under its rarest bit.  The instance keeps its rows
-    packed over candidate positions (:meth:`IlpInstance.packed`) for
-    the solver backends that formulate on them.
+    Equal rows are grouped with ``np.unique`` on their bytes.  The
+    distinct rows an instance keeps are then sorted into *canonical
+    order*, the lexicographic order of their sorted atom ids
+    (:func:`_canonical_groups`), so the instance's rows, and the
+    formulation built from them, do not depend on the order of the
+    results.  Every subset question is one vectorized query,
+    :func:`subset_pairs`, which files each stored row under its rarest
+    bit.  The instance keeps its rows packed over candidate positions
+    (:meth:`IlpInstance.packed`) for the solver backends that formulate
+    on them.
 
 Every reduction below keeps the set of optimal contracts under the
 ``(false positives, atom count)`` order, so the optimum does not
@@ -93,9 +94,6 @@ WORD_BITS = 64
 PAIR_CHUNK = 1 << 15
 
 _BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
-_BYTE_REVERSED = np.array(
-    [int(format(byte, "08b")[::-1], 2) for byte in range(256)], np.uint8
-)
 #: Row ``v``: the set bits of byte value ``v``, ascending (then zeros).
 _BYTE_BITS = np.array(
     [
@@ -104,7 +102,6 @@ _BYTE_BITS = np.array(
     ],
     dtype=np.intp,
 )
-_ALL_ONES = ~np.uint64(0)
 # Masks of the bit-parallel popcount.
 _M1, _M2, _M4, _H01 = (
     np.uint64(0x5555555555555555),
@@ -156,7 +153,11 @@ def unpack_bits(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def popcounts(rows: np.ndarray) -> np.ndarray:
-    """The number of set bits of each row."""
+    """The number of set bits of each row.
+
+    Bit-parallel on the words: a lookup in :data:`_BYTE_POPCOUNT` would
+    index with every byte of ``rows`` widened to ``intp``, eight times
+    the rows' memory."""
     counts = rows - ((rows >> np.uint64(1)) & _M1)
     counts = (counts & _M2) + ((counts >> np.uint64(2)) & _M2)
     counts = (counts + (counts >> np.uint64(4))) & _M4
@@ -175,75 +176,66 @@ def _transpose(rows: np.ndarray, bit_count: int) -> np.ndarray:
     return pack_bits(bit, row, bit_count, _words(len(rows)))
 
 
-def _canonical_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte string per non-empty row, whose byte order is the
-    order of the rows' sorted set bits, lexicographically (a proper
-    prefix first).
-
-    Two rows first differ in their *gaps* (the clear bits under each
-    row's top bit), read from bit 0 on: at the first bit where one has
-    a gap and the other not, the other has the bit set or has ended,
-    and sorts first.  Rows with equal gaps sort by their top bit.  So
-    a key is the row's gaps, bit 0 first, then its top bit plus one."""
-    below = rows.copy()  # every bit under a row's top bit
-    for shift in (1, 2, 4, 8, 16, 32):
-        below |= below >> np.uint64(shift)
-    nonzero = rows != 0
-    above = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    below[:, :-1][above[:, 1:]] = _ALL_ONES
-    gaps = _BYTE_REVERSED[_bytes(below & ~rows)]
-    top = popcounts(below).astype(">u2").view(np.uint8).reshape(len(rows), 2)
-    return _row_keys(np.concatenate([gaps, top], axis=1))
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque byte string per row, for grouping equal rows."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
-def _groups(rows: np.ndarray, keys=_row_keys) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``rows`` in the byte order of their ``keys``, and
-    the position among them of each row."""
+def _groups(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``rows`` in the order of their bytes, and the
+    position among them of each row."""
     if not len(rows):
         return rows, np.zeros(0, np.intp)
     _keys, first, inverse = np.unique(
-        keys(rows), return_index=True, return_inverse=True
+        _row_keys(rows), return_index=True, return_inverse=True
     )
     return rows[first], inverse.ravel()
 
 
 def _canonical_groups(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct non-empty ``rows`` in canonical order, and the
-    position among them of each row."""
-    return _groups(rows, _canonical_keys)
+    """The distinct ``rows`` in canonical order, and the position among
+    them of each row.
+
+    A row's sort key is its sorted atom ids plus one, as big-endian
+    numbers padded with zeros to a common length, so that comparing
+    keys byte by byte compares the id sequences, a proper prefix
+    first."""
+    distinct, position = _groups(rows)
+    row, bit = unpack_bits(distinct)
+    sizes = np.bincount(row, minlength=len(distinct))
+    starts = np.cumsum(sizes) - sizes
+    digit = np.dtype(np.min_scalar_type(distinct.shape[1] * WORD_BITS))
+    width = max(1, sizes.max(initial=0))
+    keys = np.zeros((len(distinct), width), digit.newbyteorder(">"))
+    keys[row, np.arange(len(row)) - starts[row]] = bit + 1
+    order = np.argsort(_row_keys(keys), kind="stable")
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[position]
 
 
-def _signatures(rows: np.ndarray) -> np.ndarray:
-    """One word per row, the or of its words each rotated left by
-    seven bits per word index: a row's signature holds the signatures
-    of its subsets."""
-    signatures = rows[:, 0].copy()
+def _signed(rows: np.ndarray) -> np.ndarray:
+    """``rows`` behind one more word, their signature: the or of their
+    words, each rotated left by seven bits per word index.  A subset's
+    signature is a subset of the row's, so :func:`_contained` rules out
+    most non-subsets on that first word.  Stored by column, so that
+    each word is one contiguous array."""
+    signature = rows[:, 0].copy()
     for word in range(1, rows.shape[1]):
         turn = np.uint64(7 * word % WORD_BITS)
         column = rows[:, word]
-        signatures |= (column << turn) | (column >> (np.uint64(WORD_BITS) - turn))
-    return signatures
+        signature |= (column << turn) | (column >> (np.uint64(WORD_BITS) - turn))
+    return np.asfortranarray(np.column_stack([signature, rows]))
 
 
 def _contained(inner, inner_index, outer, outer_index) -> np.ndarray:
-    """Whether ``inner[i] ⊆ outer[o]`` for each pair of the index arrays,
-    where ``inner`` and ``outer`` are ``(rows, signatures)``: first on
-    the signatures, then a word at a time over the pairs still in
-    question."""
-    (inner, inner_signatures), (outer, outer_signatures) = inner, outer
+    """Whether ``inner[i] ⊆ outer[o]`` for each pair of the index
+    arrays, checked a word at a time over the pairs still in question."""
     contained = np.zeros(len(inner_index), dtype=bool)
-    live = np.flatnonzero(
-        (inner_signatures[inner_index] & ~outer_signatures[outer_index]) == 0
-    )
-    inner_index, outer_index = inner_index[live], outer_index[live]
-    for word in range(inner.shape[1]):
-        hold = (inner[inner_index, word] & ~outer[outer_index, word]) == 0
+    live = np.arange(len(inner_index))
+    for inner_word, outer_word in zip(inner.T, outer.T):
+        hold = (inner_word[inner_index] & ~outer_word[outer_index]) == 0
         live = live[hold]
         inner_index, outer_index = inner_index[hold], outer_index[hold]
     contained[live] = True
@@ -260,7 +252,8 @@ def subset_pairs(
     stored rows, the lower bit on a tie).  A stored subset of a query
     holds its key, so each query bit probes only that bit's bucket, and
     rare keys keep the buckets small.  The candidate pairs are checked
-    about :data:`PAIR_CHUNK` at a time."""
+    about :data:`PAIR_CHUNK` at a time, signature word first
+    (:func:`_signed`)."""
     empty = (np.zeros(0, np.intp), np.zeros(0, np.intp))
     if not len(stored) or not len(queries):
         return empty
@@ -276,13 +269,13 @@ def subset_pairs(
     bucket_size = np.bincount(rarest, minlength=bit_count)
     bucket_start = np.cumsum(bucket_size) - bucket_size
 
-    indexed = (stored, _signatures(stored))
+    signed = _signed(stored)
     if queries is stored:
         query_rows, query_bits = stored_rows, stored_bits
-        probed = indexed
+        signed_queries = signed
     else:
         query_rows, query_bits = unpack_bits(queries)
-        probed = (queries, _signatures(queries))
+        signed_queries = _signed(queries)
     if not len(query_bits):
         return empty
     probes = bucket_size[query_bits]
@@ -297,7 +290,7 @@ def subset_pairs(
         query = np.repeat(query_rows[low:high], counts)
         first = np.repeat(bucket_start[query_bits[low:high]], counts)
         candidate = bucket[first + within]
-        hit = _contained(indexed, candidate, probed, query)
+        hit = _contained(signed, candidate, signed_queries, query)
         found_queries.append(query[hit])
         found_stored.append(candidate[hit])
     return np.concatenate(found_queries), np.concatenate(found_stored)
@@ -339,7 +332,7 @@ def undominated_atoms(cover: np.ndarray, fp: np.ndarray) -> np.ndarray:
     a, b = subset_pairs(cover_columns, cover_columns)
     a, b = a[a != b], b[a != b]
     dominated = np.zeros(len(atoms), dtype=bool)
-    fp_columns = (fp_columns, _signatures(fp_columns))
+    fp_columns = _signed(fp_columns)
     dominated[b[_contained(fp_columns, a, fp_columns, b)]] = True
     kept = atoms[~dominated]
     return pack_bits(np.zeros(len(kept), np.intp), kept, 1, cover.shape[1])[0]

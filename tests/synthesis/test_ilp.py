@@ -275,7 +275,20 @@ _EDGE_ATOMS += (TEMPLATE_MAX_ATOM,)
 #: Few atoms, so that sets overlap, nest and tie in size.
 _atom_ids = st.one_of(st.integers(0, 7), st.sampled_from(_EDGE_ATOMS))
 _atom_sets = st.frozensets(_atom_ids, min_size=1, max_size=5)
-_families = st.lists(_atom_sets, max_size=30)
+
+#: Families over 8 atoms, so that sets overlap, nest and tie in size,
+#: drawn over 0-7 and then placed (:func:`place`) on ids 0-7 or on 8 of
+#: the word-boundary ids, in any order.
+_small_sets = st.frozensets(st.integers(0, 7), min_size=1, max_size=5)
+_families = st.lists(_small_sets, max_size=30)
+_placements = st.one_of(
+    st.just(tuple(range(8))), st.permutations(_EDGE_ATOMS).map(lambda ids: ids[:8])
+)
+
+
+def place(sets, placement):
+    """``sets`` with each atom ``a`` moved to ``placement[a]``."""
+    return [frozenset(placement[atom] for atom in atoms) for atoms in sets]
 
 
 def pack(sets, words=None):
@@ -319,10 +332,16 @@ class TestPackedRows:
 
 
 class TestSubsetQuery:
-    @settings(max_examples=100, deadline=None)
-    @given(_families, st.lists(st.frozensets(_atom_ids), max_size=10), _pair_chunks)
-    def test_subset_pairs_match_brute_force(self, sets, queries, chunk):
-        queries = sets + queries
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _families,
+        st.lists(st.frozensets(st.integers(0, 7)), max_size=10),
+        _placements,
+        _pair_chunks,
+    )
+    def test_subset_pairs_match_brute_force(self, sets, queries, placement, chunk):
+        sets = place(sets, placement)
+        queries = sets + place(queries, placement)
         with pair_chunk(chunk):
             found_queries, found_sets = subset_pairs(pack(queries), pack(sets))
         found = list(zip(found_queries.tolist(), found_sets.tolist()))
@@ -344,9 +363,24 @@ class TestSubsetQuery:
         with pytest.raises(ValueError):
             subset_pairs(one, pack([frozenset()]))
 
-    @settings(max_examples=100, deadline=None)
-    @given(_families, st.booleans(), _pair_chunks)
-    def test_largest_proper_subsets_match_brute_force(self, sets, distinct, chunk):
+    def test_signature_collisions_are_checked_word_by_word(self):
+        # Atom 121 (bit 57 of word 1, turned by 7) and atom 869 (bit 37
+        # of word 13, turned by 27) share atom 0's signature bit, and
+        # the first two rows are filed under atom 0, so query {0} meets
+        # them and only their words tell them apart.
+        sets = [{0, 121}, {0, 869}, {121}, {869}]
+        stored = pack(map(frozenset, sets))
+        queries = pack([frozenset({0}), frozenset({0, 121, 869})])
+        found_queries, found_stored = subset_pairs(queries, stored)
+        assert found_queries.tolist() == [1] * 4
+        assert sorted(found_stored.tolist()) == [0, 1, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_families, st.booleans(), _placements, _pair_chunks)
+    def test_largest_proper_subsets_match_brute_force(
+        self, sets, distinct, placement, chunk
+    ):
+        sets = place(sets, placement)
         if distinct:
             sets = list(dict.fromkeys(sets))
         expected = []
