@@ -50,10 +50,7 @@ PAIRED_BENCHMARKS = {
 #: simulation time, so it shifts with the runner's scipy build and
 #: legitimately sits below 1.0 on this tiny scenario where simulation
 #: is cheap.  The adaptive win is the *deterministic* cases-to-converge
-#: count, recorded in each entry's extra_info.  The workqueue pair
-#: prices the distributed queue's claim/lease/result machinery against
-#: the bare serial loop on an identical tiny corpus — an overhead
-#: ratio (expected well below 1.0), not a fast path.  The round-pipeline
+#: count, recorded in each entry's extra_info.  The round-pipeline
 #: pair times one adaptive corpus at the default width against width 1:
 #: its ratio follows the runner's CPU count (1.0 on one CPU).  So does
 #: the directed-verify pair, which times ``check_contract_satisfaction``
@@ -64,7 +61,6 @@ INFORMATIONAL_PAIRS = {
     "test_bench_adaptive_round_pipeline": (
         "test_bench_adaptive_round_pipeline_reference"
     ),
-    "test_bench_workqueue_overhead": "test_bench_workqueue_overhead_reference",
 }
 
 _STAT_FIELDS = ("min", "max", "mean", "median", "stddev", "rounds")

@@ -31,16 +31,7 @@ def reference_json(corpus_size):
     return dataset.to_json()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        # External backends (workqueue) need broker/worker infrastructure;
-        # their overhead is measured by the dedicated paired benchmark.
-        name
-        for name in EXECUTOR_REGISTRY.names()
-        if not getattr(EXECUTOR_REGISTRY.get(name), "external", False)
-    ],
-)
+@pytest.mark.parametrize("name", EXECUTOR_REGISTRY.names())
 def test_bench_executor_backend(benchmark, name, corpus_size, reference_json):
     dataset = benchmark.pedantic(
         evaluate_parallel,

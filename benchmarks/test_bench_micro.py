@@ -371,77 +371,6 @@ def test_bench_adaptive_round_pipeline_reference(benchmark):
     benchmark.pedantic(_run_round_pipeline, args=(1,), rounds=3, iterations=1)
 
 
-#: The pinned workqueue-overhead corpus: small enough that evaluation
-#: itself is cheap, so the paired ratio is dominated by what we want to
-#: see — queue bookkeeping (enqueue, claim protocol, polling, result
-#: files) plus worker startup.
-_WORKQUEUE_COUNT = 60
-_WORKQUEUE_SEED = 11
-_WORKQUEUE_SHARD = 15
-
-
-@pytest.fixture(scope="module")
-def workqueue_reference_json():
-    from repro.evaluation.parallel import evaluate_parallel
-
-    dataset = evaluate_parallel(
-        "ibex",
-        _WORKQUEUE_COUNT,
-        seed=_WORKQUEUE_SEED,
-        shard_size=_WORKQUEUE_SHARD,
-        executor="serial",
-    )
-    return dataset.to_json()
-
-
-def test_bench_workqueue_overhead(benchmark, tmp_path, workqueue_reference_json):
-    """The distributed work queue with embedded workers on a tiny fixed
-    corpus — paired with ``test_bench_workqueue_overhead_reference``
-    (serial on the identical workload).  The ratio is *overhead*, not a
-    speedup: it prices the queue's claim/lease/result machinery against
-    the bare evaluation loop, so it is reported informationally and
-    never gated.  One round only: budget-free job ids would serve any
-    repeat from the first round's results and measure nothing."""
-    from repro.evaluation.parallel import evaluate_parallel
-    from repro.service.workqueue import WorkQueueExecutor
-
-    def run_workqueue():
-        return evaluate_parallel(
-            "ibex",
-            _WORKQUEUE_COUNT,
-            seed=_WORKQUEUE_SEED,
-            shard_size=_WORKQUEUE_SHARD,
-            executor=WorkQueueExecutor(
-                queue_dir=str(tmp_path / "queue"),
-                embedded_workers=2,
-                poll_seconds=0.01,
-                wait_for_workers=15.0,
-            ),
-        )
-
-    dataset = benchmark.pedantic(run_workqueue, rounds=1, iterations=1)
-    assert dataset.to_json() == workqueue_reference_json
-
-
-def test_bench_workqueue_overhead_reference(
-    benchmark, workqueue_reference_json
-):
-    """The serial executor on the workqueue benchmark's exact workload."""
-    from repro.evaluation.parallel import evaluate_parallel
-
-    def run_serial():
-        return evaluate_parallel(
-            "ibex",
-            _WORKQUEUE_COUNT,
-            seed=_WORKQUEUE_SEED,
-            shard_size=_WORKQUEUE_SHARD,
-            executor="serial",
-        )
-
-    dataset = benchmark.pedantic(run_serial, rounds=1, iterations=1)
-    assert dataset.to_json() == workqueue_reference_json
-
-
 #: The pinned directed-verification workload: a contract synthesized
 #: from ``_VERIFY_CASES`` ibex cases at seed 0, checked on as many
 #: fresh cases at seed 1.

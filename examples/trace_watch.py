@@ -4,8 +4,8 @@ render the watch view.
 
 Every layer of the toolchain appends span and event records to one
 shared JSONL trace file (:mod:`repro.trace`): the pipeline its phase
-spans, the adaptive loop its rounds, a campaign its cells, the service
-its jobs and workers.  This example traces a small campaign with an
+spans, executors their shards, the adaptive loop its rounds, a
+campaign its cells.  This example traces a small campaign with an
 adaptive cell, then consumes the file both ways — the offline metrics
 fold and the live ``watch`` frame.  The equivalent from the command
 line::

@@ -8,14 +8,12 @@ Each round generates ``batch`` test cases through a
 ``GENERATOR_REGISTRY`` strategy and evaluates them as one window of
 :func:`~repro.evaluation.parallel.evaluate_parallel`, by default on the
 ``serial`` backend (at ``batch <= shard_size`` one batched call per
-round).  Every in-process backend runs on one stack built from the
-loop's own live strategy and evaluator, which a ``multiprocess`` pool's
-forked workers inherit; only ``workqueue`` workers rebuild the strategy
-from its registry name plus a JSON state snapshot.  The loop then feeds
-the per-atom coverage back into the strategy and re-synthesizes the
-contract from the accumulated dataset.  A pluggable
-:class:`~repro.adaptive.stopping.StoppingRule` ends the loop early;
-otherwise it runs its full round budget.
+round).  Every backend runs on one stack built from the loop's own live
+strategy and evaluator, which a ``multiprocess`` pool's forked workers
+inherit.  The loop then feeds the per-atom coverage back into the
+strategy and re-synthesizes the contract from the accumulated dataset.
+A pluggable :class:`~repro.adaptive.stopping.StoppingRule` ends the
+loop early; otherwise it runs its full round budget.
 
 The strategy steers on results, not contracts, so a round's synthesis
 is not needed before the next round is evaluated.  The rounds form a
@@ -283,11 +281,10 @@ class AdaptiveLoop:
     (:meth:`~repro.pipeline.config.PipelineConfig.round_plan`) and the
     stopping rules included, and the loop resolves its plugins from it
     once (the template through the config's memo).  The keywords are
-    runtime plumbing that never changes a result.  Every in-process
-    executor (``serial`` by default) runs the rounds over the loop's
-    own plugin instances; the ``workqueue`` backend and manifest
-    checkpointing require *names* (its workers and checkpoint keys
-    rebuild plugins by name, the same rule as the pipeline's).
+    runtime plumbing that never changes a result.  Every executor
+    (``serial`` by default) runs the rounds over the loop's own plugin
+    instances; manifest checkpointing keys them by registry name (the
+    same rule as the pipeline's).
     """
 
     def __init__(
@@ -312,8 +309,6 @@ class AdaptiveLoop:
         self.config = config
         #: The backend every round runs on.
         self.executor = bind_executor(executor or "serial")
-        if self.executor.external:
-            config.require_names("executor")
         self.generator_name = config.name("generator")
         self.core = config.resolve_core()
         self.template = config.resolve_template()
@@ -325,7 +320,7 @@ class AdaptiveLoop:
         self.restriction, self.allowed_atom_ids = config.resolve_restriction(
             self.template
         )
-        if not self.executor.external and self.executor.worker is None:
+        if self.executor.worker is None:
             # This loop's live strategy and evaluator.
             self.executor.worker = ShardEvaluator.from_plugins(
                 self.core,
@@ -468,7 +463,7 @@ class AdaptiveLoop:
         workers = default_processes(self.processes)
         width = min(workers, self.rounds - len(records))
         size = workers if isinstance(self.executor, MultiprocessExecutor) else width
-        targets = [t for t in (self.solver, self.executor.worker) if t is not None]
+        targets = (self.solver, self.executor.worker)
         own = ExitStack()
         pool = current_pool(*targets) or own.enter_context(ForkPool(size, targets))
         threads = solver = None

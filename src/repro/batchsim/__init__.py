@@ -10,8 +10,8 @@ extracted by columnar diffs (:mod:`repro.batchsim.extract`).
 
 The scalar interpreter and timing models remain the reference oracles;
 every batched path is pinned byte-identical to them by the equivalence
-suite, so datasets, checkpoint keys, and service job keys are unchanged
-whichever path produced them.
+suite, so datasets and checkpoint keys are unchanged whichever path
+produced them.
 
 The engine runs on numpy, a declared dependency of the package (the
 synthesis solver imports it too); :func:`supports_core` and

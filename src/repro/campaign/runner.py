@@ -113,7 +113,7 @@ class CampaignRunner:
         filters: Optional[Mapping[str, str]] = None,
         progress: Optional[CellCallback] = None,
         keep_results: bool = True,
-        trace: Union[None, str, Tracer] = None,
+        trace: Optional[str] = None,
     ):
         if processes is not None and processes < 1:
             raise ValueError("processes must be at least 1")
@@ -121,9 +121,8 @@ class CampaignRunner:
         self.results_dir = results_dir
         self.cache = cache
         #: Evaluation executor backend for every cell — a registry
-        #: name or an :class:`EvaluationExecutor` instance (e.g. a
-        #: configured workqueue broker); ``None`` keeps the pipeline's
-        #: default pool.
+        #: name or an :class:`EvaluationExecutor` instance; ``None``
+        #: keeps the pipeline's default pool.
         self.executor = executor
         self.processes = processes
         self.shard_size = shard_size
@@ -139,17 +138,12 @@ class CampaignRunner:
         #: Campaign-level trace emitter: ``campaign-start``/``-end``
         #: events, one ``cell`` span per executed cell, a
         #: ``cell-resumed`` event per manifest-reused cell.  ``trace``
-        #: is a path, a ready :class:`Tracer` (the contract service
-        #: passes a child of its own), or ``None`` — which falls back
-        #: to ``spec.trace_path``.  Cell pipelines get the same path,
-        #: so one file interleaves every layer of the campaign.
-        if isinstance(trace, Tracer):
-            self.tracer = trace
-        else:
-            self.tracer = Tracer(
-                trace if trace is not None else spec.trace_path,
-                source="campaign",
-            )
+        #: is a path, or ``None`` — which falls back to
+        #: ``spec.trace_path``.  Cell pipelines get the same path, so
+        #: one file interleaves every layer of the campaign.
+        self.tracer = Tracer(
+            trace if trace is not None else spec.trace_path, source="campaign"
+        )
 
     # -- configuration surface -----------------------------------------
 

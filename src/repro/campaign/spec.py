@@ -101,7 +101,7 @@ class CampaignCell:
     shard_timeout: Optional[float] = None
 
     def identity(self) -> dict:
-        """The manifest and store key of this cell: every field that
+        """The manifest key of this cell: every field that
         changes its :class:`~repro.pipeline.PipelineResult` (see
         :func:`~repro.pipeline.config.cell_identity`)."""
         return cell_identity(self)

@@ -38,8 +38,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 def append_jsonl_line(path: str, entry: dict, durable: bool = False) -> None:
     """Append ``entry`` to ``path`` as one JSONL line, atomically.
 
-    Cooperating appenders — pool workers, service worker *processes*
-    sharing one failure log, queue brokers — are serialized by an
+    Cooperating appenders — pool workers and the process that forked
+    them, sharing one trace or failure log — are serialized by an
     exclusive ``flock`` on the descriptor (released on close, including
     by a killed process), so the tail inspection below never races a
     concurrent writer's in-flight append, and lines never interleave.
@@ -103,8 +103,9 @@ class JsonlCheckpoint:
         self.key = key
         #: With ``durable=True`` every append (and rewrite) is fsynced
         #: before returning, so acknowledged entries survive a machine
-        #: crash.  Off by default: the hot evaluation path checkpoints
-        #: thousands of shards and only needs process-crash safety.
+        #: crash.  Off by default, and no checkpoint in this package
+        #: turns it on: the hot evaluation path checkpoints thousands
+        #: of shards and only needs process-crash safety.
         self.durable = durable
         if os.path.exists(path):
             self._load()

@@ -3,12 +3,9 @@
 An :class:`EvaluationExecutor` consumes a fixed *shard plan* — a list
 of ``(start_id, count)`` descriptors covering the test-id range — and
 streams back ``(shard, results)`` batches as shards complete, in
-whatever order the backend finishes them.  An in-process backend runs
-every shard on one :class:`ShardEvaluator` built in the process that
-starts the evaluation (forked workers inherit it); an external backend
-(the work queue) ships an :class:`EvaluationTask` of plain registry
-names and integers, from which its workers rebuild the stack on other
-processes or machines.
+whatever order the backend finishes them.  A backend runs every shard
+on one :class:`ShardEvaluator` built in the process that starts the
+evaluation (forked workers inherit it).
 
 Determinism contract: test cases are generated *per test id* (the
 generator derives a child RNG from ``(seed, test_id)``), so a shard's
@@ -50,15 +47,14 @@ def plan_shards(count: int, shard_size: int) -> List[Shard]:
 
 @dataclass(frozen=True)
 class EvaluationTask:
-    """The identity of an evaluation, and everything an external
-    worker needs to rebuild its stack.
+    """The identity of an evaluation, and everything a run by name
+    needs to build its stack.
 
-    Plugins travel by registry name (instances cannot cross a machine
-    boundary); ``None`` names the default template and attacker.  The
-    generation strategy travels as its ``GENERATOR_REGISTRY`` name
-    plus a JSON snapshot of its feedback state (``None`` for the
-    stateless fresh strategy), so adaptive rounds can fan out through
-    the same workers as fixed-budget runs.
+    Plugins are named by registry name; ``None`` names the default
+    template and attacker.  The generation strategy is named by its
+    ``GENERATOR_REGISTRY`` name plus a JSON snapshot of its feedback
+    state (``None`` for the stateless fresh strategy), which pool
+    workers restore before each adaptive round's shards.
     """
 
     core_name: str
@@ -108,10 +104,9 @@ class ShardEvaluator:
     forked pool workers inherit it.  A pool knows its stacks by
     identity: the stack a run's pool inherited in setup is the object
     the run evaluates on, directed verification's included.
-    :meth:`from_task` rebuilds it from registry names only where no
-    caller stack exists: in a work-queue worker, for an in-process
-    backend run by name alone (once, before any fork), and on a
-    downgrade from the work queue to serial.
+    :meth:`from_task` builds it from registry names only where no
+    caller stack exists: for a backend run by name alone (once, before
+    any fork).
     """
 
     def __init__(self, generator, evaluator):
@@ -134,7 +129,7 @@ class ShardEvaluator:
 
     @classmethod
     def from_task(cls, task: EvaluationTask) -> "ShardEvaluator":
-        """The stack a worker rebuilds from registry names."""
+        """The stack built from the task's registry names."""
         import json
 
         from repro.attacker import ATTACKER_REGISTRY
@@ -179,17 +174,11 @@ class EvaluationExecutor(ABC):
     ``run`` yields ``(shard, results)`` batches as shards complete;
     the order is backend-defined (callers sort by test id at the end).
     Executors are cheap objects — all evaluation state lives in the
-    :class:`ShardEvaluator` an in-process backend runs on.
+    :class:`ShardEvaluator` a backend runs on.
     """
 
     #: Registry name of the backend (``"serial"``, ``"multiprocess"``...).
     name = "abstract"
-    #: True for backends whose workers run outside this process (a
-    #: broker, workers) and rebuild their stack from the task's names:
-    #: they need name-configured plugins, and the equivalence suites and
-    #: smoke loops skip them (they pin byte-identity in their own
-    #: harnesses).  Every other backend runs on :attr:`worker`.
-    external = False
 
     def __init__(
         self,
@@ -198,7 +187,7 @@ class EvaluationExecutor(ABC):
     ):
         #: Worker count; ``None`` picks a backend-specific default.
         self.processes = processes
-        #: The stack an in-process backend evaluates every shard on
+        #: The stack the backend evaluates every shard on
         #: (:func:`bind_executor` sets it on a copy).
         self.worker = worker
 

@@ -5,15 +5,14 @@ evaluate step.  The pipeline's default run, every adaptive round,
 every executor run and directed verification go through it: the shard
 plan is computed once, and every backend consumes the *same* plan
 through the *same* per-worker shard loop, with its fault seam, error
-attribution and ``shard`` spans.  Every in-process backend runs on one
-stack, which forked pool workers inherit: the pipeline, an adaptive
-round and directed verification bind the stack they built, and a
-backend run by name alone gets one built here from the task, once,
-before any fork.  The ``multiprocess`` backend runs on the enclosing
-run's :class:`~repro.forkpool.ForkPool`, or outside a run on a pool
-scoped to the call.  Only ``workqueue`` workers rebuild the stack from the
-task.  The paper's up-to-128-thread fan-out is the ``multiprocess`` (or
-``workqueue``) backend.  Completed shards can be checkpointed to a
+attribution and ``shard`` spans.  Every backend runs on one stack,
+which forked pool workers inherit: the pipeline, an adaptive round and
+directed verification bind the stack they built, and a backend run by
+name alone gets one built here from the task, once, before any fork.
+The ``multiprocess`` backend runs on the enclosing run's
+:class:`~repro.forkpool.ForkPool`, or outside a run on a pool scoped
+to the call.  The paper's up-to-128-thread fan-out is the
+``multiprocess`` backend.  Completed shards can be checkpointed to a
 :class:`~repro.evaluation.backends.ShardManifest` so interrupted or
 budget-extended runs resume instead of restarting.
 
@@ -76,10 +75,10 @@ def evaluate_parallel(
     ``count``, zero included.
 
     ``executor`` is an :data:`EXECUTOR_REGISTRY` name (``"serial"``,
-    ``"multiprocess"``, ``"workqueue"``) or a ready-made
+    ``"multiprocess"``) or a ready-made
     :class:`EvaluationExecutor`, run as a
     :func:`~repro.evaluation.backends.bind_executor` copy; ``processes``
-    sizes the backend's worker pool.  An in-process backend runs on its
+    sizes the backend's worker pool.  A backend runs on its
     bound stack (``SerialExecutor(worker=...)``), or without one on a
     stack built here from the names, once, before any fork.
 
@@ -155,7 +154,7 @@ def evaluate_parallel(
     pending = [shard for shard in shards if shard not in stored]
 
     executor = bind_executor(executor, processes)
-    if pending and not executor.external and executor.worker is None:
+    if pending and executor.worker is None:
         # Run by name alone: the one stack, built before any fork (a
         # fully-resumed run never builds one).
         executor.worker = ShardEvaluator.from_task(task)

@@ -43,7 +43,8 @@ class TestCaseResult:
         )
 
     def to_row(self) -> list:
-        """The JSON row the JSONL checkpoints store (see :meth:`from_row`):
+        """The JSON row of the two JSONL seams, shard-manifest lines and
+        adaptive round entries (see :meth:`from_row`):
         ``[test_id, distinguishable, sorted atom ids, targeted]``."""
         return [
             self.test_id,

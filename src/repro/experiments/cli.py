@@ -4,9 +4,9 @@ One subcommand per job, each accepting only the flags it reads
 (``--help`` after a command lists them).
 
 The paper's experiments take ``--scale``, ``--results-dir``,
-``--no-cache``, ``--attacker``, ``--solver``, ``--executor`` and
-``--queue-dir``; ``fig2``, ``fig3``, ``table3`` and ``all`` also take
-``--core``.  ``list [REGISTRY]`` prints the plugin registries::
+``--no-cache``, ``--attacker``, ``--solver`` and ``--executor``;
+``fig2``, ``fig3``, ``table3`` and ``all`` also take ``--core``.
+``list [REGISTRY]`` prints the plugin registries::
 
     repro-synthesize fig2
     repro-synthesize table1 --scale 2
@@ -27,16 +27,6 @@ the adaptive, resume, retry and executor flags, and ``--trace``.
     repro-synthesize campaign run --core ibex,cva6 --budgets 500,2000
     repro-synthesize campaign run --resume --filter core=ibex
     repro-synthesize campaign status --core ibex,cva6 --budgets 500,2000
-
-The contract service (see README "Running the contract service"):
-``serve`` runs the broker loop, ``service worker`` drains its work
-queue, ``submit`` spools one request (plugin and budget flags,
-``--wait``) and ``status [REQUEST-ID]`` renders the spool or a ticket::
-
-    repro-synthesize serve --service-root service --executor workqueue
-    repro-synthesize service worker --queue-dir service/queue
-    repro-synthesize submit --core ibex --count 500 --wait 60
-    repro-synthesize status
 
 A ``--trace`` file feeds ``watch`` (a live progress view), ``report``
 (a self-contained run report) and ``trace export`` (Chrome-trace JSON
@@ -106,13 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=REGISTRIES["executors"].names(),
         help="evaluation executor backend (default: in-process evaluation)",
     )
-    queue = _flags()
-    queue.add_argument(
-        "--queue-dir",
-        metavar="DIR",
-        help="work-queue root shared by broker and workers (default: "
-        "REPRO_QUEUE_DIR env; serve owns <service-root>/queue)",
-    )
     trace = _flags()
     trace.add_argument(
         "--trace",
@@ -122,15 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     output = _flags()
     output.add_argument("--output", metavar="PATH", help="write here, not the default")
-    service_root = _flags()
-    service_root.add_argument(
-        "--service-root",
-        default="service",
-        metavar="DIR",
-        help="request spool, contract store and trace (default: service)",
-    )
 
-    # What to synthesize: a `run`, each campaign cell, a `submit`.
+    # What to synthesize: a `run`, each campaign cell.
     pipeline = _flags(core, models)
     pipeline.add_argument("--template", help="template (default: riscv-rv32im)")
     pipeline.add_argument("--restrict", help="template restriction, e.g. IL+RL+ML+AL")
@@ -152,24 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lists.add_argument("--budgets", metavar="N,N,...", help="default: --count")
     lists.add_argument("--seeds", metavar="N,N,...", help="default: --seed")
 
-    # How to evaluate it: the executor and its workqueue broker.
-    lease = _flags()
-    lease.add_argument(
-        "--lease",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="reclaim and requeue a shard claimed longer than this",
-    )
-    broker = _flags(queue, lease)
-    broker.add_argument(
-        "--embedded-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run N workqueue workers in-process, next to the broker",
-    )
-    backend = _flags(executor, broker)
+    # How to evaluate it: the executor and its pool.
+    backend = _flags(executor)
     backend.add_argument(
         "--processes",
         type=_positive_int,
@@ -182,21 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="test cases per evaluation shard (default: 250)",
     )
-    polling = _flags()
-    polling.add_argument(
-        "--poll",
-        type=float,
-        metavar="SECONDS",
-        help="queue/spool poll interval (default: 0.05 worker, 0.2 serve)",
-    )
-    polling.add_argument(
-        "--idle-timeout",
-        type=float,
-        metavar="SECONDS",
-        help="exit after this long with nothing to do",
-    )
 
-    experiment = _flags(cached, models, executor, queue)
+    experiment = _flags(cached, models, executor)
     experiment.add_argument(
         "--scale", type=float, help="budget multiplier (default: REPRO_SCALE or 1.0)"
     )
@@ -279,50 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only cells matching AXIS=VALUE (repeatable), e.g. core=ibex",
     )
 
-    service = command(
-        "service",
-        _run_service,
-        [queue, lease, polling, trace],
-        "'service worker': drain the work queue",
+    watch = command("watch", _run_watch, [], "tail a trace live")
+    watch.add_argument(
+        "--trace", metavar="PATH", required=True, help="the run's trace file"
     )
-    service.add_argument("action", nargs="?", choices=("worker",))
-    service.add_argument(
-        "--worker-id", help="identity in leases/heartbeats (default: worker-<pid>)"
-    )
-    service.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        metavar="SECONDS",
-        help="lease-refresh/telemetry interval (default: 2.0)",
-    )
-    service.add_argument("--max-jobs", type=int, metavar="N", help="exit after N jobs")
-    service.add_argument(
-        "--failure-log", metavar="PATH", help="quarantine records for failed shards"
-    )
-    service.add_argument("--fault", metavar="NAME", help="arm a fault plan (testing)")
-    service.add_argument("--fault-state", metavar="JSON", help="the plan's kwargs")
-    serve = command(
-        "serve",
-        _run_serve,
-        [service_root, backend, polling, trace],
-        "run the contract-service broker loop",
-    )
-    serve.add_argument(
-        "--max-requests", type=int, metavar="N", help="exit after serving N requests"
-    )
-    submit = command(
-        "submit",
-        _run_submit,
-        [service_root, pipeline, lists, trace],
-        "spool one contract request",
-    )
-    submit.add_argument(
-        "--wait", type=float, metavar="SECONDS", help="block until the ticket lands"
-    )
-    status = command("status", _run_status, [service_root], "the spool or a ticket")
-    status.add_argument("request_id", nargs="?", metavar="REQUEST-ID")
-
-    watch = command("watch", _run_watch, [service_root, trace], "tail a trace live")
     watch.add_argument("--once", action="store_true", help="render one frame")
     watch.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS", help="default: 1.0"
@@ -392,7 +299,7 @@ def _run_pipeline(arguments) -> int:
     if arguments.shard_timeout is not None:
         pipeline.timeout(arguments.shard_timeout)
     pipeline.executor(
-        _effective_cli_executor(arguments),
+        arguments.executor,
         processes=arguments.processes,
         shard_size=arguments.shard_size,
     )
@@ -490,7 +397,7 @@ def _campaign_runner(arguments):
         spec,
         results_dir=arguments.results_dir,
         cache=not arguments.no_cache,
-        executor=_effective_cli_executor(arguments),
+        executor=arguments.executor,
         processes=arguments.processes,
         shard_size=arguments.shard_size,
         manifest=arguments.resume if isinstance(arguments.resume, str) else True,
@@ -533,194 +440,16 @@ def _run_campaign(arguments) -> int:
     return 0
 
 
-def _workqueue_executor(arguments, tracer=None):
-    """A configured broker-side workqueue executor for run/campaign,
-    or an actionable exit when nothing binds it to a queue."""
-    from repro.service.queue import QueueUnavailableError, resolve_queue_root
-    from repro.service.workqueue import WorkQueueExecutor
-
-    try:
-        queue_dir = resolve_queue_root(arguments.queue_dir)
-    except QueueUnavailableError as error:
-        raise SystemExit("--executor workqueue: %s" % error)
-    return WorkQueueExecutor(
-        processes=arguments.processes,
-        queue_dir=queue_dir,
-        lease_seconds=arguments.lease,
-        embedded_workers=arguments.embedded_workers,
-        tracer=tracer,
-    )
-
-
-def _effective_cli_executor(arguments, tracer=None):
-    """The --executor value as the pipeline/campaign layers want it:
-    the workqueue backend needs broker-side configuration (queue root,
-    lease, embedded workers), so it becomes an instance here."""
-    if arguments.executor == "workqueue":
-        return _workqueue_executor(arguments, tracer=tracer)
-    return arguments.executor
-
-
-def _run_service(arguments) -> int:
-    """The ``service worker`` subcommand: the worker loop."""
-    import json
-
-    from repro.service.queue import JobQueue, QueueUnavailableError, resolve_queue_root
-    from repro.service.worker import DEFAULT_HEARTBEAT_INTERVAL, JobWorker
-    from repro.trace import Tracer
-
-    if arguments.fault:
-        # Arm a fault plan inside this worker process — the fault
-        # matrix's bridge across the machine boundary (tests SIGKILL /
-        # hang workers this way).
-        from repro.resilience.injection import install_fault
-
-        state = json.loads(arguments.fault_state) if arguments.fault_state else {}
-        install_fault(arguments.fault, state)
-    try:
-        root = resolve_queue_root(arguments.queue_dir)
-    except QueueUnavailableError as error:
-        raise SystemExit("service worker: %s" % error)
-    queue = JobQueue(root)
-    queue.ensure()
-    heartbeat = arguments.heartbeat_interval
-    if heartbeat is None:
-        heartbeat = DEFAULT_HEARTBEAT_INTERVAL
-    worker = JobWorker(
-        queue,
-        worker_id=arguments.worker_id,
-        poll_seconds=arguments.poll if arguments.poll is not None else 0.05,
-        lease_seconds=arguments.lease,
-        max_jobs=arguments.max_jobs,
-        idle_timeout=arguments.idle_timeout,
-        failure_log_path=arguments.failure_log,
-        heartbeat_interval=heartbeat,
-        tracer=Tracer(arguments.trace or os.path.join(root, "trace.jsonl")),
-    )
-    completed = worker.run()
-    print("worker %s: completed %d job(s)" % (worker.worker_id, completed))
-    return 0
-
-
-def _run_serve(arguments) -> int:
-    """The ``serve`` subcommand: the contract-service broker loop."""
-    from repro.service import ContractServer, ContractService, ContractStore
-    from repro.trace import Tracer
-
-    root = arguments.service_root
-    os.makedirs(root, exist_ok=True)
-    tracer = Tracer(
-        arguments.trace or os.path.join(root, "trace.jsonl"), source="serve"
-    )
-    store = ContractStore(os.path.join(root, "store"))
-    if arguments.executor == "workqueue" and arguments.queue_dir is None:
-        # The serve loop owns its queue by default — workers join with
-        # `service worker --queue-dir <service-root>/queue`.
-        arguments.queue_dir = os.path.join(root, "queue")
-    executor = _effective_cli_executor(arguments, tracer=tracer)
-    service = ContractService(
-        store,
-        executor=executor or "serial",
-        processes=arguments.processes,
-        shard_size=arguments.shard_size,
-        tracer=tracer,
-    )
-    server = ContractServer(
-        service,
-        root,
-        poll_seconds=arguments.poll if arguments.poll is not None else 0.2,
-        idle_timeout=arguments.idle_timeout,
-        max_requests=arguments.max_requests,
-    )
-    queue = ", queue %s" % arguments.queue_dir if arguments.queue_dir else ""
-    print("serving %s (executor %s%s)" % (root, arguments.executor or "serial", queue))
-    served = server.serve()
-    print("served %d request(s)" % served)
-    return 0
-
-
-def _submit_request(arguments):
-    from repro.service import ContractRequest
-
-    budgets = _split(arguments.budgets)
-    seeds = _split(arguments.seeds)
-    return ContractRequest(
-        core=_split(arguments.core) or "ibex",
-        attacker=_split(arguments.attacker) or "retirement-timing",
-        template=_split(arguments.template) or "riscv-rv32im",
-        restriction=_split(arguments.restrict),
-        solver=_split(arguments.solver) or "scipy-milp",
-        generator=_split(arguments.generator) or "random",
-        budget=[int(budget) for budget in budgets] if budgets else arguments.count,
-        seed=[int(seed) for seed in seeds] if seeds else arguments.seed,
-        verify=arguments.verify,
-    )
-
-
-def _run_submit(arguments) -> int:
-    """The ``submit`` subcommand: spool one request, optionally wait."""
-    import time
-
-    from repro.service.service import load_ticket, request_states, submit_request
-
-    root = arguments.service_root
-    request = _submit_request(arguments)
-    request_id = submit_request(root, request)
-    if arguments.trace:
-        from repro.trace import Tracer
-
-        Tracer(arguments.trace, source="submit").event("submit", request=request_id)
-    print("submitted %s to %s" % (request_id, root))
-    if arguments.wait is None:
-        return 0
-    deadline = time.time() + arguments.wait
-    while True:
-        ticket = load_ticket(root, request_id)
-        if ticket is not None:
-            print(ticket.render())
-            return 0
-        if request_id in request_states(root)["failed"]:
-            raise SystemExit(
-                "request %s failed (see %s)"
-                % (request_id, os.path.join(root, "requests", "failed"))
-            )
-        if time.time() > deadline:
-            raise SystemExit(
-                "request %s not served within %.0fs — is `repro-synthesize "
-                "serve --service-root %s` running?" % (request_id, arguments.wait, root)
-            )
-        time.sleep(0.2)
-
-
-def _run_status(arguments) -> int:
-    """The ``status`` subcommand: the spool table, or one ticket."""
-    from repro.service.service import load_ticket, render_status
-
-    root = arguments.service_root
-    if arguments.request_id:
-        ticket = load_ticket(root, arguments.request_id)
-        if ticket is None:
-            raise SystemExit(
-                "no finished ticket %r under %s" % (arguments.request_id, root)
-            )
-        print(ticket.render())
-        return 0
-    print(render_status(root))
-    return 0
-
-
 def _run_watch(arguments) -> int:
     """The ``watch`` subcommand: tail a trace file as a live view."""
     from repro.trace import watch
 
-    path = arguments.trace or os.path.join(arguments.service_root, "trace.jsonl")
-    if not os.path.exists(path):
+    if not os.path.exists(arguments.trace):
         raise SystemExit(
-            "watch: no trace file at %r — pass --trace PATH (the same "
-            "path given to run/campaign/serve), or --service-root DIR "
-            "for a service's default <root>/trace.jsonl" % path
+            "watch: no trace file at %r — pass the --trace PATH given to "
+            "run/campaign" % arguments.trace
         )
-    return watch(path, interval=arguments.interval, once=arguments.once)
+    return watch(arguments.trace, interval=arguments.interval, once=arguments.once)
 
 
 def _run_report(arguments) -> int:
@@ -798,17 +527,6 @@ def _list_registries(arguments) -> int:
 
 def _run_experiments(arguments) -> int:
     """The experiment subcommands: one figure or table, or ``all``."""
-    if arguments.executor == "workqueue":
-        # The experiment drivers take the executor by registry name;
-        # bind the queue root through the environment (and fail here,
-        # actionably, when nothing binds one).
-        from repro.service.queue import QueueUnavailableError, resolve_queue_root
-
-        try:
-            os.environ["REPRO_QUEUE_DIR"] = resolve_queue_root(arguments.queue_dir)
-        except QueueUnavailableError as error:
-            raise SystemExit("--executor workqueue: %s" % error)
-
     kwargs = {"results_dir": arguments.results_dir, "cache": not arguments.no_cache}
     if arguments.scale is not None:
         kwargs["scale"] = arguments.scale

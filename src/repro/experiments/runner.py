@@ -23,8 +23,7 @@ def experiment_pipeline(
     """A pipeline configured the way the experiment drivers share it:
     attacker/solver/executor from the :class:`ExperimentConfig`,
     dataset cache under the results directory.  A template instance
-    evaluates under every in-process executor; the ``workqueue``
-    backend needs it by registry name."""
+    evaluates under every executor."""
     return (
         SynthesisPipeline()
         .core(core_name)

@@ -10,14 +10,13 @@ having happened at write time —
   snapshot per key is the process's total and the run total is the sum
   across keys;
 - **gauges** report the last value seen per key (plus the min/max over
-  every snapshot, which is what queue-depth and utilization reporting
-  want);
+  every snapshot, the envelope the report shows);
 - **histograms** are cumulative like counters: keep the last snapshot
   per key and merge bucket tables across keys, then estimate
   percentiles by walking the shared geometric bucket bounds.
 
 Records are ingested one at a time so folding stays streaming — a
-million-span service trace never needs to be resident.
+million-span trace never needs to be resident.
 """
 
 from __future__ import annotations

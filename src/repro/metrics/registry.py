@@ -2,7 +2,7 @@
 
 :class:`Metrics` is the quantitative half of the observability layer:
 call sites record *counts* (cache hits, solver cold solves, retries),
-*levels* (queue depth, worker utilization, adaptive coverage), and
+*levels* (adaptive round coverage), and
 *distributions* (batch-engine lane occupancy, ILP constraint counts)
 against a per-process registry, and the registry snapshots its state
 into the same flock-serialized JSONL trace file the spans travel on —
@@ -13,7 +13,7 @@ as one field-discriminated ``metric`` record per flush::
      "final": b}
 
 Process safety is by construction, exactly like the tracer's: every
-process (broker, pool worker, service worker) keeps its *own*
+process (the main process, each pool worker) keeps its *own*
 registry, counters and histograms are cumulative per process, and
 snapshots interleave in the shared file through
 :func:`repro.checkpoint.append_jsonl_line` — so readers merge by
@@ -29,8 +29,8 @@ on metrics being configured.
 
 Naming convention: dotted lowercase ``component.noun[.verb]`` —
 ``dataset.cache.hits``, ``batchsim.lanes.active``,
-``solver.cold_solves``, ``resilience.retries``, ``queue.depth``,
-``worker.utilization``, ``adaptive.round.coverage``.
+``solver.cold_solves``, ``resilience.retries``,
+``adaptive.round.coverage``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a post-mortem or perf review reads off a run: per-phase/span wall
 tables, counter totals, gauge envelopes, histogram percentiles, and
 the slowest spans.  The fold is streaming
 (:func:`repro.trace.metrics.fold_file`), so reports over million-span
-service traces stay flat in memory.  :func:`build_sections` is the one
+traces stay flat in memory.  :func:`build_sections` is the one
 source of the report's tables; :func:`render_markdown` and
 :func:`render_html` only lay them out.
 """
@@ -157,7 +157,7 @@ def build_sections(
         rows = []
         for record in metrics.slowest(slowest):
             detail = []
-            for key in ("phase", "cell", "round", "start_id", "job", "request"):
+            for key in ("phase", "cell", "round", "start_id"):
                 if key in record:
                     detail.append("%s=%s" % (key, record[key]))
             rows.append(

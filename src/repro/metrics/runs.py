@@ -1,6 +1,6 @@
 """The run-history index: one summary record per completed run.
 
-Every completed pipeline, campaign, and service run appends one JSONL
+Every completed pipeline and campaign run appends one JSONL
 summary record to ``runs.jsonl`` under its results root (through the
 same flock-serialized, torn-tail-tolerant append the checkpoints use),
 so perf claims become diffable artifacts: ``repro runs list`` tables

@@ -3,29 +3,28 @@
 :class:`PipelineConfig` holds the axes that define a run's result:
 plugins (each a registry name or an instance), budget and seed, the
 adaptive plan, the evaluator choice and the verification budget.
-Runtime plumbing (executor, resume, retry, callbacks, trace, store)
+Runtime plumbing (executor, resume, retry, callbacks, trace)
 stays on :class:`~repro.pipeline.SynthesisPipeline`.
 
 This module is the only place that knows the key formats: the
 budget-free stream key (:meth:`PipelineConfig.stream_key`), which
-feeds the dataset-cache file stem, :meth:`PipelineConfig.dataset_group`,
-the executor task and the job payload; the cache, shard-manifest,
-round-manifest and quarantine file names (and the parse of cache names
-for the superset search); and the shard-manifest, round-manifest,
-job and campaign-cell keys.  Keys exclude the budget and round count,
-so extended runs resume as prefixes.  Changing a format here orphans
-existing files and needs a manifest version bump;
-``tests/pipeline/test_keys.py`` pins them all.
+feeds the dataset-cache file stem, :meth:`PipelineConfig.dataset_group`
+and the executor task; the cache, shard-manifest, round-manifest and
+quarantine file names (and the parse of cache names for the superset
+search); and the shard-manifest, round-manifest and campaign-cell
+keys.  Keys exclude the budget and round count, so extended runs
+resume as prefixes.  Changing a format here orphans existing files and
+needs a manifest version bump; ``tests/pipeline/test_keys.py`` pins
+them all.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
 from repro.attacker import ATTACKER_REGISTRY
 from repro.attacker.base import Attacker
@@ -36,7 +35,7 @@ from repro.contracts.riscv_template import (
     restriction_label,
 )
 from repro.contracts.template import ContractTemplate, template_digest
-from repro.evaluation.backends.base import EvaluationTask, Shard
+from repro.evaluation.backends.base import EvaluationTask
 from repro.registry import Registry
 from repro.synthesis import SOLVER_REGISTRY
 from repro.synthesis.solvers import IlpSolver
@@ -67,20 +66,11 @@ QUARANTINE_SUFFIX = ".quarantine.jsonl"
 _CACHE_FILE = "%s-n%d%s.json"
 _CACHE_NAME = re.compile(r"^(?P<stem>.+)-n(?P<count>\d+)(?P<ref>-ref)?\.json$")
 
-#: The axes each name-keyed use needs configured by registry name.  An
-#: instance may carry configuration its ``name`` does not express, so
-#: keying on it (or rebuilding it by name in a worker) could serve a
-#: stale or different result.
-_EXECUTOR_AXES = ("core", "attacker", "template", "generator")
-_NAMED_AXES = {
-    "file keys": ("core", "attacker", "generator"),
-    "executor": _EXECUTOR_AXES,
-    "store": _EXECUTOR_AXES + ("solver", "restriction", "stop"),
-}
-_NAMED_REASONS = {
-    "executor": "the workqueue backend's workers rebuild plugins",
-    "store": "store() keys contracts",
-}
+#: The axes file keys need configured by registry name.  An instance
+#: may carry configuration its ``name`` does not express, so keying on
+#: it could serve a stale or different result.  (Templates may be
+#: instances: their digest enters the key.)
+_FILE_KEY_AXES = ("core", "attacker", "generator")
 
 
 def resolve(value, registry: Registry, *args, **kwargs):
@@ -205,27 +195,6 @@ class PipelineConfig:
         rounds = min(rounds, self.budget)
         return rounds, max(1, self.budget // rounds)
 
-    def _unnamed(self, purpose: str) -> List[str]:
-        unnamed = []
-        for axis in _NAMED_AXES[purpose]:
-            if axis == "stop":
-                value = self.adaptive.stop if self.adaptive is not None else None
-            else:
-                value = getattr(self, axis)
-            if not isinstance(value, (str, type(None))):
-                unnamed.append(axis)
-        return unnamed
-
-    def require_names(self, purpose: str) -> None:
-        """Raise unless every axis ``purpose`` (``"executor"`` or
-        ``"store"``) keys on is configured by registry name."""
-        unnamed = self._unnamed(purpose)
-        if unnamed:
-            raise ValueError(
-                "%s by registry name: configure %s by name"
-                % (_NAMED_REASONS[purpose], ", ".join(unnamed))
-            )
-
     # -- keys ----------------------------------------------------------
 
     def stream_key(self) -> Dict[str, object]:
@@ -260,7 +229,10 @@ class PipelineConfig:
         file minus ``.json``).  Adaptive runs key on every axis of the
         round-manifest key, so two loops with different keys never
         collide on one file."""
-        if cache_dir is None or self._unnamed("file keys"):
+        if cache_dir is None or not all(
+            isinstance(getattr(self, axis), (str, type(None)))
+            for axis in _FILE_KEY_AXES
+        ):
             return None
         stream = self.stream_key()
         template = self.resolve_template()
@@ -363,8 +335,7 @@ class PipelineConfig:
 
     @classmethod
     def from_cell(cls, cell: "CampaignCell") -> "PipelineConfig":
-        """The configuration a campaign cell runs; :meth:`cell` is its
-        inverse (up to the cell's fault-tolerance fields)."""
+        """The configuration a campaign cell runs."""
         adaptive = None
         if cell.adaptive_rounds is not None:
             adaptive = AdaptivePlan(
@@ -386,37 +357,9 @@ class PipelineConfig:
             verify=cell.verify,
         )
 
-    def cell(self) -> "CampaignCell":
-        """This configuration as a campaign cell — the contract store's
-        key.  Retry and timeout settings are absent: they never change
-        a result, so they must not fragment the store key space."""
-        from repro.campaign.spec import CampaignCell
-
-        self.require_names("store")
-        adaptive = self.adaptive
-        stop = adaptive.stop if adaptive is not None else None
-        return CampaignCell(
-            core=self.core,
-            attacker=self.attacker,
-            template=self.template,
-            restriction=self.restriction,
-            solver=self.solver,
-            budget=self.budget,
-            seed=self.seed,
-            generator=self.generator,
-            adaptive_rounds=adaptive.rounds if adaptive is not None else None,
-            batch=adaptive.batch if adaptive is not None else None,
-            # The adaptive() default rule maps to the cell default
-            # (None), so builder- and campaign-configured runs of the
-            # same loop share one store key.
-            stop=None if stop == "contract-stable" else stop,
-            fastpath=self.fastpath,
-            verify=self.verify,
-        )
-
 
 def cell_identity(cell: "CampaignCell") -> dict:
-    """The campaign-manifest and contract-store key of a cell: every
+    """The campaign-manifest key of a cell: every
     cell field, since each changes its result.  ``retries`` and
     ``shard_timeout`` enter only when set, so keys written before they
     existed still match."""
@@ -471,11 +414,11 @@ def superset_cache_path(cache_path: str, budget: int) -> Optional[str]:
     return best[1] if best is not None else None
 
 
-# -- executor tasks and work-queue jobs --------------------------------
+# -- executor tasks ----------------------------------------------------
 
-#: The dependency distance every task key and job payload carries: a
-#: constant since the template is named, kept so that manifest keys and
-#: job ids stay byte-identical with those already written.
+#: The dependency distance every task key carries: a constant since the
+#: template is named, kept so that manifest keys stay byte-identical
+#: with those already written.
 _KEYED_MAX_DISTANCE = 4
 
 
@@ -502,41 +445,3 @@ def task_identity(task: EvaluationTask) -> dict:
             task.generator_state.encode()
         ).hexdigest()[:8]
     return key
-
-
-def task_to_payload(task: EvaluationTask) -> dict:
-    """The task as the plain-JSON payload shipped inside job records."""
-    return {
-        "core": task.core_name,
-        "seed": task.seed,
-        "max_distance": _KEYED_MAX_DISTANCE,
-        "fastpath": bool(task.use_fastpath),
-        "template": task.template_name,
-        "attacker": task.attacker_name,
-        "generator": task.generator_name,
-        "generator_state": task.generator_state,
-    }
-
-
-def task_from_payload(payload: dict) -> EvaluationTask:
-    """Rebuild the task a worker must execute from a job payload."""
-    return EvaluationTask(
-        core_name=payload["core"],
-        seed=payload["seed"],
-        use_fastpath=bool(payload.get("fastpath", True)),
-        template_name=payload.get("template"),
-        attacker_name=payload.get("attacker"),
-        generator_name=payload.get("generator", "random"),
-        generator_state=payload.get("generator_state"),
-    )
-
-
-def job_id_for(task: EvaluationTask, shard: Shard) -> str:
-    """The stable job id: a digest of the payload and the shard.
-
-    Budget-free by construction, so the same ``(task, shard)`` enqueued
-    by any broker at any time maps to the same id and finished results
-    are reused."""
-    body = {"task": task_to_payload(task), "shard": list(shard)}
-    digest = hashlib.md5(json.dumps(body, sort_keys=True).encode("utf-8"))
-    return digest.hexdigest()

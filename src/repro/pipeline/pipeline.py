@@ -8,9 +8,9 @@ result, the verification report, and per-phase wall-clock timings.
 
 The run-defining axes live in one frozen
 :class:`~repro.pipeline.config.PipelineConfig`, which also derives
-every dataset-cache, manifest, quarantine, store and job key; this
-module adds the runtime plumbing (executor, resume, retry, callbacks,
-trace, store) and drives the phases.
+every dataset-cache, manifest and quarantine key; this module adds the
+runtime plumbing (executor, resume, retry, callbacks, trace) and drives
+the phases.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class SynthesisPipeline:
         self._retry: Optional[RetryPolicy] = None
         #: Per-shard soft deadline in seconds for pool executors.
         self._shard_timeout: Optional[float] = None
-        #: A contract store (duck-typed: ``datasets_dir`` +
-        #: ``put_result``) that run() persists the outcome into.
-        self._store = None
         #: Trace file the run's spans append to (``None`` → no file;
         #: timings still project from the in-memory span collector).
         self._trace_path: Optional[str] = None
@@ -216,13 +213,10 @@ class SynthesisPipeline:
         """Pick the backend the evaluation phase's shards run on.
 
         ``executor`` is an ``EXECUTOR_REGISTRY`` name (``"serial"``,
-        ``"multiprocess"``, ``"workqueue"``) or an
-        :class:`EvaluationExecutor` instance, never mutated; ``None``
-        restores the default, ``multiprocess``.  Every in-process
-        backend runs on the plugins resolved in setup (instances
-        included), which forked workers inherit; only the ``workqueue``
-        backend's workers rebuild them, so it needs every plugin
-        configured by registry name.  ``processes`` sizes the run's one
+        ``"multiprocess"``) or an :class:`EvaluationExecutor` instance,
+        never mutated; ``None`` restores the default, ``multiprocess``.
+        Every backend runs on the plugins resolved in setup (instances
+        included), which forked workers inherit.  ``processes`` sizes the run's one
         worker pool (default: the usable CPUs, at most 8), on which
         evaluation shards, :meth:`verify` shards and adaptive round
         solves all run, and in an adaptive run how many rounds are in
@@ -283,8 +277,7 @@ class SynthesisPipeline:
         (see :meth:`retry`; without one, the default policy applies to
         shards, rounds and cells alike).  ``None`` disables.  Only the
         process pool enforces deadlines, even with one worker: the serial
-        backend has no pool to abandon, and the ``workqueue`` backend
-        bounds hung workers with its job lease instead.
+        backend has no pool to abandon.
         """
         if shard_seconds is not None and shard_seconds <= 0:
             raise ValueError("shard timeout must be positive")
@@ -297,23 +290,11 @@ class SynthesisPipeline:
         self._shard_callback = callback
         return self
 
-    def store(self, contract_store) -> "SynthesisPipeline":
-        """Persist the finished contract into a
-        :class:`~repro.service.ContractStore` (or anything exposing
-        ``datasets_dir`` and ``put_result(cell, result)``), keyed by
-        registry names; ``None`` detaches.  The store's dataset
-        directory becomes the cache dir unless one was configured, so
-        a later identical (or smaller-budget) run is a pure lookup."""
-        self._store = contract_store
-        if contract_store is not None and self._cache_dir is None:
-            self.cache_dir(contract_store.datasets_dir)
-        return self
-
     def trace(self, path: Optional[str]) -> "SynthesisPipeline":
         """Append trace spans to the JSONL file at ``path``: the
         ``pipeline`` and phase spans, shard spans from executor workers
-        and round spans from adaptive loops, in the schema campaigns and
-        the service share (``repro-synthesize watch`` tails it live).
+        and round spans from adaptive loops, in the schema campaigns
+        share (``repro-synthesize watch`` tails it live).
         ``None`` (the default) disables the file; phase timings come
         from an in-memory span collector either way."""
         self._trace_path = path
@@ -426,19 +407,15 @@ class SynthesisPipeline:
         (see :meth:`_cached_source`), else a copy of the configured
         backend to run.
 
-        Unless an in-process backend instance brought its own stack,
-        this builds the generator and evaluator (template fast-path
-        compilation included, like the paper's testbench compilation)
-        and binds that stack to the copy: forked workers inherit it, and
-        the serial shard loop runs on it in this process.  An external
-        backend (the work queue) gets no stack: its workers rebuild
-        theirs from registry names."""
+        Unless a backend instance brought its own stack, this builds the
+        generator and evaluator (template fast-path compilation
+        included, like the paper's testbench compilation) and binds that
+        stack to the copy: forked workers inherit it, and the serial
+        shard loop runs on it in this process."""
         if self._cached_source() is not None:
             return None
         executor = bind_executor(self._executor or "multiprocess", self._processes)
-        if executor.external:
-            self.config.require_names("executor")
-        elif executor.worker is None:
+        if executor.worker is None:
             template = self.resolve_template()
             executor.worker = ShardEvaluator.from_plugins(
                 core or self.resolve_core(),
@@ -506,11 +483,10 @@ class SynthesisPipeline:
         )
         quarantined = sum(1 for record in collected if record.kind == "shard")
         downgrades = [r.unit.get("to") for r in collected if r.kind == "downgrade"]
-        if executor.worker is not None:
-            stats.update(
-                simulation_seconds=executor.worker.evaluator.simulation_seconds,
-                extraction_seconds=executor.worker.evaluator.extraction_seconds,
-            )
+        stats.update(
+            simulation_seconds=executor.worker.evaluator.simulation_seconds,
+            extraction_seconds=executor.worker.evaluator.extraction_seconds,
+        )
         if self._executor is not None:
             stats["executor"] = plugin_name(self._executor)
         stats.update(
@@ -530,12 +506,10 @@ class SynthesisPipeline:
         """Generate and evaluate the configured corpus.  Returns
         ``(dataset, evaluator)``; the evaluator carries the phase timers
         of every shard, pool workers' included, and is ``None`` after a
-        cache hit or a work-queue run (whose workers keep their own
-        timers)."""
+        cache hit."""
         executor = self._prepare_evaluate()
         dataset = self._evaluate(executor, {}, [], None)
-        worker = executor.worker if executor is not None else None
-        return dataset, worker.evaluator if worker is not None else None
+        return dataset, executor.worker.evaluator if executor is not None else None
 
     def evaluate(self) -> EvaluationDataset:
         """Generate and evaluate the configured corpus (cache-aware)."""
@@ -559,8 +533,8 @@ class SynthesisPipeline:
         tracer = Tracer(self._trace_path, source="pipeline", collector=[])
         previous = install_tracer(tracer) if tracer.enabled else None
         # The metrics registry rides the same installation: file-backed
-        # runs get one, unless an outer owner (a campaign, a service
-        # worker) already installed a live registry this run should
+        # runs get one, unless an outer owner (a campaign) already
+        # installed a live registry this run should
         # accumulate into.
         previous_metrics = None
         if tracer.enabled and not current_metrics().enabled:
@@ -573,8 +547,6 @@ class SynthesisPipeline:
                 install_metrics(previous_metrics)
             if previous is not None:
                 install_tracer(previous)
-        if self._store is not None:
-            self._store.put_result(self.config.cell(), result)
         if self._run_history_dir is not None:
             result.record_run(
                 self._run_history_dir, self.config.budget, self.config.seed
@@ -637,7 +609,7 @@ class SynthesisPipeline:
             solver = self.resolve_solver()
             verifier = self._verify_stack(template, core, attacker, pool)
             executor = self._prepare_evaluate(core, attacker)
-            if executor is not None and executor.worker is not None:
+            if executor is not None:
                 pool.inherit(executor.worker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
@@ -680,8 +652,7 @@ class SynthesisPipeline:
             )
             verifier = self._verify_stack(loop.template, loop.core, loop.attacker, pool)
             pool.inherit(loop.solver)
-            if loop.executor.worker is not None:
-                pool.inherit(loop.executor.worker)
+            pool.inherit(loop.executor.worker)
 
         evaluate_span = tracer.span("phase", phase="evaluate")
         with evaluate_span:

@@ -17,8 +17,7 @@ adds the fault semantics the inner backends deliberately do not have:
 - **downgrade** — repeated pool-level breakage (no shard attribution)
   swaps the inner backend for the serial reference executor and logs
   the downgrade instead of crashing the run.  The serial executor runs
-  on the inner backend's stack; only a work-queue backend, which has
-  none, leaves it to be rebuilt from the task's names.
+  on the inner backend's stack.
 
 The policy is explicit (callers resolve it with
 :func:`~repro.resilience.retry.effective_policy`), and every record
@@ -39,7 +38,6 @@ from repro.evaluation.backends.base import (
     EvaluationExecutor,
     EvaluationTask,
     Shard,
-    ShardEvaluator,
     ShardResults,
 )
 from repro.evaluation.backends.executors import MultiprocessExecutor, SerialExecutor
@@ -139,9 +137,7 @@ class ResilientExecutor(EvaluationExecutor):
                         ),
                         durable=True,
                     )
-                    inner = SerialExecutor(
-                        worker=inner.worker or ShardEvaluator.from_task(task)
-                    )
+                    inner = SerialExecutor(worker=inner.worker)
                 elif (
                     pool_failures >= _POOL_FAILURE_THRESHOLD + self.policy.max_attempts
                 ):
@@ -156,9 +152,8 @@ class ResilientExecutor(EvaluationExecutor):
         """One pass of ``inner`` over ``shards``.
 
         Deadlines apply to the process pool only: it is the one backend
-        that can abandon a hung shard.  Every other backend runs its own
-        ``run`` — the serial one has no pool to abandon, and the work
-        queue bounds hung workers with its lease.
+        that can abandon a hung shard.  The serial backend has no pool
+        to abandon and runs its own ``run``.
         """
         if inner.name != "serial":
             injection.maybe_inject("pool", executor=inner.name)

@@ -3,9 +3,9 @@
 ``repro.trace`` is the one tracing surface of the toolchain.  The
 :class:`Tracer` appends events and ``start_ts``-carrying spans to a
 single shared JSONL file; pipeline phases, executor shards, campaign
-cells, adaptive rounds, and service job/request transitions all emit
-into it.  Every reader parses the file through one tolerant line
-parser and classifies records with :func:`record_shape`:
+cells and adaptive rounds all emit into it.  Every reader parses the
+file through one tolerant line parser and classifies records with
+:func:`record_shape`:
 :mod:`repro.trace.metrics` folds a trace file into run summaries,
 :mod:`repro.trace.export` converts it for trace viewers, and
 :mod:`repro.trace.watch` tails it as a live progress view

@@ -11,8 +11,8 @@ Trace Event JSON format (``{"traceEvents": [...]}``) that
 - metric snapshots become ``"ph": "C"`` counter tracks (gauges and
   counters both — cumulative counters render as monotone staircases);
 - every process and ``(pid, source)`` lane gets ``"M"`` metadata
-  naming it, so the broker, pool workers, and service workers appear
-  as separately named rows.
+  naming it, so the main process and pool workers appear as
+  separately named rows.
 
 ``pid`` is the real OS pid from the records; ``tid`` is a stable
 small integer assigned per ``(pid, source)`` in first-seen order —
@@ -44,8 +44,6 @@ _ARG_KEYS = (
     "round",
     "start_id",
     "count",
-    "job",
-    "request",
     "executor",
     "cases",
     "atoms",

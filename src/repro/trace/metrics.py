@@ -4,8 +4,8 @@
 summaries, per-cell and per-round detail, a bounded slowest-spans
 heap, and the run's metric snapshots
 (:class:`repro.metrics.fold.MetricsAggregate`) are all maintained
-record by record, so folding a million-span service trace holds only
-the aggregates resident.  Records are read through the tolerant
+record by record, so folding a million-span trace holds only the
+aggregates resident.  Records are read through the tolerant
 :func:`~repro.trace.tracer.iter_trace` and classified by
 :func:`~repro.trace.tracer.record_shape`; unknown shapes count as
 events.  ``repro report`` (:mod:`repro.metrics.report`) renders the

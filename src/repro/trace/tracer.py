@@ -1,17 +1,17 @@
 """Structured JSONL trace spans shared by every layer of the toolchain.
 
 One span schema covers the whole system: pipeline phases, executor
-shard attempts, campaign cells, adaptive rounds, and service job and
-request transitions all append records to one shared trace file, so a
-single tail of that file reconstructs a serial run, a campaign, or the
-distributed service alike (``repro-synthesize watch``).
+shard attempts, campaign cells and adaptive rounds all append records
+to one shared trace file, so a single tail of that file reconstructs a
+serial run, a pool run or a campaign alike (``repro-synthesize
+watch``).
 
 The idiom follows the OpenEvent-AI workflow exemplar
 (``@trace_step``/``@profile_step`` decorators emitting per-step JSONL
 records), adapted to multi-process appenders: lines go out through
 :func:`repro.checkpoint.append_jsonl_line` — a single flock-serialized
-``O_APPEND`` write — so brokers, pool workers, and independent worker
-processes can interleave in one file without tearing lines.
+``O_APPEND`` write — so the main process and its pool workers can
+interleave in one file without tearing lines.
 
 Four record shapes, discriminated by their fields (:func:`record_shape`)::
 
@@ -167,7 +167,7 @@ class _Span:
 class Tracer:
     """Append structured trace events and spans to a shared JSONL file.
 
-    ``source`` labels the emitting component ("broker", "worker-3",
+    ``source`` labels the emitting component ("campaign", "adaptive",
     "pipeline", ...) on every record, so one file interleaves cleanly.
     ``collector``, when given, receives every record as a dict, with
     the file's six-decimal floats, *in addition to* (or instead of) the

@@ -5,11 +5,11 @@
 JSONL trace file (buffering a torn final line until its writer finishes
 the append), a :class:`TraceWatch` folds them into live state, and
 :meth:`TraceWatch.render` draws one frame — campaign cell progress,
-adaptive rounds, queue depth, worker heartbeats, and in-flight spans.
+adaptive rounds, shard progress, and in-flight spans.
 
 Everything is derived from the trace file alone: the same view works
-for a serial pipeline run, a campaign, and the distributed service,
-because all three emit the one span schema of :mod:`repro.trace`.  The
+for a serial pipeline run, a pool run and a campaign, because all
+emit the one span schema of :mod:`repro.trace`.  The
 tail parses lines with the same tolerant parser as the offline readers
 and the state classifies records with the same
 :func:`~repro.trace.tracer.record_shape` rule as the run-summary fold
@@ -29,20 +29,6 @@ from repro.trace.tracer import parse_lines, record_shape
 #: Matching a span end record to its begin record across interleaved
 #: multi-process files.
 SpanKey = Tuple[int, str, str, float]
-
-#: Event kinds that prove a worker process is alive.
-_WORKER_KINDS = (
-    "worker-start",
-    "heartbeat",
-    "claim",
-    "done",
-    "failed",
-    "worker-exit",
-    "worker-shutdown",
-    "worker-idle-exit",
-    "worker-job-limit",
-)
-
 
 class TraceTail:
     """Incremental reader over an append-only JSONL trace file.
@@ -112,21 +98,9 @@ class TraceWatch:
         self.last_cell: Optional[dict] = None
         self.last_round: Optional[dict] = None
         self.last_phase: Optional[dict] = None
-        self.jobs_enqueued = 0
-        self.jobs_new = 0
-        self.claims = 0
-        self.jobs_done = 0
-        self.jobs_failed = 0
-        self.requeues = 0
         self.shards_done = 0
         self.shards_resumed = 0
         self.failures = 0
-        self.requests_seen = 0
-        self.tickets = 0
-        #: job id -> status ("running" after claim, gone when finished).
-        self.running_jobs: Dict[str, str] = {}
-        #: worker id -> {"ts", "completed", "failed", "exited"}.
-        self.workers: Dict[str, dict] = {}
         #: begin records with no matching end yet.
         self.in_flight: Dict[SpanKey, dict] = {}
 
@@ -143,9 +117,6 @@ class TraceWatch:
             self.in_flight[self._span_key(record)] = record
         else:
             self._event(kind, record)
-            return
-        if kind in _WORKER_KINDS or kind == "execute":
-            self._touch_worker(record)
 
     def feed_all(self, records: List[dict]) -> None:
         for record in records:
@@ -173,10 +144,6 @@ class TraceWatch:
             self.last_phase = record
         elif kind == "shard":
             self.shards_done += 1
-        elif kind == "execute":
-            job = record.get("job")
-            if job is not None:
-                self.running_jobs.pop(str(job), None)
 
     def _event(self, kind: str, record: dict) -> None:
         if kind == "campaign-start":
@@ -188,53 +155,8 @@ class TraceWatch:
             self.last_round = record
         elif kind == "shard-resumed":
             self.shards_resumed += 1
-        elif kind == "enqueue":
-            self.jobs_enqueued += int(record.get("jobs", 0))
-            self.jobs_new += int(record.get("new", 0))
-        elif kind == "claim":
-            self.claims += 1
-            job = record.get("job")
-            if job is not None:
-                self.running_jobs[str(job)] = "running"
-        elif kind == "done":
-            self.jobs_done += 1
-            self.running_jobs.pop(str(record.get("job")), None)
-        elif kind == "failed":
-            self.jobs_failed += 1
-            self.running_jobs.pop(str(record.get("job")), None)
-        elif kind == "requeue":
-            self.requeues += 1
-            self.running_jobs.pop(str(record.get("job")), None)
         elif kind == "failure":
             self.failures += 1
-        elif kind in ("request", "submit"):
-            self.requests_seen += 1
-        elif kind == "ticket":
-            self.tickets += 1
-        if kind in _WORKER_KINDS:
-            self._touch_worker(record)
-
-    def _touch_worker(self, record: dict) -> None:
-        worker = record.get("worker") or record.get("source")
-        if not worker:
-            return
-        state = self.workers.setdefault(
-            str(worker), {"ts": 0.0, "completed": 0, "failed": 0, "exited": False}
-        )
-        state["ts"] = max(state["ts"], float(record.get("ts", 0.0)))
-        kind = record.get("kind")
-        if kind == "done":
-            state["completed"] += 1
-        elif kind == "failed":
-            state["failed"] += 1
-        elif kind == "heartbeat":
-            # Heartbeats carry authoritative cumulative counters.
-            state["completed"] = max(
-                state["completed"], int(record.get("completed", 0))
-            )
-            state["failed"] = max(state["failed"], int(record.get("failed", 0)))
-        elif kind in ("worker-exit", "worker-shutdown", "worker-idle-exit"):
-            state["exited"] = True
 
     # -- rendering -----------------------------------------------------
 
@@ -285,58 +207,17 @@ class TraceWatch:
                     else "",
                 )
             )
-        if self.jobs_enqueued or self.claims or self.jobs_done:
-            lines.append(
-                "queue: %d job(s) enqueued (%d new), %d claimed, %d done, "
-                "%d failed, %d requeued — %d running"
-                % (
-                    self.jobs_enqueued,
-                    self.jobs_new,
-                    self.claims,
-                    self.jobs_done,
-                    self.jobs_failed,
-                    self.requeues,
-                    len(self.running_jobs),
-                )
-            )
         if self.shards_done or self.shards_resumed:
             lines.append(
                 "shards: %d evaluated, %d resumed"
                 % (self.shards_done, self.shards_resumed)
-            )
-        if self.requests_seen or self.tickets:
-            lines.append(
-                "service: %d request(s) seen, %d ticket(s) issued"
-                % (self.requests_seen, self.tickets)
-            )
-        if self.workers:
-            live = [
-                worker
-                for worker, state in self.workers.items()
-                if not state["exited"]
-            ]
-            parts = []
-            for worker in sorted(self.workers):
-                state = self.workers[worker]
-                parts.append(
-                    "%s %s (%d done)"
-                    % (
-                        worker,
-                        "exited"
-                        if state["exited"]
-                        else "%.1fs ago" % max(0.0, now - state["ts"]),
-                        state["completed"],
-                    )
-                )
-            lines.append(
-                "workers: %d live — %s" % (len(live), ", ".join(parts))
             )
         if self.failures:
             lines.append("failures: %d (retries/timeouts/quarantines)" % self.failures)
         for key in sorted(self.in_flight):
             record = self.in_flight[key]
             detail = []
-            for field in ("phase", "cell", "round", "start_id", "job", "request"):
+            for field in ("phase", "cell", "round", "start_id"):
                 if field in record:
                     detail.append("%s=%s" % (field, record[field]))
             lines.append(

@@ -52,18 +52,8 @@ class TestShardPlan:
             plan_shards(10, 0)
 
 
-def _in_process_backends():
-    """Backends the equivalence suite can drive with no infrastructure:
-    external ones (workqueue) pin byte-identity in their own harnesses."""
-    return [
-        name
-        for name in EXECUTOR_REGISTRY.names()
-        if not getattr(EXECUTOR_REGISTRY.get(name), "external", False)
-    ]
-
-
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("name", _in_process_backends())
+    @pytest.mark.parametrize("name", EXECUTOR_REGISTRY.names())
     def test_backend_matches_sequential_evaluator(self, name, sequential_json):
         dataset = evaluate_parallel(
             "ibex",

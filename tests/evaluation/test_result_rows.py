@@ -1,8 +1,8 @@
-"""The row form of a ``TestCaseResult`` at the three JSONL seams.
+"""The row form of a ``TestCaseResult`` at the two JSONL seams.
 
 Results are written as JSON rows ``[test_id, distinguishable, sorted
-atom ids, targeted]`` in exactly three places: shard-manifest lines,
-adaptive round entries and job-queue result files.  The golden tests
+atom ids, targeted]`` in exactly two places: shard-manifest lines and
+adaptive round entries.  The golden tests
 pin those bytes through the public flows that write them, so any
 change to the in-memory result type must leave every checkpoint
 written before it readable and byte-identical.  Everywhere else,
@@ -19,14 +19,11 @@ from hypothesis import strategies as st
 from repro.adaptive import AdaptiveLoop
 from repro.contracts.riscv_template import build_riscv_template
 from repro.evaluation.backends import SerialExecutor, ShardEvaluator
-from repro.evaluation.backends.base import EvaluationTask
 from repro.evaluation.evaluator import TestCaseEvaluator
 from repro.evaluation.parallel import evaluate_parallel
 from repro.evaluation.results import TestCaseResult
 from repro.pipeline import SynthesisPipeline
 from repro.pipeline.config import AdaptivePlan, PipelineConfig
-from repro.service.queue import JobQueue
-from repro.service.worker import JobWorker
 from repro.testgen.generator import TestCaseGenerator
 from repro.uarch.ibex import IbexCore
 
@@ -50,11 +47,6 @@ ROUND_LINE = (
     "[1, false, [], null], [2, true, [3], null], [3, false, [17], 17]], "
     '"state": {"counts": {"3": 2, "17": 2}}, "contract": [3], "fps": 0, '
     '"stop": null}'
-)
-JOB_ID = "d7fc3392a77562001741316c90492563"
-JOB_RESULT = (
-    '{"job": "d7fc3392a77562001741316c90492563", "rows": [[0, true, [3, 17], 3], '
-    "[1, false, [], null], [2, true, [3], null], [3, false, [17], 17]]}"
 )
 
 
@@ -117,14 +109,6 @@ class TestGoldenBytes:
         replayed = AdaptiveLoop(config, manifest_path=str(path)).run()
         assert replayed.resumed_rounds == 1
         assert list(replayed.dataset) == RESULTS
-
-    def test_job_queue_result_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ShardEvaluator, "from_task", lambda task: _stub())
-        queue = JobQueue(str(tmp_path / "q")).ensure()
-        task = EvaluationTask(core_name="ibex", seed=0)
-        assert queue.enqueue_all(task, [(0, len(RESULTS))]) == [JOB_ID]
-        assert JobWorker(queue, max_jobs=1, idle_timeout=5.0).run() == 1
-        assert _lines(queue.result_path(JOB_ID)) == [JOB_RESULT]
 
 
 results = st.builds(

@@ -4,6 +4,7 @@ tests pin the relations between the keys."""
 
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from repro.evaluation.backends.base import EvaluationTask
 from repro.pipeline import PipelineConfig, SynthesisPipeline
 from repro.pipeline.config import AdaptivePlan, superset_cache_path
 from repro.resilience.injection import inject_fault
-from repro.service.store import ContractStore
 from repro.synthesis import SOLVER_REGISTRY
 from repro.testgen.strategies import GENERATOR_REGISTRY
 from repro.uarch import CORE_REGISTRY
@@ -79,7 +79,7 @@ class TestCheckpointFiles:
         assert pipeline.resume("rounds.jsonl").manifest_path() == "rounds.jsonl"
 
 
-STORE_CELLS = {
+CELLS = {
     "one-shot": dict(budget=30, restriction="base", verify=0),
     "adaptive-derived-batch": dict(
         budget=2000, generator="coverage", adaptive_rounds=8
@@ -93,7 +93,7 @@ STORE_CELLS = {
 }
 
 
-def _store_cell(**fields):
+def _cell(**overrides):
     settings = dict(
         core="ibex",
         attacker="retirement-timing",
@@ -102,39 +102,56 @@ def _store_cell(**fields):
         solver="greedy",
         seed=0,
     )
-    settings.update(fields)
+    settings.update(overrides)
     return CampaignCell(**settings)
 
 
-class TestStoreKey:
-    @pytest.mark.parametrize("name", sorted(STORE_CELLS))
-    def test_cell_pipeline_stores_under_the_cell_key(self, name):
-        cell = _store_cell(**STORE_CELLS[name])
-        assert cell.pipeline().config.cell().key() == cell.key()
+#: Cell fields a :class:`PipelineConfig` holds as they are.
+_PLAIN_FIELDS = (
+    "core",
+    "attacker",
+    "template",
+    "restriction",
+    "solver",
+    "budget",
+    "seed",
+    "generator",
+    "fastpath",
+    "verify",
+)
+#: Cell fields the adaptive plan holds.
+_ADAPTIVE_FIELDS = ("adaptive_rounds", "batch", "stop")
+#: Fault-tolerance fields: the cell's pipeline takes them as its retry
+#: policy and shard deadline, never as configuration.
+_RUNTIME_FIELDS = ("retries", "shard_timeout")
+
+
+class TestCellConfig:
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_every_cell_field_survives_from_cell(self, name):
+        cell = _cell(**CELLS[name])
+        config = cell.pipeline().config
+        assert {field.name for field in fields(CampaignCell)} == set(
+            _PLAIN_FIELDS + _ADAPTIVE_FIELDS + _RUNTIME_FIELDS
+        )
+        for field in _PLAIN_FIELDS:
+            assert getattr(config, field) == getattr(cell, field), field
+        if cell.adaptive_rounds is None:
+            assert config.adaptive is None
+        else:
+            assert config.adaptive.rounds == cell.adaptive_rounds
+            assert config.adaptive.batch == cell.batch
+            assert config.adaptive.stop == (cell.stop or "contract-stable")
 
     def test_cell_pipeline_runs_the_derived_round_plan(self):
-        cell = _store_cell(**STORE_CELLS["adaptive-budget-below-rounds"])
+        cell = _cell(**CELLS["adaptive-budget-below-rounds"])
         assert cell.pipeline().config.round_plan() == (5, 1)
-
-    def test_adaptive_cell_run_is_found_in_the_store(self, tmp_path):
-        store = ContractStore(str(tmp_path / "store"))
-        cell = _store_cell(**STORE_CELLS["adaptive-budget-below-rounds"])
-        cell.pipeline().store(store).run()
-        assert store.get(cell) is not None
-
-    def test_store_needs_a_named_stopping_rule(self):
-        from repro.adaptive.stopping import STOPPING_REGISTRY
-
-        rule = STOPPING_REGISTRY.create("full-coverage")
-        config = PipelineConfig(adaptive=AdaptivePlan(rounds=2, stop=rule))
-        with pytest.raises(ValueError, match="registry name.*stop"):
-            config.cell()
 
 
 class TestOneStreamKey:
     def test_every_key_derives_from_the_stream_key(self, monkeypatch):
-        """Cache file, dataset group, executor task, job payload and
-        round-manifest key all read the one stream key."""
+        """Cache file, dataset group, executor task and round-manifest
+        key all read the one stream key."""
         stream = PipelineConfig.stream_key
 
         def patched(config):
@@ -212,7 +229,7 @@ class TestAdaptivePlan:
 
     def test_a_campaign_cell_of_zero_rounds_is_rejected(self):
         with pytest.raises(ValueError, match="rounds must be at least 1"):
-            PipelineConfig.from_cell(_store_cell(budget=10, adaptive_rounds=0))
+            PipelineConfig.from_cell(_cell(budget=10, adaptive_rounds=0))
 
     def test_the_loop_runs_only_an_adaptive_configuration(self):
         with pytest.raises(ValueError, match="config.adaptive"):

@@ -1,8 +1,8 @@
-"""Golden on-disk keys: every file name, manifest key, store key and job
-id a configuration derives, pinned byte for byte.
+"""Golden on-disk keys: every file name, manifest key and campaign-cell
+key a configuration derives, pinned byte for byte.
 
-A change to any of these values orphans existing caches, manifests,
-stored contracts or queued jobs, so it must come with a version bump.
+A change to any of these values orphans existing caches and manifests,
+so it must come with a version bump.
 Each parametrized case is one ``(configuration, key)`` pair.  The
 round-manifest and round-quarantine paths are observed from the
 :class:`~repro.adaptive.AdaptiveLoop` the pipeline actually builds, not
@@ -18,7 +18,6 @@ from repro.contracts.riscv_template import build_riscv_template
 from repro.evaluation.backends.base import EvaluationTask
 from repro.pipeline import SynthesisPipeline
 from repro.pipeline.config import AdaptivePlan, PipelineConfig
-from repro.service.queue import job_id_for
 
 pytestmark = pytest.mark.pipeline
 
@@ -164,8 +163,6 @@ def _key(name, column, monkeypatch):
         return AdaptiveLoop(config).manifest_key()
     if column == "task_identity":
         return _task(axes).identity()
-    if column == "job_id":
-        return job_id_for(_task(axes), (0, 250))
     if column == "cell_key":
         return _cell(axes).key()
     raise AssertionError(column)
@@ -189,7 +186,6 @@ GOLDEN = {
             "max_distance": 4,
             "fastpath": True,
         },
-        "job_id": "66569c4e72d4152e9c0adc21ba8fd789",
         "cell_key": '{"adaptive_rounds": null, "attacker": "retirement-timing", "batch": null, "budget": 12000, "core": "ibex", "fastpath": true, "generator": "random", "restriction": null, "seed": 0, "solver": "scipy-milp", "stop": null, "template": "riscv-rv32im", "verify": null}',
     },
     "reference": {
@@ -204,7 +200,6 @@ GOLDEN = {
             "max_distance": 4,
             "fastpath": False,
         },
-        "job_id": "e1e2767d2356f73d5024f1c34bf7f7d5",
         "cell_key": '{"adaptive_rounds": null, "attacker": "retirement-timing", "batch": null, "budget": 1000, "core": "ibex", "fastpath": false, "generator": "random", "restriction": null, "seed": 1, "solver": "scipy-milp", "stop": null, "template": "riscv-rv32im", "verify": null}',
     },
     "coverage": {
@@ -220,7 +215,6 @@ GOLDEN = {
             "fastpath": True,
             "generator": "coverage",
         },
-        "job_id": "3c4712fa0d9cb258d401092b7935800a",
         "cell_key": '{"adaptive_rounds": null, "attacker": "retirement-timing", "batch": null, "budget": 2000, "core": "ibex", "fastpath": true, "generator": "coverage", "restriction": null, "seed": 2, "solver": "scipy-milp", "stop": null, "template": "riscv-rv32im", "verify": null}',
     },
     "cva6-mem": {
@@ -235,7 +229,6 @@ GOLDEN = {
             "max_distance": 4,
             "fastpath": True,
         },
-        "job_id": "83d11defe0571cc60fd467362ced5084",
         "cell_key": '{"adaptive_rounds": null, "attacker": "retirement-timing", "batch": null, "budget": 3000, "core": "cva6", "fastpath": true, "generator": "random", "restriction": null, "seed": 0, "solver": "scipy-milp", "stop": null, "template": "riscv-mem", "verify": null}',
     },
     "dcache-cache-state": {
@@ -250,7 +243,6 @@ GOLDEN = {
             "max_distance": 4,
             "fastpath": True,
         },
-        "job_id": "131992a16c9fceb18f8c77e9bf589e4e",
         "cell_key": '{"adaptive_rounds": null, "attacker": "cache-state", "batch": null, "budget": 500, "core": "ibex-dcache", "fastpath": true, "generator": "random", "restriction": null, "seed": 4, "solver": "scipy-milp", "stop": null, "template": "riscv-mem", "verify": null}',
     },
     "template-instance": {
@@ -302,7 +294,6 @@ GOLDEN = {
             "max_distance": 4,
             "fastpath": True,
         },
-        "job_id": "ff60086b59ba31b80f12f1782ee1a722",
         "cell_key": '{"adaptive_rounds": null, "attacker": "retirement-timing", "batch": null, "budget": 800, "core": "ibex", "fastpath": true, "generator": "random", "restriction": null, "retries": 2, "seed": 3, "solver": "greedy", "stop": null, "template": "riscv-rv32im", "verify": null}',
     },
 }

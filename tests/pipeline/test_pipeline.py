@@ -441,16 +441,6 @@ class TestExecutorBackends:
         assert result.atom_count > 0
         assert os.path.exists(explicit)
 
-    def test_workqueue_requires_name_configured_plugins(self):
-        with pytest.raises(ValueError, match="workqueue.*registry name"):
-            (
-                SynthesisPipeline()
-                .core(IbexCore())
-                .budget(10)
-                .executor("workqueue")
-                .evaluate()
-            )
-
 
 class TestDefaultRunIsTheSerialLoop:
     """A run without an executor is the serial backend over the stack

@@ -59,8 +59,8 @@ class TestFailureLog:
             FailureLog(path, {"core": "cva6", "seed": 3})
 
     def test_concurrent_processes_append_without_torn_lines(self, tmp_path):
-        """The service's worker processes share one failure log: records
-        appended from separate processes at once must all land intact."""
+        """Records appended to one failure log from separate processes
+        at once must all land intact."""
         import os
         import subprocess
         import sys

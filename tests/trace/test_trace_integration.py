@@ -1,10 +1,5 @@
 """Acceptance: the watch view reconstructs live progress from the
-trace file alone — for a campaign run, an adaptive run, and the
-distributed service with real worker subprocesses."""
-
-import os
-import subprocess
-import sys
+trace file alone — for a campaign run and an adaptive run."""
 
 import pytest
 
@@ -13,8 +8,6 @@ from repro.pipeline import SynthesisPipeline
 from repro.trace import fold_file, read_trace, record_shape, render_once
 
 pytestmark = pytest.mark.trace
-
-_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def _event_kinds(trace_path):
@@ -111,55 +104,3 @@ class TestShardTrace:
         default = sorted(shard_spans(None, "default.jsonl"))
         assert default == [(0, 20, True), (20, 20, True), (40, 5, True)]
         assert default == shard_spans("serial", "serial.jsonl")
-
-
-class TestServiceTrace:
-    def test_watch_renders_jobs_and_workers_from_a_real_service_run(
-        self, tmp_path
-    ):
-        root = str(tmp_path / "svc")
-        queue_dir = os.path.join(root, "queue")
-        trace_path = os.path.join(root, "trace.jsonl")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-
-        def cli(*args):
-            return subprocess.Popen(
-                [sys.executable, "-m", "repro.experiments.cli", *args],
-                env=env, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, text=True,
-            )
-
-        serve = cli(
-            "serve", "--service-root", root, "--executor", "workqueue",
-            "--max-requests", "1", "--idle-timeout", "120",
-            "--shard-size", "15", "--poll", "0.05",
-        )
-        # --trace points the worker at the broker's file: one shared
-        # JSONL interleaving broker and worker processes.
-        worker = cli(
-            "service", "worker", "--queue-dir", queue_dir,
-            "--worker-id", "tracee", "--idle-timeout", "60",
-            "--trace", trace_path,
-        )
-        try:
-            submit = cli(
-                "submit", "--service-root", root, "--core", "ibex",
-                "--solver", "greedy", "--count", "60", "--wait", "120",
-            )
-            output, _ = submit.communicate(timeout=150)
-            assert submit.returncode == 0, output
-        finally:
-            worker.kill()
-            serve.kill()
-
-        frame = render_once(trace_path, now=1e12)
-        # Queue progress, the worker's identity, and the request all
-        # reconstructed from the one shared file.
-        assert "queue:" in frame and " done," in frame
-        assert "tracee" in frame
-        assert "service: 1 request(s) seen, 1 ticket(s) issued" in frame
-        metrics = fold_file(trace_path)
-        assert metrics.summary("execute").count >= 1
-        kinds = _event_kinds(trace_path)
-        assert {"request", "enqueue", "claim", "done", "worker-start"} <= kinds

@@ -32,7 +32,7 @@ class TestTraceTail:
 
 
 def _feed_scenario(state):
-    """One interleaved campaign + adaptive + service trace, fixed
+    """One interleaved campaign + adaptive + pool trace, fixed
     timestamps so the frame is a golden."""
     records = [
         {"ts": 100.0, "pid": 1, "kind": "campaign-start", "campaign": "grid",
@@ -46,11 +46,6 @@ def _feed_scenario(state):
          "seconds": 1.0, "ok": True, "round": 2, "cumulative_cases": 400,
          "atom_coverage": 0.5, "contract_size": 7,
          "stop_reason": "contract-stable"},
-        {"ts": 119.0, "pid": 1, "kind": "enqueue", "jobs": 8, "new": 6},
-        {"ts": 120.0, "pid": 2, "kind": "claim", "job": "j1", "worker": "w1"},
-        {"ts": 121.0, "pid": 2, "kind": "done", "job": "j1", "worker": "w1"},
-        {"ts": 122.0, "pid": 2, "kind": "heartbeat", "worker": "w1",
-         "completed": 1, "failed": 0},
         {"ts": 123.0, "start_ts": 123.0, "pid": 2, "kind": "shard",
          "source": "pipeline", "start_id": 30, "count": 15},
         {"ts": 123.5, "pid": 1, "kind": "failure", "failure": "shard",
@@ -63,12 +58,10 @@ def _feed_scenario(state):
 
 
 GOLDEN_FRAME = """\
-watch — 11 records, 1 in-flight span(s)
+watch — 7 records, 1 in-flight span(s)
 campaign grid: 2/4 cells done (1 resumed, 0 failed)
   last cell: core=ibex budget=500 (5.000s)
 adaptive: round 2 — 400 cases, 50.0% coverage, 7-atom contract [contract-stable]
-queue: 8 job(s) enqueued (6 new), 1 claimed, 1 done, 0 failed, 0 requeued — 0 running
-workers: 1 live — w1 8.0s ago (1 done)
 failures: 1 (retries/timeouts/quarantines)
   in-flight: shard [pipeline] start_id=30 (7.0s)
 last phase: evaluate 4.000s ok"""
@@ -98,29 +91,23 @@ class TestTraceWatch:
         assert state.cells_failed == 1 and state.cells_done == 0
         assert ", FAILED" in state.render(now=3.0)
 
-    def test_worker_exit_drops_it_from_the_live_count(self):
-        state = TraceWatch()
-        state.feed({"ts": 1.0, "pid": 2, "kind": "worker-start",
-                    "worker": "w1"})
-        state.feed({"ts": 2.0, "pid": 2, "kind": "worker-exit", "worker": "w1",
-                    "completed": 3, "failed": 0})
-        assert "workers: 0 live — w1 exited (0 done)" in state.render(now=3.0)
-
 
 class TestWatchLoop:
     def test_render_once_reads_the_file_snapshot(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with open(path, "w") as stream:
-            for record in ({"ts": 1.0, "pid": 1, "kind": "request"},):
+            for record in (
+                {"ts": 1.0, "pid": 1, "kind": "shard-resumed", "start_id": 0},
+            ):
                 stream.write(json.dumps(record) + "\n")
         frame = render_once(path, now=2.0)
         assert "1 records" in frame
-        assert "service: 1 request(s) seen" in frame
+        assert "shards: 0 evaluated, 1 resumed" in frame
 
     def test_watch_streams_frames_and_returns_zero(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with open(path, "w") as stream:
-            stream.write('{"ts": 1.0, "pid": 1, "kind": "request"}\n')
+            stream.write('{"ts": 1.0, "pid": 1, "kind": "campaign-start"}\n')
         stream = io.StringIO()
         assert watch(path, interval=0.0, stream=stream, max_frames=2) == 0
         assert stream.getvalue().count("watch %s" % path) == 2
