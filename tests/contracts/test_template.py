@@ -6,8 +6,10 @@ from repro.contracts.atoms import LeakageFamily, make_atom
 from repro.contracts.riscv_template import (
     BASE_FAMILIES,
     FULL_FAMILIES,
+    RESTRICTION_REGISTRY,
     build_riscv_template,
     cumulative_family_sets,
+    restriction_label,
     template_families,
 )
 from repro.contracts.template import Contract, ContractTemplate
@@ -114,6 +116,24 @@ def test_cumulative_family_sets():
     assert sets[0] == BASE_FAMILIES
     assert sets[-1] == tuple(FULL_FAMILIES)
     assert len(sets) == 4
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["IL+RL+ML", "IL+RL+ML+AL", "IL+RL+ML+AL+BL", "IL+RL+ML+AL+BL+DL"],
+)
+def test_each_cumulative_restriction_is_registered_under_its_label(label):
+    families = RESTRICTION_REGISTRY.create(label)
+    assert restriction_label(families) == label
+    assert tuple(families) in cumulative_family_sets()
+
+
+def test_named_restrictions_label_their_families():
+    assert restriction_label(RESTRICTION_REGISTRY.create("base")) == "IL+RL+ML"
+    assert restriction_label(RESTRICTION_REGISTRY.create("full")) == (
+        "IL+RL+ML+AL+BL+DL"
+    )
+    assert restriction_label([]) == ""
 
 
 def test_contract_membership(template):
